@@ -2,10 +2,12 @@
 
 Rows are sparse mappings from column id to coefficient.  Incoming rows are
 scaled to primitive integer vectors, then reduced against the stored pivot
-rows by fraction-free cancellation on the largest column id present (so the
-non-pivot columns that survive are the smallest ones, which downstream code
-uses as least representatives of quotient classes).  Rank queries are exact;
-there is no floating point anywhere.
+rows by fraction-free cancellation on the largest column id present.  The
+dimension engines number their columns so that the largest id is the
+lowest slot (lowest degree first), so every pivot leads with its
+lowest-degree term and the non-pivot columns are the standard monomials of
+a local order.  Rank queries are exact; there is no floating point
+anywhere.
 """
 
 from __future__ import annotations

@@ -321,8 +321,7 @@ def canonical_variable_order(f: MultiGerm) -> MultiGerm:
     best = f
     for perm in itertools.permutations(range(n)):
         candidate = MultiGerm(tuple(
-            Branch(tuple(c.remap_variables(n, perm) for c in b.components),
-                   label=b.label)
+            Branch(tuple(c.remap_variables(n, perm) for c in b.components))
             for b in f.branches))
         text = _render_multigerm(candidate)
         if best_text is None or text < best_text:
@@ -359,7 +358,7 @@ def canonical_match_key(f: MultiGerm) -> str:
     best = None
     for perm in itertools.permutations(range(f.p)):
         permuted = MultiGerm(tuple(
-            Branch(tuple(b.components[i] for i in perm), label=b.label)
+            Branch(tuple(b.components[i] for i in perm))
             for b in f.branches))
         text = canonical_text_modulo_branches(permuted)
         if best is None or text < best:
@@ -438,6 +437,7 @@ def _cmd_eval(args) -> int:
             "wilson": wilson.status,
         },
         "degrees_used": {"aecod": ae.degree_used, "acod": a.degree_used},
+        "curves": {"aecod": list(ae.curve), "acod": list(a.curve)},
     }
     if args.json:
         print(json.dumps(_jsonable(payload), sort_keys=True))
@@ -450,6 +450,10 @@ def _cmd_eval(args) -> int:
         print(f"type:     {label}")
         print(f"aecod:    {ae.value}   (degree {ae.degree_used})")
         print(f"acod:     {a.value}   (degree {a.degree_used})")
+        for name, res in (("aecod", ae), ("acod", a)):
+            first = res.degree_used - len(res.curve) + 1
+            print(f"curve:    {name} {list(res.curve)}   "
+                  f"(degrees {first}..{res.degree_used})")
         print(f"wilson:   {wilson.status}")
     return 0
 

@@ -14,7 +14,7 @@ stratum of a stable label in the equidimensional and (n, n+1) ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,7 +29,6 @@ class Branch:
     """One branch of a multigerm: p components in n source variables."""
 
     components: tuple[Poly, ...]
-    label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.components:

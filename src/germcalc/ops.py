@@ -74,7 +74,7 @@ class Unfolding:
                         continue
                     at_zero[tuple(mono[i] for i in keep)] = coef
                 comps.append(Poly(n, at_zero))
-            branches.append(Branch(tuple(comps), label=branch.label))
+            branches.append(Branch(tuple(comps)))
         return MultiGerm(tuple(branches))
 
 
@@ -119,8 +119,7 @@ def normalized_unfolding(total: MultiGerm, s: int) -> Unfolding:
     for new_pos, old in enumerate(others + param_vars):
         mapping[old] = new_pos
     branches = tuple(
-        Branch(tuple(c.remap_variables(n, mapping) for c in b.components),
-               label=b.label)
+        Branch(tuple(c.remap_variables(n, mapping) for c in b.components))
         for b in total.branches)
     return Unfolding(MultiGerm(branches), s=s)
 
@@ -160,7 +159,7 @@ def augment(u: Unfolding, g: Poly,
     for branch in u.total.branches:
         comps = [substitute(comp, assignment) for comp in branch.components[:p]]
         comps.extend(Poly.variable(new_n, n + j) for j in range(q))
-        branches.append(Branch(tuple(comps), label=branch.label))
+        branches.append(Branch(tuple(comps)))
     return MultiGerm(tuple(branches))
 
 
@@ -219,7 +218,7 @@ def binary_concat(u: Unfolding, v: Unfolding,
         comps = [substitute(comp, assign_f) for comp in branch.components[:b]]
         comps.append(Poly.variable(n, n - 1))
         comps.extend(Poly.variable(n, i) for i in range(e))
-        branches.append(Branch(tuple(comps), label=branch.label))
+        branches.append(Branch(tuple(comps)))
     # (x, Y, u) -> (Y, u, g_u(x)): x in slots 0..c-1, Y in c..c+b-1, u last
     assign_g = [Poly.variable(n, i) for i in range(c)]
     assign_g.append(Poly.variable(n, n - 1))
@@ -227,7 +226,7 @@ def binary_concat(u: Unfolding, v: Unfolding,
         comps = [Poly.variable(n, c + i) for i in range(b)]
         comps.append(Poly.variable(n, n - 1))
         comps.extend(substitute(comp, assign_g) for comp in branch.components[:e])
-        branches.append(Branch(tuple(comps), label=branch.label))
+        branches.append(Branch(tuple(comps)))
     return MultiGerm(tuple(branches))
 
 
@@ -257,7 +256,7 @@ def generalised_concat(u: Unfolding, gbar: MultiGerm,
     for branch in gbar.branches:
         comps = [Poly.variable(n, i) for i in range(keep)]
         comps.extend(substitute(comp, assign) for comp in branch.components)
-        branches.append(Branch(tuple(comps), label=branch.label))
+        branches.append(Branch(tuple(comps)))
     return MultiGerm(tuple(branches))
 
 

@@ -10,11 +10,14 @@ plain exponent tuples, one entry per variable of the ambient ring.  The
 canonical monomial order used throughout is graded lexicographic: compare
 total degree first, then the exponent tuple itself.
 
-The module also provides the truncated local-ring dimension engine: the
-dimension of K[[x]]/I is computed as the dimension of (monomials of degree
+The module also provides the graded-quotient engine behind every dimension:
+the dimension of K[[x]]/I is read as the dimension of (monomials of degree
 <= d) modulo (generator multiples of degree <= d) for increasing d, until
-the value repeats a configurable number of times.  Milnor and Tjurina
-numbers of function germs are thin wrappers around that engine.
+the value repeats a configurable number of times.  One elimination at a top
+degree D, pivoting on the lowest-degree term, gives that value at every
+d <= D at once; the tangent-space engine uses the same elimination and
+stabilization loop.  Milnor and Tjurina numbers of function germs are thin
+wrappers around it.
 """
 
 from __future__ import annotations
@@ -349,27 +352,92 @@ class StabilizationPolicy:
 DEFAULT_POLICY = StabilizationPolicy()
 
 
-def _ideal_dim_at(generators: Sequence[Poly], nvars: int, degree: int) -> int:
-    """dim of (monomials <= degree) / (generator multiples <= degree)."""
-    monos = monomials_up_to(nvars, degree)
-    col = {m: i for i, m in enumerate(monos)}
-    span = RowSpan()
-    rows = []
-    for g in generators:
-        shift_cap = degree - g.order()
-        for alpha in monomials_up_to(nvars, max(shift_cap, 0)):
-            row = {}
-            for mono, coef in g.items():
-                prod = monomial_mul(alpha, mono)
-                if sum(prod) <= degree:
-                    row[col[prod]] = row.get(col[prod], Fraction(0)) + coef
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                rows.append(row)
+def eliminate_graded(slots: Sequence, degrees: Sequence[int], build_rows,
+                     top: int) -> tuple[list[int], list]:
+    """Eliminate once at top degree `top` and read the quotient at every degree.
+
+    `slots` lists the columns by ascending degree (`degrees[i]` is the degree
+    of slots[i]).  They are numbered so that the lowest slot gets the largest
+    id; RowSpan pivots on the largest id, so every pivot row leads with its
+    lowest-degree term (a local order).  `build_rows(col)` returns the
+    generator rows at `top`, keyed by the ids in `col`.
+
+    The rows at a degree d <= top are the degree-<=d truncations of the rows
+    at `top`, and projecting an echelon basis with lowest-term leads onto the
+    columns of degree <= d keeps exactly the pivots that lead there, still
+    independent.  So the quotient dimension at d is the number of non-pivot
+    columns of degree <= d.  Returns those dimensions for d = 0..top and the
+    non-pivot slots (the standard monomials of the local order) in ascending
+    order; the first (value at d) of them are a basis of the quotient at d.
+    """
+    last = len(slots) - 1
+    col = {s: last - i for i, s in enumerate(slots)}
+    rows = build_rows(col)
     rows.sort(key=lambda r: (len(r), max(r)))
+    span = RowSpan()
     for row in rows:
         span.insert(row)
-    return len(monos) - span.rank
+    pivots = span.pivot_columns()
+    free_per_degree = [0] * (top + 1)
+    free = []
+    for i, (slot, deg) in enumerate(zip(slots, degrees)):
+        if last - i not in pivots:
+            free_per_degree[deg] += 1
+            free.append(slot)
+    return list(itertools.accumulate(free_per_degree)), free
+
+
+def stabilize_curve(eliminate, d0: int, policy: StabilizationPolicy,
+                    what: str) -> tuple[tuple[int, ...], int, list]:
+    """The truncation-degree loop shared by every graded quotient.
+
+    `eliminate(top)` is one elimination at top degree `top`, returning the
+    values at degrees 0..top and the free slots, as `eliminate_graded` does.
+    The window rule runs on the values from d0 up; when it has not fired by
+    `top`, the next elimination is one degree higher.  Returns the values
+    from d0 to the degree used, that degree, and the free slots of degree
+    at most it.  Raises NotStabilizedError with the values d0..d_max when
+    the rule never fires.
+    """
+    window, d_max = policy.window, policy.d_max
+    history: tuple[int, ...] = ()
+    # a start above the cap leaves nothing to eliminate
+    first = min(d0 + window - 1, d_max) if d0 <= d_max else d0
+    for top in range(first, d_max + 1):
+        values, free = eliminate(top)
+        for d in range(d0 + window - 1, top + 1):
+            if len(set(values[d - window + 1:d + 1])) == 1:
+                return tuple(values[d0:d + 1]), d, free[:values[d]]
+        history = tuple(values[d0:])
+    raise NotStabilizedError(
+        f"{what} did not stabilize by degree {d_max} "
+        f"(values {list(history)})", d_max=d_max, history=history)
+
+
+def _graded_ideal(generators: Sequence[Poly], nvars: int,
+                  top: int) -> tuple[list[int], list]:
+    """One elimination of the generator multiples of degree <= top."""
+    monos = monomials_up_to(nvars, top)
+
+    def build_rows(col):
+        rows = []
+        for g in generators:
+            for alpha in monomials_up_to(nvars, max(top - g.order(), 0)):
+                row = {}
+                for mono, coef in g.items():
+                    prod = monomial_mul(alpha, mono)
+                    if sum(prod) <= top:
+                        key = col[prod]
+                        acc = row.get(key, 0) + coef
+                        if acc:
+                            row[key] = acc
+                        elif key in row:
+                            del row[key]
+                if row:
+                    rows.append(row)
+        return rows
+
+    return eliminate_graded(monos, [sum(m) for m in monos], build_rows, top)
 
 
 def quotient_dim(generators: Iterable[Poly], nvars: int,
@@ -395,15 +463,10 @@ def quotient_dim(generators: Iterable[Poly], nvars: int,
             "empty generator list: quotient is the full local ring",
             d_max=policy.d_max)
     d0 = policy.d0 if policy.d0 is not None else 2
-    history: list[int] = []
-    for d in range(d0, policy.d_max + 1):
-        history.append(_ideal_dim_at(gens, nvars, d))
-        if len(history) >= policy.window and \
-                len(set(history[-policy.window:])) == 1:
-            return history[-1]
-    raise NotStabilizedError(
-        f"quotient dimension did not stabilize by degree {policy.d_max} "
-        f"(values {history})", d_max=policy.d_max, history=tuple(history))
+    curve, _, _ = stabilize_curve(
+        lambda top: _graded_ideal(gens, nvars, top), d0, policy,
+        "quotient dimension")
+    return curve[-1]
 
 
 def milnor(p: Poly, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:

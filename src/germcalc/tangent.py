@@ -18,7 +18,11 @@ The reported value at degree d is dim of the ambient modulo these rows,
 i.e. the codimension of the tangent space after adding all sections of
 component degree > d.  The value is non-decreasing in d and reaches the
 true codimension once d passes the (unknown) determinacy degree, so the
-engine iterates d until the value repeats per the stabilization policy.
+engine reads the values at increasing d until they repeat per the
+stabilization policy.  It builds and eliminates the rows once, at a top
+degree D, in a local order, and reads the value at every d <= D from the
+pivots (see `ring.eliminate_graded`); a higher D is tried only when the
+policy has not fired by D.
 
 The extended variant allows constant vector fields on both sides; the
 non-extended variant restricts the ambient to sections without constant
@@ -31,11 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotStabilizedError
 from .germ import MultiGerm, multiplicity
-from .ring import (DEFAULT_POLICY, Poly, StabilizationPolicy, monomial_mul,
-                   monomials_up_to)
-from ._echelon import RowSpan
+from .ring import (DEFAULT_POLICY, Poly, StabilizationPolicy, eliminate_graded,
+                   monomial_mul, monomials_up_to, stabilize_curve)
 
 Slot = tuple[int, int, tuple[int, ...]]  # (branch, component, source monomial)
 
@@ -63,15 +65,22 @@ class Section:
 
 @dataclass(frozen=True)
 class CodimResult:
-    """A stabilized codimension value with the witnessing quotient basis."""
+    """A stabilized codimension value with the witnessing quotient basis.
+
+    `curve` holds the truncated values from the starting degree up to
+    `degree_used`; its last entry is `value`.
+    """
 
     value: int
     degree_used: int
+    curve: tuple[int, ...]
     basis: tuple[Section, ...]
 
     def __post_init__(self):
         if len(self.basis) != self.value:
             raise ValueError("basis length must equal the codimension value")
+        if not self.curve or self.curve[-1] != self.value:
+            raise ValueError("the curve must end at the codimension value")
 
 
 def _int_coef(coef: Fraction):
@@ -167,27 +176,22 @@ def _tangent_rows(f: MultiGerm, d: int, extended: bool,
     return rows
 
 
-def _codim_at_degree(f: MultiGerm, d: int, extended: bool):
-    """Returns (value, non-pivot slots in ascending order)."""
+def _graded_tangent(f: MultiGerm, top: int,
+                    extended: bool) -> tuple[list[int], list[Slot]]:
+    """One elimination at top degree `top`: the value at every degree
+    0..top and the free slots in ascending order."""
     min_deg = 0 if extended else 1
     slots: list[Slot] = []
-    for mono in monomials_up_to(f.n, d):
+    for mono in monomials_up_to(f.n, top):
         if sum(mono) < min_deg:
             continue
         for b in range(f.r):
             for l in range(f.p):
                 slots.append((b, l, mono))
     slots.sort(key=lambda s: (sum(s[2]), s[0], s[1], s[2]))
-    col = {s: i for i, s in enumerate(slots)}
-
-    rows = _tangent_rows(f, d, extended, col)
-    rows.sort(key=lambda r: (len(r), max(r)))
-    span = RowSpan()
-    for row in rows:
-        span.insert(row)
-    pivots = span.pivot_columns()
-    free = [slots[i] for i in range(len(slots)) if i not in pivots]
-    return len(slots) - span.rank, free
+    return eliminate_graded(
+        slots, [sum(s[2]) for s in slots],
+        lambda col: _tangent_rows(f, top, extended, col), top)
 
 
 def _stabilized_codim(f: MultiGerm, policy: StabilizationPolicy,
@@ -196,18 +200,11 @@ def _stabilized_codim(f: MultiGerm, policy: StabilizationPolicy,
         d0 = policy.d0
     else:
         d0 = multiplicity(f, policy) + 4
-    history: list[int] = []
-    free_slots: list[Slot] = []
-    for d in range(d0, policy.d_max + 1):
-        value, free_slots = _codim_at_degree(f, d, extended)
-        history.append(value)
-        if len(history) >= policy.window and \
-                len(set(history[-policy.window:])) == 1:
-            basis = tuple(Section.unit(f, s) for s in free_slots)
-            return CodimResult(value=value, degree_used=d, basis=basis)
-    raise NotStabilizedError(
-        f"codimension did not stabilize by degree {policy.d_max} "
-        f"(values {history})", d_max=policy.d_max, history=tuple(history))
+    curve, degree, free = stabilize_curve(
+        lambda top: _graded_tangent(f, top, extended), d0, policy,
+        "codimension")
+    return CodimResult(value=curve[-1], degree_used=degree, curve=curve,
+                       basis=tuple(Section.unit(f, s) for s in free))
 
 
 @lru_cache(maxsize=None)

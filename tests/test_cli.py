@@ -152,6 +152,7 @@ class TestRun:
         assert out["invariants"]["atype"] == [4]
         assert out["invariants"]["wilson"] == "consistent"
         assert out["degrees_used"]["aecod"] >= 1
+        assert out["curves"]["aecod"][-1] == out["invariants"]["aecod"]
 
     def test_eval_plain(self, capsys):
         code = cli.run(["eval", "--germ", "(x,y,z^2)"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germcalc.errors import NotStabilizedError
-from germcalc.ring import (Poly, StabilizationPolicy, _ideal_dim_at,
+from germcalc.ring import (Poly, StabilizationPolicy, _graded_ideal,
                            is_quasi_homogeneous, milnor, monomials_up_to,
                            quotient_dim, substitute, tjurina)
 
@@ -101,7 +101,7 @@ class TestQuotientDim:
             ([V(3, 0) * V(3, 1), V(3, 1) ** 2, V(3, 2) ** 3, V(3, 0) ** 2], 3),
         ]
         for gens, n in cases:
-            values = [_ideal_dim_at(gens, n, d) for d in range(1, 9)]
+            values, _ = _graded_ideal(gens, n, 8)
             assert values == sorted(values)
 
 

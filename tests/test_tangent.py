@@ -9,7 +9,7 @@ import pytest
 from germcalc.germ import Branch, MultiGerm
 from germcalc.ring import Poly, StabilizationPolicy
 from germcalc.tangent import (WilsonReport, a_codim, ae_codim, is_stable,
-                              wilson_check, _codim_at_degree, _tangent_rows)
+                              wilson_check, _tangent_rows)
 from germcalc._echelon import RowSpan
 from germcalc.ring import monomials_up_to
 
