@@ -6,7 +6,7 @@ from .germ import Branch, MultiGerm, AType, corank, multiplicity, recognize_type
 from .tangent import ae_codim, a_codim, wilson_check, is_stable, CodimResult
 from .errors import (GermcalcError, NotStabilizedError, NotCorankOneError,
                      NotStableTypeError, GermSyntaxError)
-from . import atlas, cli, gates, ops  # noqa: E402  (submodule access)
+from . import atlas, gates, ops, syntax  # noqa: E402  (submodule access)
 
 __all__ = [
     "Poly", "StabilizationPolicy", "substitute", "quotient_dim", "milnor", "tjurina",

@@ -7,7 +7,9 @@ dimension engines number their columns so that the largest id is the
 lowest slot (lowest degree first), so every pivot leads with its
 lowest-degree term and the non-pivot columns are the standard monomials of
 a local order.  Rank queries are exact; there is no floating point
-anywhere.
+anywhere.  This is the package's one exact eliminator: the graded
+quotients, `matrix_rank` and the quasi-homogeneity weight fit all read
+its pivot rows.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
+from typing import Mapping
 
 _STRIP_BITS = 512
 
@@ -67,8 +71,10 @@ class RowSpan:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def pivot_columns(self) -> set[int]:
-        return set(self._pivots)
+    @property
+    def pivots(self) -> Mapping[int, dict[int, int]]:
+        """Read-only view of the stored pivot rows, keyed by lead column."""
+        return MappingProxyType(self._pivots)
 
     def reduce(self, row: dict[int, int | Fraction]) -> dict[int, int]:
         """Reduce a row against the stored pivots; the residual is primitive."""

@@ -31,9 +31,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from . import cli as surface
 from . import germ as germ_mod
-from . import tangent
+from . import syntax, tangent
 from .errors import NotStabilizedError
 from .germ import MultiGerm
 from .ring import DEFAULT_POLICY, Poly, StabilizationPolicy, milnor
@@ -85,7 +84,7 @@ def _coerce_function(value) -> Poly:
     if isinstance(value, tuple) and len(value) == 2:
         return simple_function(value[0], value[1])
     if isinstance(value, str):
-        return surface.parse_poly(value, names=("x", "y"))
+        return syntax.parse_poly(value, names=("x", "y"))
     raise ValueError(f"cannot interpret {value!r} as a plane function")
 
 
@@ -138,13 +137,13 @@ def _function_entry(name, kind, template, codim_formula, text_fn,
 def _text_3mu(p_poly: Poly) -> str:
     z = Poly.variable(3, 2)
     comp3 = z ** 3 + p_poly.remap_variables(3, [0, 1]) * z
-    return f"(x, y, {surface.render_poly(comp3)})"
+    return f"(x, y, {syntax.render_poly(comp3)})"
 
 
 def _text_a1a1(h_poly: Poly) -> str:
     z = Poly.variable(3, 2)
     comp3 = z * z + h_poly.remap_variables(3, [0, 1])
-    return "{(x, y, z^2); (x, y, " + surface.render_poly(comp3) + ")}"
+    return "{(x, y, z^2); (x, y, " + syntax.render_poly(comp3) + ")}"
 
 
 def _catalog() -> tuple[AtlasEntry, ...]:
@@ -320,7 +319,7 @@ def instantiate(name: str, params: Mapping | None = None) -> MultiGerm:
     cache_key = (name,) + key
     got = _INSTANCE_CACHE.get(cache_key)
     if got is None:
-        got = surface.parse_multigerm(entry._text(*build_args))
+        got = syntax.parse_multigerm(entry._text(*build_args))
         _INSTANCE_CACHE[cache_key] = got
     return got
 
@@ -376,7 +375,7 @@ def _params_text(params: Mapping) -> str:
         if isinstance(value, tuple):
             bits.append(f"{key}={value[0]}{value[1]}")
         elif isinstance(value, Poly):
-            bits.append(f"{key}={surface.render_poly(value)}")
+            bits.append(f"{key}={syntax.render_poly(value)}")
         else:
             bits.append(f"{key}={value}")
     return ",".join(bits)
@@ -487,9 +486,9 @@ def lookup(f: MultiGerm,
                 continue
             display, _, _ = _normalize_params(entry, params)
             candidates.append((entry.name, display, inst))
-    key = surface.canonical_match_key(f)
+    key = syntax.canonical_match_key(f)
     exact = tuple((name, display) for name, display, inst in candidates
-                  if surface.canonical_match_key(inst) == key)
+                  if syntax.canonical_match_key(inst) == key)
     if exact:
         # distinct rows can share boundary members, so all literal matches
         # are reported

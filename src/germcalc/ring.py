@@ -377,7 +377,7 @@ def eliminate_graded(slots: Sequence, degrees: Sequence[int], build_rows,
     span = RowSpan()
     for row in rows:
         span.insert(row)
-    pivots = span.pivot_columns()
+    pivots = span.pivots
     free_per_degree = [0] * (top + 1)
     free = []
     for i, (slot, deg) in enumerate(zip(slots, degrees)):
@@ -486,30 +486,6 @@ def tjurina(p: Poly, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
 
 # -- quasi-homogeneity ------------------------------------------------------
 
-def _rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in matrix]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def _strict_positive_feasible(constraints: list[tuple[list[Fraction], Fraction]]) -> bool:
     """Fourier-Motzkin feasibility of strict inequalities coef . t > rhs."""
     work = [(list(c), r) for c, r in constraints]
@@ -543,32 +519,32 @@ def is_quasi_homogeneous(p: Poly) -> bool:
     appearing = [i for i in range(p.nvars) if any(m[i] for m in exponents)]
     if not appearing:
         return False
-    # solve A w = 1 over the appearing variables
-    matrix = [[Fraction(m[i]) for i in appearing] + [Fraction(1)]
-              for m in exponents]
-    rows, pivots = _rref(matrix)
+    # e . w - 1 = 0 per term: the constant in column 0, weight j in column
+    # j + 1.  RowSpan leads on the largest column, so a pivot on column 0
+    # is the equation 0 = nonzero.
+    span = RowSpan()
+    for m in exponents:
+        row = {j + 1: m[i] for j, i in enumerate(appearing) if m[i]}
+        row[0] = -1
+        span.insert(row)
+    pivots = span.pivots
+    if 0 in pivots:
+        return False
     k = len(appearing)
-    for row in rows:
-        if all(v == 0 for v in row[:k]) and row[k] != 0:
-            return False  # inconsistent
-    # particular solution with free variables set to 0
-    particular = [Fraction(0)] * k
-    for row, c in zip(rows, pivots):
-        particular[c] = row[k]
-    free = [c for c in range(k) if c not in pivots]
-    if not free:
-        return all(v > 0 for v in particular)
-    # nullspace basis, one vector per free variable
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * k
-        vec[fc] = Fraction(1)
-        for row, c in zip(rows, pivots):
-            vec[c] = -row[fc]
-        basis.append(vec)
-    # feasibility of particular + N t > 0 componentwise
-    constraints = []
-    for i in range(k):
-        coef = [vec[i] for vec in basis]
-        constraints.append((coef, -particular[i]))
-    return _strict_positive_feasible(constraints)
+    free = [c for c in range(1, k + 1) if c not in pivots]
+    # every column as an affine form [constant, one coefficient per free
+    # weight]; ascending leads make each pivot row's other columns known
+    forms = {0: [Fraction(1)] + [Fraction(0)] * len(free)}
+    for t, c in enumerate(free):
+        forms[c] = [Fraction(int(t + 1 == i)) for i in range(len(free) + 1)]
+    for lead in sorted(pivots):
+        row = pivots[lead]
+        form = [Fraction(0)] * (len(free) + 1)
+        for c, v in row.items():
+            if c != lead:
+                scale = Fraction(-v, row[lead])
+                form = [a + scale * b for a, b in zip(form, forms[c])]
+        forms[lead] = form
+    # feasibility of every weight > 0 over the free weights
+    return _strict_positive_feasible(
+        [(forms[c][1:], -forms[c][0]) for c in range(1, k + 1)])

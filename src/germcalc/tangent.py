@@ -22,7 +22,10 @@ engine reads the values at increasing d until they repeat per the
 stabilization policy.  It builds and eliminates the rows once, at a top
 degree D, in a local order, and reads the value at every d <= D from the
 pivots (see `ring.eliminate_graded`); a higher D is tried only when the
-policy has not fired by D.
+policy has not fired by D.  The quotient basis is returned as the free
+slots of that elimination, the standard monomials of the local order: the
+unit section at a slot places one source monomial in one component of one
+branch and zero elsewhere.
 
 The extended variant allows constant vector fields on both sides; the
 non-extended variant restricts the ambient to sections without constant
@@ -43,38 +46,19 @@ Slot = tuple[int, int, tuple[int, ...]]  # (branch, component, source monomial)
 
 
 @dataclass(frozen=True)
-class Section:
-    """An element of the section module: one p-tuple of polynomials per branch."""
-
-    per_branch: tuple[tuple[Poly, ...], ...]
-
-    @staticmethod
-    def unit(f: MultiGerm, slot: Slot) -> Section:
-        branch, comp, mono = slot
-        rows = []
-        for b in range(f.r):
-            comps = []
-            for l in range(f.p):
-                if b == branch and l == comp:
-                    comps.append(Poly.monomial(f.n, mono))
-                else:
-                    comps.append(Poly.zero(f.n))
-            rows.append(tuple(comps))
-        return Section(tuple(rows))
-
-
-@dataclass(frozen=True)
 class CodimResult:
     """A stabilized codimension value with the witnessing quotient basis.
 
     `curve` holds the truncated values from the starting degree up to
-    `degree_used`; its last entry is `value`.
+    `degree_used`; its last entry is `value`.  `basis` holds the free slots
+    (branch, component, source monomial), lowest degree first, whose unit
+    sections form a basis of the quotient at `degree_used`.
     """
 
     value: int
     degree_used: int
     curve: tuple[int, ...]
-    basis: tuple[Section, ...]
+    basis: tuple[Slot, ...]
 
     def __post_init__(self):
         if len(self.basis) != self.value:
@@ -204,7 +188,7 @@ def _stabilized_codim(f: MultiGerm, policy: StabilizationPolicy,
         lambda top: _graded_tangent(f, top, extended), d0, policy,
         "codimension")
     return CodimResult(value=curve[-1], degree_used=degree, curve=curve,
-                       basis=tuple(Section.unit(f, s) for s in free))
+                       basis=tuple(free))
 
 
 @lru_cache(maxsize=None)

@@ -22,13 +22,13 @@ from __future__ import annotations
 import random
 import time
 
-from germcalc import atlas, cli, gates
+from germcalc import atlas, gates, syntax
 from germcalc.germ import Branch, MultiGerm, multiplicity
 from germcalc.ops import Unfolding, sim_aug_concat, predicted_codim_augconc
 from germcalc.ring import Poly, milnor, substitute, tjurina
 from germcalc.tangent import WilsonReport, ae_codim, wilson_check
 
-P = cli.parse_multigerm
+P = syntax.parse_multigerm
 
 
 def V(n, i):
@@ -183,7 +183,7 @@ def test_criterion_5_property_suites():
     for entry in atlas.entries():
         for params in atlas._parameter_sweep(entry, 3):
             germ = atlas.instantiate(entry.name, params)
-            assert cli.parse_multigerm(cli.format_multigerm(germ)) == germ
+            assert syntax.parse_multigerm(syntax.format_multigerm(germ)) == germ
             corpus += 1
 
     # linear-coordinate-change invariance of multiplicity and codimension

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from germcalc import atlas, cli
+from germcalc import atlas, syntax
 from germcalc.germ import AType, multiplicity, recognize_type
 from germcalc.ring import Poly, StabilizationPolicy
 from germcalc.tangent import ae_codim
 
-P = cli.parse_multigerm
+P = syntax.parse_multigerm
 
 
 class TestCatalog:

@@ -3,65 +3,68 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from germcalc import atlas, cli
+from germcalc import atlas, cli, syntax
 from germcalc.errors import GermSyntaxError
 from germcalc.ring import Poly
 
 
 class TestParse:
     def test_bigerm(self):
-        f = cli.parse_multigerm("{(x^3+y*x, y, z); (x, y^2+z^3, z)}")
+        f = syntax.parse_multigerm("{(x^3+y*x, y, z); (x, y^2+z^3, z)}")
         assert (f.n, f.p, f.r) == (3, 3, 2)
 
     def test_single_branch_without_braces(self):
-        f = cli.parse_multigerm("(x, y, z^2)")
+        f = syntax.parse_multigerm("(x, y, z^2)")
         assert (f.n, f.p, f.r) == (3, 3, 1)
 
     def test_branch_arity_mismatch(self):
         with pytest.raises(GermSyntaxError, match="arity"):
-            cli.parse_multigerm("{(x,y); (x,y,z)}")
+            syntax.parse_multigerm("{(x,y); (x,y,z)}")
 
     def test_nonzero_constant_term(self):
         with pytest.raises(GermSyntaxError, match="constant"):
-            cli.parse_multigerm("(x+1, y)")
+            syntax.parse_multigerm("(x+1, y)")
 
     def test_syntax_error_position(self):
         with pytest.raises(GermSyntaxError):
-            cli.parse_multigerm("(x, y^, z)")
+            syntax.parse_multigerm("(x, y^, z)")
         with pytest.raises(GermSyntaxError):
-            cli.parse_multigerm("(x, y z)")
+            syntax.parse_multigerm("(x, y z)")
 
     def test_integer_coefficients_and_signs(self):
-        f = cli.parse_multigerm("(2*x-3*y^2, -x+y)")
+        f = syntax.parse_multigerm("(2*x-3*y^2, -x+y)")
         comps = f.branches[0].components
         assert not comps[0].is_zero() and not comps[1].is_zero()
 
     def test_leading_minus(self):
-        f = cli.parse_multigerm("(-x+y^2, y)", canonical=False)
+        f = syntax.parse_multigerm("(-x+y^2, y)", canonical=False)
         assert f.branches[0].components[0].coefficient((1, 0)) == -1
 
     def test_source_dim_override(self):
-        f = cli.parse_multigerm("(x, y, 0)", source_dim=2)
+        f = syntax.parse_multigerm("(x, y, 0)", source_dim=2)
         assert f.n == 2
         with pytest.raises(GermSyntaxError, match="source-dim"):
-            cli.parse_multigerm("(x, y, z^2)", source_dim=2)
+            syntax.parse_multigerm("(x, y, z^2)", source_dim=2)
 
     def test_variable_count_sets_dimension(self):
-        f = cli.parse_multigerm("(t^2, t^3)")
+        f = syntax.parse_multigerm("(t^2, t^3)")
         assert (f.n, f.p) == (1, 2)
 
 
 class TestFormat:
     def test_fold(self):
-        f = cli.parse_multigerm("(x, y, z^2)")
-        assert cli.format_multigerm(f) == "(x, y, z^2)"
+        f = syntax.parse_multigerm("(x, y, z^2)")
+        assert syntax.format_multigerm(f) == "(x, y, z^2)"
 
     def test_minus_one_coefficient(self):
-        f = cli.parse_multigerm("(y^2-x, y)")
-        text = cli.format_multigerm(f)
+        f = syntax.parse_multigerm("(y^2-x, y)")
+        text = syntax.format_multigerm(f)
         assert "+-" not in text and "1*" not in text
 
     def test_rational_coefficients_rejected(self):
@@ -69,16 +72,16 @@ class TestFormat:
         from germcalc.germ import Branch, MultiGerm
         p = Poly(1, {(1,): Fraction(1, 2)})
         with pytest.raises(ValueError, match="integral"):
-            cli.format_multigerm(MultiGerm((Branch((p,)),)))
+            syntax.format_multigerm(MultiGerm((Branch((p,)),)))
 
     def test_round_trip_on_atlas_corpus(self):
         for entry in atlas.entries():
             for params in atlas._parameter_sweep(entry, 3):
                 f = atlas.instantiate(entry.name, params)
-                text = cli.format_multigerm(f)
-                again = cli.parse_multigerm(text)
+                text = syntax.format_multigerm(f)
+                again = syntax.parse_multigerm(text)
                 assert again == f, f"{entry.name} {params}"
-                assert cli.format_multigerm(again) == text
+                assert syntax.format_multigerm(again) == text
 
     def test_round_trip_on_parser_output(self):
         texts = [
@@ -87,8 +90,18 @@ class TestFormat:
             "(x^2-2*x*y+y^2, x+y)",
         ]
         for text in texts:
-            f = cli.parse_multigerm(text)
-            assert cli.parse_multigerm(cli.format_multigerm(f)) == f
+            f = syntax.parse_multigerm(text)
+            assert syntax.parse_multigerm(syntax.format_multigerm(f)) == f
+
+    def test_more_than_six_variables_refused(self):
+        # the canonical order is defined up to 6 variables; above that the
+        # round trip would rename x7 to x2, so it fails loudly instead
+        text = "(x1^2+x7, x2, x3, x4, x5, x6, x1*x7)"
+        with pytest.raises(ValueError, match="at most 6 variables"):
+            syntax.parse_multigerm(text)
+        f = syntax.parse_multigerm(text, canonical=False)
+        with pytest.raises(ValueError, match="at most 6 variables"):
+            syntax.format_multigerm(f)
 
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -121,25 +134,25 @@ def test_parse_format_fixes_canonical_form(g):
     # for arbitrary germs, parse(format(f)) is the canonical variable
     # reindexing of f, and printing is a fixed point from then on; the
     # source-dim override covers variables that appear in no component
-    canonical = cli.canonical_variable_order(g)
-    text = cli.format_multigerm(g)
-    reparsed = cli.parse_multigerm(text, source_dim=g.n)
+    canonical = syntax.canonical_variable_order(g)
+    text = syntax.format_multigerm(g)
+    reparsed = syntax.parse_multigerm(text, source_dim=g.n)
     assert reparsed == canonical
-    assert cli.format_multigerm(reparsed) == text
+    assert syntax.format_multigerm(reparsed) == text
 
 
 class TestParsePoly:
     def test_by_appearance(self):
-        p = cli.parse_poly("z^4")
+        p = syntax.parse_poly("z^4")
         assert p == Poly.variable(1, 0) ** 4
 
     def test_named_resolution(self):
-        p = cli.parse_poly("y^2+x^3", names=("x", "y"))
+        p = syntax.parse_poly("y^2+x^3", names=("x", "y"))
         assert p.coefficient((0, 2)) == 1 and p.coefficient((3, 0)) == 1
 
     def test_named_rejects_unknown(self):
         with pytest.raises(GermSyntaxError, match="unknown variable"):
-            cli.parse_poly("t^2", names=("x", "y"))
+            syntax.parse_poly("t^2", names=("x", "y"))
 
 
 class TestRun:
@@ -166,6 +179,11 @@ class TestRun:
         cli.run(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_seven_variables_exit_code(self, capsys):
+        code = cli.run(["eval", "--germ", "(x1^2+x7, x2, x3, x4, x5, x6, x1*x7)"])
+        assert code == 1
+        assert "at most 6 variables" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, capsys):
         code = cli.run(["eval", "--germ", "(x,,y)"])
@@ -279,3 +297,25 @@ class TestRun:
         assert code == 0
         doc = json.loads(target.read_text())
         assert doc["format"] == "germcalc-atlas" and len(doc["entries"]) == 26
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's germcalc."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(atlas.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+class TestLayering:
+    def test_package_import_leaves_the_cli_unloaded(self):
+        done = _python("-c", "import sys, germcalc; print(sorted("
+                       "{'germcalc.cli', 'argparse'} & set(sys.modules)))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_module_entry_point_runs_without_warnings(self):
+        done = _python("-W", "error", "-m", "germcalc.cli", "eval",
+                       "--germ", "(x,y,z^2)")
+        assert done.returncode == 0, done.stderr
+        assert "aecod:    0" in done.stdout

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from germcalc import cli
+from germcalc import syntax
 from germcalc.gates import (FLAG_AUG_SIMPLE, FLAG_DZ, FLAG_PRIMITIVITY,
                             FLAG_TRANSVERSALITY, NOT_SIMPLE, SIMPLE, UNKNOWN,
                             PARTNER_CUSPIDAL_EDGE, PARTNER_TWO_IMMERSIONS,
@@ -16,7 +16,7 @@ from germcalc.gates import (FLAG_AUG_SIMPLE, FLAG_DZ, FLAG_PRIMITIVITY,
                             nishimura_bound, simplicity_report)
 from germcalc.ring import Poly
 
-P = cli.parse_multigerm
+P = syntax.parse_multigerm
 W = Poly.variable(1, 0)
 
 A2A3 = P("{(x,y,z^3+y*z);(x^4+y*x+z*x^2,y,z)}")

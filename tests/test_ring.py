@@ -155,6 +155,12 @@ class TestQuasiHomogeneous:
         # x^2 in two variables: the second weight is free but positive
         assert is_quasi_homogeneous(V(2, 0) ** 2)
 
+    def test_free_weight_without_positive_solution(self):
+        # x^2 + x^2*y*z: w_x = 1/2 forces w_y + w_z = 0, so the free weight
+        # has no positive choice
+        x, y, z = V(3, 0), V(3, 1), V(3, 2)
+        assert not is_quasi_homogeneous(x ** 2 + x ** 2 * y * z)
+
     def test_not_quasi_homogeneous(self):
         x, y = V(2, 0), V(2, 1)
         p = x ** 5 + y ** 5 + x ** 3 * y ** 3

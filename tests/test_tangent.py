@@ -132,8 +132,8 @@ class TestBasis:
         assert result.value == value
         assert len(result.basis) == value
 
-        # rebuild the tangent rows at the stabilized degree and check each
-        # basis section is outside the span until adjoined
+        # rebuild the tangent rows at the stabilized degree and check the
+        # unit section at each basis slot is outside the span until adjoined
         d = result.degree_used
         slots = []
         for mono in monomials_up_to(germ.n, d):
@@ -145,12 +145,8 @@ class TestBasis:
         span = RowSpan()
         for row in _tangent_rows(germ, d, True, col):
             span.insert(row)
-        for section in result.basis:
-            row = {}
-            for b, comps in enumerate(section.per_branch):
-                for l, poly in enumerate(comps):
-                    for mono, coef in poly.items():
-                        row[col[(b, l, mono)]] = coef
+        for slot in result.basis:
+            row = {col[slot]: 1}
             assert not span.contains(row)
             assert span.insert(row)
             assert span.contains(row)
