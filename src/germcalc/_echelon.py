@@ -28,7 +28,10 @@ def _to_primitive(row: dict[int, int | Fraction]) -> dict[int, int]:
     lcm = 1
     fractional = False
     for v in row.values():
-        if isinstance(v, Fraction):
+        # Fraction is an ABC, so isinstance would go through
+        # ABCMeta.__instancecheck__, ten times slower than an exact type
+        # test; rows hold only int and Fraction values
+        if type(v) is Fraction:
             fractional = True
             d = v.denominator
             lcm = lcm // gcd(lcm, d) * d
@@ -133,6 +136,31 @@ class RowSpan:
 
     def contains(self, row: dict[int, int | Fraction]) -> bool:
         return not self.reduce(row)
+
+    def reduced_pivots(self) -> dict[int, dict[int, int]]:
+        """The pivot rows in reduced echelon form, keyed by lead column.
+
+        Each returned row is zero at every other lead, primitive, with a
+        positive lead; the stored pivots are left as they are.
+        """
+        out: dict[int, dict[int, int]] = {}
+        # a row reduced against the rows of smaller leads gains entries only
+        # at their non-lead columns, so one pass in ascending order suffices
+        for lead in sorted(self._pivots):
+            r = dict(self._pivots[lead])
+            for c in [c for c in r if c != lead and c in out]:
+                piv = out[c]
+                g = gcd(r[c], piv[c])
+                mult_r, mult_p = piv[c] // g, r[c] // g
+                r = {k: v * mult_r for k, v in r.items()}
+                for k, w in piv.items():
+                    nv = r.get(k, 0) - mult_p * w
+                    if nv:
+                        r[k] = nv
+                    else:
+                        r.pop(k, None)
+            out[lead] = _strip_content(r)
+        return out
 
 
 def matrix_rank(rows: list[list[Fraction | int]]) -> int:

@@ -486,9 +486,11 @@ def lookup(f: MultiGerm,
                 continue
             display, _, _ = _normalize_params(entry, params)
             candidates.append((entry.name, display, inst))
-    key = syntax.canonical_match_key(f)
-    exact = tuple((name, display) for name, display, inst in candidates
-                  if syntax.canonical_match_key(inst) == key)
+    exact = ()
+    if candidates:
+        key = syntax.canonical_match_key(f)
+        exact = tuple((name, display) for name, display, inst in candidates
+                      if syntax.canonical_match_key(inst) == key)
     if exact:
         # distinct rows can share boundary members, so all literal matches
         # are reported

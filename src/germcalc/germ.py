@@ -10,6 +10,9 @@ Invariants provided here: corank of a branch, multiplicity of a multigerm
 (the dimension of its local algebra, summed over branches), recognition of
 the corank-1 label A_{k_1,...,k_r}, and the dimension of the analytic
 stratum of a stable label in the equidimensional and (n, n+1) ranges.
+It also provides the linear prenormal form, the sparse representative of
+a germ's orbit under linear changes of coordinates that the codimension
+engine eliminates on.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import ring
 from .errors import NotCorankOneError, NotStableTypeError
-from ._echelon import matrix_rank
-from .ring import Poly, StabilizationPolicy, DEFAULT_POLICY
+from ._echelon import RowSpan, matrix_rank
+from .ring import Poly, StabilizationPolicy, DEFAULT_POLICY, substitute
+
+Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -172,3 +178,121 @@ def stratum_dim(t: AType, n: int, p: int) -> int:
             f"{t} is not a stable label in dimensions ({n}, {p}): "
             f"stratum codimensions sum to {total} > {p}")
     return p - total
+
+
+# -- linear prenormal form ----------------------------------------------------
+
+def _identity(size: int) -> Matrix:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(size))
+                 for i in range(size))
+
+
+def _term_count(f: MultiGerm) -> int:
+    return sum(len(c.items()) for b in f.branches for c in b.components)
+
+
+def _source_change(forms: list[dict[int, int]], n: int) -> Matrix:
+    """S with x = S u, where u makes each independent linear form a coordinate.
+
+    The forms (variable index -> coefficient) are taken in order; each one
+    that is independent of the earlier ones becomes the coordinate at the
+    lead of its residual, and every other coordinate stays a variable.
+    """
+    k = len(forms)
+    # columns: the form tags 0..k-1, unit tags k..k+n-1, variables after
+    # them; the row of a tag t reads (form t)(x) - u_t = 0
+    span = RowSpan()
+    coord: dict[int, int] = {}
+    for t, form in enumerate(forms):
+        row = {k + n + j: c for j, c in form.items()}
+        row[t] = -1
+        residual = span.reduce(row)
+        # a form dependent on the earlier ones leaves only tags
+        if max(residual) >= k + n:
+            span.insert(residual)
+            coord[t] = max(residual) - k - n
+    for j in range(n):
+        if k + n + j not in span.pivots:
+            span.insert({k + n + j: 1, k + j: -1})
+            coord[k + j] = j
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for lead, row in span.reduced_pivots().items():
+        # d x_j + sum_t c_t u_coord[t] = 0
+        j = lead - k - n
+        for t, c in row.items():
+            if t != lead:
+                rows[j][coord[t]] = Fraction(-c, row[lead])
+    return tuple(map(tuple, rows))
+
+
+def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
+                                                tuple[Matrix, ...]]:
+    """A germ linearly equivalent to f with fewer terms, when one is found.
+
+    Returns (g, T, S) with g_b(u) = T . f_b(S_b u) on every branch b: one
+    target change T shared by all branches and one source change S_b per
+    branch, both invertible, so g has the A_e- and A-codimensions of f.
+    T row-reduces the p x (branch, monomial) coefficient matrix with the
+    nonlinear columns first, highest degree first, so as many components
+    as possible become linear; S_b turns the components that are linear
+    on branch b into coordinates.  Each component of g is then scaled by
+    one factor, shared by all branches, to primitive integer
+    coefficients.  g is f itself, with identity transforms, when every
+    transform is a monomial matrix or when the candidate does not have
+    strictly fewer terms than f.
+    """
+    n, p, r = f.n, f.p, f.r
+    columns = sorted({(sum(mono), b, mono)
+                      for b, branch in enumerate(f.branches)
+                      for comp in branch.components for mono, _ in comp.items()})
+    # the tag of component l is column l; monomial columns follow, so a
+    # pivot leads on the highest-degree monomial it contains
+    col = {(b, mono): p + i for i, (_, b, mono) in enumerate(columns)}
+    span = RowSpan()
+    for l in range(p):
+        row: dict[int, int | Fraction] = {l: 1}
+        for b, branch in enumerate(f.branches):
+            for mono, c in branch.components[l].items():
+                row[col[(b, mono)]] = c.numerator if c.denominator == 1 else c
+        span.insert(row)
+    # the tags are independent, so there are exactly p pivots
+    reduced = span.reduced_pivots()
+    comps = [reduced[lead] for lead in sorted(reduced)]
+    target = [{c: v for c, v in row.items() if c < p} for row in comps]
+    terms = [[{} for _ in range(r)] for _ in comps]
+    for i, row in enumerate(comps):
+        for c, v in row.items():
+            if c >= p:
+                _, b, mono = columns[c - p]
+                terms[i][b][mono] = v
+    forms = [[{mono.index(1): v for mono, v in terms[i][b].items()}
+              for i in range(p)
+              if terms[i][b] and all(sum(mono) == 1 for mono in terms[i][b])]
+             for b in range(r)]
+    identity = (f, _identity(p), (_identity(n),) * r)
+    if (all(len(t) == 1 for t in target)
+            and all(len(form) <= 1 for branch in forms for form in branch)):
+        return identity
+
+    sources = tuple(_source_change(forms[b], n) for b in range(r))
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    moved = []
+    for b, source in enumerate(sources):
+        x = [Poly(n, dict(zip(units, row))) for row in source]
+        moved.append([substitute(Poly(n, terms[i][b]), x) for i in range(p)])
+    # one factor per component, shared by the branches: scaling a
+    # component on one branch alone is not a change of coordinates
+    scale = []
+    for i in range(p):
+        coefs = [c for b in range(r) for _, c in moved[b][i].items()]
+        den = lcm(*(c.denominator for c in coefs))
+        num = gcd(*(c.numerator * (den // c.denominator) for c in coefs))
+        scale.append(Fraction(den, num) if num else Fraction(1))
+    g = MultiGerm(tuple(
+        Branch(tuple(moved[b][i] * scale[i] for i in range(p)))
+        for b in range(r)))
+    if _term_count(g) >= _term_count(f):
+        return identity
+    target_change = tuple(tuple(scale[i] * target[i].get(l, 0)
+                                for l in range(p)) for i in range(p))
+    return g, target_change, sources

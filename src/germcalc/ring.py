@@ -527,24 +527,16 @@ def is_quasi_homogeneous(p: Poly) -> bool:
         row = {j + 1: m[i] for j, i in enumerate(appearing) if m[i]}
         row[0] = -1
         span.insert(row)
-    pivots = span.pivots
+    pivots = span.reduced_pivots()
     if 0 in pivots:
         return False
-    k = len(appearing)
-    free = [c for c in range(1, k + 1) if c not in pivots]
-    # every column as an affine form [constant, one coefficient per free
-    # weight]; ascending leads make each pivot row's other columns known
-    forms = {0: [Fraction(1)] + [Fraction(0)] * len(free)}
-    for t, c in enumerate(free):
-        forms[c] = [Fraction(int(t + 1 == i)) for i in range(len(free) + 1)]
-    for lead in sorted(pivots):
-        row = pivots[lead]
-        form = [Fraction(0)] * (len(free) + 1)
-        for c, v in row.items():
-            if c != lead:
-                scale = Fraction(-v, row[lead])
-                form = [a + scale * b for a, b in zip(form, forms[c])]
-        forms[lead] = form
-    # feasibility of every weight > 0 over the free weights
-    return _strict_positive_feasible(
-        [(forms[c][1:], -forms[c][0]) for c in range(1, k + 1)])
+    free = [c for c in range(1, len(appearing) + 1) if c not in pivots]
+    # every weight > 0: each free weight, and each pivot weight as the
+    # affine form in the free weights that its reduced row
+    # v_lead w_lead + sum_free v_c w_c + v_0 = 0 gives
+    constraints = [([Fraction(int(c == f)) for f in free], Fraction(0))
+                   for c in free]
+    for lead, row in pivots.items():
+        constraints.append(([Fraction(-row.get(f, 0), row[lead]) for f in free],
+                            Fraction(row.get(0, 0), row[lead])))
+    return _strict_positive_feasible(constraints)

@@ -286,15 +286,23 @@ def render_poly(poly: Poly, names: tuple[str, ...] | None = None) -> str:
     return "".join(bits)
 
 
+def _join_branches(texts: Sequence[str]) -> str:
+    """The multigerm text of the given branch texts, in order."""
+    return texts[0] if len(texts) == 1 else "{" + "; ".join(texts) + "}"
+
+
 def _render_multigerm(f: MultiGerm) -> str:
     names = variable_names(f.n)
-    rendered = []
-    for branch in f.branches:
-        comps = ", ".join(render_poly(c, names) for c in branch.components)
-        rendered.append(f"({comps})")
-    if len(rendered) == 1:
-        return rendered[0]
-    return "{" + "; ".join(rendered) + "}"
+    return _join_branches([
+        "(" + ", ".join(render_poly(c, names) for c in branch.components) + ")"
+        for branch in f.branches])
+
+
+def _require_named(n: int) -> None:
+    if n > len(_DEFAULT_NAMES):
+        raise ValueError(
+            f"the canonical variable order is defined for at most "
+            f"{len(_DEFAULT_NAMES)} variables; this germ has {n}")
 
 
 def canonical_variable_order(f: MultiGerm) -> MultiGerm:
@@ -306,10 +314,7 @@ def canonical_variable_order(f: MultiGerm) -> MultiGerm:
     the names nor the permutation search are defined.
     """
     n = f.n
-    if n > len(_DEFAULT_NAMES):
-        raise ValueError(
-            f"the canonical variable order is defined for at most "
-            f"{len(_DEFAULT_NAMES)} variables; this germ has {n}")
+    _require_named(n)
     best_text = None
     best = f
     for perm in itertools.permutations(range(n)):
@@ -328,15 +333,35 @@ def format_multigerm(f: MultiGerm) -> str:
     return _render_multigerm(canonical_variable_order(f))
 
 
+def _least_text(f: MultiGerm, target_orders) -> str:
+    """The least rendering of f over all variable orders, all branch orders
+    and the given target-component orders.
+
+    A branch text ends at its first ")", so no branch text is a prefix of
+    another and the least concatenation of the branches is the sorted one:
+    each branch is rendered once per variable order instead of once per
+    branch order.
+    """
+    n = f.n
+    _require_named(n)
+    names = variable_names(n)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        texts = [[render_poly(c.remap_variables(n, perm), names)
+                  for c in b.components] for b in f.branches]
+        for order in target_orders:
+            text = _join_branches(sorted(
+                "(" + ", ".join(t[i] for i in order) + ")" for t in texts))
+            if best is None or text < best:
+                best = text
+    return best
+
+
 @lru_cache(maxsize=None)
 def canonical_text_modulo_branches(f: MultiGerm) -> str:
-    """Canonical text insensitive to branch order, for structural matching."""
-    best = None
-    for perm in itertools.permutations(range(f.r)):
-        text = format_multigerm(MultiGerm(tuple(f.branches[i] for i in perm)))
-        if best is None or text < best:
-            best = text
-    return best
+    """Canonical text insensitive to branch order, for structural matching:
+    the least `format_multigerm` text over all branch orders."""
+    return _least_text(f, [range(f.p)])
 
 
 @lru_cache(maxsize=None)
@@ -348,12 +373,4 @@ def canonical_match_key(f: MultiGerm) -> str:
     are equivalent; the converse fails, which is why lookups fall back to
     invariant matching.
     """
-    best = None
-    for perm in itertools.permutations(range(f.p)):
-        permuted = MultiGerm(tuple(
-            Branch(tuple(b.components[i] for i in perm))
-            for b in f.branches))
-        text = canonical_text_modulo_branches(permuted)
-        if best is None or text < best:
-            best = text
-    return best
+    return _least_text(f, list(itertools.permutations(range(f.p))))

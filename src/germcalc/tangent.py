@@ -19,13 +19,16 @@ i.e. the codimension of the tangent space after adding all sections of
 component degree > d.  The value is non-decreasing in d and reaches the
 true codimension once d passes the (unknown) determinacy degree, so the
 engine reads the values at increasing d until they repeat per the
-stabilization policy.  It builds and eliminates the rows once, at a top
-degree D, in a local order, and reads the value at every d <= D from the
-pivots (see `ring.eliminate_graded`); a higher D is tried only when the
-policy has not fired by D.  The quotient basis is returned as the free
-slots of that elimination, the standard monomials of the local order: the
-unit section at a slot places one source monomial in one component of one
-branch and zero elsewhere.
+stabilization policy.  Every value is invariant under linear changes of
+coordinates, so the engine works on the linear prenormal form of the germ
+(`germ.linear_prenormal_form`), which is the germ itself unless a linear
+change makes it strictly sparser.  It builds and eliminates the rows once,
+at a top degree D, in a local order, and reads the value at every d <= D
+from the pivots (see `ring.eliminate_graded`); a higher D is tried only
+when the policy has not fired by D.  The quotient basis is returned as the
+free slots of that elimination, the standard monomials of the local order:
+the unit section at a slot places one source monomial in one component of
+one branch and zero elsewhere.
 
 The extended variant allows constant vector fields on both sides; the
 non-extended variant restricts the ambient to sections without constant
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .germ import MultiGerm, multiplicity
+from .germ import MultiGerm, linear_prenormal_form, multiplicity
 from .ring import (DEFAULT_POLICY, Poly, StabilizationPolicy, eliminate_graded,
                    monomial_mul, monomials_up_to, stabilize_curve)
 
@@ -52,7 +55,8 @@ class CodimResult:
     `curve` holds the truncated values from the starting degree up to
     `degree_used`; its last entry is `value`.  `basis` holds the free slots
     (branch, component, source monomial), lowest degree first, whose unit
-    sections form a basis of the quotient at `degree_used`.
+    sections form a basis of the quotient at `degree_used`; the slots refer
+    to the linear prenormal form of the germ.
     """
 
     value: int
@@ -180,12 +184,15 @@ def _graded_tangent(f: MultiGerm, top: int,
 
 def _stabilized_codim(f: MultiGerm, policy: StabilizationPolicy,
                       extended: bool) -> CodimResult:
+    # the value at every degree is invariant under linear changes of
+    # coordinates, and the sparser form costs far less fill-in
+    g, _, _ = linear_prenormal_form(f)
     if policy.d0 is not None:
         d0 = policy.d0
     else:
         d0 = multiplicity(f, policy) + 4
     curve, degree, free = stabilize_curve(
-        lambda top: _graded_tangent(f, top, extended), d0, policy,
+        lambda top: _graded_tangent(g, top, extended), d0, policy,
         "codimension")
     return CodimResult(value=curve[-1], degree_used=degree, curve=curve,
                        basis=tuple(free))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -102,6 +103,53 @@ class TestFormat:
         f = syntax.parse_multigerm(text, canonical=False)
         with pytest.raises(ValueError, match="at most 6 variables"):
             syntax.format_multigerm(f)
+        with pytest.raises(ValueError, match="at most 6 variables"):
+            syntax.canonical_match_key(f)
+
+
+def brute_force_key(f, target_orders):
+    """The least rendering over every target order, branch order and
+    variable order: p! * r! * n! texts, each component rendered once."""
+    names = syntax.variable_names(f.n)
+    rendered = {
+        (b, i, perm): syntax.render_poly(c.remap_variables(f.n, perm), names)
+        for perm in itertools.permutations(range(f.n))
+        for b, branch in enumerate(f.branches)
+        for i, c in enumerate(branch.components)}
+    best = None
+    for order in target_orders:
+        for branches in itertools.permutations(range(f.r)):
+            for perm in itertools.permutations(range(f.n)):
+                texts = ["(" + ", ".join(rendered[(b, i, perm)] for i in order)
+                         + ")" for b in branches]
+                text = texts[0] if f.r == 1 else "{" + "; ".join(texts) + "}"
+                if best is None or text < best:
+                    best = text
+    return best
+
+
+class TestCanonicalKeys:
+    GERMS = [
+        "{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);(x,y,z^2+x-y)}",
+        "{(x,y,z,0);(x,y,0,z);(x,0,y,z);(0,x,y,z);(x,y,z,x);(x,y,z,y)}",
+    ]
+
+    def corpus(self):
+        for entry in atlas.entries():
+            for params in atlas._parameter_sweep(entry, 3):
+                yield atlas.instantiate(entry.name, params)
+        for text in self.GERMS:
+            yield syntax.parse_multigerm(text)
+
+    def test_keys_match_the_brute_force_minimum(self):
+        checked = 0
+        for f in self.corpus():
+            assert syntax.canonical_text_modulo_branches(f) == \
+                brute_force_key(f, [range(f.p)])
+            assert syntax.canonical_match_key(f) == brute_force_key(
+                f, itertools.permutations(range(f.p)))
+            checked += 1
+        assert checked == 61
 
 
 from hypothesis import given, settings, strategies as st  # noqa: E402

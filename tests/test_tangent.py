@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from germcalc.germ import Branch, MultiGerm
+from germcalc.germ import Branch, MultiGerm, linear_prenormal_form
 from germcalc.ring import Poly, StabilizationPolicy
 from germcalc.tangent import (WilsonReport, a_codim, ae_codim, is_stable,
                               wilson_check, _tangent_rows)
@@ -122,18 +122,32 @@ class TestInvariance:
             assert ae_codim(MultiGerm(tuple(branches))).value == self.base
 
 
+def _moved_quintic():
+    # (x, y, z^5 + xz + yz^2) moved by a linear source and target change
+    x, y, z = X + 2 * Y, -2 * X - 3 * Y, 2 * X + Y + Z
+    a, b, c = x, y, z ** 5 + x * z + y * z * z
+    return G(B(-a - 2 * b + c, -2 * a - b + 3 * c, 4 * a + 3 * b - 6 * c))
+
+
+MOVED_QUINTIC = _moved_quintic()
+
+
 class TestBasis:
     @pytest.mark.parametrize("germ,value", [
         (G(Branch((T ** 2, T ** 5))), 2),
         (G(B(X, Y, Z ** 5 + X * Z + Y * Z * Z)), 1),
+        # its slots index its prenormal form, not the germ
+        (MOVED_QUINTIC, 1),
     ])
     def test_basis_matches_value_and_is_independent(self, germ, value):
         result = ae_codim(germ)
         assert result.value == value
         assert len(result.basis) == value
 
-        # rebuild the tangent rows at the stabilized degree and check the
-        # unit section at each basis slot is outside the span until adjoined
+        # rebuild the tangent rows of the form the engine eliminated on at
+        # the stabilized degree and check the unit section at each basis
+        # slot is outside the span until adjoined
+        germ, _, _ = linear_prenormal_form(germ)
         d = result.degree_used
         slots = []
         for mono in monomials_up_to(germ.n, d):
