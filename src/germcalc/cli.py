@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import atlas, gates, ops, tangent
 from . import germ as germ_mod
-from .errors import GermcalcError, GermSyntaxError, NotCorankOneError, NotStabilizedError
+from .errors import GermcalcError, NotCorankOneError, NotStabilizedError
 from .germ import MultiGerm
 from .ring import Poly, StabilizationPolicy
 # the whole parse/print surface, re-exported for callers of the CLI module
@@ -305,10 +305,7 @@ def run(argv: list[str]) -> int:
     except NotStabilizedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GermSyntaxError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GermcalcError as exc:
+    except (GermcalcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant violation

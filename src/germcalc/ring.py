@@ -16,8 +16,12 @@ the dimension of K[[x]]/I is read as the dimension of (monomials of degree
 the value repeats a configurable number of times.  One elimination at a top
 degree D, pivoting on the lowest-degree term, gives that value at every
 d <= D at once; the tangent-space engine uses the same elimination and
-stabilization loop.  Milnor and Tjurina numbers of function germs are thin
-wrappers around it.
+stabilization loop.  Most generator rows there are unit vectors or become
+unit vectors once other unit columns are stripped, so the elimination
+first peels those rows (a singleton presolve) and runs the echelon on the
+rest only; the pivot set, hence every value and basis, is the same as
+without it, because an echelon basis's lead columns are unique.  Milnor
+and Tjurina numbers of function germs are thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -360,7 +364,19 @@ def eliminate_graded(slots: Sequence, degrees: Sequence[int], build_rows,
     of slots[i]).  They are numbered so that the lowest slot gets the largest
     id; RowSpan pivots on the largest id, so every pivot row leads with its
     lowest-degree term (a local order).  `build_rows(col)` returns the
-    generator rows at `top`, keyed by the ids in `col`.
+    generator rows at `top`, keyed by the ids in `col`, holding nonzero
+    entries only.
+
+    Before the echelon, a singleton presolve (the singleton step of LP
+    presolve) peels unit rows until nothing changes: a row with one entry
+    kills its column, killed columns are stripped from every other row, a
+    row left with one entry kills its column in turn, and a row left empty
+    is dropped.  Only the remaining rows go through RowSpan.  This is exact:
+    for a fixed column order the set of lead columns of an echelon basis of
+    a row space is unique, and the unit vectors of the killed columns
+    together with an echelon basis of the stripped rows are such a basis.
+    So the pivots are the killed columns plus the pivots of the residual
+    span, the same set a plain RowSpan fed every row would give.
 
     The rows at a degree d <= top are the degree-<=d truncations of the rows
     at `top`, and projecting an echelon basis with lowest-term leads onto the
@@ -373,6 +389,23 @@ def eliminate_graded(slots: Sequence, degrees: Sequence[int], build_rows,
     last = len(slots) - 1
     col = {s: last - i for i, s in enumerate(slots)}
     rows = build_rows(col)
+    # singleton presolve: a one-entry row kills its column, which is
+    # stripped from every later row at once and from the earlier ones on
+    # the next sweep; sweep until a sweep kills nothing
+    killed: set[int] = set()
+    grew = True
+    while grew:
+        grew = False
+        kept = []
+        for r in rows:
+            if not killed.isdisjoint(r):
+                r = {c: v for c, v in r.items() if c not in killed}
+            if len(r) == 1:
+                killed.update(r)
+                grew = True
+            elif r:
+                kept.append(r)
+        rows = kept
     rows.sort(key=lambda r: (len(r), max(r)))
     span = RowSpan()
     for row in rows:
@@ -381,7 +414,7 @@ def eliminate_graded(slots: Sequence, degrees: Sequence[int], build_rows,
     free_per_degree = [0] * (top + 1)
     free = []
     for i, (slot, deg) in enumerate(zip(slots, degrees)):
-        if last - i not in pivots:
+        if last - i not in killed and last - i not in pivots:
             free_per_degree[deg] += 1
             free.append(slot)
     return list(itertools.accumulate(free_per_degree)), free

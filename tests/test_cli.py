@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from germcalc import atlas, cli, syntax
+from germcalc import atlas, cli, syntax, tangent
 from germcalc.errors import GermSyntaxError
 from germcalc.ring import Poly
 
@@ -237,6 +237,15 @@ class TestRun:
         code = cli.run(["eval", "--germ", "(x,,y)"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        # an engine KeyError is a bug, not bad input
+        def broken(f, policy):
+            raise KeyError((0, 0, (1, 0, 0)))
+        monkeypatch.setattr(tangent, "ae_codim", broken)
+        code = cli.run(["eval", "--germ", "(x,y,z^2)"])
+        assert code == 3
+        assert "internal error" in capsys.readouterr().err
 
     def test_not_stabilized_exit_code(self, capsys):
         code = cli.run(["eval", "--germ", "(x,y,z^3)", "--max-degree", "6"])
