@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 
 from . import atlas as atlas_mod
 from . import tangent
-from .errors import NotCorankOneError, NotStableTypeError
+from .errors import NotCorankOneError, NotStabilizedError, NotStableTypeError
 from .germ import (AType, MultiGerm, corank, multiplicity, recognize_type,
                    stratum_dim)
 from .ring import DEFAULT_POLICY, Poly, StabilizationPolicy, is_quasi_homogeneous
@@ -345,6 +345,22 @@ class SimplicityReport:
     trace: tuple[tuple[str, Verdict], ...]
 
 
+def _atlas_verdict(f: MultiGerm, policy: StabilizationPolicy) -> Verdict:
+    try:
+        match = atlas_mod.lookup(f, policy)
+    except NotCorankOneError:
+        match = None
+    if match is not None and match.exact:
+        return Verdict.simple(
+            "atlas match",
+            candidates=tuple((name, dict(params)) for name, params in match.matches))
+    if match is not None and match.matches:
+        return Verdict.unknown(
+            "invariants match atlas candidates but no literal normal-form match",
+            candidates=tuple((name, dict(params)) for name, params in match.matches))
+    return Verdict.unknown("no atlas entry with these invariants")
+
+
 def simplicity_report(f: MultiGerm,
                       policy: StabilizationPolicy = DEFAULT_POLICY,
                       assertions: ReportAssertions | None = None) -> SimplicityReport:
@@ -354,39 +370,40 @@ def simplicity_report(f: MultiGerm,
     augmentation-and-concatenation gate; otherwise Unknown with the union
     of the unverified hypotheses.  The final kind does not depend on the
     gate order; the trace records every gate that ran.
+
+    A gate (or the atlas lookup) whose dimension does not stabilize by the
+    degree cap gives an Unknown trace entry naming the cap and carrying the
+    values reached.  A proven verdict from another gate still stands.  An
+    Unknown is what a larger cap could still change, so instead of it the
+    first such NotStabilizedError is raised.
     """
     assertions = assertions or ReportAssertions()
     trace: list[tuple[str, Verdict]] = []
+    unstable: list[NotStabilizedError] = []
 
-    trace.append(("nishimura", gate_nishimura(f, policy)))
-    trace.append(("branch_count", gate_branch_count(f, policy)))
-    trace.append(("tau_pairing", gate_tau_pairing(f, policy)))
-    trace.append(("primitive_plus_morse", gate_primitive_plus_morse(
-        f, policy, primitive_flag=FLAG_PRIMITIVITY in assertions.flags)))
+    def run(name: str, gate, *args, **kwargs) -> None:
+        try:
+            verdict = gate(*args, **kwargs)
+        except NotStabilizedError as exc:
+            unstable.append(exc)
+            verdict = Verdict.unknown(
+                f"did not stabilize by degree {exc.d_max}",
+                d_max=exc.d_max, history=exc.history)
+        trace.append((name, verdict))
+
+    run("nishimura", gate_nishimura, f, policy)
+    run("branch_count", gate_branch_count, f, policy)
+    run("tau_pairing", gate_tau_pairing, f, policy)
+    run("primitive_plus_morse", gate_primitive_plus_morse, f, policy,
+        primitive_flag=FLAG_PRIMITIVITY in assertions.flags)
     if assertions.augconc is not None:
         base_cod, phi = assertions.augconc
-        trace.append(("augconc", gate_augconc(base_cod, phi, assertions.flags)))
+        run("augconc", gate_augconc, base_cod, phi, assertions.flags)
     if assertions.aug_cusp is not None:
         partner_kind, part = assertions.aug_cusp
         f_aug = MultiGerm(tuple(f.branches[i] for i in part))
-        trace.append(("aug_cusp", gate_aug_cusp(f_aug, partner_kind, policy)))
-
-    atlas_verdict: Verdict
-    try:
-        match = atlas_mod.lookup(f, policy)
-    except NotCorankOneError:
-        match = None
-    if match is not None and match.exact:
-        atlas_verdict = Verdict.simple(
-            "atlas match",
-            candidates=tuple((name, dict(params)) for name, params in match.matches))
-    elif match is not None and match.matches:
-        atlas_verdict = Verdict.unknown(
-            "invariants match atlas candidates but no literal normal-form match",
-            candidates=tuple((name, dict(params)) for name, params in match.matches))
-    else:
-        atlas_verdict = Verdict.unknown("no atlas entry with these invariants")
-    trace.append(("atlas", atlas_verdict))
+        run("aug_cusp", gate_aug_cusp, f_aug, partner_kind, policy)
+    run("atlas", _atlas_verdict, f, policy)
 
     for name, verdict in trace:
         if verdict.kind == NOT_SIMPLE:
@@ -394,6 +411,8 @@ def simplicity_report(f: MultiGerm,
     for name, verdict in trace:
         if verdict.kind == SIMPLE:
             return SimplicityReport(verdict=verdict, trace=tuple(trace))
+    if unstable:
+        raise unstable[0]
     reasons: list[str] = []
     for _, verdict in trace:
         for reason in verdict.unverified:

@@ -16,17 +16,25 @@ the dimension of K[[x]]/I is read as the dimension of (monomials of degree
 the value repeats a configurable number of times.  One elimination at a top
 degree D, pivoting on the lowest-degree term, gives that value at every
 d <= D at once; the tangent-space engine uses the same elimination and
-stabilization loop.  Most generator rows there are unit vectors or become
-unit vectors once other unit columns are stripped, so the elimination
-first peels those rows (a singleton presolve) and runs the echelon on the
-rest only; the pivot set, hence every value and basis, is the same as
-without it, because an echelon basis's lead columns are unique.  Milnor
-and Tjurina numbers of function germs are thin wrappers around it.
+stabilization loop.  Both engines build their rows on monomial index
+tables (`MonomialTables`): a monomial is its position in the graded
+order, x_v times it is a lookup in a step table, and a product with a
+fixed monomial is a shift table composed from the steps, so no row is
+built by multiplying exponent tuples.  Most generator rows are unit
+vectors or become unit vectors once other unit columns are stripped.  A
+row that is a unit vector as built (every row of an identity block) is
+handed to the elimination as a killed column, never built; the
+elimination peels the rest of those rows (a singleton presolve) and runs
+the echelon on what remains.  The pivot set, hence every value and
+basis, is the same as without either step, because an echelon basis's
+lead columns are unique.  Milnor and Tjurina numbers of function germs
+are thin wrappers around it.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,7 +61,7 @@ def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def monomials_up_to(nvars: int, degree: int) -> tuple[Monomial, ...]:
     """All exponent tuples of total degree <= degree, in graded-lex order."""
     if nvars == 0:
@@ -356,43 +364,164 @@ class StabilizationPolicy:
 DEFAULT_POLICY = StabilizationPolicy()
 
 
-def eliminate_graded(slots: Sequence, degrees: Sequence[int], build_rows,
-                     top: int) -> tuple[list[int], list]:
-    """Eliminate once at top degree `top` and read the quotient at every degree.
+class MonomialTables:
+    """Index tables of the monomials of degree <= top in n variables.
 
-    `slots` lists the columns by ascending degree (`degrees[i]` is the degree
-    of slots[i]).  They are numbered so that the lowest slot gets the largest
-    id; RowSpan pivots on the largest id, so every pivot row leads with its
-    lowest-degree term (a local order).  `build_rows(col)` returns the
-    generator rows at `top`, keyed by the ids in `col`, holding nonzero
-    entries only.
+    Monomials are numbered by their position in `monomials_up_to(n, top)`;
+    the order is graded, so the monomials of degree < d are the first
+    `start[d]` for every d <= top + 1.  `step[v][i]` is the index of
+    x_v * mono_i for every i of degree < top, and `parent[k]` is one pair
+    (v, i) with step[v][i] == k, for every k > 0.  A product x^m * x^a is
+    then a shift table composed from the step tables (`shift`), so the row
+    builders never touch an exponent tuple in their inner loops.
+    """
+
+    __slots__ = ("top", "monos", "index", "start", "deg", "step", "parent")
+
+    def __init__(self, nvars: int, top: int):
+        monos = monomials_up_to(nvars, top)
+        index = {m: i for i, m in enumerate(monos)}
+        deg = [sum(m) for m in monos]
+        start = [0] * (top + 2)
+        for d in deg:
+            start[d + 1] += 1
+        start = list(itertools.accumulate(start))
+        step = [[index[m[:v] + (m[v] + 1,) + m[v + 1:]]
+                 for m in monos[:start[top]]] for v in range(nvars)]
+        parent: list[tuple[int, int] | None] = [None] * len(monos)
+        for i in range(start[top]):
+            for v in range(nvars):
+                k = step[v][i]
+                if parent[k] is None:
+                    parent[k] = (v, i)
+        self.top, self.monos, self.index = top, monos, index
+        self.start, self.deg, self.step, self.parent = start, deg, step, parent
+
+    def terms(self, poly: Poly) -> list[tuple[int, Coefficient]]:
+        """(index, coefficient) of every term of degree <= top; integral
+        coefficients come back as int."""
+        index = self.index
+        out = []
+        for mono, coef in poly.items():
+            k = index.get(mono)
+            if k is not None:  # None: the term lies above top
+                out.append((k, coef.numerator if coef.denominator == 1 else coef))
+        return out
+
+    def shift(self, k: int, memo: dict[int, list[int]]) -> list[int]:
+        """Indices of mono_k * mono_i for every i of degree <= top - deg k.
+
+        `memo` keeps the tables already composed for one caller."""
+        got = memo.get(k)
+        if got is None:
+            if k == 0:
+                got = list(range(len(self.monos)))
+            else:
+                v, prev = self.parent[k]
+                step = self.step[v]
+                got = [step[i] for i in
+                       self.shift(prev, memo)[:self.start[self.top - self.deg[k] + 1]]]
+            memo[k] = got
+        return got
+
+    def multiply(self, a: dict[int, Coefficient], terms,
+                 memo: dict[int, list[int]]) -> dict[int, Coefficient]:
+        """The product of a polynomial {index: coefficient} with the
+        (index, coefficient) terms of another, truncated at top."""
+        if len(terms) == 1:
+            # one term maps distinct monomials to distinct monomials
+            (k, c), = terms
+            shift = self.shift(k, memo)
+            fits = len(shift)
+            return {shift[i]: v * c for i, v in a.items() if i < fits}
+        out: dict[int, Coefficient] = {}
+        for k, c in terms:
+            shift = self.shift(k, memo)
+            fits = len(shift)
+            for i, v in a.items():
+                if i < fits:
+                    j = shift[i]
+                    out[j] = out.get(j, 0) + v * c
+        return {j: v for j, v in out.items() if v}
+
+
+@lru_cache(maxsize=64)
+def monomial_tables(nvars: int, top: int) -> MonomialTables:
+    return MonomialTables(nvars, top)
+
+
+def add_multiples(tables: MonomialTables, terms, min_degree: int,
+                  rows: list[dict], killed: set[int],
+                  memo: dict[int, list[int]]) -> None:
+    """Add the rows x^a * (sum of the terms) for every |a| >= min_degree,
+    truncated at the top degree of `tables`.
+
+    `terms` holds (monomial index, coefficient, column map) triples, the
+    column map taking a monomial index to the column id of that term's
+    component.  Distinct terms must land in distinct columns, as they do
+    for the terms of one polynomial or of distinct components, so every
+    row is filled directly.  A row with one entry is a unit row: its column
+    goes into `killed` instead (see `eliminate_graded`).
+    """
+    if not terms:
+        return
+    top, start, deg = tables.top, tables.start, tables.deg
+    # (degree, column id of the product with each monomial a, coefficient)
+    # ascending by degree, so the terms that fit under top form a prefix
+    products = sorted(((deg[k], [colmap[i] for i in tables.shift(k, memo)], c)
+                       for k, c, colmap in terms), key=lambda t: t[0])
+    active = len(products)
+    for e in range(min_degree, top - products[0][0] + 1):
+        while products[active - 1][0] > top - e:
+            active -= 1
+        lo, hi = start[e], start[e + 1]
+        if active == 1:
+            killed.update(products[0][1][lo:hi])
+            continue
+        coefs = [c for _, _, c in products[:active]]
+        rows.extend(dict(zip(ids, coefs)) for ids in
+                    zip(*(cols[lo:hi] for _, cols, _ in products[:active])))
+
+
+def eliminate_graded(widths: Sequence[int], rows: list[dict],
+                     killed: set[int]) -> tuple[list[int], list[int]]:
+    """Eliminate once at top degree D and read the quotient at every degree.
+
+    The columns are numbered by position, ascending by degree: `widths[d]`
+    of them have degree d, for d = 0..D.  Position i carries the column id
+    last - i, so the lowest position gets the largest id; RowSpan pivots on
+    the largest id, so every pivot row leads with its lowest-degree term (a
+    local order).  `rows` are generator rows at D, keyed by column id and
+    holding nonzero entries only; `killed` holds the columns of the other
+    generator rows, those with a single entry, which the builders hand
+    over as columns instead of building them.  The set is extended in
+    place.
 
     Before the echelon, a singleton presolve (the singleton step of LP
-    presolve) peels unit rows until nothing changes: a row with one entry
-    kills its column, killed columns are stripped from every other row, a
-    row left with one entry kills its column in turn, and a row left empty
-    is dropped.  Only the remaining rows go through RowSpan.  This is exact:
-    for a fixed column order the set of lead columns of an echelon basis of
-    a row space is unique, and the unit vectors of the killed columns
-    together with an echelon basis of the stripped rows are such a basis.
-    So the pivots are the killed columns plus the pivots of the residual
-    span, the same set a plain RowSpan fed every row would give.
+    presolve) peels unit rows until nothing changes: killed columns are
+    stripped from every row, a row left with one entry kills its column in
+    turn, and a row left empty is dropped.  The killed set it reaches is
+    the least set closed under that step, so it does not depend on whether
+    a unit row arrives as a row or as a killed column.  Only the remaining
+    rows go through RowSpan.  This is exact: for a fixed column order the
+    set of lead columns of an echelon basis of a row space is unique, and
+    the unit vectors of the killed columns together with an echelon basis
+    of the stripped rows are such a basis.  So the pivots are the killed
+    columns plus the pivots of the residual span, the same set a plain
+    RowSpan fed every row would give.
 
-    The rows at a degree d <= top are the degree-<=d truncations of the rows
-    at `top`, and projecting an echelon basis with lowest-term leads onto the
+    The rows at a degree d <= D are the degree-<=d truncations of the rows
+    at D, and projecting an echelon basis with lowest-term leads onto the
     columns of degree <= d keeps exactly the pivots that lead there, still
     independent.  So the quotient dimension at d is the number of non-pivot
-    columns of degree <= d.  Returns those dimensions for d = 0..top and the
-    non-pivot slots (the standard monomials of the local order) in ascending
-    order; the first (value at d) of them are a basis of the quotient at d.
+    columns of degree <= d.  Returns those dimensions for d = 0..D and the
+    non-pivot positions (the standard monomials of the local order) in
+    ascending order; the first (value at d) of them are a basis of the
+    quotient at d.
     """
-    last = len(slots) - 1
-    col = {s: last - i for i, s in enumerate(slots)}
-    rows = build_rows(col)
-    # singleton presolve: a one-entry row kills its column, which is
-    # stripped from every later row at once and from the earlier ones on
-    # the next sweep; sweep until a sweep kills nothing
-    killed: set[int] = set()
+    last = sum(widths) - 1
+    # singleton presolve: strip every column killed so far, and let a row
+    # left with one entry kill its column; sweep until a sweep kills nothing
     grew = True
     while grew:
         grew = False
@@ -410,14 +539,10 @@ def eliminate_graded(slots: Sequence, degrees: Sequence[int], build_rows,
     span = RowSpan()
     for row in rows:
         span.insert(row)
-    pivots = span.pivots
-    free_per_degree = [0] * (top + 1)
-    free = []
-    for i, (slot, deg) in enumerate(zip(slots, degrees)):
-        if last - i not in killed and last - i not in pivots:
-            free_per_degree[deg] += 1
-            free.append(slot)
-    return list(itertools.accumulate(free_per_degree)), free
+    free = sorted(last - c for c in
+                  set(range(last + 1)).difference(killed, span.pivots))
+    return [bisect_left(free, end)
+            for end in itertools.accumulate(widths)], free
 
 
 def stabilize_curve(eliminate, d0: int, policy: StabilizationPolicy,
@@ -448,29 +573,22 @@ def stabilize_curve(eliminate, d0: int, policy: StabilizationPolicy,
 
 
 def _graded_ideal(generators: Sequence[Poly], nvars: int,
-                  top: int) -> tuple[list[int], list]:
-    """One elimination of the generator multiples of degree <= top."""
-    monos = monomials_up_to(nvars, top)
-
-    def build_rows(col):
-        rows = []
-        for g in generators:
-            for alpha in monomials_up_to(nvars, max(top - g.order(), 0)):
-                row = {}
-                for mono, coef in g.items():
-                    prod = monomial_mul(alpha, mono)
-                    if sum(prod) <= top:
-                        key = col[prod]
-                        acc = row.get(key, 0) + coef
-                        if acc:
-                            row[key] = acc
-                        elif key in row:
-                            del row[key]
-                if row:
-                    rows.append(row)
-        return rows
-
-    return eliminate_graded(monos, [sum(m) for m in monos], build_rows, top)
+                  top: int) -> tuple[list[int], list[Monomial]]:
+    """One elimination of the generator multiples of degree <= top; the
+    column of a monomial is its position in the tables."""
+    tables = monomial_tables(nvars, top)
+    last = len(tables.monos) - 1
+    colmap = list(range(last, -1, -1))
+    rows: list[dict] = []
+    killed: set[int] = set()
+    memo: dict[int, list[int]] = {}
+    for g in generators:
+        add_multiples(tables, [(k, c, colmap) for k, c in tables.terms(g)], 0,
+                      rows, killed, memo)
+    start = tables.start
+    values, free = eliminate_graded(
+        [start[d + 1] - start[d] for d in range(top + 1)], rows, killed)
+    return values, [tables.monos[i] for i in free]
 
 
 def quotient_dim(generators: Iterable[Poly], nvars: int,

@@ -25,7 +25,14 @@ coordinates, so the engine works on the linear prenormal form of the germ
 change makes it strictly sparser.  It builds and eliminates the rows once,
 at a top degree D, in a local order, and reads the value at every d <= D
 from the pivots (see `ring.eliminate_graded`); a higher D is tried only
-when the policy has not fired by D.  The quotient basis is returned as the
+when the policy has not fired by D.  The rows come from the monomial
+index tables of `ring`: the slots are numbered by (degree, branch,
+component, monomial) arithmetically, a derivative row x^a * df_b/dx_j is
+one shift table per term of the partial, and the compositions y^beta o f_b
+are kept by the index of beta and of each source monomial.  A partial
+with a single term, as every coordinate component of the prenormal form
+has, is an identity block: its rows reach the elimination as killed
+columns, as does every target row with a single entry.  The quotient basis is returned as the
 free slots of that elimination, the standard monomials of the local order:
 the unit section at a slot places one source monomial in one component of
 one branch and zero elsewhere.
@@ -37,13 +44,14 @@ term and the generators to multiples by variables.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .germ import MultiGerm, linear_prenormal_form, multiplicity
-from .ring import (DEFAULT_POLICY, Poly, StabilizationPolicy, eliminate_graded,
-                   monomial_mul, monomials_up_to, stabilize_curve)
+from .ring import (DEFAULT_POLICY, MonomialTables, StabilizationPolicy,
+                   add_multiples, eliminate_graded, monomial_tables,
+                   stabilize_curve)
 
 Slot = tuple[int, int, tuple[int, ...]]  # (branch, component, source monomial)
 
@@ -71,115 +79,84 @@ class CodimResult:
             raise ValueError("the curve must end at the codimension value")
 
 
-def _int_coef(coef: Fraction):
-    return coef.numerator if coef.denominator == 1 else coef
+def _generator_rows(f: MultiGerm, tables: MonomialTables, min_deg: int,
+                    colmap) -> tuple[list[dict], set[int]]:
+    """The derivative and target rows of degree >= min_deg at the top
+    degree of `tables`, as rows and killed columns (`eliminate_graded`);
+    `colmap(b, l)` maps a monomial index to the column id of its slot in
+    component l of branch b."""
+    n, p, r = f.n, f.p, f.r
+    colmaps = [[colmap(b, l) for l in range(p)] for b in range(r)]
+    rows: list[dict] = []
+    killed: set[int] = set()
+    memo: dict[int, list[int]] = {}
 
-
-def _int_terms(poly: Poly) -> dict[tuple[int, ...], object]:
-    return {mono: _int_coef(coef) for mono, coef in poly.items()}
-
-
-def _mul_truncated(a: dict, b_by_degree: list, d: int) -> dict:
-    """Product of term dicts, dropping degrees above d while multiplying.
-
-    b_by_degree is a list of (degree, mono, coef) sorted by degree.
-    """
-    out: dict = {}
-    for ma, ca in a.items():
-        da = sum(ma)
-        for db, mb, cb in b_by_degree:
-            if da + db > d:
-                break
-            mono = monomial_mul(ma, mb)
-            acc = out.get(mono, 0) + ca * cb
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-    return out
-
-
-def _tangent_rows(f: MultiGerm, d: int, extended: bool,
-                  col: dict[Slot, int]) -> list[dict[int, object]]:
-    n, p = f.n, f.p
-    rows: list[dict[int, object]] = []
-    alpha_min = 0 if extended else 1
-
-    # derivative rows, one branch at a time
+    # derivative rows x^a * df_b/dx_j, one branch at a time; a coordinate
+    # component's partial is a single term, an identity block of kills
     for b, branch in enumerate(f.branches):
         for j in range(n):
-            partials = [_int_terms(comp.diff(j)) for comp in branch.components]
-            if not any(partials):
-                continue
-            base_order = min(min(sum(m) for m in q) for q in partials if q)
-            for alpha in monomials_up_to(n, d - base_order):
-                deg_a = sum(alpha)
-                if deg_a < alpha_min:
-                    continue
-                row: dict[int, object] = {}
-                for l, q in enumerate(partials):
-                    for mono, coef in q.items():
-                        if deg_a + sum(mono) <= d:
-                            key = col[(b, l, monomial_mul(alpha, mono))]
-                            acc = row.get(key, 0) + coef
-                            if acc:
-                                row[key] = acc
-                            elif key in row:
-                                del row[key]
-                if row:
-                    rows.append(row)
+            terms = [(k, c, colmaps[b][l])
+                     for l, comp in enumerate(branch.components)
+                     for k, c in tables.terms(comp.diff(j))]
+            add_multiples(tables, terms, min_deg, rows, killed, memo)
 
-    # target rows: compositions y^beta o f_i, the same beta on every branch
-    beta_min = 0 if extended else 1
-    betas = monomials_up_to(p, d)
-    compositions: list[dict[tuple[int, ...], dict]] = []
+    # target rows: compositions y^beta o f_b, kept by the index of beta, the
+    # same beta on every branch; distinct branches never share a column
+    betas = monomial_tables(p, tables.top)
+    compositions = []
     for branch in f.branches:
-        comps_sorted = [
-            sorted(((sum(m), m, c) for m, c in _int_terms(comp).items()))
-            for comp in branch.components]
-        table: dict[tuple[int, ...], dict] = {(0,) * p: {(0,) * n: 1}}
-        for beta in betas:
-            if sum(beta) == 0:
-                continue
-            m = next(i for i, e in enumerate(beta) if e)
-            prev = list(beta)
-            prev[m] -= 1
-            table[beta] = _mul_truncated(table[tuple(prev)], comps_sorted[m], d)
+        comps = [tables.terms(comp) for comp in branch.components]
+        table = [{0: 1}]
+        for v, prev in betas.parent[1:]:
+            table.append(tables.multiply(table[prev], comps[v], memo))
         compositions.append(table)
     for l in range(p):
-        for beta in betas:
-            if sum(beta) < beta_min:
-                continue
-            row = {}
-            for b in range(f.r):
-                for mono, coef in compositions[b][beta].items():
-                    key = col[(b, l, mono)]
-                    acc = row.get(key, 0) + coef
-                    if acc:
-                        row[key] = acc
-                    elif key in row:
-                        del row[key]
-            if row:
+        maps = [colmaps[b][l] for b in range(r)]
+        for beta in range(min_deg, len(betas.monos)):
+            row = {cm[i]: c for cm, table in zip(maps, compositions)
+                   for i, c in table[beta].items()}
+            if len(row) > 1:
                 rows.append(row)
-    return rows
+            else:
+                killed.update(row)
+    return rows, killed
 
 
 def _graded_tangent(f: MultiGerm, top: int,
                     extended: bool) -> tuple[list[int], list[Slot]]:
     """One elimination at top degree `top`: the value at every degree
-    0..top and the free slots in ascending order."""
+    0..top and the free slots in ascending order.
+
+    The slots run by (degree, branch, component, monomial), so the slot of
+    (b, l, mono_k) sits at position rp * start[d] + (b p + l) * width_d +
+    k - start[d] of the degree-d block (d = deg k, width_d monomials of
+    degree d), less the degree-0 block when not extended; its column id
+    is computed from that, not looked up.
+    """
+    p, rp = f.p, f.r * f.p
+    tables = monomial_tables(f.n, top)
+    start, deg = tables.start, tables.deg
     min_deg = 0 if extended else 1
-    slots: list[Slot] = []
-    for mono in monomials_up_to(f.n, top):
-        if sum(mono) < min_deg:
-            continue
-        for b in range(f.r):
-            for l in range(f.p):
-                slots.append((b, l, mono))
-    slots.sort(key=lambda s: (sum(s[2]), s[0], s[1], s[2]))
-    return eliminate_graded(
-        slots, [sum(s[2]) for s in slots],
-        lambda col: _tangent_rows(f, top, extended, col), top)
+    width = [start[d + 1] - start[d] for d in range(top + 1)]
+    widths = [rp * w if d >= min_deg else 0 for d, w in enumerate(width)]
+    # id = last - position; `offset - base[k]` is the id at b = l = 0
+    offset = sum(widths) - 1 + rp * start[min_deg]
+    base = [(rp - 1) * start[d] + k for k, d in enumerate(deg)]
+
+    def colmap(b: int, l: int) -> list[int]:
+        return [offset - bk - (b * p + l) * width[d] for bk, d in zip(base, deg)]
+
+    # the builder's tables die before the elimination allocates
+    values, free = eliminate_graded(
+        widths, *_generator_rows(f, tables, min_deg, colmap))
+    bounds = [rp * s for s in start]  # where each degree block begins
+    slots = []
+    for position in free:
+        position += bounds[min_deg]
+        d = bisect_right(bounds, position) - 1
+        bl, i = divmod(position - bounds[d], width[d])
+        slots.append((*divmod(bl, p), tables.monos[start[d] + i]))
+    return values, slots
 
 
 def _stabilized_codim(f: MultiGerm, policy: StabilizationPolicy,

@@ -275,6 +275,35 @@ class TestRun:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["verdict"]["kind"] == "not_simple"
 
+    @pytest.mark.parametrize("germ", [
+        "{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);(x,y,z^2+x-y)}",
+        "{(x,y,z,0);(x,y,0,z);(x,0,y,z);(0,x,y,z);(x,y,z,x);(x,y,z,y)}",
+    ], ids=["fold-pentagerm", "sextuple-point"])
+    def test_gate_not_simple_outlasts_an_unstabilized_gate(self, capsys, germ):
+        # the multiplicity bound proves both non-simple, while the atlas
+        # lookup's codimension never stabilizes
+        code = cli.run(["gate", "--germ", germ, "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["verdict"]["kind"] == "not_simple"
+        atlas_entry, = [t for t in out["trace"] if t["gate"] == "atlas"]
+        assert atlas_entry["kind"] == "unknown"
+        assert atlas_entry["unverified_hypotheses"] == [
+            "did not stabilize by degree 16"]
+        assert atlas_entry["evidence"]["d_max"] == 16
+        history = atlas_entry["evidence"]["history"]
+        assert history and history == sorted(history) and history[0] < history[-1]
+
+    def test_gate_without_other_evidence_exits_2(self, capsys):
+        # (x, y, x*z^2) is not finite: its multiplicity, hence every gate
+        # and the atlas lookup, keeps growing with the cap
+        code = cli.run(["gate", "--germ", "(x,y,x*z^2)", "--max-degree", "8",
+                        "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "did not stabilize by degree 8" in captured.err
+
     def test_build_augment(self, capsys):
         code = cli.run(["build", "augment",
                         "--germ", "(x^3+y^4*x+z*x, y, z)", "--phi", "z^4"])
@@ -376,3 +405,15 @@ class TestLayering:
                        "--germ", "(x,y,z^2)")
         assert done.returncode == 0, done.stderr
         assert "aecod:    0" in done.stdout
+
+    def test_ring_caches_are_bounded_and_empty_after_import(self):
+        done = _python("-c", "import germcalc\n"
+                       "from germcalc import ring\n"
+                       "for name, fn in sorted(vars(ring).items()):\n"
+                       "    if hasattr(fn, 'cache_info'):\n"
+                       "        info = fn.cache_info()\n"
+                       "        print(name, info.maxsize, info.currsize)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n") == [
+            "monomial_tables 64 0", "monomials_up_to 64 0", ""]
+

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from germcalc import syntax
+from germcalc import gates, syntax
+from germcalc.errors import NotStabilizedError
 from germcalc.gates import (FLAG_AUG_SIMPLE, FLAG_DZ, FLAG_PRIMITIVITY,
                             FLAG_TRANSVERSALITY, NOT_SIMPLE, SIMPLE, UNKNOWN,
                             PARTNER_CUSPIDAL_EDGE, PARTNER_TWO_IMMERSIONS,
@@ -220,3 +221,33 @@ class TestSimplicityReport:
         fired = [v.kind for _, v in rep.trace]
         assert fired.count(NOT_SIMPLE) >= 2
         assert rep.verdict.kind == NOT_SIMPLE
+
+    def test_unstabilized_gate_before_a_proof(self, monkeypatch):
+        # the first gate fails to stabilize; the branch-count and pairing
+        # gates still prove the pentagerm non-simple
+        def unstable(f, policy):
+            raise NotStabilizedError("no", d_max=5, history=(3, 4))
+        monkeypatch.setattr(gates, "gate_nishimura", unstable)
+        rep = simplicity_report(PENTAGERM)
+        assert rep.verdict.kind == NOT_SIMPLE
+        assert rep.verdict.rule == "branch count bound"
+        name, first = rep.trace[0]
+        assert name == "nishimura" and first.kind == UNKNOWN
+        assert first.unverified == ("did not stabilize by degree 5",)
+        assert dict(first.evidence) == {"d_max": 5, "history": (3, 4)}
+
+    def test_unstabilized_gate_without_a_proof(self, monkeypatch):
+        # no gate decides (x, y, z^5+x^2*z+y*z^2), so the answer is one
+        # that a larger cap could still change
+        def unstable(f, policy, primitive_flag=False):
+            raise NotStabilizedError("no", d_max=5, history=(3, 4))
+        monkeypatch.setattr(gates, "gate_primitive_plus_morse", unstable)
+        with pytest.raises(NotStabilizedError):
+            simplicity_report(P("(x,y,z^5+x^2*z+y*z^2)"))
+
+    def test_unstabilized_gate_next_to_an_atlas_match(self, monkeypatch):
+        def unstable(f, policy, primitive_flag=False):
+            raise NotStabilizedError("no", d_max=5, history=(3, 4))
+        monkeypatch.setattr(gates, "gate_primitive_plus_morse", unstable)
+        rep = simplicity_report(P("{(x,y,z^2);(x,y,z^2+y^2+x^3)}"))
+        assert rep.verdict.kind == SIMPLE

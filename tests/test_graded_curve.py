@@ -4,9 +4,13 @@ The engines eliminate once at a top degree D and read the quotient
 dimension at every d <= D from the pivots.  The reference here rebuilds
 the generator rows at each d on its own and eliminates them separately,
 the way the values were defined before the one-pass reading; both must
-agree degree by degree.  The engine also peels unit rows before its
-echelon; a plain RowSpan fed every row with the same local column
-numbering must give the same free slots.
+agree degree by degree.  The reference rows come from an independent
+builder that multiplies exponent tuples and looks every slot up in a
+dict, so the engine's index tables are checked against plain monomial
+arithmetic.  The engine also peels unit rows before its echelon, and
+hands over identity blocks as killed columns; a plain RowSpan fed every
+row, with a unit row for each killed column, must give the same free
+slots.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from germcalc import atlas, tangent
 from germcalc.errors import NotStabilizedError
 from germcalc.germ import Branch, MultiGerm, multiplicity
 from germcalc.ring import (Poly, StabilizationPolicy, _graded_ideal,
-                           eliminate_graded, monomials_up_to, quotient_dim,
-                           substitute)
-from germcalc.tangent import _graded_tangent, _tangent_rows, ae_codim
+                           eliminate_graded, monomial_mul, monomials_up_to,
+                           quotient_dim, substitute)
+from germcalc.tangent import _graded_tangent, ae_codim
 from germcalc._echelon import RowSpan
 
 
@@ -28,14 +32,128 @@ def V(n, i):
     return Poly.variable(n, i)
 
 
-def tangent_reference(f: MultiGerm, d: int, extended: bool) -> int:
+# -- the reference builder: exponent tuples and a slot -> column dict -------
+
+def _int_terms(poly: Poly) -> dict:
+    return {mono: coef.numerator if coef.denominator == 1 else coef
+            for mono, coef in poly.items()}
+
+
+def _reference_mul_truncated(a: dict, b_by_degree: list, d: int) -> dict:
+    """Product of term dicts, dropping degrees above d while multiplying.
+
+    b_by_degree is a list of (degree, mono, coef) sorted by degree.
+    """
+    out: dict = {}
+    for ma, ca in a.items():
+        da = sum(ma)
+        for db, mb, cb in b_by_degree:
+            if da + db > d:
+                break
+            mono = monomial_mul(ma, mb)
+            acc = out.get(mono, 0) + ca * cb
+            if acc:
+                out[mono] = acc
+            elif mono in out:
+                del out[mono]
+    return out
+
+
+def reference_tangent_rows(f: MultiGerm, d: int, extended: bool,
+                           col: dict) -> list[dict]:
+    """Every derivative and target row at degree d, keyed by `col[slot]`."""
+    n, p = f.n, f.p
+    rows: list[dict] = []
+    alpha_min = 0 if extended else 1
+
+    # derivative rows, one branch at a time
+    for b, branch in enumerate(f.branches):
+        for j in range(n):
+            partials = [_int_terms(comp.diff(j)) for comp in branch.components]
+            if not any(partials):
+                continue
+            base_order = min(min(sum(m) for m in q) for q in partials if q)
+            for alpha in monomials_up_to(n, d - base_order):
+                deg_a = sum(alpha)
+                if deg_a < alpha_min:
+                    continue
+                row: dict = {}
+                for l, q in enumerate(partials):
+                    for mono, coef in q.items():
+                        if deg_a + sum(mono) <= d:
+                            key = col[(b, l, monomial_mul(alpha, mono))]
+                            acc = row.get(key, 0) + coef
+                            if acc:
+                                row[key] = acc
+                            elif key in row:
+                                del row[key]
+                if row:
+                    rows.append(row)
+
+    # target rows: compositions y^beta o f_i, the same beta on every branch
+    beta_min = 0 if extended else 1
+    betas = monomials_up_to(p, d)
+    compositions: list[dict] = []
+    for branch in f.branches:
+        comps_sorted = [
+            sorted(((sum(m), m, c) for m, c in _int_terms(comp).items()))
+            for comp in branch.components]
+        table: dict = {(0,) * p: {(0,) * n: 1}}
+        for beta in betas:
+            if sum(beta) == 0:
+                continue
+            m = next(i for i, e in enumerate(beta) if e)
+            prev = list(beta)
+            prev[m] -= 1
+            table[beta] = _reference_mul_truncated(table[tuple(prev)],
+                                                   comps_sorted[m], d)
+        compositions.append(table)
+    for l in range(p):
+        for beta in betas:
+            if sum(beta) < beta_min:
+                continue
+            row = {}
+            for b in range(f.r):
+                for mono, coef in compositions[b][beta].items():
+                    key = col[(b, l, mono)]
+                    acc = row.get(key, 0) + coef
+                    if acc:
+                        row[key] = acc
+                    elif key in row:
+                        del row[key]
+            if row:
+                rows.append(row)
+    return rows
+
+
+def reference_slots(f: MultiGerm, d: int, extended: bool) -> list:
+    """The slots of degree <= d by (degree, branch, component, monomial)."""
     min_deg = 0 if extended else 1
     slots = [(b, l, mono) for mono in monomials_up_to(f.n, d)
              if sum(mono) >= min_deg
              for b in range(f.r) for l in range(f.p)]
+    slots.sort(key=lambda s: (sum(s[2]), s[0], s[1], s[2]))
+    return slots
+
+
+def reference_graded_tangent(f: MultiGerm, top: int, extended: bool):
+    """`_graded_tangent` from the reference rows through a plain RowSpan."""
+    slots = reference_slots(f, top, extended)
+    last = len(slots) - 1
+    col = {s: last - i for i, s in enumerate(slots)}
+    span = RowSpan()
+    for row in reference_tangent_rows(f, top, extended, col):
+        span.insert(row)
+    free = [s for s in slots if col[s] not in span.pivots]
+    curve = [sum(1 for s in free if sum(s[2]) <= d) for d in range(top + 1)]
+    return curve, free
+
+
+def tangent_reference(f: MultiGerm, d: int, extended: bool) -> int:
+    slots = reference_slots(f, d, extended)
     col = {s: i for i, s in enumerate(slots)}
     span = RowSpan()
-    for row in _tangent_rows(f, d, extended, col):
+    for row in reference_tangent_rows(f, d, extended, col):
         span.insert(row)
     return len(slots) - span.rank
 
@@ -51,16 +169,29 @@ def ideal_reference(gens: list[Poly], nvars: int, d: int) -> int:
     return len(monos) - span.rank
 
 
-def plain_graded(slots, degrees, build_rows, top):
-    """`eliminate_graded` without the presolve: every row through RowSpan."""
-    last = len(slots) - 1
-    col = {s: last - i for i, s in enumerate(slots)}
+def plain_graded(widths, rows, killed):
+    """`eliminate_graded` without the presolve: every row, and a unit row
+    for every killed column, through RowSpan."""
+    last = sum(widths) - 1
     span = RowSpan()
-    for row in build_rows(col):
+    for row in list(rows) + [{c: 1} for c in killed]:
         span.insert(row)
-    free = [i for i in range(len(slots)) if last - i not in span.pivots]
-    curve = [sum(1 for i in free if degrees[i] <= d) for d in range(top + 1)]
-    return curve, [slots[i] for i in free]
+    free = [i for i in range(last + 1) if last - i not in span.pivots]
+    ends = [sum(widths[:d + 1]) for d in range(len(widths))]
+    return [sum(1 for i in free if i < end) for end in ends], free
+
+
+def recorded_eliminations(monkeypatch) -> list:
+    """Copies of the arguments of every `eliminate_graded` call made by
+    the tangent engine from now on (the call extends its killed set)."""
+    calls = []
+
+    def recording(widths, rows, killed):
+        calls.append((list(widths), [dict(r) for r in rows], set(killed)))
+        return eliminate_graded(widths, rows, killed)
+
+    monkeypatch.setattr(tangent, "eliminate_graded", recording)
+    return calls
 
 
 def cap3_rows():
@@ -71,15 +202,10 @@ def cap3_rows():
 
 @pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
 def test_catalog_curves_match_per_degree_reference(extended, monkeypatch):
-    # the free slots are pinned too: a plain RowSpan fed the same rows with
-    # the same local column numbering must leave the same columns free
-    calls = []
-
-    def recording(*args):
-        calls.append(args)
-        return eliminate_graded(*args)
-
-    monkeypatch.setattr(tangent, "eliminate_graded", recording)
+    # the free slots are pinned too: the reference rows through a plain
+    # RowSpan must leave the same slots free, and a plain RowSpan fed the
+    # engine's own rows and killed columns must leave the same columns free
+    calls = recorded_eliminations(monkeypatch)
     checked = 0
     for name, germ in cap3_rows():
         d0 = multiplicity(germ) + 4
@@ -87,53 +213,107 @@ def test_catalog_curves_match_per_degree_reference(extended, monkeypatch):
         reference = [tangent_reference(germ, d, extended)
                      for d in range(d0, d0 + 3)]
         assert curve[d0:] == reference, name
-        assert (curve, free) == plain_graded(*calls.pop()), name
+        assert (curve, free) == reference_graded_tangent(germ, d0 + 2,
+                                                         extended), name
+        widths, rows, killed = calls.pop()
+        assert (eliminate_graded(widths, [dict(r) for r in rows], set(killed))
+                == plain_graded(widths, rows, killed)), name
         checked += 1
     assert checked == 59
+
+
+X3, Y3, Z3 = V(3, 0), V(3, 1), V(3, 2)
+
+
+@pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
+@pytest.mark.parametrize("germ,top", [
+    # z^5 lies above top 3, and its partial z^4 too
+    (MultiGerm((Branch((X3, Y3, Z3 ** 5 + X3 * Z3)),)), 3),
+    (MultiGerm((Branch((X3, Y3, Z3 ** 5 + X3 * Z3 + Y3 * Z3 ** 2)),)), 7),
+    # the second branch does not depend on x: every partial in x is zero
+    (MultiGerm((Branch((X3, Y3, Z3 ** 2)),
+                Branch((Y3, Z3, Y3 * Z3 + Z3 ** 3)))), 5),
+    # three branches share every target row
+    (MultiGerm((Branch((X3, Y3, Z3 ** 2)), Branch((X3, Z3, Y3 ** 2)),
+                Branch((Y3, Z3, X3 ** 2 + Y3 * Z3)))), 5),
+    # a plane curve: one source variable, two target components
+    (MultiGerm((Branch((V(1, 0) ** 3, V(1, 0) ** 4 + V(1, 0) ** 5)),)), 8),
+], ids=["term-above-top", "quintic", "zero-partial", "three-branches",
+        "curve"])
+def test_index_builder_matches_the_reference_builder(germ, top, extended):
+    assert (_graded_tangent(germ, top, extended)
+            == reference_graded_tangent(germ, top, extended))
+    assert _graded_tangent(germ, top, extended)[0] == [
+        tangent_reference(germ, d, extended) for d in range(top + 1)]
+
+
+@pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
+def test_identity_blocks_arrive_as_killed_columns(extended, monkeypatch):
+    # the coordinate components x and y of the fold branch (x, y, z^2)
+    # have one-term partials, so x^a * d/dx and x^a * d/dy kill every
+    # column of those components of that branch outright, as do the cusp
+    # branch's x^a * d/dy; its x^a * d/dx = x^a * (e_0 + z e_2) is a row
+    germ = MultiGerm((Branch((X3, Y3, Z3 ** 2)),
+                      Branch((X3, Y3, Z3 ** 3 + X3 * Z3))))
+    top = 4
+    calls = recorded_eliminations(monkeypatch)
+    assert (_graded_tangent(germ, top, extended)
+            == reference_graded_tangent(germ, top, extended))
+    widths, rows, killed = calls.pop()
+    slots = reference_slots(germ, top, extended)
+    last = len(slots) - 1
+    blocks = {(0, 0), (0, 1), (1, 1)}
+    for i, (b, l, _) in enumerate(slots):
+        if (b, l) in blocks:
+            assert last - i in killed, slots[i]
+    assert (eliminate_graded(widths, [dict(r) for r in rows], set(killed))
+            == plain_graded(widths, rows, killed))
 
 
 @st.composite
 def graded_rows(draw):
     """Sparse integer rows over at most 30 graded columns, most of them
     one-entry rows, plus a chain whose rows become unit rows one kill at
-    a time."""
+    a time.  Columns are drawn as positions and keyed by id = last - i."""
     n = draw(st.integers(1, 30))
-    degrees = sorted(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
-    column = st.integers(0, n - 1)
+    degrees = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    widths = [degrees.count(d) for d in range(5)]
+    column = st.integers(0, n - 1).map(lambda i: n - 1 - i)
     coef = st.integers(-3, 3).filter(bool)
     rows = draw(st.lists(st.dictionaries(column, coef, min_size=1, max_size=4),
                          max_size=40))
     chain = draw(st.lists(column, unique=True, max_size=8))
     rows += [{c: draw(coef)} for c in chain[:1]]
     rows += [{a: draw(coef), b: draw(coef)} for a, b in zip(chain, chain[1:])]
-    return degrees, draw(st.permutations(rows))
+    return widths, draw(st.permutations(rows))
 
 
 @settings(max_examples=200, deadline=None)
-@given(graded_rows())
-def test_presolve_keeps_the_plain_pivots(case):
-    degrees, rows = case
-    slots = [f"s{i}" for i in range(len(degrees))]
-
-    def build_rows(col):
-        return [{col[slots[i]]: v for i, v in r.items()} for r in rows]
-
-    assert (eliminate_graded(slots, degrees, build_rows, 4)
-            == plain_graded(slots, degrees, build_rows, 4))
+@given(graded_rows(), st.booleans())
+def test_presolve_keeps_the_plain_pivots(case, units_as_killed):
+    # unit rows may come as rows or, as the builders hand them over, as
+    # killed columns; either way the pivots are those of every row
+    widths, rows = case
+    killed = set()
+    if units_as_killed:
+        killed = {c for r in rows if len(r) == 1 for c in r}
+        rows = [r for r in rows if len(r) > 1]
+    assert (eliminate_graded(widths, [dict(r) for r in rows], set(killed))
+            == plain_graded(widths, rows, killed))
 
 
 def test_presolve_cascade():
     # {b} kills b, which leaves {b, c} as a unit row on the next sweep, and
     # c then does the same to {c, d}; {a, e} stays for the echelon, which
-    # pivots on its lowest-degree column a
-    slots, degrees = list("abcde"), [0, 1, 1, 2, 2]
-
-    def build_rows(col):
-        a, b, c, d, e = (col[s] for s in slots)
-        return [{c: 2, d: -3}, {b: 5, c: 1}, {b: 1}, {a: 1, e: -1}]
-
-    assert eliminate_graded(slots, degrees, build_rows, 2) == ([0, 0, 1], ["e"])
-    assert plain_graded(slots, degrees, build_rows, 2) == ([0, 0, 1], ["e"])
+    # pivots on its lowest-degree column a.  Positions a..e carry the ids
+    # 4..0 and have degrees 0, 1, 1, 2, 2.
+    widths = [1, 2, 2]
+    a, b, c, d, e = 4, 3, 2, 1, 0
+    rows = [{c: 2, d: -3}, {b: 5, c: 1}, {a: 1, e: -1}]
+    expected = ([0, 0, 1], [4])  # e, at position 4, is the only free column
+    assert eliminate_graded(widths, rows + [{b: 1}], set()) == expected
+    assert eliminate_graded(widths, [dict(r) for r in rows], {b}) == expected
+    assert plain_graded(widths, rows, {b}) == expected
 
 
 def test_ideal_curves_match_per_degree_reference():

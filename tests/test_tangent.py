@@ -9,9 +9,9 @@ import pytest
 from germcalc.germ import Branch, MultiGerm, linear_prenormal_form
 from germcalc.ring import Poly, StabilizationPolicy
 from germcalc.tangent import (WilsonReport, a_codim, ae_codim, is_stable,
-                              wilson_check, _tangent_rows)
+                              wilson_check)
 from germcalc._echelon import RowSpan
-from germcalc.ring import monomials_up_to
+from test_graded_curve import reference_slots, reference_tangent_rows
 
 
 def V(n, i):
@@ -145,19 +145,14 @@ class TestBasis:
         assert len(result.basis) == value
 
         # rebuild the tangent rows of the form the engine eliminated on at
-        # the stabilized degree and check the unit section at each basis
-        # slot is outside the span until adjoined
+        # the stabilized degree, with the independent reference builder,
+        # and check the unit section at each basis slot is outside the span
+        # until adjoined
         germ, _, _ = linear_prenormal_form(germ)
         d = result.degree_used
-        slots = []
-        for mono in monomials_up_to(germ.n, d):
-            for b in range(germ.r):
-                for l in range(germ.p):
-                    slots.append((b, l, mono))
-        slots.sort(key=lambda s: (sum(s[2]), s[0], s[1], s[2]))
-        col = {s: i for i, s in enumerate(slots)}
+        col = {s: i for i, s in enumerate(reference_slots(germ, d, True))}
         span = RowSpan()
-        for row in _tangent_rows(germ, d, True, col):
+        for row in reference_tangent_rows(germ, d, True, col):
             span.insert(row)
         for slot in result.basis:
             row = {col[slot]: 1}
