@@ -418,9 +418,8 @@ class MonomialTables:
                 got = list(range(len(self.monos)))
             else:
                 v, prev = self.parent[k]
-                step = self.step[v]
-                got = [step[i] for i in
-                       self.shift(prev, memo)[:self.start[self.top - self.deg[k] + 1]]]
+                step, fits = self.step[v], self.start[self.top - self.deg[k] + 1]
+                got = [step[i] for i in self.shift(prev, memo)[:fits]]
             memo[k] = got
         return got
 
@@ -492,10 +491,9 @@ def eliminate_graded(widths: Sequence[int], rows: list[dict],
     last - i, so the lowest position gets the largest id; RowSpan pivots on
     the largest id, so every pivot row leads with its lowest-degree term (a
     local order).  `rows` are generator rows at D, keyed by column id and
-    holding nonzero entries only; `killed` holds the columns of the other
-    generator rows, those with a single entry, which the builders hand
-    over as columns instead of building them.  The set is extended in
-    place.
+    holding nonzero entries only; `killed` holds the columns of further
+    generator rows with a single entry, which the builders hand over as
+    columns instead of building them.  The set is extended in place.
 
     Before the echelon, a singleton presolve (the singleton step of LP
     presolve) peels unit rows until nothing changes: killed columns are

@@ -32,10 +32,10 @@ one shift table per term of the partial, and the compositions y^beta o f_b
 are kept by the index of beta and of each source monomial.  A partial
 with a single term, as every coordinate component of the prenormal form
 has, is an identity block: its rows reach the elimination as killed
-columns, as does every target row with a single entry.  The quotient basis is returned as the
-free slots of that elimination, the standard monomials of the local order:
-the unit section at a slot places one source monomial in one component of
-one branch and zero elsewhere.
+columns, as does every target row with a single entry.  The quotient
+basis is returned as the free slots of that elimination, the standard
+monomials of the local order: the unit section at a slot places one
+source monomial in one component of one branch and zero elsewhere.
 
 The extended variant allows constant vector fields on both sides; the
 non-extended variant restricts the ambient to sections without constant
