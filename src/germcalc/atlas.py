@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping
 
 from . import germ as germ_mod
@@ -285,12 +286,12 @@ def entries() -> tuple[AtlasEntry, ...]:
 
 
 def _normalize_params(entry: AtlasEntry, params: Mapping | None):
-    """Returns (params dict for reporting, hashable key, build arguments)."""
+    """Returns (params dict for reporting, hashable build arguments)."""
     params = dict(params or {})
     if entry.param is None:
         if params:
             raise ValueError(f"{entry.name} takes no parameters")
-        return {}, (), ()
+        return {}, ()
     if entry.param not in params:
         raise ValueError(f"{entry.name} needs parameter {entry.param!r}")
     extra = set(params) - {entry.param}
@@ -301,13 +302,15 @@ def _normalize_params(entry: AtlasEntry, params: Mapping | None):
         if not isinstance(value, int) or value < entry.param_min:
             raise ValueError(
                 f"{entry.name} needs integer {entry.param} >= {entry.param_min}")
-        return {entry.param: value}, (value,), (value,)
+        return {entry.param: value}, (value,)
     poly = _coerce_function(value)
     label = value if isinstance(value, tuple) else poly
-    return {entry.param: label}, (poly,), (poly,)
+    return {entry.param: label}, (poly,)
 
 
-_INSTANCE_CACHE: dict[tuple, MultiGerm] = {}
+@lru_cache(maxsize=1024)
+def _instance(name: str, args: tuple) -> MultiGerm:
+    return syntax.parse_multigerm(_BY_NAME[name]._text(*args))
 
 
 def instantiate(name: str, params: Mapping | None = None) -> MultiGerm:
@@ -315,13 +318,8 @@ def instantiate(name: str, params: Mapping | None = None) -> MultiGerm:
     entry = _BY_NAME.get(name)
     if entry is None:
         raise ValueError(f"unknown atlas entry {name!r}")
-    _, key, build_args = _normalize_params(entry, params)
-    cache_key = (name,) + key
-    got = _INSTANCE_CACHE.get(cache_key)
-    if got is None:
-        got = syntax.parse_multigerm(entry._text(*build_args))
-        _INSTANCE_CACHE[cache_key] = got
-    return got
+    _, args = _normalize_params(entry, params)
+    return _instance(name, args)
 
 
 def expected_codim(name: str, params: Mapping | None = None) -> int:
@@ -329,10 +327,10 @@ def expected_codim(name: str, params: Mapping | None = None) -> int:
     entry = _BY_NAME.get(name)
     if entry is None:
         raise ValueError(f"unknown atlas entry {name!r}")
-    _, _, build_args = _normalize_params(entry, params)
+    _, args = _normalize_params(entry, params)
     if entry._codim is not None:
-        return entry._codim(*build_args)
-    return milnor(build_args[0])  # function-parameter rows: mu of P
+        return entry._codim(*args)
+    return milnor(args[0])  # function-parameter rows: mu of P
 
 
 @dataclass(frozen=True)
@@ -387,7 +385,7 @@ def verify(name: str, params: Mapping | None = None,
     entry = _BY_NAME.get(name)
     if entry is None:
         raise ValueError(f"unknown atlas entry {name!r}")
-    display, _, _ = _normalize_params(entry, params)
+    display, _ = _normalize_params(entry, params)
     expected = expected_codim(name, params)
     start = time.perf_counter()
     try:
@@ -484,7 +482,7 @@ def lookup(f: MultiGerm,
                 continue
             if germ_mod.multiplicity(inst, policy) != m0_f:
                 continue
-            display, _, _ = _normalize_params(entry, params)
+            display, _ = _normalize_params(entry, params)
             candidates.append((entry.name, display, inst))
     exact = ()
     if candidates:

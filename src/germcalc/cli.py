@@ -5,14 +5,14 @@ Subcommands: `eval` (invariants), `build` (constructions), `gate`
 read and printed in the surface syntax of `germcalc.syntax`, whose parser,
 printer and canonical keys this module re-exports.  Exit codes: 0 success,
 1 parse/validation error, 2 failure to stabilize, 3 internal error.
-GERMCALC_MAX_DEGREE overrides the default truncation cap.
+The engine flags `--max-degree` (the truncation cap) and `--window` (the
+codimension stopping rule, at least 2) are the only engine settings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -57,20 +57,15 @@ def _verdict_json(verdict) -> dict:
 # -- subcommands ---------------------------------------------------------------
 
 def _policy_from_args(args) -> StabilizationPolicy:
-    d_max = args.max_degree
-    if d_max is None:
-        d_max = int(os.environ.get("GERMCALC_MAX_DEGREE", "16"))
-    return StabilizationPolicy(d0=args.d0, window=args.window, d_max=d_max)
+    return StabilizationPolicy(window=args.window, d_max=args.max_degree)
 
 
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-degree", type=int, default=None,
-                     help="truncation-degree cap (default 16 or "
-                          "GERMCALC_MAX_DEGREE)")
+    sub.add_argument("--max-degree", type=int, default=16,
+                     help="truncation-degree cap (default 16)")
     sub.add_argument("--window", type=int, default=2,
-                     help="consecutive equal values required to stabilize")
-    sub.add_argument("--d0", type=int, default=None,
-                     help="starting truncation degree (default: automatic)")
+                     help="consecutive equal values a codimension needs to "
+                          "stabilize (at least 2, default 2)")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -186,7 +181,9 @@ def _cmd_gate(args) -> int:
             print(f"unverified hypotheses: {', '.join(v.unverified)}")
         print("trace:")
         for name, tv in report.trace:
-            print(f"  {name}: {tv.kind}" + (f" [{tv.rule}]" if tv.rule else ""))
+            reasons = f" ({', '.join(tv.unverified)})" if tv.unverified else ""
+            print(f"  {name}: {tv.kind}{reasons}"
+                  + (f" [{tv.rule}]" if tv.rule else ""))
     return 0
 
 

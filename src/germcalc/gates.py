@@ -329,14 +329,11 @@ class ReportAssertions:
 
     flags feed the augmentation gates; augconc supplies the data that the
     simultaneous augmentation-and-concatenation gate cannot recover from
-    the germ alone (base codimension and augmenting function); aug_cusp
-    names a partner kind together with the branch indices of the
-    augmentation part.
+    the germ alone (base codimension and augmenting function).
     """
 
     flags: frozenset[str] = frozenset()
     augconc: tuple[int, Poly] | None = None
-    aug_cusp: tuple[str, tuple[int, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -399,10 +396,6 @@ def simplicity_report(f: MultiGerm,
     if assertions.augconc is not None:
         base_cod, phi = assertions.augconc
         run("augconc", gate_augconc, base_cod, phi, assertions.flags)
-    if assertions.aug_cusp is not None:
-        partner_kind, part = assertions.aug_cusp
-        f_aug = MultiGerm(tuple(f.branches[i] for i in part))
-        run("aug_cusp", gate_aug_cusp, f_aug, partner_kind, policy)
     run("atlas", _atlas_verdict, f, policy)
 
     for name, verdict in trace:

@@ -124,7 +124,7 @@ def germ_corank(f: MultiGerm) -> int:
     return max(corank(b) for b in f.branches)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _branch_multiplicity(branch: Branch, policy: StabilizationPolicy) -> int:
     return ring.quotient_dim(list(branch.components), branch.n, policy)
 

@@ -13,22 +13,22 @@ total degree first, then the exponent tuple itself.
 The module also provides the graded-quotient engine behind every dimension:
 the dimension of K[[x]]/I is read as the dimension of (monomials of degree
 <= d) modulo (generator multiples of degree <= d) for increasing d, until
-the value repeats a configurable number of times.  One elimination at a top
-degree D, pivoting on the lowest-degree term, gives that value at every
-d <= D at once; the tangent-space engine uses the same elimination and
-stabilization loop.  Both engines build their rows on monomial index
-tables (`MonomialTables`): a monomial is its position in the graded
-order, x_v times it is a lookup in a step table, and a product with a
-fixed monomial is a shift table composed from the steps, so no row is
-built by multiplying exponent tuples.  Most generator rows are unit
-vectors or become unit vectors once other unit columns are stripped.  A
-row that is a unit vector as built (every row of an identity block) is
-handed to the elimination as a killed column, never built; the
-elimination peels the rest of those rows (a singleton presolve) and runs
-the echelon on what remains.  The pivot set, hence every value and
-basis, is the same as without either step, because an echelon basis's
-lead columns are unique.  Milnor and Tjurina numbers of function germs
-are thin wrappers around it.
+the value first repeats, which proves it exact.  One elimination at a top
+degree D, pivoting on the lowest-degree term, gives that value at every d
+<= D at once; the tangent-space engine uses the same elimination and
+stabilization loop, with the policy's window as its stopping rule.  Both
+engines build their rows on monomial index tables (`MonomialTables`): a
+monomial is its position in the graded order, x_v times it is a lookup in a
+step table, and a product with a fixed monomial is a shift table composed
+from the steps, so no row is built by multiplying exponent tuples.  Most
+generator rows are unit vectors or become unit vectors once other unit
+columns are stripped.  A row that is a unit vector as built (every row of
+an identity block) is handed to the elimination as a killed column, never
+built; the elimination peels the rest of those rows (a singleton presolve)
+and runs the echelon on what remains.  The pivot set, hence every value and
+basis, is the same as without either step, because an echelon basis's lead
+columns are unique.  Milnor and Tjurina numbers of function germs are thin
+wrappers around it.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ from ._echelon import RowSpan
 Monomial = tuple[int, ...]
 
 Coefficient = int | Fraction
-
-
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -342,23 +338,21 @@ def substitute(f: Poly, assignment: Sequence[Poly]) -> Poly:
 class StabilizationPolicy:
     """Controls the truncation-degree loop of the dimension engines.
 
-    d0 is the starting degree; None lets each engine pick its own default
-    (2 for ideal quotients, multiplicity + 4 for tangent-space quotients).
-    The loop stops once `window` consecutive degrees give the same value,
-    and raises NotStabilizedError if d_max is reached first.
+    A tangent-space codimension stops once `window` consecutive degrees
+    give the same value.  An ideal quotient ignores the window: it stops
+    at its first repeat, which is exact (see `quotient_dim`).  Both raise
+    NotStabilizedError when d_max is reached first.  Each engine derives
+    its start degree from its input.
     """
 
-    d0: int | None = None
     window: int = 2
     d_max: int = 16
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
+        if self.window < 2:
+            raise ValueError("window must be at least 2")
         if self.d_max < 1:
             raise ValueError("d_max must be at least 1")
-        if self.d0 is not None and not 1 <= self.d0 <= self.d_max:
-            raise ValueError("d0 must satisfy 1 <= d0 <= d_max")
 
 
 DEFAULT_POLICY = StabilizationPolicy()
@@ -543,28 +537,31 @@ def eliminate_graded(widths: Sequence[int], rows: list[dict],
             for end in itertools.accumulate(widths)], free
 
 
-def stabilize_curve(eliminate, d0: int, policy: StabilizationPolicy,
+def stabilize_curve(eliminate, d0: int, window: int, d_max: int,
                     what: str) -> tuple[tuple[int, ...], int, list]:
     """The truncation-degree loop shared by every graded quotient.
 
     `eliminate(top)` is one elimination at top degree `top`, returning the
     values at degrees 0..top and the free slots, as `eliminate_graded` does.
-    The window rule runs on the values from d0 up; when it has not fired by
-    `top`, the next elimination is one degree higher.  Returns the values
-    from d0 to the degree used, that degree, and the free slots of degree
-    at most it.  Raises NotStabilizedError with the values d0..d_max when
-    the rule never fires.
+    The loop stops at the first degree d >= d0 + window - 1 whose value
+    repeats the values of the window - 1 degrees before it.  An elimination
+    at a higher top leaves the values below it unchanged, so each top adds
+    one degree to test.  Returns the values from d0 to the degree used,
+    that degree, and the free slots of degree at most it.  Raises
+    NotStabilizedError with the values d0..d_max when the rule never
+    fires, and before any elimination when it cannot fire by d_max.
     """
-    window, d_max = policy.window, policy.d_max
-    history: tuple[int, ...] = ()
-    # a start above the cap leaves nothing to eliminate
-    first = min(d0 + window - 1, d_max) if d0 <= d_max else d0
+    first = d0 + window - 1
+    if first > d_max:
+        raise NotStabilizedError(
+            f"{what} cannot stabilize by degree {d_max}: it starts at degree "
+            f"{d0}, and its stopping rule first applies at degree {first}",
+            d_max=d_max, history=())
     for top in range(first, d_max + 1):
         values, free = eliminate(top)
-        for d in range(d0 + window - 1, top + 1):
-            if len(set(values[d - window + 1:d + 1])) == 1:
-                return tuple(values[d0:d + 1]), d, free[:values[d]]
-        history = tuple(values[d0:])
+        if len(set(values[top - window + 1:])) == 1:
+            return tuple(values[d0:]), top, free[:values[top]]
+    history = tuple(values[d0:])
     raise NotStabilizedError(
         f"{what} did not stabilize by degree {d_max} "
         f"(values {list(history)})", d_max=d_max, history=history)
@@ -593,6 +590,12 @@ def quotient_dim(generators: Iterable[Poly], nvars: int,
                  policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
     """Dimension of the local algebra K[[x_1..x_n]] / (generators).
 
+    The truncated values v(d) = dim K[x]/(I + m^{d+1}) are read from degree
+    2 up, and the loop stops at the first repeat whatever `policy.window`
+    says: v(d) = v(d-1) means m^d lies in I + m^{d+1}, hence in I by
+    Nakayama, so every later value equals it.  Only `policy.d_max` bounds
+    the loop.
+
     Zero generators are skipped.  A generator with a nonzero constant term
     makes the ideal the whole ring, so the dimension is 0.  An empty
     effective generator list cannot have a finite quotient and raises
@@ -611,9 +614,8 @@ def quotient_dim(generators: Iterable[Poly], nvars: int,
         raise NotStabilizedError(
             "empty generator list: quotient is the full local ring",
             d_max=policy.d_max)
-    d0 = policy.d0 if policy.d0 is not None else 2
     curve, _, _ = stabilize_curve(
-        lambda top: _graded_ideal(gens, nvars, top), d0, policy,
+        lambda top: _graded_ideal(gens, nvars, top), 2, 2, policy.d_max,
         "quotient dimension")
     return curve[-1]
 

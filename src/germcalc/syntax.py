@@ -357,14 +357,14 @@ def _least_text(f: MultiGerm, target_orders) -> str:
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def canonical_text_modulo_branches(f: MultiGerm) -> str:
     """Canonical text insensitive to branch order, for structural matching:
     the least `format_multigerm` text over all branch orders."""
     return _least_text(f, [range(f.p)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def canonical_match_key(f: MultiGerm) -> str:
     """Canonical text additionally insensitive to the target-component order.
 

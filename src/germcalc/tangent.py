@@ -18,9 +18,10 @@ The reported value at degree d is dim of the ambient modulo these rows,
 i.e. the codimension of the tangent space after adding all sections of
 component degree > d.  The value is non-decreasing in d and reaches the
 true codimension once d passes the (unknown) determinacy degree, so the
-engine reads the values at increasing d until they repeat per the
-stabilization policy.  Every value is invariant under linear changes of
-coordinates, so the engine works on the linear prenormal form of the germ
+engine reads the values at increasing d, from the multiplicity plus 4,
+until `window` consecutive ones agree (the stabilization policy).  Every
+value is invariant under linear changes of coordinates, so the engine
+works on the linear prenormal form of the germ
 (`germ.linear_prenormal_form`), which is the germ itself unless a linear
 change makes it strictly sparser.  It builds and eliminates the rows once,
 at a top degree D, in a local order, and reads the value at every d <= D
@@ -164,24 +165,21 @@ def _stabilized_codim(f: MultiGerm, policy: StabilizationPolicy,
     # the value at every degree is invariant under linear changes of
     # coordinates, and the sparser form costs far less fill-in
     g, _, _ = linear_prenormal_form(f)
-    if policy.d0 is not None:
-        d0 = policy.d0
-    else:
-        d0 = multiplicity(f, policy) + 4
     curve, degree, free = stabilize_curve(
-        lambda top: _graded_tangent(g, top, extended), d0, policy,
+        lambda top: _graded_tangent(g, top, extended),
+        multiplicity(f, policy) + 4, policy.window, policy.d_max,
         "codimension")
     return CodimResult(value=curve[-1], degree_used=degree, curve=curve,
                        basis=tuple(free))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def ae_codim(f: MultiGerm, policy: StabilizationPolicy = DEFAULT_POLICY) -> CodimResult:
     """Codimension of the extended tangent space; 0 exactly for stable germs."""
     return _stabilized_codim(f, policy, extended=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def a_codim(f: MultiGerm, policy: StabilizationPolicy = DEFAULT_POLICY) -> CodimResult:
     """Codimension of the non-extended tangent space inside sections without
     constant term."""

@@ -217,7 +217,7 @@ class TestLookup:
             for params in atlas._parameter_sweep(entry, 2):
                 inst = atlas.instantiate(entry.name, params)
                 res = atlas.lookup(inst)
-                display, _, _ = atlas._normalize_params(entry, params)
+                display, _ = atlas._normalize_params(entry, params)
                 assert (entry.name, display) in res.matches, \
                     f"{entry.name} {params} not identified"
                 assert res.exact

@@ -251,12 +251,25 @@ class TestRun:
         code = cli.run(["eval", "--germ", "(x,y,z^3)", "--max-degree", "6"])
         assert code == 2
 
-    def test_max_degree_env_override(self, capsys, monkeypatch):
+    def test_max_degree_environment_variable_is_ignored(self, capsys,
+                                                        monkeypatch):
+        # --max-degree is the only way to set the cap; at cap 6 the fold's
+        # codimension could not stabilize (it starts at degree 6)
         monkeypatch.setenv("GERMCALC_MAX_DEGREE", "6")
-        code = cli.run(["eval", "--germ", "(x,y,z^3)"])
+        assert cli.run(["eval", "--germ", "(x,y,z^2)"]) == 0
+
+    @pytest.mark.parametrize("flags", [["--window", "1"], ["--d0", "5"]],
+                             ids=["window-1", "d0"])
+    def test_rejected_engine_settings_exit_1(self, capsys, flags):
+        assert cli.run(["eval", "--germ", "(x,y,z^2)", *flags]) == 1
+
+    def test_start_above_the_cap_names_both_degrees(self, capsys):
+        # multiplicity 4, so the codimension starts at degree 8
+        code = cli.run(["eval", "--germ", "{(x,y,z^2);(x,y,z^2+y)}",
+                        "--max-degree", "6"])
+        err = capsys.readouterr().err
         assert code == 2
-        monkeypatch.setenv("GERMCALC_MAX_DEGREE", "16")
-        assert cli.run(["eval", "--germ", "(x,y,z^3)"]) == 2
+        assert "starts at degree 8" in err and "by degree 6" in err
 
     def test_gate_not_simple(self, capsys):
         code = cli.run(["gate", "--germ",
@@ -293,6 +306,13 @@ class TestRun:
         assert atlas_entry["evidence"]["d_max"] == 16
         history = atlas_entry["evidence"]["history"]
         assert history and history == sorted(history) and history[0] < history[-1]
+
+    def test_gate_text_shows_the_reason_of_an_unknown_entry(self, capsys):
+        code = cli.run(["gate", "--germ", "{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);"
+                        "(x,y,z^2+x+y);(x,y,z^2+x-y)}"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "  atlas: unknown (did not stabilize by degree 16)\n" in out
 
     def test_gate_without_other_evidence_exits_2(self, capsys):
         # (x, y, x*z^2) is not finite: its multiplicity, hence every gate
@@ -407,13 +427,25 @@ class TestLayering:
         assert "aecod:    0" in done.stdout
 
     def test_ring_caches_are_bounded_and_empty_after_import(self):
-        done = _python("-c", "import germcalc\n"
-                       "from germcalc import ring\n"
-                       "for name, fn in sorted(vars(ring).items()):\n"
-                       "    if hasattr(fn, 'cache_info'):\n"
-                       "        info = fn.cache_info()\n"
-                       "        print(name, info.maxsize, info.currsize)")
+        # every functools cache of every module in the package
+        done = _python("-c", "import importlib, pkgutil, germcalc\n"
+                       "found = set()\n"
+                       "for mod in pkgutil.iter_modules(germcalc.__path__):\n"
+                       "    m = importlib.import_module('germcalc.' + mod.name)\n"
+                       "    for fn in vars(m).values():\n"
+                       "        if hasattr(fn, 'cache_info'):\n"
+                       "            info = fn.cache_info()\n"
+                       "            found.add(f'{fn.__module__}.{fn.__name__} '\n"
+                       "                      f'{info.maxsize} {info.currsize}')\n"
+                       "print('\\n'.join(sorted(found)))")
         assert done.returncode == 0, done.stderr
         assert done.stdout.split("\n") == [
-            "monomial_tables 64 0", "monomials_up_to 64 0", ""]
+            "germcalc.atlas._instance 1024 0",
+            "germcalc.germ._branch_multiplicity 1024 0",
+            "germcalc.ring.monomial_tables 64 0",
+            "germcalc.ring.monomials_up_to 64 0",
+            "germcalc.syntax.canonical_match_key 1024 0",
+            "germcalc.syntax.canonical_text_modulo_branches 1024 0",
+            "germcalc.tangent.a_codim 1024 0",
+            "germcalc.tangent.ae_codim 1024 0", ""]
 

@@ -356,7 +356,7 @@ def test_moved_germ_curve_matches_per_degree_reference():
 def test_unstabilized_history_is_the_curve_from_d0_to_d_max():
     # (x) in two variables leaves the powers of y: d + 1 of them at degree d
     with pytest.raises(NotStabilizedError) as info:
-        quotient_dim([V(2, 0)], 2, StabilizationPolicy(d0=2, d_max=5))
+        quotient_dim([V(2, 0)], 2, StabilizationPolicy(d_max=5))
     assert info.value.history == (3, 4, 5, 6)
     # a start above the cap has no values at all
     x, y, z = V(3, 0), V(3, 1), V(3, 2)

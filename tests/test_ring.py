@@ -232,9 +232,16 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         StabilizationPolicy(window=0)
     with pytest.raises(ValueError):
-        StabilizationPolicy(d0=0)
-    with pytest.raises(ValueError):
-        StabilizationPolicy(d0=20, d_max=16)
+        StabilizationPolicy(window=1)
+
+
+def test_ideal_quotient_ignores_the_window():
+    # the values of (x, y^5) run 3, 4, 5, 5 from degree 2; the first repeat
+    # at degree 5 is exact, so a window of 3 must not push the loop past
+    # the cap
+    x, y = V(2, 0), V(2, 1)
+    assert quotient_dim([x, y ** 5], 2,
+                        StabilizationPolicy(window=3, d_max=5)) == 5
 
 
 def test_monomials_up_to_counts():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from germcalc.germ import Branch, MultiGerm, linear_prenormal_form
-from germcalc.ring import Poly, StabilizationPolicy
+from germcalc.ring import Poly
 from germcalc.tangent import (WilsonReport, a_codim, ae_codim, is_stable,
                               wilson_check)
 from germcalc._echelon import RowSpan
@@ -45,11 +45,6 @@ class TestAeCodim:
     def test_fold_and_cusp_bigerm(self):
         g = G(B(X ** 3 + Y * X, Y, Z), B(X, Y * Y + Z ** 3, Z))
         assert ae_codim(g).value == 2
-
-    def test_explicit_d0(self):
-        g = G(B(X, Y, Z * Z))
-        res = ae_codim(g, StabilizationPolicy(d0=5))
-        assert res.value == 0 and res.degree_used == 6
 
 
 class TestACodim:
