@@ -275,7 +275,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_gate = sub.add_parser("gate", help="run the simplicity report")
     p_gate.add_argument("--germ", required=True)
     p_gate.add_argument("--assert", dest="asserted", default="",
-                        help="comma-separated hypothesis flags")
+                        help="comma-separated hypothesis flags: "
+                        + ", ".join(gates.FLAGS))
     _add_engine_flags(p_gate)
     p_gate.set_defaults(func=_cmd_gate)
 

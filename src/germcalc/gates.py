@@ -39,6 +39,8 @@ FLAG_AUG_SIMPLE = "augmentation_simple"
 FLAG_TRANSVERSALITY = "transversality"
 FLAG_PRIMITIVITY = "primitivity"
 FLAG_IS_AUGMENTATION = "is_augmentation"
+FLAGS = (FLAG_DZ, FLAG_AUG_SIMPLE, FLAG_TRANSVERSALITY, FLAG_PRIMITIVITY,
+         FLAG_IS_AUGMENTATION)
 
 SIMPLE = "simple"
 NOT_SIMPLE = "not_simple"
@@ -327,13 +329,20 @@ def gate_aug_cusp(f_aug: MultiGerm, partner_kind: str,
 class ReportAssertions:
     """Caller-supplied hypotheses for the aggregated report.
 
-    flags feed the augmentation gates; augconc supplies the data that the
+    flags, each one of FLAGS, feed the augmentation gates (an unknown name
+    raises ValueError); augconc supplies the data that the
     simultaneous augmentation-and-concatenation gate cannot recover from
     the germ alone (base codimension and augmenting function).
     """
 
     flags: frozenset[str] = frozenset()
     augconc: tuple[int, Poly] | None = None
+
+    def __post_init__(self):
+        unknown = sorted(self.flags - set(FLAGS))
+        if unknown:
+            raise ValueError(f"unknown assertion flag(s) {', '.join(unknown)}; "
+                             f"the known flags are {', '.join(FLAGS)}")
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,16 @@ stabilization loop, with the policy's window as its stopping rule.  Both
 engines build their rows on monomial index tables (`MonomialTables`): a
 monomial is its position in the graded order, x_v times it is a lookup in a
 step table, and a product with a fixed monomial is a shift table composed
-from the steps, so no row is built by multiplying exponent tuples.  Most
+from the steps, so no row is built by multiplying exponent tuples.  Many
 generator rows are unit vectors or become unit vectors once other unit
-columns are stripped.  A row that is a unit vector as built (every row of
-an identity block) is handed to the elimination as a killed column, never
-built; the elimination peels the rest of those rows (a singleton presolve)
-and runs the echelon on what remains.  The pivot set, hence every value and
-basis, is the same as without either step, because an echelon basis's lead
-columns are unique.  Milnor and Tjurina numbers of function germs are thin
-wrappers around it.
+columns are stripped.  A row that is a unit vector as built (every
+multiple x^a * g of a one-term generator g, such as a monomial in an ideal
+or a one-term partial derivative in the tangent space) is handed to the
+elimination as a killed column, never built; the elimination peels the
+rest of those rows (a singleton presolve) and runs the echelon on what
+remains.  The pivot set, hence every value and basis, is the same as
+without either step, because an echelon basis's lead columns are unique.
+Milnor and Tjurina numbers of function germs are thin wrappers around it.
 """
 
 from __future__ import annotations

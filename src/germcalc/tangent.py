@@ -23,20 +23,47 @@ until `window` consecutive ones agree (the stabilization policy).  Every
 value is invariant under linear changes of coordinates, so the engine
 works on the linear prenormal form of the germ
 (`germ.linear_prenormal_form`), which is the germ itself unless a linear
-change makes it strictly sparser.  It builds and eliminates the rows once,
-at a top degree D, in a local order, and reads the value at every d <= D
-from the pivots (see `ring.eliminate_graded`); a higher D is tried only
-when the policy has not fired by D.  The rows come from the monomial
-index tables of `ring`: the slots are numbered by (degree, branch,
-component, monomial) arithmetically, a derivative row x^a * df_b/dx_j is
-one shift table per term of the partial, and the compositions y^beta o f_b
-are kept by the index of beta and of each source monomial.  A partial
-with a single term, as every coordinate component of the prenormal form
-has, is an identity block: its rows reach the elimination as killed
-columns, as does every target row with a single entry.  The quotient
+change makes it strictly sparser.
+
+The rows are built in a reduced module, without the coordinate components
+of each branch (the unfolding reduction of Marar and Mond).  A component
+f_{b,l} = c * x_j, a single degree-1 term, is a coordinate of branch b, at
+most one component per variable j; every other component is kept.  Put
+
+    pi(e_{b,l}) = -(1/c) * sum over kept l' of (df_{b,l'}/dx_j) e_{b,l'}
+
+for a coordinate l and pi(e_{b,l}) = e_{b,l} for a kept l.  pi is
+O_n-linear and onto the sections theta' of the kept components.  Its
+kernel is spanned by the multiples x^a * tf(d/dx_j) on branch b for the
+coordinate variables j, since tf(d/dx_j) = c e_{b,l} + sum over kept l'
+of (df_{b,l'}/dx_j) e_{b,l'}; so the kernel lies in the tangent space, and
+inside m * theta it lies in tf(m theta_n), the non-extended one.  pi never
+lowers the degree of a term and maps m^{d+1} theta onto m^{d+1} theta'
+(and m * theta onto m * theta').  So pi identifies the quotient at every
+truncation degree with theta' modulo pi(tangent space) + m^{d+1} theta',
+and every truncated value, extended or not, is unchanged.  In theta' the
+derivative rows of the coordinate variables vanish; the others keep their
+kept components; a target row (y^beta o f_b) e_{b,l} of a coordinate l
+becomes -(1/c) * sum over kept l' of (y^beta o f_b)(df_{b,l'}/dx_j)
+e_{b,l'}.  Each target row is scaled by one integer so that its
+coefficients stay those of the germ times integers.  A branch without a
+coordinate component (a curve, say) is built in full.
+
+The engine builds and eliminates the rows once, at a top degree D, in a
+local order, and reads the value at every d <= D from the pivots (see
+`ring.eliminate_graded`); a higher D is tried only when the policy has not
+fired by D.  The rows come from the monomial index tables of `ring`: the
+slots are numbered by (degree, branch, kept component, monomial)
+arithmetically, a derivative row x^a * df_b/dx_j is one shift table per
+term of the partial, and the products (y^beta o f_b) * g, for g = 1 and for
+each partial a substituted target row needs, follow the same recursion
+over beta, kept by the index of beta and of each source monomial.  Rows
+with a single entry reach the elimination as killed columns.  The quotient
 basis is returned as the free slots of that elimination, the standard
 monomials of the local order: the unit section at a slot places one
-source monomial in one component of one branch and zero elsewhere.
+source monomial in one kept component of one branch and zero elsewhere;
+pi fixes it, so these sections are a basis of the quotient of the full
+module too.
 
 The extended variant allows constant vector fields on both sides; the
 non-extended variant restricts the ambient to sections without constant
@@ -47,9 +74,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .germ import MultiGerm, linear_prenormal_form, multiplicity
+from .errors import NotStabilizedError
+from .germ import Branch, MultiGerm, linear_prenormal_form, multiplicity
 from .ring import (DEFAULT_POLICY, MonomialTables, StabilizationPolicy,
                    add_multiples, eliminate_graded, monomial_tables,
                    stabilize_curve)
@@ -65,7 +95,8 @@ class CodimResult:
     `degree_used`; its last entry is `value`.  `basis` holds the free slots
     (branch, component, source monomial), lowest degree first, whose unit
     sections form a basis of the quotient at `degree_used`; the slots refer
-    to the linear prenormal form of the germ.
+    to the linear prenormal form of the germ and lie in the components the
+    engine keeps, never in a coordinate component of a branch.
     """
 
     value: int
@@ -80,42 +111,100 @@ class CodimResult:
             raise ValueError("the curve must end at the codimension value")
 
 
+def _coordinates(branch: Branch) -> dict[int, tuple[int, Fraction]]:
+    """The coordinate components of a branch: l -> (j, c) for each
+    component c * x_j, the first such component for each variable j."""
+    found: dict[int, tuple[int, Fraction]] = {}
+    for l, comp in enumerate(branch.components):
+        terms = list(comp.items())
+        if len(terms) == 1 and sum(terms[0][0]) == 1:
+            (mono, c), = terms
+            j = mono.index(1)
+            if all(j != taken for taken, _ in found.values()):
+                found[l] = (j, c)
+    return found
+
+
 def _generator_rows(f: MultiGerm, tables: MonomialTables, min_deg: int,
-                    colmap) -> tuple[list[dict], set[int]]:
+                    coordinates, colmaps) -> tuple[list[dict], set[int]]:
     """The derivative and target rows of degree >= min_deg at the top
-    degree of `tables`, as rows and killed columns (`eliminate_graded`);
-    `colmap(b, l)` maps a monomial index to the column id of its slot in
-    component l of branch b."""
-    n, p, r = f.n, f.p, f.r
-    colmaps = [[colmap(b, l) for l in range(p)] for b in range(r)]
+    degree of `tables`, in the reduced module, as rows and killed columns
+    (`eliminate_graded`).  `coordinates[b]` is `_coordinates` of branch b,
+    and `colmaps[b][l]` maps a monomial index to the column id of its slot
+    in kept component l of branch b."""
+    n, p = f.n, f.p
     rows: list[dict] = []
     killed: set[int] = set()
     memo: dict[int, list[int]] = {}
 
-    # derivative rows x^a * df_b/dx_j, one branch at a time; a coordinate
-    # component's partial is a single term, an identity block of kills
+    # derivative rows x^a * df_b/dx_j for the variables j that are no
+    # coordinate of branch b, over its kept components
     for b, branch in enumerate(f.branches):
+        taken = {j for j, _ in coordinates[b].values()}
         for j in range(n):
-            terms = [(k, c, colmaps[b][l])
-                     for l, comp in enumerate(branch.components)
-                     for k, c in tables.terms(comp.diff(j))]
-            add_multiples(tables, terms, min_deg, rows, killed, memo)
+            if j not in taken:
+                add_multiples(tables, [(k, c, cm)
+                                       for l, cm in colmaps[b].items()
+                                       for k, c in tables.terms(
+                                           branch.components[l].diff(j))],
+                              min_deg, rows, killed, memo)
 
-    # target rows: compositions y^beta o f_b, kept by the index of beta, the
-    # same beta on every branch; distinct branches never share a column
+    # target rows: the row of (l, beta) has a part per branch b, the
+    # composition y^beta o f_b in component l when l is kept on b, and
+    # else, for each kept l', the product (y^beta o f_b) * g in l' with
+    # g = -(scale / c) * df_{b,l'}/dx_j.  The compositions, kept by the
+    # index of beta, follow a recursion over beta, each beta reached from
+    # beta / y_v for the v in it with the fewest terms in f_b (for a
+    # coordinate, one shift).  A one-term g is one more shift, applied to
+    # the column map; a longer g starts the same recursion from g.
     betas = monomial_tables(p, tables.top)
-    compositions = []
-    for branch in f.branches:
-        comps = [tables.terms(comp) for comp in branch.components]
-        table = [{0: 1}]
-        for v, prev in betas.parent[1:]:
+    below = betas.start[betas.top]
+
+    def products(seed: dict, comps: list, parent: list) -> list[dict]:
+        table = [seed]
+        for v, prev in parent[1:]:
             table.append(tables.multiply(table[prev], comps[v], memo))
-        compositions.append(table)
+        return table
+
+    # the rows of component l are scaled by the least common multiple of
+    # the numerators of its coordinate coefficients c, so every -scale / c
+    # is an integer
+    scale = [lcm(*(abs(coords[l][1].numerator) for coords in coordinates
+                   if l in coords)) for l in range(p)]
+    # parts[l]: (table by beta, column map, scale, length of the map)
+    parts: list[list] = [[] for _ in range(p)]
+    for b, branch in enumerate(f.branches):
+        comps = [tables.terms(comp) for comp in branch.components]
+        parent = [None] * len(betas.monos)
+        for v in sorted(range(p), key=lambda v: len(comps[v])):
+            for i, k in enumerate(betas.step[v][:below]):
+                if parent[k] is None:
+                    parent[k] = (v, i)
+        compositions = products({0: 1}, comps, parent)
+        for l in range(p):
+            if l in colmaps[b]:
+                cm = colmaps[b][l]
+                parts[l].append((compositions, cm, scale[l], len(cm)))
+                continue
+            j, c = coordinates[b][l]
+            factor = int(-scale[l] / c)
+            for kept, cm in colmaps[b].items():
+                terms = tables.terms(branch.components[kept].diff(j))
+                if len(terms) == 1:
+                    # a one-term partial x^k moves the compositions by one
+                    # shift, which maps distinct monomials to distinct slots
+                    (k, coef), = terms
+                    moved = [cm[i] for i in tables.shift(k, memo)]
+                    parts[l].append((compositions, moved, factor * coef,
+                                     len(moved)))
+                elif terms:
+                    parts[l].append((products(
+                        {k: factor * v for k, v in terms}, comps, parent),
+                        cm, 1, len(cm)))
     for l in range(p):
-        maps = [colmaps[b][l] for b in range(r)]
         for beta in range(min_deg, len(betas.monos)):
-            row = {cm[i]: c for cm, table in zip(maps, compositions)
-                   for i, c in table[beta].items()}
+            row = {cm[i]: s * c for table, cm, s, fits in parts[l]
+                   for i, c in table[beta].items() if i < fits}
             if len(row) > 1:
                 rows.append(row)
             else:
@@ -128,35 +217,40 @@ def _graded_tangent(f: MultiGerm, top: int,
     """One elimination at top degree `top`: the value at every degree
     0..top and the free slots in ascending order.
 
-    The slots run by (degree, branch, component, monomial), so the slot of
-    (b, l, mono_k) sits at position rp * start[d] + (b p + l) * width_d +
-    k - start[d] of the degree-d block (d = deg k, width_d monomials of
-    degree d), less the degree-0 block when not extended; its column id
-    is computed from that, not looked up.
+    The slots run by (degree, branch, kept component, monomial): with K
+    kept components over all branches, the q-th of them in (branch,
+    component) order, the slot of mono_k there sits at position
+    K start[d] + q width_d + k - start[d] of the degree-d block (d = deg k,
+    width_d monomials of degree d), less the degree-0 block when not
+    extended; its column id is computed from that, not looked up.
     """
-    p, rp = f.p, f.r * f.p
+    coordinates = [_coordinates(branch) for branch in f.branches]
+    blocks = [(b, l) for b, coords in enumerate(coordinates)
+              for l in range(f.p) if l not in coords]
+    kept = len(blocks)
     tables = monomial_tables(f.n, top)
     start, deg = tables.start, tables.deg
     min_deg = 0 if extended else 1
     width = [start[d + 1] - start[d] for d in range(top + 1)]
-    widths = [rp * w if d >= min_deg else 0 for d, w in enumerate(width)]
-    # id = last - position; `offset - base[k]` is the id at b = l = 0
-    offset = sum(widths) - 1 + rp * start[min_deg]
-    base = [(rp - 1) * start[d] + k for k, d in enumerate(deg)]
-
-    def colmap(b: int, l: int) -> list[int]:
-        return [offset - bk - (b * p + l) * width[d] for bk, d in zip(base, deg)]
+    widths = [kept * w if d >= min_deg else 0 for d, w in enumerate(width)]
+    # id = last - position; `offset - base[k]` is the id at q = 0
+    offset = sum(widths) - 1 + kept * start[min_deg]
+    base = [(kept - 1) * start[d] + k for k, d in enumerate(deg)]
+    colmaps: list[dict[int, list[int]]] = [{} for _ in f.branches]
+    for q, (b, l) in enumerate(blocks):
+        colmaps[b][l] = [offset - bk - q * width[d]
+                         for bk, d in zip(base, deg)]
 
     # the builder's tables die before the elimination allocates
     values, free = eliminate_graded(
-        widths, *_generator_rows(f, tables, min_deg, colmap))
-    bounds = [rp * s for s in start]  # where each degree block begins
+        widths, *_generator_rows(f, tables, min_deg, coordinates, colmaps))
+    bounds = [kept * s for s in start]  # where each degree block begins
     slots = []
     for position in free:
         position += bounds[min_deg]
         d = bisect_right(bounds, position) - 1
-        bl, i = divmod(position - bounds[d], width[d])
-        slots.append((*divmod(bl, p), tables.monos[start[d] + i]))
+        q, i = divmod(position - bounds[d], width[d])
+        slots.append((*blocks[q], tables.monos[start[d] + i]))
     return values, slots
 
 
@@ -173,17 +267,48 @@ def _stabilized_codim(f: MultiGerm, policy: StabilizationPolicy,
                        basis=tuple(free))
 
 
+class _Stabilized(Exception):
+    """Carries a result out of `_failure`: `lru_cache` keeps no call that
+    raises, so that cache holds failures only."""
+
+
+@lru_cache(maxsize=1024)
+def _failure(f: MultiGerm, policy: StabilizationPolicy,
+             extended: bool) -> tuple[str, int | None, tuple[int, ...]]:
+    """The message, d_max and history of a codimension that does not
+    stabilize, so that it is not recomputed up to d_max on every call; a
+    codimension that does comes back raised in `_Stabilized`."""
+    try:
+        result = _stabilized_codim(f, policy, extended)
+    except NotStabilizedError as error:
+        return str(error), error.d_max, error.history
+    raise _Stabilized(result)
+
+
+def _codim(f: MultiGerm, policy: StabilizationPolicy,
+           extended: bool) -> CodimResult:
+    try:
+        message, d_max, history = _failure(f, policy, extended)
+    except _Stabilized as done:
+        return done.args[0]
+    raise NotStabilizedError(message, d_max=d_max, history=history)
+
+
 @lru_cache(maxsize=1024)
 def ae_codim(f: MultiGerm, policy: StabilizationPolicy = DEFAULT_POLICY) -> CodimResult:
-    """Codimension of the extended tangent space; 0 exactly for stable germs."""
-    return _stabilized_codim(f, policy, extended=True)
+    """Codimension of the extended tangent space; 0 exactly for stable germs.
+
+    Raises NotStabilizedError when the policy does not fire by d_max; a
+    repeated call raises a fresh one with the same message, d_max and
+    history without computing again."""
+    return _codim(f, policy, extended=True)
 
 
 @lru_cache(maxsize=1024)
 def a_codim(f: MultiGerm, policy: StabilizationPolicy = DEFAULT_POLICY) -> CodimResult:
     """Codimension of the non-extended tangent space inside sections without
-    constant term."""
-    return _stabilized_codim(f, policy, extended=False)
+    constant term; fails as `ae_codim` does."""
+    return _codim(f, policy, extended=False)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from germcalc import atlas, cli, syntax, tangent
+from germcalc import atlas, cli, gates, syntax, tangent
 from germcalc.errors import GermSyntaxError
 from germcalc.ring import Poly
 
@@ -288,6 +288,34 @@ class TestRun:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["verdict"]["kind"] == "not_simple"
 
+    def test_gate_rejects_an_unknown_assertion_flag(self, capsys):
+        code = cli.run(["gate", "--germ", "(x,y,z^3+x*z)",
+                        "--assert", "primitivty,bogus"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bogus, primitivty" in err
+        assert all(flag in err for flag in gates.FLAGS)
+
+    def test_eval_then_gate_computes_a_failing_codimension_once(
+            self, capsys, monkeypatch):
+        # eval's aecod and the atlas lookup of gate ask for the same full
+        # germ's codimension, which never stabilizes
+        germ = ("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);"
+                "(x,y,z^2+x-y)}")
+        for cached in (tangent.ae_codim, tangent.a_codim, tangent._failure):
+            cached.cache_clear()
+        runs = []
+        stabilized = tangent._stabilized_codim
+
+        def counting(f, policy, extended):
+            runs.append((f, extended))
+            return stabilized(f, policy, extended)
+
+        monkeypatch.setattr(tangent, "_stabilized_codim", counting)
+        assert cli.run(["eval", "--germ", germ]) == 2
+        assert cli.run(["gate", "--germ", germ]) == 0
+        assert runs.count((syntax.parse_multigerm(germ), True)) == 1
+
     @pytest.mark.parametrize("germ", [
         "{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);(x,y,z^2+x-y)}",
         "{(x,y,z,0);(x,y,0,z);(x,0,y,z);(0,x,y,z);(x,y,z,x);(x,y,z,y)}",
@@ -446,6 +474,7 @@ class TestLayering:
             "germcalc.ring.monomials_up_to 64 0",
             "germcalc.syntax.canonical_match_key 1024 0",
             "germcalc.syntax.canonical_text_modulo_branches 1024 0",
+            "germcalc.tangent._failure 1024 0",
             "germcalc.tangent.a_codim 1024 0",
             "germcalc.tangent.ae_codim 1024 0", ""]
 

@@ -7,13 +7,19 @@ the way the values were defined before the one-pass reading; both must
 agree degree by degree.  The reference rows come from an independent
 builder that multiplies exponent tuples and looks every slot up in a
 dict, so the engine's index tables are checked against plain monomial
-arithmetic.  The engine also peels unit rows before its echelon, and
-hands over identity blocks as killed columns; a plain RowSpan fed every
-row, with a unit row for each killed column, must give the same free
-slots.
+arithmetic.  The tangent engine builds its rows in a reduced module,
+with each branch's coordinate components substituted away; the reference
+builds the full module, and a second reference applies the substitution
+to the full module's rows term by term.  The engine's free slots must be
+those of that reduced reference, and a basis of the full module's
+quotient.  The engine also peels unit rows before its echelon, and hands
+over one-entry rows as killed columns; a plain RowSpan fed every row,
+with a unit row for each killed column, must give the same free slots.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,17 +142,78 @@ def reference_slots(f: MultiGerm, d: int, extended: bool) -> list:
     return slots
 
 
-def reference_graded_tangent(f: MultiGerm, top: int, extended: bool):
-    """`_graded_tangent` from the reference rows through a plain RowSpan."""
+def graded_curve(free: list, top: int) -> list[int]:
+    """The quotient dimension at every degree 0..top from the free slots."""
+    return [sum(1 for s in free if sum(s[2]) <= d) for d in range(top + 1)]
+
+
+def assert_full_module_basis(f: MultiGerm, top: int, extended: bool, curve,
+                             free) -> None:
+    """`curve` is the full module's, from the reference rows through a
+    plain RowSpan, and the unit sections at the `free` slots are a basis of
+    the full module's quotient at `top`: each stays outside the span of the
+    reference rows until adjoined, as in `test_tangent.TestBasis`."""
     slots = reference_slots(f, top, extended)
     last = len(slots) - 1
     col = {s: last - i for i, s in enumerate(slots)}
     span = RowSpan()
     for row in reference_tangent_rows(f, top, extended, col):
         span.insert(row)
+    assert curve == graded_curve(
+        [s for s in slots if col[s] not in span.pivots], top)
+    assert len(free) == curve[top]
+    for slot in free:
+        assert span.insert({col[slot]: 1}), slot
+
+
+# -- the reduced module: each branch's coordinate components substituted ----
+
+def reference_coordinates(f: MultiGerm) -> list[dict]:
+    """Per branch, component l -> (j, c) for each component c * x_j, the
+    first such component for each variable j."""
+    out = []
+    for branch in f.branches:
+        coords: dict = {}
+        for l, comp in enumerate(branch.components):
+            terms = list(comp.items())
+            if len(terms) == 1 and sum(terms[0][0]) == 1:
+                j = terms[0][0].index(1)
+                if all(j != jj for jj, _ in coords.values()):
+                    coords[l] = (j, terms[0][1])
+        out.append(coords)
+    return out
+
+
+def reduced_graded_tangent(f: MultiGerm, top: int, extended: bool):
+    """`_graded_tangent` from the full module's reference rows with the
+    substitution e_{b,l} -> -(1/c) sum over kept l' of (df_{b,l'}/dx_j)
+    e_{b,l'} applied to every term of a coordinate component l = c x_j,
+    through a plain RowSpan over the slots of the kept components."""
+    coords = reference_coordinates(f)
+    # the image of e_{b,l} for each coordinate l: (l', monomial, coefficient)
+    images = [{l: [(k, m, -w / c) for k in range(f.p) if k not in coords[b]
+                   for m, w in branch.components[k].diff(j).items()]
+               for l, (j, c) in coords[b].items()}
+              for b, branch in enumerate(f.branches)]
+    full = reference_slots(f, top, extended)
+    slots = [s for s in full if s[1] not in coords[s[0]]]
+    last = len(slots) - 1
+    col = {s: last - i for i, s in enumerate(slots)}
+    span = RowSpan()
+    for row in reference_tangent_rows(f, top, extended, {s: s for s in full}):
+        reduced: dict = {}
+        for (b, l, mono), v in row.items():
+            if l not in coords[b]:
+                image = [((b, l, mono), v)]
+            else:
+                image = [((b, k, monomial_mul(mono, m)), v * w)
+                         for k, m, w in images[b][l]
+                         if sum(mono) + sum(m) <= top]
+            for s, w in image:
+                reduced[col[s]] = reduced.get(col[s], 0) + w
+        span.insert(reduced)
     free = [s for s in slots if col[s] not in span.pivots]
-    curve = [sum(1 for s in free if sum(s[2]) <= d) for d in range(top + 1)]
-    return curve, free
+    return graded_curve(free, top), free
 
 
 def tangent_reference(f: MultiGerm, d: int, extended: bool) -> int:
@@ -202,8 +269,9 @@ def cap3_rows():
 
 @pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
 def test_catalog_curves_match_per_degree_reference(extended, monkeypatch):
-    # the free slots are pinned too: the reference rows through a plain
-    # RowSpan must leave the same slots free, and a plain RowSpan fed the
+    # the free slots are pinned too: the reduced reference rows through a
+    # plain RowSpan must leave the same slots free, those slots must be a
+    # basis of the full module's quotient, and a plain RowSpan fed the
     # engine's own rows and killed columns must leave the same columns free
     calls = recorded_eliminations(monkeypatch)
     checked = 0
@@ -213,8 +281,9 @@ def test_catalog_curves_match_per_degree_reference(extended, monkeypatch):
         reference = [tangent_reference(germ, d, extended)
                      for d in range(d0, d0 + 3)]
         assert curve[d0:] == reference, name
-        assert (curve, free) == reference_graded_tangent(germ, d0 + 2,
-                                                         extended), name
+        assert (curve, free) == reduced_graded_tangent(germ, d0 + 2,
+                                                       extended), name
+        assert_full_module_basis(germ, d0 + 2, extended, curve, free)
         widths, rows, killed = calls.pop()
         assert (eliminate_graded(widths, [dict(r) for r in rows], set(killed))
                 == plain_graded(widths, rows, killed)), name
@@ -223,6 +292,7 @@ def test_catalog_curves_match_per_degree_reference(extended, monkeypatch):
 
 
 X3, Y3, Z3 = V(3, 0), V(3, 1), V(3, 2)
+HALF = Fraction(1, 2)
 
 
 @pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
@@ -238,33 +308,59 @@ X3, Y3, Z3 = V(3, 0), V(3, 1), V(3, 2)
                 Branch((Y3, Z3, X3 ** 2 + Y3 * Z3)))), 5),
     # a plane curve: one source variable, two target components
     (MultiGerm((Branch((V(1, 0) ** 3, V(1, 0) ** 4 + V(1, 0) ** 5)),)), 8),
+    # coordinates c * x_j with c = 2; then 2 and 3 in the first component
+    # of two branches, kept on a third, so its target rows are scaled by 6;
+    # then 1/2
+    (MultiGerm((Branch((2 * X3, Y3, Z3 ** 3 + X3 * Z3)),)), 6),
+    (MultiGerm((Branch((2 * X3, Y3, Z3 ** 2)),
+                Branch((3 * X3, Y3, Z3 ** 2 + X3 + Y3 * Z3)),
+                Branch((Z3 ** 2 + Y3, X3, Y3)))), 4),
+    (MultiGerm((Branch((HALF * X3, Y3, Z3 ** 3 + X3 * Z3)),)), 6),
+    # two components equal to x: the second one is kept
+    (MultiGerm((Branch((X3, Y3, Z3, X3 * 0)),
+                Branch((X3, Y3, Z3, X3)))), 4),
+    # the kept component has a linear term in the coordinate x
+    (MultiGerm((Branch((X3, Y3, Z3 ** 2)), Branch((X3, Y3, Z3 ** 2 + X3)))),
+     5),
+    # the second branch has no coordinate component; the first has
+    (MultiGerm((Branch((X3, Y3, Z3 ** 3 + X3 * Z3)),
+                Branch((X3 + Y3 ** 2, Y3 + Z3 ** 2, Z3 + X3 ** 2)))), 4),
+    # a target row meets a kept component on one branch and a coordinate
+    # on the other: the values depend on the sign of the substitution
+    (MultiGerm((Branch((2 * X3 * Y3, X3 * 0, X3 * Y3)),
+                Branch((2 * X3, X3 * 0, X3)))), 3),
 ], ids=["term-above-top", "quintic", "zero-partial", "three-branches",
-        "curve"])
+        "curve", "coordinate-2x", "coordinates-2x-3x", "coordinate-half-x",
+        "repeated-coordinate", "linear-term-in-a-coordinate",
+        "branch-without-coordinates", "sign-of-the-substitution"])
 def test_index_builder_matches_the_reference_builder(germ, top, extended):
-    assert (_graded_tangent(germ, top, extended)
-            == reference_graded_tangent(germ, top, extended))
-    assert _graded_tangent(germ, top, extended)[0] == [
-        tangent_reference(germ, d, extended) for d in range(top + 1)]
+    curve, free = _graded_tangent(germ, top, extended)
+    assert (curve, free) == reduced_graded_tangent(germ, top, extended)
+    assert curve == [tangent_reference(germ, d, extended)
+                     for d in range(top + 1)]
+    assert_full_module_basis(germ, top, extended, curve, free)
 
 
 @pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
-def test_identity_blocks_arrive_as_killed_columns(extended, monkeypatch):
-    # the coordinate components x and y of the fold branch (x, y, z^2)
-    # have one-term partials, so x^a * d/dx and x^a * d/dy kill every
-    # column of those components of that branch outright, as do the cusp
-    # branch's x^a * d/dy; its x^a * d/dx = x^a * (e_0 + z e_2) is a row
+def test_coordinate_components_get_no_columns(extended, monkeypatch):
+    # the coordinate components x and y of the fold branch (x, y, z^2) and
+    # of the cusp branch (x, y, z^3 + x z) have no columns: the columns are
+    # the slots of the two kept components z^2 and z^3 + x z.  The fold's
+    # partial in z, 2 z, is a single term all the same, so its rows
+    # x^a * 2 z e_2 arrive as killed columns, one per slot divisible by z
     germ = MultiGerm((Branch((X3, Y3, Z3 ** 2)),
                       Branch((X3, Y3, Z3 ** 3 + X3 * Z3))))
     top = 4
     calls = recorded_eliminations(monkeypatch)
-    assert (_graded_tangent(germ, top, extended)
-            == reference_graded_tangent(germ, top, extended))
+    curve, free = _graded_tangent(germ, top, extended)
+    assert (curve, free) == reduced_graded_tangent(germ, top, extended)
     widths, rows, killed = calls.pop()
-    slots = reference_slots(germ, top, extended)
+    slots = [s for s in reference_slots(germ, top, extended) if s[1] == 2]
+    assert sum(widths) == len(slots)
+    assert {l for _, l, _ in free} <= {2}
     last = len(slots) - 1
-    blocks = {(0, 0), (0, 1), (1, 1)}
-    for i, (b, l, _) in enumerate(slots):
-        if (b, l) in blocks:
+    for i, (b, _, mono) in enumerate(slots):
+        if b == 0 and mono[2] >= 1 and sum(mono) > (0 if extended else 1):
             assert last - i in killed, slots[i]
     assert (eliminate_graded(widths, [dict(r) for r in rows], set(killed))
             == plain_graded(widths, rows, killed))

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from germcalc import tangent
+from germcalc.errors import NotStabilizedError
 from germcalc.germ import Branch, MultiGerm, linear_prenormal_form
-from germcalc.ring import Poly
+from germcalc.ring import Poly, StabilizationPolicy
 from germcalc.tangent import (WilsonReport, a_codim, ae_codim, is_stable,
                               wilson_check)
 from germcalc._echelon import RowSpan
@@ -45,6 +47,35 @@ class TestAeCodim:
     def test_fold_and_cusp_bigerm(self):
         g = G(B(X ** 3 + Y * X, Y, Z), B(X, Y * Y + Z ** 3, Z))
         assert ae_codim(g).value == 2
+
+
+class TestFailureCache:
+    @pytest.mark.parametrize("codim", [ae_codim, a_codim], ids=["ae", "a"])
+    def test_repeated_failure_raises_afresh_without_recomputing(
+            self, codim, monkeypatch):
+        # (x, y, x z^2) is not finite: its values grow up to the cap
+        germ, policy = G(B(X, Y, X * Z * Z)), StabilizationPolicy(d_max=8)
+        runs = []
+        stabilized = tangent._stabilized_codim
+
+        def counting(f, policy, extended):
+            runs.append(f)
+            return stabilized(f, policy, extended)
+
+        monkeypatch.setattr(tangent, "_stabilized_codim", counting)
+        codim.cache_clear()
+        tangent._failure.cache_clear()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(NotStabilizedError) as info:
+                codim(germ, policy)
+            errors.append(info.value)
+        first, second = errors
+        assert first is not second
+        assert str(first) == str(second)
+        assert first.d_max == second.d_max == 8
+        assert first.history == second.history and first.history
+        assert runs == [germ]
 
 
 class TestACodim:
