@@ -343,6 +343,7 @@ class VerifyRow:
     degree_used: int | None
     seconds: float
     note: str = ""
+    c: int | None = None
 
 
 @dataclass(frozen=True)
@@ -360,6 +361,7 @@ class VerifyReport:
                 "name": row.name, "params": row.params_text,
                 "computed": row.computed, "expected": row.expected,
                 "match": row.match, "degree_used": row.degree_used,
+                "c": row.c,
                 "seconds": round(row.seconds, 3), "note": row.note,
             } for row in self.rows],
         }
@@ -394,7 +396,8 @@ def verify(name: str, params: Mapping | None = None,
         return VerifyRow(name=name, params_text=_params_text(display),
                          computed=result.value, expected=expected,
                          match=result.value == expected,
-                         degree_used=result.degree_used, seconds=elapsed)
+                         degree_used=result.degree_used, c=result.c,
+                         seconds=elapsed)
     except NotStabilizedError as exc:
         elapsed = time.perf_counter() - start
         return VerifyRow(name=name, params_text=_params_text(display),

@@ -5,8 +5,9 @@ Subcommands: `eval` (invariants), `build` (constructions), `gate`
 read and printed in the surface syntax of `germcalc.syntax`, whose parser,
 printer and canonical keys this module re-exports.  Exit codes: 0 success,
 1 parse/validation error, 2 failure to stabilize, 3 internal error.
-The engine flags `--max-degree` (the truncation cap) and `--window` (the
-codimension stopping rule, at least 2) are the only engine settings.
+The engine flag `--max-degree` is the only engine setting: it bounds the
+degree at which a dimension may be certified (a codimension's certificate
+elimination runs c degrees above it).
 """
 
 from __future__ import annotations
@@ -57,15 +58,13 @@ def _verdict_json(verdict) -> dict:
 # -- subcommands ---------------------------------------------------------------
 
 def _policy_from_args(args) -> StabilizationPolicy:
-    return StabilizationPolicy(window=args.window, d_max=args.max_degree)
+    return StabilizationPolicy(d_max=args.max_degree)
 
 
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-degree", type=int, default=16,
-                     help="truncation-degree cap (default 16)")
-    sub.add_argument("--window", type=int, default=2,
-                     help="consecutive equal values a codimension needs to "
-                          "stabilize (at least 2, default 2)")
+                     help="largest degree a dimension may be certified at "
+                          "(default 16)")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -93,6 +92,7 @@ def _cmd_eval(args) -> int:
             "wilson": wilson.status,
         },
         "degrees_used": {"aecod": ae.degree_used, "acod": a.degree_used},
+        "c": {"aecod": ae.c, "acod": a.c},
         "curves": {"aecod": list(ae.curve), "acod": list(a.curve)},
     }
     if args.json:
@@ -104,8 +104,9 @@ def _cmd_eval(args) -> int:
         print(f"corank:   {cork}")
         label = "A_{" + ",".join(map(str, atype)) + "}" if atype else "corank >= 2"
         print(f"type:     {label}")
-        print(f"aecod:    {ae.value}   (degree {ae.degree_used})")
-        print(f"acod:     {a.value}   (degree {a.degree_used})")
+        for name, res in (("aecod", ae), ("acod", a)):
+            print(f"{name + ':':9} {res.value}   (certified at degree "
+                  f"{res.degree_used}, c = {res.c})")
         for name, res in (("aecod", ae), ("acod", a)):
             first = res.degree_used - len(res.curve) + 1
             print(f"curve:    {name} {list(res.curve)}   "
@@ -199,7 +200,8 @@ def _cmd_atlas(args) -> int:
                 status = "ok" if row.match else "MISMATCH"
                 print(f"{row.name:12s} {row.params_text:18s} computed={row.computed} "
                       f"expected={row.expected} [{status}] "
-                      f"degree={row.degree_used} {row.seconds:.2f}s{' ' + row.note if row.note else ''}")
+                      f"degree={row.degree_used} c={row.c} {row.seconds:.2f}s"
+                      f"{' ' + row.note if row.note else ''}")
             total = len(report.rows)
             good = sum(1 for row in report.rows if row.match)
             print(f"{good}/{total} rows match")

@@ -231,6 +231,11 @@ def gate_primitive_plus_morse(f: MultiGerm,
         partner_label = (0,)
     else:
         return Verdict.unknown(f"dimension range ({n}, {p}) not covered")
+    if not threshold_met:
+        # no partner can make the rule fire, so no codimension is computed
+        return Verdict.unknown(
+            f"dimensions below the threshold for the {variant} rule",
+            n=n, p=p)
 
     for idx in range(f.r):
         partner = MultiGerm((f.branches[idx],))
@@ -244,10 +249,6 @@ def gate_primitive_plus_morse(f: MultiGerm,
         base_cod = tangent.ae_codim(rest, policy).value
         if base_cod != 1:
             continue
-        if not threshold_met:
-            return Verdict.unknown(
-                f"dimensions below the threshold for the {variant} rule",
-                base_codim=1, n=n, p=p)
         if not primitive_flag:
             return Verdict.unknown(
                 FLAG_PRIMITIVITY, base_codim=1, partner_index=idx)

@@ -10,6 +10,9 @@ Invariants provided here: corank of a branch, multiplicity of a multigerm
 (the dimension of its local algebra, summed over branches), recognition of
 the corank-1 label A_{k_1,...,k_r}, and the dimension of the analytic
 stratum of a stable label in the equidimensional and (n, n+1) ranges.
+Next to the multiplicity comes the least power of the maximal ideal that
+lies in every branch ideal, which sizes the codimension engine's
+certificate.
 It also provides the linear prenormal form, the sparse representative of
 a germ's orbit under linear changes of coordinates that the codimension
 engine eliminates on.
@@ -125,13 +128,31 @@ def germ_corank(f: MultiGerm) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _branch_multiplicity(branch: Branch, policy: StabilizationPolicy) -> int:
-    return ring.quotient_dim(list(branch.components), branch.n, policy)
+def _branch_multiplicity(branch: Branch,
+                         policy: StabilizationPolicy) -> tuple[int, int]:
+    """The dimension of the branch's local algebra O_n / I, with I the
+    ideal of its components, and the least d with m^d inside I: the first
+    d >= 1 where the truncated values of I repeat, read off the same
+    curve (see `ring.quotient_curve`)."""
+    curve = ring.quotient_curve(list(branch.components), branch.n, policy)
+    power = next((d for d in range(1, len(curve))
+                  if curve[d] == curve[d - 1]), len(curve))
+    return curve[-1], power
+
+
+def multiplicity_and_power(
+        f: MultiGerm,
+        policy: StabilizationPolicy = DEFAULT_POLICY) -> tuple[int, int]:
+    """The multiplicity of f and the least c with m^c inside the ideal
+    I_b = f_b^*(m_p) O_n of every branch b (the largest of the branch
+    values).  Both are invariant under changes of coordinates."""
+    pairs = [_branch_multiplicity(b, policy) for b in f.branches]
+    return sum(m for m, _ in pairs), max(c for _, c in pairs)
 
 
 def multiplicity(f: MultiGerm, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
     """dim of the local algebra of f: branch-wise quotient dimensions, summed."""
-    return sum(_branch_multiplicity(b, policy) for b in f.branches)
+    return multiplicity_and_power(f, policy)[0]
 
 
 def recognize_type(f: MultiGerm,
@@ -147,7 +168,7 @@ def recognize_type(f: MultiGerm,
         if c > 1:
             raise NotCorankOneError(
                 f"branch has corank {c}; only corank <= 1 is supported")
-        ks.append(_branch_multiplicity(b, policy) - 1)
+        ks.append(_branch_multiplicity(b, policy)[0] - 1)
     return AType(tuple(ks))
 
 

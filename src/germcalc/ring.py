@@ -15,8 +15,9 @@ the dimension of K[[x]]/I is read as the dimension of (monomials of degree
 <= d) modulo (generator multiples of degree <= d) for increasing d, until
 the value first repeats, which proves it exact.  One elimination at a top
 degree D, pivoting on the lowest-degree term, gives that value at every d
-<= D at once; the tangent-space engine uses the same elimination and
-stabilization loop, with the policy's window as its stopping rule.  Both
+<= D at once; the tangent-space engine uses the same elimination and the
+same search (`stabilize_curve`), which stops only on a Nakayama
+certificate, with its own certificate rows.  Both
 engines build their rows on monomial index tables (`MonomialTables`): a
 monomial is its position in the graded order, x_v times it is a lookup in a
 step table, and a product with a fixed monomial is a shift table composed
@@ -337,21 +338,17 @@ def substitute(f: Poly, assignment: Sequence[Poly]) -> Poly:
 
 @dataclass(frozen=True)
 class StabilizationPolicy:
-    """Controls the truncation-degree loop of the dimension engines.
+    """Bounds the truncation-degree search of the dimension engines.
 
-    A tangent-space codimension stops once `window` consecutive degrees
-    give the same value.  An ideal quotient ignores the window: it stops
-    at its first repeat, which is exact (see `quotient_dim`).  Both raise
-    NotStabilizedError when d_max is reached first.  Each engine derives
-    its start degree from its input.
+    Every engine stops on a proof (see `stabilize_curve`); `d_max` is the
+    largest candidate degree it tries, and a dimension that no candidate
+    up to it certifies raises NotStabilizedError.  Each engine derives its
+    start degree and certificate from its input.
     """
 
-    window: int = 2
     d_max: int = 16
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ValueError("window must be at least 2")
         if self.d_max < 1:
             raise ValueError("d_max must be at least 1")
 
@@ -538,34 +535,43 @@ def eliminate_graded(widths: Sequence[int], rows: list[dict],
             for end in itertools.accumulate(widths)], free
 
 
-def stabilize_curve(eliminate, d0: int, window: int, d_max: int,
+def stabilize_curve(eliminate, k0: int, c: int, step, d_max: int,
                     what: str) -> tuple[tuple[int, ...], int, list]:
-    """The truncation-degree loop shared by every graded quotient.
+    """The truncation-degree search shared by every graded quotient.
 
-    `eliminate(top)` is one elimination at top degree `top`, returning the
-    values at degrees 0..top and the free slots, as `eliminate_graded` does.
-    The loop stops at the first degree d >= d0 + window - 1 whose value
-    repeats the values of the window - 1 degrees before it.  An elimination
-    at a higher top leaves the values below it unchanged, so each top adds
-    one degree to test.  Returns the values from d0 to the degree used,
-    that degree, and the free slots of degree at most it.  Raises
-    NotStabilizedError with the values d0..d_max when the rule never
-    fires, and before any elimination when it cannot fire by d_max.
+    `eliminate(k, top)` is one elimination at top degree `top` = k + c,
+    with the caller's certificate rows for the candidate degree k added,
+    returning the values at degrees 0..top and the free slots, as
+    `eliminate_graded` does.  The candidate k passes when
+    `values[k + c] == values[k]`, that is, when every slot of degree
+    k+1..k+c is a pivot.  The caller's certificate makes a pass a proof
+    that the value at k is exact, leaves the values at degrees <= k+1 the
+    engine's own, and makes passing monotone in k; so any passing k gives
+    the exact value, and a failure at k = d_max proves that no k <= d_max
+    passes.  The candidates start at k0 and go to `step(k, values)` after
+    a failure, both capped at d_max.
+
+    Returns the values at degrees 0..k for the certified k, k itself, and
+    the free slots of degree at most k.  Raises NotStabilizedError, with
+    the values of the last elimination from the first candidate to d_max,
+    when k = d_max fails.
     """
-    first = d0 + window - 1
-    if first > d_max:
-        raise NotStabilizedError(
-            f"{what} cannot stabilize by degree {d_max}: it starts at degree "
-            f"{d0}, and its stopping rule first applies at degree {first}",
-            d_max=d_max, history=())
-    for top in range(first, d_max + 1):
-        values, free = eliminate(top)
-        if len(set(values[top - window + 1:])) == 1:
-            return tuple(values[d0:]), top, free[:values[top]]
-    history = tuple(values[d0:])
+    first = k = min(k0, d_max)
+    tried = []
+    while True:
+        tried.append(k)
+        values, free = eliminate(k, k + c)
+        if values[k + c] == values[k]:
+            return tuple(values[:k + 1]), k, free[:values[k]]
+        if k == d_max:
+            break
+        k = min(step(k, values), d_max)
+    history = tuple(values[first:k + 1])
     raise NotStabilizedError(
-        f"{what} did not stabilize by degree {d_max} "
-        f"(values {list(history)})", d_max=d_max, history=history)
+        f"{what} did not stabilize by degree {d_max}: no certificate "
+        f"passed at degrees {tried}, from the start degree {k0} "
+        f"(values {list(history)})",
+        d_max=d_max, history=history)
 
 
 def _graded_ideal(generators: Sequence[Poly], nvars: int,
@@ -587,18 +593,23 @@ def _graded_ideal(generators: Sequence[Poly], nvars: int,
     return values, [tables.monos[i] for i in free]
 
 
-def quotient_dim(generators: Iterable[Poly], nvars: int,
-                 policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
-    """Dimension of the local algebra K[[x_1..x_n]] / (generators).
+def quotient_curve(
+        generators: Iterable[Poly], nvars: int,
+        policy: StabilizationPolicy = DEFAULT_POLICY) -> tuple[int, ...]:
+    """The truncated values v(d) = dim K[x]/(I + m^{d+1}) of the ideal I of
+    the generators, from degree 0 up to the degree that certifies the last
+    one as dim K[[x_1..x_n]]/I.
 
-    The truncated values v(d) = dim K[x]/(I + m^{d+1}) are read from degree
-    2 up, and the loop stops at the first repeat whatever `policy.window`
-    says: v(d) = v(d-1) means m^d lies in I + m^{d+1}, hence in I by
-    Nakayama, so every later value equals it.  Only `policy.d_max` bounds
-    the loop.
+    The candidate degrees run from 2 up by one, and the first one whose
+    next value repeats it passes: v(d+1) = v(d) means m^{d+1} lies in
+    I + m^{d+2}, hence in I by Nakayama, so every later value equals v(d).
+    This is `stabilize_curve` with c = 1 and no extra rows; only
+    `policy.d_max` bounds it.  For the same reason the first d >= 1 with
+    v(d) = v(d-1) is the least d with m^d inside I, and it lies at most one
+    degree past the end of the curve.
 
     Zero generators are skipped.  A generator with a nonzero constant term
-    makes the ideal the whole ring, so the dimension is 0.  An empty
+    makes the ideal the whole ring, whose curve is (0,).  An empty
     effective generator list cannot have a finite quotient and raises
     NotStabilizedError immediately, as does failure to stabilize by d_max.
     """
@@ -609,16 +620,23 @@ def quotient_dim(generators: Iterable[Poly], nvars: int,
         if g.is_zero():
             continue
         if g.constant_term() != 0:
-            return 0
+            return (0,)
         gens.append(g)
     if not gens:
         raise NotStabilizedError(
             "empty generator list: quotient is the full local ring",
             d_max=policy.d_max)
     curve, _, _ = stabilize_curve(
-        lambda top: _graded_ideal(gens, nvars, top), 2, 2, policy.d_max,
-        "quotient dimension")
-    return curve[-1]
+        lambda k, top: _graded_ideal(gens, nvars, top), 2, 1,
+        lambda k, values: k + 1, policy.d_max, "quotient dimension")
+    return curve
+
+
+def quotient_dim(generators: Iterable[Poly], nvars: int,
+                 policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
+    """Dimension of the local algebra K[[x_1..x_n]] / (generators): the
+    last value of `quotient_curve`, which it fails as."""
+    return quotient_curve(generators, nvars, policy)[-1]
 
 
 def milnor(p: Poly, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:

@@ -17,13 +17,45 @@ degree <= d); the tangent space is spanned by two generator families:
 The reported value at degree d is dim of the ambient modulo these rows,
 i.e. the codimension of the tangent space after adding all sections of
 component degree > d.  The value is non-decreasing in d and reaches the
-true codimension once d passes the (unknown) determinacy degree, so the
-engine reads the values at increasing d, from the multiplicity plus 4,
-until `window` consecutive ones agree (the stabilization policy).  Every
-value is invariant under linear changes of coordinates, so the engine
-works on the linear prenormal form of the germ
-(`germ.linear_prenormal_form`), which is the germ itself unless a linear
-change makes it strictly sparser.
+true codimension once d passes the (unknown) determinacy degree.  The
+engine stops only where a Nakayama certificate proves that it has (the
+Mather-Gaffney route to finite determinacy; Bruce, du Plessis and Wall,
+"Determinacy and unipotency", Invent. Math. 88, 1987; Wall, "Finite
+determinacy of smooth map-germs", Bull. LMS 13, 1981):
+
+  * T, the tangent space (TA_e f, or tf(m_n theta_n) + wf(m_p theta_p)
+    for the non-extended variant), is an O_p-module through f^*.  Because
+    f is finite, theta(f) and M_k = m^{k+1} theta(f) are finitely
+    generated O_p-modules.
+  * If M_k lies in T + f^*(m_p) M_k, Nakayama's lemma gives M_k inside T,
+    so the truncated value at k is the codimension.
+  * f^*(m_p) M_k is the sum over branches b of I_b M_{k,b}, with
+    I_b = f_b^*(m_p) O_n, and it contains m^{k+1+c} theta(f) for
+    c = max over b of the least d with m^d inside I_b
+    (`germ.multiplicity_and_power`).  So the test is finite: at top degree
+    k + c, add the certificate rows f_{b,i} x^a e_{b,l'} for |a| >= k+1,
+    for every component i and the kept components l' (the substitution
+    below maps I_b M_{k,b} onto its image in the reduced module).  The
+    test passes when every slot of degree k+1..k+c is a pivot, which is
+    `values[k + c] == values[k]`.
+  * The certificate rows have order >= k+2, so the values and free slots
+    at degrees <= k+1 are the engine's own, and the basis at the certified
+    degree keeps its meaning.
+  * Passing is monotone: M_k inside T gives M_k' inside T for every
+    k' >= k.  So any passing k gives the exact value, and a failure at
+    k = d_max proves that no k <= d_max passes.
+  * A target row (y^beta o f) e_l with |beta| >= k+2 already lies in
+    f^*(m_p) M_k (write y^beta = y_i y^gamma with |gamma| >= k+1), so with
+    the certificate rows only the target rows of |beta| <= k+1 are built.
+
+The first candidate is k = m + 3 - c, m the multiplicity of f, so the
+first elimination is at top m + 3; after a failure k moves to
+max(k + 2, v(k+1) + 1), v(k+1) being the exact value at degree k+1 that
+the failed elimination gave, and k never passes `d_max` (see
+`ring.stabilize_curve`).  Every value is invariant under linear changes
+of coordinates, so the engine works on the linear prenormal form of the
+germ (`germ.linear_prenormal_form`), which is the germ itself unless a
+linear change makes it strictly sparser.
 
 The rows are built in a reduced module, without the coordinate components
 of each branch (the unfolding reduction of Marar and Mond).  A component
@@ -49,16 +81,16 @@ e_{b,l'}.  Each target row is scaled by one integer so that its
 coefficients stay those of the germ times integers.  A branch without a
 coordinate component (a curve, say) is built in full.
 
-The engine builds and eliminates the rows once, at a top degree D, in a
-local order, and reads the value at every d <= D from the pivots (see
-`ring.eliminate_graded`); a higher D is tried only when the policy has not
-fired by D.  The rows come from the monomial index tables of `ring`: the
-slots are numbered by (degree, branch, kept component, monomial)
-arithmetically, a derivative row x^a * df_b/dx_j is one shift table per
-term of the partial, and the products (y^beta o f_b) * g, for g = 1 and for
-each partial a substituted target row needs, follow the same recursion
-over beta, kept by the index of beta and of each source monomial.  Rows
-with a single entry reach the elimination as killed columns.  The quotient
+The engine builds and eliminates the rows once per candidate k, at the
+top degree D = k + c, in a local order, and reads the value at every
+d <= D from the pivots (see `ring.eliminate_graded`).  The rows come from
+the monomial index tables of `ring`: the slots are numbered by (degree,
+branch, kept component, monomial) arithmetically, a derivative row
+x^a * df_b/dx_j is one shift table per term of the partial, and the
+products (y^beta o f_b) * g, for g = 1 and for each partial a substituted
+target row needs, follow the same recursion over beta, kept by the index
+of beta and of each source monomial.  Rows with a single entry reach the
+elimination as killed columns.  The quotient
 basis is returned as the free slots of that elimination, the standard
 monomials of the local order: the unit section at a slot places one
 source monomial in one kept component of one branch and zero elsewhere;
@@ -79,7 +111,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import NotStabilizedError
-from .germ import Branch, MultiGerm, linear_prenormal_form, multiplicity
+from .germ import Branch, MultiGerm, linear_prenormal_form, multiplicity_and_power
 from .ring import (DEFAULT_POLICY, MonomialTables, StabilizationPolicy,
                    add_multiples, eliminate_graded, monomial_tables,
                    stabilize_curve)
@@ -89,10 +121,13 @@ Slot = tuple[int, int, tuple[int, ...]]  # (branch, component, source monomial)
 
 @dataclass(frozen=True)
 class CodimResult:
-    """A stabilized codimension value with the witnessing quotient basis.
+    """A certified codimension value with the witnessing quotient basis.
 
-    `curve` holds the truncated values from the starting degree up to
-    `degree_used`; its last entry is `value`.  `basis` holds the free slots
+    `degree_used` is the degree k whose Nakayama certificate passed, and
+    `c` the power of the maximal ideal that certificate reached past it
+    (its elimination ran at top degree k + c).  `curve` holds the exact
+    truncated values from the first candidate degree up to `degree_used`;
+    its last entry is `value`.  `basis` holds the free slots
     (branch, component, source monomial), lowest degree first, whose unit
     sections form a basis of the quotient at `degree_used`; the slots refer
     to the linear prenormal form of the germ and lie in the components the
@@ -101,6 +136,7 @@ class CodimResult:
 
     value: int
     degree_used: int
+    c: int
     curve: tuple[int, ...]
     basis: tuple[Slot, ...]
 
@@ -126,12 +162,15 @@ def _coordinates(branch: Branch) -> dict[int, tuple[int, Fraction]]:
 
 
 def _generator_rows(f: MultiGerm, tables: MonomialTables, min_deg: int,
-                    coordinates, colmaps) -> tuple[list[dict], set[int]]:
+                    coordinates, colmaps,
+                    certify: int | None) -> tuple[list[dict], set[int]]:
     """The derivative and target rows of degree >= min_deg at the top
     degree of `tables`, in the reduced module, as rows and killed columns
     (`eliminate_graded`).  `coordinates[b]` is `_coordinates` of branch b,
     and `colmaps[b][l]` maps a monomial index to the column id of its slot
-    in kept component l of branch b."""
+    in kept component l of branch b.  With a candidate degree `certify` =
+    k, the certificate rows of k are added and the target rows stop at
+    |beta| = k + 1 (see the module docstring)."""
     n, p = f.n, f.p
     rows: list[dict] = []
     killed: set[int] = set()
@@ -157,7 +196,8 @@ def _generator_rows(f: MultiGerm, tables: MonomialTables, min_deg: int,
     # beta / y_v for the v in it with the fewest terms in f_b (for a
     # coordinate, one shift).  A one-term g is one more shift, applied to
     # the column map; a longer g starts the same recursion from g.
-    betas = monomial_tables(p, tables.top)
+    betas = monomial_tables(p, tables.top if certify is None
+                            else min(tables.top, certify + 1))
     below = betas.start[betas.top]
 
     def products(seed: dict, comps: list, parent: list) -> list[dict]:
@@ -209,13 +249,24 @@ def _generator_rows(f: MultiGerm, tables: MonomialTables, min_deg: int,
                 rows.append(row)
             else:
                 killed.update(row)
+
+    # certificate rows x^a * f_{b,i} in each kept component of branch b
+    if certify is not None:
+        for b, branch in enumerate(f.branches):
+            for comp in branch.components:
+                terms = tables.terms(comp)
+                for cm in colmaps[b].values():
+                    add_multiples(tables, [(k, c, cm) for k, c in terms],
+                                  certify + 1, rows, killed, memo)
     return rows, killed
 
 
-def _graded_tangent(f: MultiGerm, top: int,
-                    extended: bool) -> tuple[list[int], list[Slot]]:
+def _graded_tangent(f: MultiGerm, top: int, extended: bool,
+                    certify: int | None = None) -> tuple[list[int], list[Slot]]:
     """One elimination at top degree `top`: the value at every degree
-    0..top and the free slots in ascending order.
+    0..top and the free slots in ascending order.  With a candidate degree
+    `certify`, the rows are those of its certificate, and the values and
+    slots are the engine's own at degrees <= certify + 1 only.
 
     The slots run by (degree, branch, kept component, monomial): with K
     kept components over all branches, the q-th of them in (branch,
@@ -243,7 +294,8 @@ def _graded_tangent(f: MultiGerm, top: int,
 
     # the builder's tables die before the elimination allocates
     values, free = eliminate_graded(
-        widths, *_generator_rows(f, tables, min_deg, coordinates, colmaps))
+        widths, *_generator_rows(f, tables, min_deg, coordinates, colmaps,
+                                 certify))
     bounds = [kept * s for s in start]  # where each degree block begins
     slots = []
     for position in free:
@@ -259,11 +311,15 @@ def _stabilized_codim(f: MultiGerm, policy: StabilizationPolicy,
     # the value at every degree is invariant under linear changes of
     # coordinates, and the sparser form costs far less fill-in
     g, _, _ = linear_prenormal_form(f)
-    curve, degree, free = stabilize_curve(
-        lambda top: _graded_tangent(g, top, extended),
-        multiplicity(f, policy) + 4, policy.window, policy.d_max,
+    m, c = multiplicity_and_power(f, policy)
+    start = m + 3 - c
+    values, degree, free = stabilize_curve(
+        lambda k, top: _graded_tangent(g, top, extended, k), start, c,
+        lambda k, values: max(k + 2, values[k + 1] + 1), policy.d_max,
         "codimension")
-    return CodimResult(value=curve[-1], degree_used=degree, curve=curve,
+    # the first candidate was min(start, d_max), which is at most degree
+    return CodimResult(value=values[-1], degree_used=degree, c=c,
+                       curve=values[min(start, degree):],
                        basis=tuple(free))
 
 
@@ -298,9 +354,9 @@ def _codim(f: MultiGerm, policy: StabilizationPolicy,
 def ae_codim(f: MultiGerm, policy: StabilizationPolicy = DEFAULT_POLICY) -> CodimResult:
     """Codimension of the extended tangent space; 0 exactly for stable germs.
 
-    Raises NotStabilizedError when the policy does not fire by d_max; a
-    repeated call raises a fresh one with the same message, d_max and
-    history without computing again."""
+    Raises NotStabilizedError when no candidate degree up to d_max passes
+    its certificate; a repeated call raises a fresh one with the same
+    message, d_max and history without computing again."""
     return _codim(f, policy, extended=True)
 
 

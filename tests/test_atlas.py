@@ -111,8 +111,9 @@ class TestVerify:
         assert (row.computed, row.expected, row.match) == (0, 0, True)
 
     def test_not_stabilized_reported_as_mismatch(self):
-        tight = StabilizationPolicy(d_max=4)
-        row = atlas.verify("A2A2-d", None, tight)
+        # 4_2^6 is certified only at degree 11
+        tight = StabilizationPolicy(d_max=10)
+        row = atlas.verify("4_2^k", {"k": 6}, tight)
         assert row.match is False and row.computed is None
         assert "stabilize" in row.note
 
@@ -134,41 +135,40 @@ class TestVerify:
 
 class TestStabilizationEnvelope:
     def test_default_window_covers_parameters_up_to_four(self):
-        # the default policy (window 2, cap 16) is designed to cover every
-        # catalog row at parameters <= 4
+        # the default policy (cap 16) certifies every catalog row at
+        # parameters <= 4
         report = atlas.verify_all(4)
         assert report.all_match and len(report.rows) == 79
 
-    def test_windows_agree_inside_the_envelope(self):
-        # a wider window must reproduce the same values on the catalog:
-        # guards against plateau artifacts sneaking into the sweep
-        strict = StabilizationPolicy(window=3)
-        for entry in atlas.entries():
-            for params in atlas._parameter_sweep(entry, 2):
-                g = atlas.instantiate(entry.name, params)
-                assert ae_codim(g).value == ae_codim(g, strict).value, \
-                    f"{entry.name} {params}"
+    def test_every_catalog_row_through_cap_eight_is_certified(self):
+        # the stair rows 4_2^k (k >= 6) and A1A3 (k >= 7) included, which a
+        # plateau rule under-reported
+        report = atlas.verify_all(8)
+        assert len(report.rows) == 165
+        assert all(row.match for row in report.rows), \
+            [row for row in report.rows if not row.match]
 
     def test_known_false_plateau_beyond_the_envelope(self):
         # the second quartic family climbs in steps with internal plateaus
-        # of length 2, so the default window stops one step early at k = 6;
-        # a window of 3 recovers the table value.  This pins the documented
-        # limitation of the stabilization heuristic.
+        # of length 2: at k = 6 the values sit at 5 on degrees 9 and 10, and
+        # the certificate rejects that plateau; it passes at degree 11 with
+        # the table value
         g = atlas.instantiate("4_2^k", {"k": 6})
-        assert ae_codim(g).value == 5  # under-report with the default policy
-        assert ae_codim(g, StabilizationPolicy(window=3)).value == 6
-        row = atlas.verify("4_2^k", {"k": 6}, StabilizationPolicy(window=3))
-        assert row.match
+        result = ae_codim(g)
+        assert (result.value, result.degree_used) == (6, 11)
+        assert result.curve[-3:] == (5, 5, 6)
+        assert atlas.verify("4_2^k", {"k": 6}).match
 
-    def test_wider_window_fails_honestly_at_the_degree_cap(self):
-        # at k = 8 the window-3 policy refuses to commit below the default
-        # degree cap instead of reporting a too-small value; a larger cap
-        # recovers the table value exactly
+    def test_stair_row_fails_honestly_below_its_certified_degree(self):
+        # 4_2^8 is certified at degree 15 under the default cap; a cap of 14
+        # raises instead of reporting a too-small value
         from germcalc.errors import NotStabilizedError
         g = atlas.instantiate("4_2^k", {"k": 8})
-        with pytest.raises(NotStabilizedError):
-            ae_codim(g, StabilizationPolicy(window=3))
-        assert ae_codim(g, StabilizationPolicy(window=3, d_max=20)).value == 8
+        result = ae_codim(g)
+        assert (result.value, result.degree_used) == (8, 15)
+        with pytest.raises(NotStabilizedError) as info:
+            ae_codim(g, StabilizationPolicy(d_max=14))
+        assert info.value.d_max == 14 and info.value.history[-1] == 7
 
 
 class TestMu1Erratum:

@@ -203,6 +203,9 @@ class TestParsePoly:
             syntax.parse_poly("t^2", names=("x", "y"))
 
 
+FOUR_2_6 = "(x, y, x^6*z+z^4+x*z^2+y^2*z)"  # 4_2^k at k = 6
+
+
 class TestRun:
     def test_eval_json(self, capsys):
         code = cli.run(["eval", "--germ", "(x,y,z^5+x*z+y*z^2)", "--json"])
@@ -248,28 +251,33 @@ class TestRun:
         assert "internal error" in capsys.readouterr().err
 
     def test_not_stabilized_exit_code(self, capsys):
+        # (x, y, z^3) is not finitely determined: no cap certifies it
         code = cli.run(["eval", "--germ", "(x,y,z^3)", "--max-degree", "6"])
         assert code == 2
 
     def test_max_degree_environment_variable_is_ignored(self, capsys,
                                                         monkeypatch):
-        # --max-degree is the only way to set the cap; at cap 6 the fold's
-        # codimension could not stabilize (it starts at degree 6)
+        # --max-degree is the only way to set the cap; 4_2^6 is certified
+        # at degree 11, so a cap of 6 would fail
         monkeypatch.setenv("GERMCALC_MAX_DEGREE", "6")
-        assert cli.run(["eval", "--germ", "(x,y,z^2)"]) == 0
+        assert cli.run(["eval", "--germ", FOUR_2_6]) == 0
 
-    @pytest.mark.parametrize("flags", [["--window", "1"], ["--d0", "5"]],
-                             ids=["window-1", "d0"])
+    @pytest.mark.parametrize("flags", [["--window", "1"], ["--window", "2"],
+                                       ["--d0", "5"]],
+                             ids=["window-1", "window-2", "d0"])
     def test_rejected_engine_settings_exit_1(self, capsys, flags):
         assert cli.run(["eval", "--germ", "(x,y,z^2)", *flags]) == 1
 
     def test_start_above_the_cap_names_both_degrees(self, capsys):
-        # multiplicity 4, so the codimension starts at degree 8
-        code = cli.run(["eval", "--germ", "{(x,y,z^2);(x,y,z^2+y)}",
-                        "--max-degree", "6"])
+        # A1A3 k = 8 has multiplicity 6 and c = 4, so its codimension starts
+        # at degree 5; a cap of 4 tries degree 4 alone, where no certificate
+        # passes (it is certified at 15)
+        code = cli.run(["eval", "--germ", "{(x^4+x^2*y+x*z,z,y);(x,y^8+z^2,y)}",
+                        "--max-degree", "4"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "starts at degree 8" in err and "by degree 6" in err
+        assert "by degree 4" in err and "at degrees [4]" in err
+        assert "start degree 5" in err
 
     def test_gate_not_simple(self, capsys):
         code = cli.run(["gate", "--germ",
@@ -334,6 +342,33 @@ class TestRun:
         assert atlas_entry["evidence"]["d_max"] == 16
         history = atlas_entry["evidence"]["history"]
         assert history and history == sorted(history) and history[0] < history[-1]
+
+    def test_gate_sextuple_point_skips_the_primitive_rule(self, capsys):
+        # n = 3 is below the threshold of the immersion-partner rule
+        code = cli.run(["gate", "--germ", "{(x,y,z,0);(x,y,0,z);(x,0,y,z);"
+                        "(0,x,y,z);(x,y,z,x);(x,y,z,y)}", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["verdict"]["kind"] == "not_simple"
+        entry, = [t for t in out["trace"]
+                  if t["gate"] == "primitive_plus_morse"]
+        assert entry["kind"] == "unknown"
+        assert entry["unverified_hypotheses"] == [
+            "dimensions below the threshold for the immersion partner, "
+            "(n, n+1) rule"]
+
+    def test_eval_reports_each_certificate(self, capsys):
+        # 4_2^6: multiplicity 4 and c = 4, so the candidates start at
+        # degree 3; the certificate passes at degree 11
+        code = cli.run(["eval", "--germ", FOUR_2_6, "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["invariants"]["aecod"] == 6
+        assert out["degrees_used"]["aecod"] == 11
+        assert out["c"] == {"aecod": 4, "acod": 4}
+        assert len(out["curves"]["aecod"]) == 11 - 3 + 1
+        assert cli.run(["eval", "--germ", FOUR_2_6]) == 0
+        assert ("aecod:    6   (certified at degree 11, c = 4)\n"
+                in capsys.readouterr().out)
 
     def test_gate_text_shows_the_reason_of_an_unknown_entry(self, capsys):
         code = cli.run(["gate", "--germ", "{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);"
@@ -413,10 +448,13 @@ class TestRun:
         assert code == 0 and out["all_match"] is True
 
     def test_atlas_verify_stabilization_failure_exit_code(self, capsys):
+        # the multiplicity 5 of 5_1 and 5_2 is certified only at degree 4
         code = cli.run(["atlas", "verify", "--param-cap", "1",
-                        "--max-degree", "6", "--json"])
+                        "--max-degree", "3", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert code == 2 and out["all_match"] is False
+        assert {row["name"] for row in out["rows"] if not row["match"]} == \
+            {"5_1", "5_2"}
 
     def test_atlas_lookup(self, capsys):
         code = cli.run(["atlas", "lookup", "--germ",

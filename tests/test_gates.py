@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from germcalc import gates, syntax
+from germcalc import gates, syntax, tangent
 from germcalc.errors import NotStabilizedError
 from germcalc.gates import (FLAG_AUG_SIMPLE, FLAG_DZ, FLAG_PRIMITIVITY,
                             FLAG_TRANSVERSALITY, NOT_SIMPLE, SIMPLE, UNKNOWN,
@@ -135,6 +135,24 @@ class TestGatePrimitivePlusMorse:
     def test_34_bigerm_below_threshold(self):
         g = P("{(y,z,x^3+y*x,x^4+z*x);(y,y,z,x)}")
         assert gate_primitive_plus_morse(g, primitive_flag=True).kind == UNKNOWN
+
+    def test_below_threshold_computes_no_codimension(self, monkeypatch):
+        # the rule cannot fire at n = 3, p = 4, so the sextuple point's
+        # 5-branch codimension, which does not stabilize, is never asked for
+        calls = []
+
+        def counting(f, policy=None):
+            calls.append(f)
+            raise AssertionError("no codimension expected")
+
+        monkeypatch.setattr(tangent, "ae_codim", counting)
+        v = gate_primitive_plus_morse(SEXTUPLE_34, primitive_flag=True)
+        assert v.kind == UNKNOWN
+        assert v.unverified == (
+            "dimensions below the threshold for the immersion partner, "
+            "(n, n+1) rule",)
+        assert dict(v.evidence) == {"n": 3, "p": 4}
+        assert calls == []
 
 
 class TestGateAugconc:

@@ -26,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from germcalc import atlas, tangent
 from germcalc.errors import NotStabilizedError
-from germcalc.germ import Branch, MultiGerm, multiplicity
+from germcalc.germ import (Branch, MultiGerm, multiplicity,
+                           multiplicity_and_power)
 from germcalc.ring import (Poly, StabilizationPolicy, _graded_ideal,
                            eliminate_graded, monomial_mul, monomials_up_to,
                            quotient_dim, substitute)
@@ -184,11 +185,29 @@ def reference_coordinates(f: MultiGerm) -> list[dict]:
     return out
 
 
-def reduced_graded_tangent(f: MultiGerm, top: int, extended: bool):
+def reference_certificate_rows(f: MultiGerm, k: int, top: int) -> list[dict]:
+    """The rows x^a * f_{b,i} e_{b,l} for |a| >= k+1, every branch b,
+    component i and component l, truncated at top and keyed by slot."""
+    rows = []
+    for b, branch in enumerate(f.branches):
+        for comp in branch.components:
+            for alpha in monomials_up_to(f.n, top):
+                if sum(alpha) > k:
+                    multiple = (comp * Poly.monomial(f.n, alpha)).truncate(top)
+                    for l in range(f.p):
+                        rows.append({(b, l, mono): c
+                                     for mono, c in multiple.items()})
+    return [row for row in rows if row]
+
+
+def reduced_graded_tangent(f: MultiGerm, top: int, extended: bool,
+                           certify: int | None = None):
     """`_graded_tangent` from the full module's reference rows with the
     substitution e_{b,l} -> -(1/c) sum over kept l' of (df_{b,l'}/dx_j)
     e_{b,l'} applied to every term of a coordinate component l = c x_j,
-    through a plain RowSpan over the slots of the kept components."""
+    through a plain RowSpan over the slots of the kept components.  With
+    a candidate degree `certify`, the certificate rows of the full module
+    are added, and every target row is built."""
     coords = reference_coordinates(f)
     # the image of e_{b,l} for each coordinate l: (l', monomial, coefficient)
     images = [{l: [(k, m, -w / c) for k in range(f.p) if k not in coords[b]
@@ -200,7 +219,10 @@ def reduced_graded_tangent(f: MultiGerm, top: int, extended: bool):
     last = len(slots) - 1
     col = {s: last - i for i, s in enumerate(slots)}
     span = RowSpan()
-    for row in reference_tangent_rows(f, top, extended, {s: s for s in full}):
+    rows = reference_tangent_rows(f, top, extended, {s: s for s in full})
+    if certify is not None:
+        rows += reference_certificate_rows(f, certify, top)
+    for row in rows:
         reduced: dict = {}
         for (b, l, mono), v in row.items():
             if l not in coords[b]:
@@ -454,9 +476,86 @@ def test_unstabilized_history_is_the_curve_from_d0_to_d_max():
     with pytest.raises(NotStabilizedError) as info:
         quotient_dim([V(2, 0)], 2, StabilizationPolicy(d_max=5))
     assert info.value.history == (3, 4, 5, 6)
-    # a start above the cap has no values at all
-    x, y, z = V(3, 0), V(3, 1), V(3, 2)
+    # 4_2^6 starts at degree 3 and is certified only at degree 11; the
+    # history is its exact curve from 3 to the cap
     with pytest.raises(NotStabilizedError) as info:
-        ae_codim(MultiGerm((Branch((x, y, z ** 3)),)),
-                 StabilizationPolicy(d_max=6))
-    assert info.value.history == ()
+        ae_codim(atlas.instantiate("4_2^k", {"k": 6}),
+                 StabilizationPolicy(d_max=10))
+    assert info.value.history == (2, 2, 3, 3, 4, 4, 5, 5)
+
+
+# -- the Nakayama certificate ----------------------------------------------
+
+def passes(f: MultiGerm, k: int, extended: bool = True) -> bool:
+    """Whether the certificate of the candidate degree k passes."""
+    _, c = multiplicity_and_power(f)
+    values, _ = _graded_tangent(f, k + c, extended, k)
+    return values[k + c] == values[k]
+
+
+def test_certificate_rejects_the_false_plateau():
+    # 4_2^6 sits at 5 on degrees 9 and 10; the certificate at k = 10 fails
+    # and the one at k = 11 passes, with the table value 6
+    g = atlas.instantiate("4_2^k", {"k": 6})
+    assert not passes(g, 10)
+    assert passes(g, 11)
+    assert _graded_tangent(g, 15, True, 11)[0][11] == 6
+
+
+@pytest.mark.parametrize("name,params,ks", [
+    ("4_2^k", {"k": 6}, range(8, 14)),
+    ("A1A3", {"k": 7}, range(10, 15)),
+    ("A2A2-d", None, range(2, 7)),
+    ("A1A2-a", {"k": 3}, range(2, 7)),
+])
+def test_passing_is_monotone(name, params, ks):
+    g = atlas.instantiate(name, params)
+    for extended in (True, False):
+        results = [passes(g, k, extended) for k in ks]
+        assert results == sorted(results), (extended, results)
+        assert results[-1]
+
+
+def test_power_is_the_least_power_of_m_inside_each_branch_ideal():
+    # brute force on the reference builder: m^d lies in I exactly when
+    # I + m^d has the colength of I, read at degree d - 1
+    seen = set()
+    for _, germ in cap3_rows():
+        for branch in germ.branches:
+            if branch in seen:
+                continue
+            seen.add(branch)
+            gens = list(branch.components)
+            mu = quotient_dim(gens, branch.n)
+            least = next(d for d in range(1, mu + 1)
+                         if ideal_reference(gens, branch.n, d - 1) == mu)
+            assert multiplicity_and_power(MultiGerm((branch,))) == (mu, least)
+
+
+@pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
+@pytest.mark.parametrize("name,params", [
+    ("A1A2-a", {"k": 2}), ("5_1", None), ("A2A2-b", None), ("4_1^k", {"k": 2}),
+    ("A1A1A1-b", {"k": 1}),
+])
+def test_target_row_cut_matches_every_target_row(name, params, extended):
+    # the engine builds target rows only up to |beta| = k + 1; a reference
+    # with every target row and the full module's certificate rows, reduced
+    # term by term, leaves the same values and free slots, and without the
+    # reduction the same values
+    g = atlas.instantiate(name, params)
+    _, c = multiplicity_and_power(g)
+    for k in (1, 2):
+        top = k + c
+        curve, free = _graded_tangent(g, top, extended, k)
+        assert (curve, free) == reduced_graded_tangent(g, top, extended, k)
+        slots = reference_slots(g, top, extended)
+        last = len(slots) - 1
+        col = {s: last - i for i, s in enumerate(slots)}
+        span = RowSpan()
+        for row in (reference_tangent_rows(g, top, extended, col)
+                    + [{col[s]: v for s, v in row.items()
+                        if col.get(s) is not None}
+                       for row in reference_certificate_rows(g, k, top)]):
+            span.insert(row)
+        assert curve == graded_curve(
+            [s for s in slots if col[s] not in span.pivots], top)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from germcalc.errors import NotStabilizedError
 from germcalc.ring import (Poly, StabilizationPolicy, _graded_ideal,
                            is_quasi_homogeneous, milnor, monomials_up_to,
-                           quotient_dim, substitute, tjurina)
+                           quotient_curve, quotient_dim, substitute, tjurina)
 
 
 def V(n, i):
@@ -229,19 +229,21 @@ def test_quotient_dim_invariant_under_generator_mixing():
 
 
 def test_policy_validation():
+    # the degree cap is the only setting
     with pytest.raises(ValueError):
-        StabilizationPolicy(window=0)
-    with pytest.raises(ValueError):
-        StabilizationPolicy(window=1)
+        StabilizationPolicy(d_max=0)
+    with pytest.raises(TypeError):
+        StabilizationPolicy(window=2)
 
 
-def test_ideal_quotient_ignores_the_window():
-    # the values of (x, y^5) run 3, 4, 5, 5 from degree 2; the first repeat
-    # at degree 5 is exact, so a window of 3 must not push the loop past
-    # the cap
+def test_ideal_quotient_cap_bounds_the_candidate_degree():
+    # the values of (x, y^5) run 3, 4, 5, 5 from degree 2; the candidate
+    # degree 4 passes on the repeat at degree 5, so a cap of 4 suffices
     x, y = V(2, 0), V(2, 1)
-    assert quotient_dim([x, y ** 5], 2,
-                        StabilizationPolicy(window=3, d_max=5)) == 5
+    assert quotient_curve([x, y ** 5], 2, StabilizationPolicy(d_max=4)) == \
+        (1, 2, 3, 4, 5)
+    with pytest.raises(NotStabilizedError):
+        quotient_dim([x, y ** 5], 2, StabilizationPolicy(d_max=3))
 
 
 def test_monomials_up_to_counts():
