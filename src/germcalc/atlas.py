@@ -36,7 +36,7 @@ from . import germ as germ_mod
 from . import syntax, tangent
 from .errors import NotStabilizedError
 from .germ import MultiGerm
-from .ring import DEFAULT_POLICY, Poly, StabilizationPolicy, milnor
+from .ring import D_MAX, Poly, milnor
 
 
 # -- simple plane function germs ---------------------------------------------
@@ -382,7 +382,7 @@ def _params_text(params: Mapping) -> str:
 
 
 def verify(name: str, params: Mapping | None = None,
-           policy: StabilizationPolicy = DEFAULT_POLICY) -> VerifyRow:
+           d_max: int = D_MAX) -> VerifyRow:
     """Recompute the codimension of one instantiation and compare."""
     entry = _BY_NAME.get(name)
     if entry is None:
@@ -391,7 +391,7 @@ def verify(name: str, params: Mapping | None = None,
     expected = expected_codim(name, params)
     start = time.perf_counter()
     try:
-        result = tangent.ae_codim(instantiate(name, params), policy)
+        result = tangent.ae_codim(instantiate(name, params), d_max)
         elapsed = time.perf_counter() - start
         return VerifyRow(name=name, params_text=_params_text(display),
                          computed=result.value, expected=expected,
@@ -416,14 +416,14 @@ def _parameter_sweep(entry: AtlasEntry, param_cap: int) -> list[Mapping]:
 
 
 def verify_all(param_cap: int = 3,
-               policy: StabilizationPolicy = DEFAULT_POLICY) -> VerifyReport:
+               d_max: int = D_MAX) -> VerifyReport:
     """Recompute every catalog row at all parameter values up to the cap."""
     if param_cap < 1:
         raise ValueError("param_cap must be at least 1")
     rows = []
     for entry in _CATALOG:
         for params in _parameter_sweep(entry, param_cap):
-            rows.append(verify(entry.name, params, policy))
+            rows.append(verify(entry.name, params, d_max))
     return VerifyReport(rows=tuple(rows))
 
 
@@ -462,7 +462,7 @@ def _candidate_params(entry: AtlasEntry, aecod: int) -> list[Mapping]:
 
 
 def lookup(f: MultiGerm,
-           policy: StabilizationPolicy = DEFAULT_POLICY) -> LookupResult:
+           d_max: int = D_MAX) -> LookupResult:
     """Classify a germ against the catalog.
 
     Matches on the invariant tuple (n, p, r, type label, multiplicity,
@@ -471,9 +471,9 @@ def lookup(f: MultiGerm,
     exact=True.  Raises NotCorankOneError for corank >= 2 input and
     propagates stabilization failures.
     """
-    t_f = germ_mod.recognize_type(f, policy)
-    m0_f = germ_mod.multiplicity(f, policy)
-    ae_f = tangent.ae_codim(f, policy).value
+    t_f = germ_mod.recognize_type(f, d_max)
+    m0_f = germ_mod.multiplicity(f, d_max)
+    ae_f = tangent.ae_codim(f, d_max).value
     shape = (f.n, f.p, f.r)
     candidates: list[tuple[str, Mapping, MultiGerm]] = []
     for entry in _CATALOG:
@@ -481,9 +481,9 @@ def lookup(f: MultiGerm,
             inst = instantiate(entry.name, params)
             if (inst.n, inst.p, inst.r) != shape:
                 continue
-            if germ_mod.recognize_type(inst, policy) != t_f:
+            if germ_mod.recognize_type(inst, d_max) != t_f:
                 continue
-            if germ_mod.multiplicity(inst, policy) != m0_f:
+            if germ_mod.multiplicity(inst, d_max) != m0_f:
                 continue
             display, _ = _normalize_params(entry, params)
             candidates.append((entry.name, display, inst))

@@ -5,9 +5,10 @@ Subcommands: `eval` (invariants), `build` (constructions), `gate`
 read and printed in the surface syntax of `germcalc.syntax`, whose parser,
 printer and canonical keys this module re-exports.  Exit codes: 0 success,
 1 parse/validation error, 2 failure to stabilize, 3 internal error.
-The engine flag `--max-degree` is the only engine setting: it bounds the
-degree at which a dimension may be certified (a codimension's certificate
-elimination runs c degrees above it).
+The engine flag `--max-degree` is the only engine setting, passed to the
+library as `d_max` (default `ring.D_MAX`): it bounds the degree at which a
+dimension may be certified (a codimension's certificate elimination runs c
+degrees above it).  A value below 1 exits 1 before any subcommand runs.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from . import atlas, gates, ops, tangent
 from . import germ as germ_mod
 from .errors import GermcalcError, NotCorankOneError, NotStabilizedError
 from .germ import MultiGerm
-from .ring import Poly, StabilizationPolicy
+from .ring import D_MAX, Poly
 # the whole parse/print surface, re-exported for callers of the CLI module
-from .syntax import (canonical_match_key, canonical_text_modulo_branches,  # noqa: F401
-                     canonical_variable_order, format_multigerm, parse_multigerm,
-                     parse_poly, render_poly)
+from .syntax import (canonical_match_key, canonical_variable_order,  # noqa: F401
+                     format_multigerm, parse_multigerm, parse_poly, render_poly)
 
 
 # -- JSON helpers -------------------------------------------------------------
@@ -57,30 +57,26 @@ def _verdict_json(verdict) -> dict:
 
 # -- subcommands ---------------------------------------------------------------
 
-def _policy_from_args(args) -> StabilizationPolicy:
-    return StabilizationPolicy(d_max=args.max_degree)
-
-
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-degree", type=int, default=16,
+    sub.add_argument("--max-degree", type=int, default=D_MAX,
                      help="largest degree a dimension may be certified at "
-                          "(default 16)")
+                          f"(default {D_MAX})")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def _cmd_eval(args) -> int:
-    policy = _policy_from_args(args)
+    d_max = args.max_degree
     f = parse_multigerm(args.germ, source_dim=args.source_dim,
                         target_dim=args.target_dim)
-    m0 = germ_mod.multiplicity(f, policy)
+    m0 = germ_mod.multiplicity(f, d_max)
     cork = germ_mod.germ_corank(f)
     try:
-        atype = list(germ_mod.recognize_type(f, policy).ks)
+        atype = list(germ_mod.recognize_type(f, d_max).ks)
     except NotCorankOneError:
         atype = None
-    ae = tangent.ae_codim(f, policy)
-    a = tangent.a_codim(f, policy)
-    wilson = tangent.wilson_check(f, policy)
+    ae = tangent.ae_codim(f, d_max)
+    a = tangent.a_codim(f, d_max)
+    wilson = tangent.wilson_check(f, d_max)
     payload = {
         "germ": format_multigerm(f),
         "invariants": {
@@ -121,7 +117,7 @@ def _unfolding_from_expr(expr: str, s: int):
 
 
 def _cmd_build(args) -> int:
-    policy = _policy_from_args(args)
+    d_max = args.max_degree
     check = not args.unchecked
     op = args.operation
     if op in ("augment", "augconc") and not args.phi:
@@ -131,24 +127,24 @@ def _cmd_build(args) -> int:
     if op == "augment":
         u = _unfolding_from_expr(args.germ, 1)
         phi = parse_poly(args.phi)
-        result = ops.augment(u, phi, policy, check_stability=check)
+        result = ops.augment(u, phi, d_max, check_stability=check)
     elif op == "monic":
         u = _unfolding_from_expr(args.germ, 1)
-        result = ops.monic_concat(u, policy, check_stability=check)
+        result = ops.monic_concat(u, d_max, check_stability=check)
     elif op == "binary":
         if not args.germ2:
             raise ValueError("binary concatenation needs --germ2")
         u = _unfolding_from_expr(args.germ, 1)
         v = _unfolding_from_expr(args.germ2, 1)
-        result = ops.binary_concat(u, v, policy, check_stability=check)
+        result = ops.binary_concat(u, v, d_max, check_stability=check)
     elif op == "genconc":
         u = _unfolding_from_expr(args.germ, args.s)
         gbar = parse_multigerm(args.gbar)
-        result = ops.generalised_concat(u, gbar, policy, check_stability=check)
+        result = ops.generalised_concat(u, gbar, d_max, check_stability=check)
     elif op == "augconc":
         u = _unfolding_from_expr(args.germ, 1)
         phi = parse_poly(args.phi)
-        result = ops.sim_aug_concat(u, phi, policy, check_stability=check)
+        result = ops.sim_aug_concat(u, phi, d_max, check_stability=check)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown build operation {op!r}")
     text = format_multigerm(result)
@@ -160,11 +156,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    policy = _policy_from_args(args)
     f = parse_multigerm(args.germ)
     flags = frozenset(s.strip() for s in (args.asserted or "").split(",") if s.strip())
     report = gates.simplicity_report(
-        f, policy, gates.ReportAssertions(flags=flags))
+        f, args.max_degree, gates.ReportAssertions(flags=flags))
     payload = {
         "germ": format_multigerm(f),
         "verdict": _verdict_json(report.verdict),
@@ -189,10 +184,9 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    policy = _policy_from_args(args)
     action = args.action
     if action == "verify":
-        report = atlas.verify_all(args.param_cap, policy)
+        report = atlas.verify_all(args.param_cap, args.max_degree)
         if args.json:
             print(json.dumps(_jsonable(report.as_dict()), sort_keys=True))
         else:
@@ -215,7 +209,7 @@ def _cmd_atlas(args) -> int:
         if not args.germ:
             raise ValueError("lookup needs --germ")
         f = parse_multigerm(args.germ)
-        result = atlas.lookup(f, policy)
+        result = atlas.lookup(f, args.max_degree)
         payload = {
             "germ": format_multigerm(f),
             "exact": result.exact,
@@ -300,6 +294,9 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    if args.max_degree < 1:
+        print("error: d_max must be at least 1", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except NotStabilizedError as exc:

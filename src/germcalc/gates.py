@@ -32,7 +32,7 @@ from . import tangent
 from .errors import NotCorankOneError, NotStabilizedError, NotStableTypeError
 from .germ import (AType, MultiGerm, corank, multiplicity, recognize_type,
                    stratum_dim)
-from .ring import DEFAULT_POLICY, Poly, StabilizationPolicy, is_quasi_homogeneous
+from .ring import D_MAX, Poly, is_quasi_homogeneous
 
 FLAG_DZ = "dz_condition"
 FLAG_AUG_SIMPLE = "augmentation_simple"
@@ -98,15 +98,14 @@ def nishimura_bound(n: int, p: int, r: int) -> Fraction:
     return Fraction(p * p + (n - 1) * r, n * (p - n) + n - 1)
 
 
-def gate_nishimura(f: MultiGerm,
-                   policy: StabilizationPolicy = DEFAULT_POLICY) -> Verdict:
+def gate_nishimura(f: MultiGerm, d_max: int = D_MAX) -> Verdict:
     """Necessary condition: multiplicity must not exceed the bound."""
     if any(corank(b) > 1 for b in f.branches):
         return Verdict.unknown("corank at most 1")
     if f.n > f.p or f.n * f.p == 1:
         return Verdict.unknown(f"dimension range (n, p) = ({f.n}, {f.p}) not covered")
     bound = nishimura_bound(f.n, f.p, f.r)
-    m0 = multiplicity(f, policy)
+    m0 = multiplicity(f, d_max)
     if m0 > bound:
         return Verdict.not_simple(
             "multiplicity bound", multiplicity=m0, bound=bound,
@@ -123,8 +122,7 @@ def _is_prism_or_immersion(part: MultiGerm, t: AType) -> bool:
     return t.ks == (0,)
 
 
-def gate_tau_pairing(f: MultiGerm,
-                     policy: StabilizationPolicy = DEFAULT_POLICY) -> Verdict:
+def gate_tau_pairing(f: MultiGerm, d_max: int = D_MAX) -> Verdict:
     """Stable-pair obstruction over all branch bipartitions.
 
     For a split f = {fs, gs} into two stable parts with the analytic
@@ -142,7 +140,7 @@ def gate_tau_pairing(f: MultiGerm,
     if r > 8:
         return Verdict.unknown("bipartition search is capped at 8 branches")
     try:
-        branch_types = [recognize_type(MultiGerm((b,)), policy).ks[0]
+        branch_types = [recognize_type(MultiGerm((b,)), d_max).ks[0]
                         for b in f.branches]
     except NotCorankOneError:
         return Verdict.unknown("corank at most 1")
@@ -150,13 +148,11 @@ def gate_tau_pairing(f: MultiGerm,
         return Verdict.unknown("submersive branch in the equidimensional case")
 
     indices = range(r)
-    stability_cache: dict[tuple[int, ...], bool] = {}
 
     def part_stable(sub: tuple[int, ...]) -> bool:
-        if sub not in stability_cache:
-            part = MultiGerm(tuple(f.branches[i] for i in sub))
-            stability_cache[sub] = tangent.is_stable(part, policy)
-        return stability_cache[sub]
+        # ae_codim's cache holds the answer for a part already asked about
+        return tangent.is_stable(MultiGerm(tuple(f.branches[i] for i in sub)),
+                                 d_max)
 
     for size in range(1, r):
         for fs in itertools.combinations(indices, size):
@@ -188,8 +184,7 @@ def gate_tau_pairing(f: MultiGerm,
     return Verdict.unknown("no bipartition matches the hypotheses")
 
 
-def gate_branch_count(f: MultiGerm,
-                      policy: StabilizationPolicy = DEFAULT_POLICY) -> Verdict:
+def gate_branch_count(f: MultiGerm, d_max: int = D_MAX) -> Verdict:
     """Equidimensional branch-count bound: simple needs r <= n - k_1 + 2."""
     n, p, r = f.n, f.p, f.r
     if n != p:
@@ -197,7 +192,7 @@ def gate_branch_count(f: MultiGerm,
     if r < 2:
         return Verdict.unknown("needs at least two branches")
     try:
-        t = recognize_type(f, policy)
+        t = recognize_type(f, d_max)
     except NotCorankOneError:
         return Verdict.unknown("corank at most 1")
     k1 = t.ks[0]
@@ -211,7 +206,7 @@ def gate_branch_count(f: MultiGerm,
 
 
 def gate_primitive_plus_morse(f: MultiGerm,
-                              policy: StabilizationPolicy = DEFAULT_POLICY,
+                              d_max: int = D_MAX,
                               primitive_flag: bool = False) -> Verdict:
     """A primitive codimension-1 part plus a fold (n = p > 2) or an
     immersion (p = n + 1, n > 3) is never simple.
@@ -240,13 +235,13 @@ def gate_primitive_plus_morse(f: MultiGerm,
     for idx in range(f.r):
         partner = MultiGerm((f.branches[idx],))
         try:
-            t = recognize_type(partner, policy)
+            t = recognize_type(partner, d_max)
         except NotCorankOneError:
             continue
         if t.ks != partner_label:
             continue
         rest = MultiGerm(tuple(b for i, b in enumerate(f.branches) if i != idx))
-        base_cod = tangent.ae_codim(rest, policy).value
+        base_cod = tangent.ae_codim(rest, d_max).value
         if base_cod != 1:
             continue
         if not primitive_flag:
@@ -299,7 +294,7 @@ PARTNER_TWO_IMMERSIONS = "two_transversal_immersions"
 
 
 def gate_aug_cusp(f_aug: MultiGerm, partner_kind: str,
-                  policy: StabilizationPolicy = DEFAULT_POLICY) -> Verdict:
+                  d_max: int = D_MAX) -> Verdict:
     """Multiplicity bound for an augmentation joined with a cuspidal edge or
     a transversal pair of folds (n >= p), or two transversal immersions
     (p = n + 1)."""
@@ -315,7 +310,7 @@ def gate_aug_cusp(f_aug: MultiGerm, partner_kind: str,
         bound = Fraction(n * n + n, 2 * n - 1)
     else:
         raise ValueError(f"unknown partner kind {partner_kind!r}")
-    m0 = multiplicity(f_aug, policy)
+    m0 = multiplicity(f_aug, d_max)
     if m0 > bound:
         return Verdict(
             NOT_SIMPLE,
@@ -352,9 +347,9 @@ class SimplicityReport:
     trace: tuple[tuple[str, Verdict], ...]
 
 
-def _atlas_verdict(f: MultiGerm, policy: StabilizationPolicy) -> Verdict:
+def _atlas_verdict(f: MultiGerm, d_max: int) -> Verdict:
     try:
-        match = atlas_mod.lookup(f, policy)
+        match = atlas_mod.lookup(f, d_max)
     except NotCorankOneError:
         match = None
     if match is not None and match.exact:
@@ -369,7 +364,7 @@ def _atlas_verdict(f: MultiGerm, policy: StabilizationPolicy) -> Verdict:
 
 
 def simplicity_report(f: MultiGerm,
-                      policy: StabilizationPolicy = DEFAULT_POLICY,
+                      d_max: int = D_MAX,
                       assertions: ReportAssertions | None = None) -> SimplicityReport:
     """Run every applicable gate plus the atlas lookup and aggregate.
 
@@ -398,15 +393,15 @@ def simplicity_report(f: MultiGerm,
                 d_max=exc.d_max, history=exc.history)
         trace.append((name, verdict))
 
-    run("nishimura", gate_nishimura, f, policy)
-    run("branch_count", gate_branch_count, f, policy)
-    run("tau_pairing", gate_tau_pairing, f, policy)
-    run("primitive_plus_morse", gate_primitive_plus_morse, f, policy,
+    run("nishimura", gate_nishimura, f, d_max)
+    run("branch_count", gate_branch_count, f, d_max)
+    run("tau_pairing", gate_tau_pairing, f, d_max)
+    run("primitive_plus_morse", gate_primitive_plus_morse, f, d_max,
         primitive_flag=FLAG_PRIMITIVITY in assertions.flags)
     if assertions.augconc is not None:
         base_cod, phi = assertions.augconc
         run("augconc", gate_augconc, base_cod, phi, assertions.flags)
-    run("atlas", _atlas_verdict, f, policy)
+    run("atlas", _atlas_verdict, f, d_max)
 
     for name, verdict in trace:
         if verdict.kind == NOT_SIMPLE:

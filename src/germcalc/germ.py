@@ -28,7 +28,7 @@ from math import gcd, lcm
 from . import ring
 from .errors import NotCorankOneError, NotStableTypeError
 from ._echelon import RowSpan, matrix_rank
-from .ring import Poly, StabilizationPolicy, DEFAULT_POLICY, substitute
+from .ring import D_MAX, Poly, substitute
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -128,35 +128,32 @@ def germ_corank(f: MultiGerm) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _branch_multiplicity(branch: Branch,
-                         policy: StabilizationPolicy) -> tuple[int, int]:
+def _branch_multiplicity(branch: Branch, d_max: int) -> tuple[int, int]:
     """The dimension of the branch's local algebra O_n / I, with I the
     ideal of its components, and the least d with m^d inside I: the first
     d >= 1 where the truncated values of I repeat, read off the same
     curve (see `ring.quotient_curve`)."""
-    curve = ring.quotient_curve(list(branch.components), branch.n, policy)
+    curve = ring.quotient_curve(list(branch.components), branch.n, d_max)
     power = next((d for d in range(1, len(curve))
                   if curve[d] == curve[d - 1]), len(curve))
     return curve[-1], power
 
 
-def multiplicity_and_power(
-        f: MultiGerm,
-        policy: StabilizationPolicy = DEFAULT_POLICY) -> tuple[int, int]:
+def multiplicity_and_power(f: MultiGerm,
+                           d_max: int = D_MAX) -> tuple[int, int]:
     """The multiplicity of f and the least c with m^c inside the ideal
     I_b = f_b^*(m_p) O_n of every branch b (the largest of the branch
     values).  Both are invariant under changes of coordinates."""
-    pairs = [_branch_multiplicity(b, policy) for b in f.branches]
+    pairs = [_branch_multiplicity(b, d_max) for b in f.branches]
     return sum(m for m, _ in pairs), max(c for _, c in pairs)
 
 
-def multiplicity(f: MultiGerm, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
+def multiplicity(f: MultiGerm, d_max: int = D_MAX) -> int:
     """dim of the local algebra of f: branch-wise quotient dimensions, summed."""
-    return multiplicity_and_power(f, policy)[0]
+    return multiplicity_and_power(f, d_max)[0]
 
 
-def recognize_type(f: MultiGerm,
-                   policy: StabilizationPolicy = DEFAULT_POLICY) -> AType:
+def recognize_type(f: MultiGerm, d_max: int = D_MAX) -> AType:
     """The label A_{k_1,...,k_r} with k_i = branch multiplicity - 1.
 
     Raises NotCorankOneError when some branch has corank 2 or more, and
@@ -168,7 +165,7 @@ def recognize_type(f: MultiGerm,
         if c > 1:
             raise NotCorankOneError(
                 f"branch has corank {c}; only corank <= 1 is supported")
-        ks.append(_branch_multiplicity(b, policy)[0] - 1)
+        ks.append(_branch_multiplicity(b, d_max)[0] - 1)
     return AType(tuple(ks))
 
 

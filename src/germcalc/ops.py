@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .germ import Branch, MultiGerm
-from .ring import DEFAULT_POLICY, Poly, StabilizationPolicy, substitute
+from .ring import D_MAX, Poly, substitute
 from . import tangent
 
 
@@ -124,8 +124,8 @@ def normalized_unfolding(total: MultiGerm, s: int) -> Unfolding:
     return Unfolding(MultiGerm(branches), s=s)
 
 
-def _require_stable(g: MultiGerm, policy: StabilizationPolicy, what: str) -> None:
-    if not tangent.is_stable(g, policy):
+def _require_stable(g: MultiGerm, d_max: int, what: str) -> None:
+    if not tangent.is_stable(g, d_max):
         raise ValueError(
             f"{what} is not stable; pass check_stability=False to assert it")
 
@@ -136,7 +136,7 @@ def _embed(poly: Poly, new_nvars: int, offset: int = 0) -> Poly:
 
 
 def augment(u: Unfolding, g: Poly,
-            policy: StabilizationPolicy = DEFAULT_POLICY,
+            d_max: int = D_MAX,
             check_stability: bool = True) -> MultiGerm:
     """Substitute g for the parameter of a 1-parameter stable unfolding.
 
@@ -149,7 +149,7 @@ def augment(u: Unfolding, g: Poly,
     if g.constant_term() != 0:
         raise ValueError("the augmenting function must vanish at the origin")
     if check_stability:
-        _require_stable(u.total, policy, "the unfolding total")
+        _require_stable(u.total, d_max, "the unfolding total")
     n, p, q = u.base_n, u.base_p, g.nvars
     new_n = n + q
     # assignment for the total's variables (x_1..x_n, parameter)
@@ -175,20 +175,20 @@ def _prism_branch(n: int, p: int) -> Branch:
 
 
 def monic_concat(u: Unfolding,
-                 policy: StabilizationPolicy = DEFAULT_POLICY,
+                 d_max: int = D_MAX,
                  check_stability: bool = True) -> MultiGerm:
     """Adjoin a prism on a Morse function (or an immersion when the total
     has n = p - 1) to a 1-parameter stable unfolding."""
     if u.s != 1:
         raise ValueError("monic concatenation needs a 1-parameter unfolding")
     if check_stability:
-        _require_stable(u.total, policy, "the unfolding total")
+        _require_stable(u.total, d_max, "the unfolding total")
     n_tot, p_tot = u.total.n, u.total.p
     return MultiGerm(u.total.branches + (_prism_branch(n_tot, p_tot),))
 
 
 def binary_concat(u: Unfolding, v: Unfolding,
-                  policy: StabilizationPolicy = DEFAULT_POLICY,
+                  d_max: int = D_MAX,
                   check_stability: bool = True) -> MultiGerm:
     """Share the parameter of two 1-parameter stable unfoldings.
 
@@ -201,8 +201,8 @@ def binary_concat(u: Unfolding, v: Unfolding,
     if u.s != 1 or v.s != 1:
         raise ValueError("binary concatenation needs 1-parameter unfoldings")
     if check_stability:
-        _require_stable(u.total, policy, "the first unfolding total")
-        _require_stable(v.total, policy, "the second unfolding total")
+        _require_stable(u.total, d_max, "the first unfolding total")
+        _require_stable(v.total, d_max, "the second unfolding total")
     a, b = u.base_n, u.base_p
     c, e = v.base_n, v.base_p
     if a + e != b + c:
@@ -231,7 +231,7 @@ def binary_concat(u: Unfolding, v: Unfolding,
 
 
 def generalised_concat(u: Unfolding, gbar: MultiGerm,
-                       policy: StabilizationPolicy = DEFAULT_POLICY,
+                       d_max: int = D_MAX,
                        check_stability: bool = True) -> MultiGerm:
     """Adjoin the suspension of a stable germ over the parameter block.
 
@@ -248,8 +248,8 @@ def generalised_concat(u: Unfolding, gbar: MultiGerm,
             f"dimension mismatch: expected a ({n - p + s}, {s}) multigerm, "
             f"got ({gbar.n}, {gbar.p})")
     if check_stability:
-        _require_stable(gbar, policy, "the adjoined germ")
-        _require_stable(u.total, policy, "the unfolding total")
+        _require_stable(gbar, d_max, "the adjoined germ")
+        _require_stable(u.total, d_max, "the unfolding total")
     keep = p - s
     branches = list(u.total.branches)
     assign = [Poly.variable(n, keep + i) for i in range(gbar.n)]
@@ -261,7 +261,7 @@ def generalised_concat(u: Unfolding, gbar: MultiGerm,
 
 
 def sim_aug_concat(u: Unfolding, phi: Poly,
-                   policy: StabilizationPolicy = DEFAULT_POLICY,
+                   d_max: int = D_MAX,
                    check_stability: bool = True) -> MultiGerm:
     """Simultaneous augmentation and concatenation.
 
@@ -271,7 +271,7 @@ def sim_aug_concat(u: Unfolding, phi: Poly,
     """
     if phi.nvars != 1:
         raise ValueError("the augmenting function must be a one-variable germ")
-    augmented = augment(u, phi, policy, check_stability=check_stability)
+    augmented = augment(u, phi, d_max, check_stability=check_stability)
     return MultiGerm(augmented.branches +
                      (_prism_branch(augmented.n, augmented.p),))
 

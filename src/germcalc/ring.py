@@ -17,11 +17,13 @@ the value first repeats, which proves it exact.  One elimination at a top
 degree D, pivoting on the lowest-degree term, gives that value at every d
 <= D at once; the tangent-space engine uses the same elimination and the
 same search (`stabilize_curve`), which stops only on a Nakayama
-certificate, with its own certificate rows.  Both
-engines build their rows on monomial index tables (`MonomialTables`): a
-monomial is its position in the graded order, x_v times it is a lookup in a
-step table, and a product with a fixed monomial is a shift table composed
-from the steps, so no row is built by multiplying exponent tuples.  Many
+certificate, with its own certificate rows.  The search tries no degree
+past `d_max`, an int that every dimension function takes and that
+defaults to `D_MAX`; it is the engines' only setting.  Both engines
+build their rows on monomial index tables (`MonomialTables`): a monomial
+is its position in the graded order, x_v times it is a lookup in a step
+table, and a product with a fixed monomial is a shift table composed from
+the steps, so no row is built by multiplying exponent tuples.  Many
 generator rows are unit vectors or become unit vectors once other unit
 columns are stripped.  A row that is a unit vector as built (every
 multiple x^a * g of a one-term generator g, such as a monomial in an ideal
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -59,7 +60,6 @@ def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
-@lru_cache(maxsize=64)
 def monomials_up_to(nvars: int, degree: int) -> tuple[Monomial, ...]:
     """All exponent tuples of total degree <= degree, in graded-lex order."""
     if nvars == 0:
@@ -336,24 +336,8 @@ def substitute(f: Poly, assignment: Sequence[Poly]) -> Poly:
     return result
 
 
-@dataclass(frozen=True)
-class StabilizationPolicy:
-    """Bounds the truncation-degree search of the dimension engines.
-
-    Every engine stops on a proof (see `stabilize_curve`); `d_max` is the
-    largest candidate degree it tries, and a dimension that no candidate
-    up to it certifies raises NotStabilizedError.  Each engine derives its
-    start degree and certificate from its input.
-    """
-
-    d_max: int = 16
-
-    def __post_init__(self):
-        if self.d_max < 1:
-            raise ValueError("d_max must be at least 1")
-
-
-DEFAULT_POLICY = StabilizationPolicy()
+# the default degree cap `d_max` of every dimension engine
+D_MAX = 16
 
 
 class MonomialTables:
@@ -551,11 +535,17 @@ def stabilize_curve(eliminate, k0: int, c: int, step, d_max: int,
     passes.  The candidates start at k0 and go to `step(k, values)` after
     a failure, both capped at d_max.
 
+    In the library this is the one place that checks d_max: it raises
+    ValueError when d_max < 1.  A call that never runs the search, such as
+    a quotient by an ideal with a unit, does not look at d_max.
+
     Returns the values at degrees 0..k for the certified k, k itself, and
     the free slots of degree at most k.  Raises NotStabilizedError, with
     the values of the last elimination from the first candidate to d_max,
     when k = d_max fails.
     """
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
     first = k = min(k0, d_max)
     tried = []
     while True:
@@ -593,9 +583,8 @@ def _graded_ideal(generators: Sequence[Poly], nvars: int,
     return values, [tables.monos[i] for i in free]
 
 
-def quotient_curve(
-        generators: Iterable[Poly], nvars: int,
-        policy: StabilizationPolicy = DEFAULT_POLICY) -> tuple[int, ...]:
+def quotient_curve(generators: Iterable[Poly], nvars: int,
+                   d_max: int = D_MAX) -> tuple[int, ...]:
     """The truncated values v(d) = dim K[x]/(I + m^{d+1}) of the ideal I of
     the generators, from degree 0 up to the degree that certifies the last
     one as dim K[[x_1..x_n]]/I.
@@ -603,10 +592,9 @@ def quotient_curve(
     The candidate degrees run from 2 up by one, and the first one whose
     next value repeats it passes: v(d+1) = v(d) means m^{d+1} lies in
     I + m^{d+2}, hence in I by Nakayama, so every later value equals v(d).
-    This is `stabilize_curve` with c = 1 and no extra rows; only
-    `policy.d_max` bounds it.  For the same reason the first d >= 1 with
-    v(d) = v(d-1) is the least d with m^d inside I, and it lies at most one
-    degree past the end of the curve.
+    This is `stabilize_curve` with c = 1 and no extra rows.  For the same
+    reason the first d >= 1 with v(d) = v(d-1) is the least d with m^d
+    inside I, and it lies at most one degree past the end of the curve.
 
     Zero generators are skipped.  A generator with a nonzero constant term
     makes the ideal the whole ring, whose curve is (0,).  An empty
@@ -625,33 +613,33 @@ def quotient_curve(
     if not gens:
         raise NotStabilizedError(
             "empty generator list: quotient is the full local ring",
-            d_max=policy.d_max)
+            d_max=d_max)
     curve, _, _ = stabilize_curve(
         lambda k, top: _graded_ideal(gens, nvars, top), 2, 1,
-        lambda k, values: k + 1, policy.d_max, "quotient dimension")
+        lambda k, values: k + 1, d_max, "quotient dimension")
     return curve
 
 
 def quotient_dim(generators: Iterable[Poly], nvars: int,
-                 policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
+                 d_max: int = D_MAX) -> int:
     """Dimension of the local algebra K[[x_1..x_n]] / (generators): the
     last value of `quotient_curve`, which it fails as."""
-    return quotient_curve(generators, nvars, policy)[-1]
+    return quotient_curve(generators, nvars, d_max)[-1]
 
 
-def milnor(p: Poly, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
+def milnor(p: Poly, d_max: int = D_MAX) -> int:
     """Milnor number: dimension of the Jacobian algebra of a function germ."""
     if p.constant_term() != 0:
         raise ValueError("function germ must vanish at the origin")
-    return quotient_dim([p.diff(i) for i in range(p.nvars)], p.nvars, policy)
+    return quotient_dim([p.diff(i) for i in range(p.nvars)], p.nvars, d_max)
 
 
-def tjurina(p: Poly, policy: StabilizationPolicy = DEFAULT_POLICY) -> int:
+def tjurina(p: Poly, d_max: int = D_MAX) -> int:
     """Tjurina number: dimension of K[[x]]/(p, all first partials of p)."""
     if p.constant_term() != 0:
         raise ValueError("function germ must vanish at the origin")
     gens = [p] + [p.diff(i) for i in range(p.nvars)]
-    return quotient_dim(gens, p.nvars, policy)
+    return quotient_dim(gens, p.nvars, d_max)
 
 
 # -- quasi-homogeneity ------------------------------------------------------

@@ -333,9 +333,15 @@ def format_multigerm(f: MultiGerm) -> str:
     return _render_multigerm(canonical_variable_order(f))
 
 
-def _least_text(f: MultiGerm, target_orders) -> str:
-    """The least rendering of f over all variable orders, all branch orders
-    and the given target-component orders.
+@lru_cache(maxsize=1024)
+def canonical_match_key(f: MultiGerm) -> str:
+    """The least rendering of f over all variable orders, branch orders and
+    target-component orders.
+
+    Branch order, source-variable reindexing and target-component
+    reindexing are all changes of coordinates, so two germs with equal keys
+    are equivalent; the converse fails, which is why lookups fall back to
+    invariant matching.
 
     A branch text ends at its first ")", so no branch text is a prefix of
     another and the least concatenation of the branches is the sorted one:
@@ -345,6 +351,7 @@ def _least_text(f: MultiGerm, target_orders) -> str:
     n = f.n
     _require_named(n)
     names = variable_names(n)
+    target_orders = list(itertools.permutations(range(f.p)))
     best = None
     for perm in itertools.permutations(range(n)):
         texts = [[render_poly(c.remap_variables(n, perm), names)
@@ -355,22 +362,3 @@ def _least_text(f: MultiGerm, target_orders) -> str:
             if best is None or text < best:
                 best = text
     return best
-
-
-@lru_cache(maxsize=1024)
-def canonical_text_modulo_branches(f: MultiGerm) -> str:
-    """Canonical text insensitive to branch order, for structural matching:
-    the least `format_multigerm` text over all branch orders."""
-    return _least_text(f, [range(f.p)])
-
-
-@lru_cache(maxsize=1024)
-def canonical_match_key(f: MultiGerm) -> str:
-    """Canonical text additionally insensitive to the target-component order.
-
-    Branch order, source-variable reindexing and target-component
-    reindexing are all changes of coordinates, so two germs with equal keys
-    are equivalent; the converse fails, which is why lookups fall back to
-    invariant matching.
-    """
-    return _least_text(f, list(itertools.permutations(range(f.p))))

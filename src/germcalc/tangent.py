@@ -112,9 +112,8 @@ from math import lcm
 
 from .errors import NotStabilizedError
 from .germ import Branch, MultiGerm, linear_prenormal_form, multiplicity_and_power
-from .ring import (DEFAULT_POLICY, MonomialTables, StabilizationPolicy,
-                   add_multiples, eliminate_graded, monomial_tables,
-                   stabilize_curve)
+from .ring import (D_MAX, MonomialTables, add_multiples, eliminate_graded,
+                   monomial_tables, stabilize_curve)
 
 Slot = tuple[int, int, tuple[int, ...]]  # (branch, component, source monomial)
 
@@ -306,16 +305,15 @@ def _graded_tangent(f: MultiGerm, top: int, extended: bool,
     return values, slots
 
 
-def _stabilized_codim(f: MultiGerm, policy: StabilizationPolicy,
-                      extended: bool) -> CodimResult:
+def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
     # the value at every degree is invariant under linear changes of
     # coordinates, and the sparser form costs far less fill-in
     g, _, _ = linear_prenormal_form(f)
-    m, c = multiplicity_and_power(f, policy)
+    m, c = multiplicity_and_power(f, d_max)
     start = m + 3 - c
     values, degree, free = stabilize_curve(
         lambda k, top: _graded_tangent(g, top, extended, k), start, c,
-        lambda k, values: max(k + 2, values[k + 1] + 1), policy.d_max,
+        lambda k, values: max(k + 2, values[k + 1] + 1), d_max,
         "codimension")
     # the first candidate was min(start, d_max), which is at most degree
     return CodimResult(value=values[-1], degree_used=degree, c=c,
@@ -329,42 +327,41 @@ class _Stabilized(Exception):
 
 
 @lru_cache(maxsize=1024)
-def _failure(f: MultiGerm, policy: StabilizationPolicy,
-             extended: bool) -> tuple[str, int | None, tuple[int, ...]]:
-    """The message, d_max and history of a codimension that does not
-    stabilize, so that it is not recomputed up to d_max on every call; a
-    codimension that does comes back raised in `_Stabilized`."""
+def _failure(f: MultiGerm, d_max: int,
+             extended: bool) -> tuple[str, tuple[int, ...]]:
+    """The message and history of a codimension that does not stabilize,
+    so that it is not recomputed up to d_max on every call; a codimension
+    that does comes back raised in `_Stabilized`."""
     try:
-        result = _stabilized_codim(f, policy, extended)
+        result = _stabilized_codim(f, d_max, extended)
     except NotStabilizedError as error:
-        return str(error), error.d_max, error.history
+        return str(error), error.history
     raise _Stabilized(result)
 
 
-def _codim(f: MultiGerm, policy: StabilizationPolicy,
-           extended: bool) -> CodimResult:
+def _codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
     try:
-        message, d_max, history = _failure(f, policy, extended)
+        message, history = _failure(f, d_max, extended)
     except _Stabilized as done:
         return done.args[0]
     raise NotStabilizedError(message, d_max=d_max, history=history)
 
 
 @lru_cache(maxsize=1024)
-def ae_codim(f: MultiGerm, policy: StabilizationPolicy = DEFAULT_POLICY) -> CodimResult:
+def ae_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     """Codimension of the extended tangent space; 0 exactly for stable germs.
 
     Raises NotStabilizedError when no candidate degree up to d_max passes
     its certificate; a repeated call raises a fresh one with the same
     message, d_max and history without computing again."""
-    return _codim(f, policy, extended=True)
+    return _codim(f, d_max, extended=True)
 
 
 @lru_cache(maxsize=1024)
-def a_codim(f: MultiGerm, policy: StabilizationPolicy = DEFAULT_POLICY) -> CodimResult:
+def a_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     """Codimension of the non-extended tangent space inside sections without
     constant term; fails as `ae_codim` does."""
-    return _codim(f, policy, extended=False)
+    return _codim(f, d_max, extended=False)
 
 
 @dataclass(frozen=True)
@@ -385,22 +382,21 @@ class WilsonReport:
     NOT_APPLICABLE = "not_applicable"
 
 
-def wilson_check(f: MultiGerm,
-                 policy: StabilizationPolicy = DEFAULT_POLICY) -> WilsonReport:
+def wilson_check(f: MultiGerm, d_max: int = D_MAX) -> WilsonReport:
     """Compare the two codimension engines through the codimension relation.
 
     Not applicable for stable germs (extended codimension 0).
     """
-    ae = ae_codim(f, policy).value
+    ae = ae_codim(f, d_max).value
     if ae == 0:
         return WilsonReport(status=WilsonReport.NOT_APPLICABLE, extended=0)
-    a = a_codim(f, policy).value
+    a = a_codim(f, d_max).value
     expected = a + f.r * (f.p - f.n) - f.p
     status = WilsonReport.CONSISTENT if ae == expected else WilsonReport.INCONSISTENT
     return WilsonReport(status=status, extended=ae, non_extended=a,
                         expected_extended=expected)
 
 
-def is_stable(f: MultiGerm, policy: StabilizationPolicy = DEFAULT_POLICY) -> bool:
+def is_stable(f: MultiGerm, d_max: int = D_MAX) -> bool:
     """True exactly when the extended codimension vanishes."""
-    return ae_codim(f, policy).value == 0
+    return ae_codim(f, d_max).value == 0

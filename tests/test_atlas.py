@@ -6,7 +6,7 @@ import pytest
 
 from germcalc import atlas, syntax
 from germcalc.germ import AType, multiplicity, recognize_type
-from germcalc.ring import Poly, StabilizationPolicy
+from germcalc.ring import Poly
 from germcalc.tangent import ae_codim
 
 P = syntax.parse_multigerm
@@ -112,8 +112,7 @@ class TestVerify:
 
     def test_not_stabilized_reported_as_mismatch(self):
         # 4_2^6 is certified only at degree 11
-        tight = StabilizationPolicy(d_max=10)
-        row = atlas.verify("4_2^k", {"k": 6}, tight)
+        row = atlas.verify("4_2^k", {"k": 6}, 10)
         assert row.match is False and row.computed is None
         assert "stabilize" in row.note
 
@@ -135,7 +134,7 @@ class TestVerify:
 
 class TestStabilizationEnvelope:
     def test_default_window_covers_parameters_up_to_four(self):
-        # the default policy (cap 16) certifies every catalog row at
+        # the default cap (16) certifies every catalog row at
         # parameters <= 4
         report = atlas.verify_all(4)
         assert report.all_match and len(report.rows) == 79
@@ -167,7 +166,7 @@ class TestStabilizationEnvelope:
         result = ae_codim(g)
         assert (result.value, result.degree_used) == (8, 15)
         with pytest.raises(NotStabilizedError) as info:
-            ae_codim(g, StabilizationPolicy(d_max=14))
+            ae_codim(g, 14)
         assert info.value.d_max == 14 and info.value.history[-1] == 7
 
 

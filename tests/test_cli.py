@@ -107,7 +107,7 @@ class TestFormat:
             syntax.canonical_match_key(f)
 
 
-def brute_force_key(f, target_orders):
+def brute_force_key(f):
     """The least rendering over every target order, branch order and
     variable order: p! * r! * n! texts, each component rendered once."""
     names = syntax.variable_names(f.n)
@@ -117,7 +117,7 @@ def brute_force_key(f, target_orders):
         for b, branch in enumerate(f.branches)
         for i, c in enumerate(branch.components)}
     best = None
-    for order in target_orders:
+    for order in itertools.permutations(range(f.p)):
         for branches in itertools.permutations(range(f.r)):
             for perm in itertools.permutations(range(f.n)):
                 texts = ["(" + ", ".join(rendered[(b, i, perm)] for i in order)
@@ -144,10 +144,7 @@ class TestCanonicalKeys:
     def test_keys_match_the_brute_force_minimum(self):
         checked = 0
         for f in self.corpus():
-            assert syntax.canonical_text_modulo_branches(f) == \
-                brute_force_key(f, [range(f.p)])
-            assert syntax.canonical_match_key(f) == brute_force_key(
-                f, itertools.permutations(range(f.p)))
+            assert syntax.canonical_match_key(f) == brute_force_key(f)
             checked += 1
         assert checked == 61
 
@@ -243,7 +240,7 @@ class TestRun:
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         # an engine KeyError is a bug, not bad input
-        def broken(f, policy):
+        def broken(f, d_max):
             raise KeyError((0, 0, (1, 0, 0)))
         monkeypatch.setattr(tangent, "ae_codim", broken)
         code = cli.run(["eval", "--germ", "(x,y,z^2)"])
@@ -267,6 +264,18 @@ class TestRun:
                              ids=["window-1", "window-2", "d0"])
     def test_rejected_engine_settings_exit_1(self, capsys, flags):
         assert cli.run(["eval", "--germ", "(x,y,z^2)", *flags]) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [["eval", "--germ", "(x,y,z^2)"],
+                                      ["gate", "--germ", "(x,y,z^2)"],
+                                      ["atlas", "export"]],
+                             ids=["eval", "gate", "atlas-export"])
+    def test_max_degree_below_one_exits_1(self, capsys, argv, value):
+        # checked before dispatch: export never reaches the engine
+        assert cli.run([*argv, "--max-degree", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "d_max must be at least 1" in captured.err
 
     def test_start_above_the_cap_names_both_degrees(self, capsys):
         # A1A3 k = 8 has multiplicity 6 and c = 4, so its codimension starts
@@ -315,9 +324,9 @@ class TestRun:
         runs = []
         stabilized = tangent._stabilized_codim
 
-        def counting(f, policy, extended):
+        def counting(f, d_max, extended):
             runs.append((f, extended))
-            return stabilized(f, policy, extended)
+            return stabilized(f, d_max, extended)
 
         monkeypatch.setattr(tangent, "_stabilized_codim", counting)
         assert cli.run(["eval", "--germ", germ]) == 2
@@ -509,9 +518,7 @@ class TestLayering:
             "germcalc.atlas._instance 1024 0",
             "germcalc.germ._branch_multiplicity 1024 0",
             "germcalc.ring.monomial_tables 64 0",
-            "germcalc.ring.monomials_up_to 64 0",
             "germcalc.syntax.canonical_match_key 1024 0",
-            "germcalc.syntax.canonical_text_modulo_branches 1024 0",
             "germcalc.tangent._failure 1024 0",
             "germcalc.tangent.a_codim 1024 0",
             "germcalc.tangent.ae_codim 1024 0", ""]

@@ -141,7 +141,7 @@ class TestGatePrimitivePlusMorse:
         # 5-branch codimension, which does not stabilize, is never asked for
         calls = []
 
-        def counting(f, policy=None):
+        def counting(f, d_max=None):
             calls.append(f)
             raise AssertionError("no codimension expected")
 
@@ -243,7 +243,7 @@ class TestSimplicityReport:
     def test_unstabilized_gate_before_a_proof(self, monkeypatch):
         # the first gate fails to stabilize; the branch-count and pairing
         # gates still prove the pentagerm non-simple
-        def unstable(f, policy):
+        def unstable(f, d_max):
             raise NotStabilizedError("no", d_max=5, history=(3, 4))
         monkeypatch.setattr(gates, "gate_nishimura", unstable)
         rep = simplicity_report(PENTAGERM)
@@ -257,14 +257,14 @@ class TestSimplicityReport:
     def test_unstabilized_gate_without_a_proof(self, monkeypatch):
         # no gate decides (x, y, z^5+x^2*z+y*z^2), so the answer is one
         # that a larger cap could still change
-        def unstable(f, policy, primitive_flag=False):
+        def unstable(f, d_max, primitive_flag=False):
             raise NotStabilizedError("no", d_max=5, history=(3, 4))
         monkeypatch.setattr(gates, "gate_primitive_plus_morse", unstable)
         with pytest.raises(NotStabilizedError):
             simplicity_report(P("(x,y,z^5+x^2*z+y*z^2)"))
 
     def test_unstabilized_gate_next_to_an_atlas_match(self, monkeypatch):
-        def unstable(f, policy, primitive_flag=False):
+        def unstable(f, d_max, primitive_flag=False):
             raise NotStabilizedError("no", d_max=5, history=(3, 4))
         monkeypatch.setattr(gates, "gate_primitive_plus_morse", unstable)
         rep = simplicity_report(P("{(x,y,z^2);(x,y,z^2+y^2+x^3)}"))

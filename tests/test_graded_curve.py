@@ -28,9 +28,9 @@ from germcalc import atlas, tangent
 from germcalc.errors import NotStabilizedError
 from germcalc.germ import (Branch, MultiGerm, multiplicity,
                            multiplicity_and_power)
-from germcalc.ring import (Poly, StabilizationPolicy, _graded_ideal,
-                           eliminate_graded, monomial_mul, monomials_up_to,
-                           quotient_dim, substitute)
+from germcalc.ring import (Poly, _graded_ideal, eliminate_graded,
+                           monomial_mul, monomials_up_to, quotient_dim,
+                           substitute)
 from germcalc.tangent import _graded_tangent, ae_codim
 from germcalc._echelon import RowSpan
 
@@ -474,13 +474,12 @@ def test_moved_germ_curve_matches_per_degree_reference():
 def test_unstabilized_history_is_the_curve_from_d0_to_d_max():
     # (x) in two variables leaves the powers of y: d + 1 of them at degree d
     with pytest.raises(NotStabilizedError) as info:
-        quotient_dim([V(2, 0)], 2, StabilizationPolicy(d_max=5))
+        quotient_dim([V(2, 0)], 2, 5)
     assert info.value.history == (3, 4, 5, 6)
     # 4_2^6 starts at degree 3 and is certified only at degree 11; the
     # history is its exact curve from 3 to the cap
     with pytest.raises(NotStabilizedError) as info:
-        ae_codim(atlas.instantiate("4_2^k", {"k": 6}),
-                 StabilizationPolicy(d_max=10))
+        ae_codim(atlas.instantiate("4_2^k", {"k": 6}), 10)
     assert info.value.history == (2, 2, 3, 3, 4, 4, 5, 5)
 
 

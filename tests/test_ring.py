@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germcalc.errors import NotStabilizedError
-from germcalc.ring import (Poly, StabilizationPolicy, _graded_ideal,
-                           is_quasi_homogeneous, milnor, monomials_up_to,
-                           quotient_curve, quotient_dim, substitute, tjurina)
+from germcalc.germ import Branch, MultiGerm
+from germcalc.ring import (Poly, _graded_ideal, is_quasi_homogeneous, milnor,
+                           monomials_up_to, quotient_curve, quotient_dim,
+                           substitute, tjurina)
+from germcalc.tangent import ae_codim
 
 
 def V(n, i):
@@ -229,21 +231,23 @@ def test_quotient_dim_invariant_under_generator_mixing():
 
 
 def test_policy_validation():
-    # the degree cap is the only setting
-    with pytest.raises(ValueError):
-        StabilizationPolicy(d_max=0)
-    with pytest.raises(TypeError):
-        StabilizationPolicy(window=2)
+    # the degree cap d_max is the only setting, and it must be at least 1
+    x, y = V(2, 0), V(2, 1)
+    with pytest.raises(ValueError, match="d_max must be at least 1"):
+        quotient_dim([x, y ** 5], 2, 0)
+    f = MultiGerm((Branch((x, y ** 2)),))
+    with pytest.raises(ValueError, match="d_max must be at least 1"):
+        ae_codim(f, 0)
 
 
 def test_ideal_quotient_cap_bounds_the_candidate_degree():
     # the values of (x, y^5) run 3, 4, 5, 5 from degree 2; the candidate
     # degree 4 passes on the repeat at degree 5, so a cap of 4 suffices
     x, y = V(2, 0), V(2, 1)
-    assert quotient_curve([x, y ** 5], 2, StabilizationPolicy(d_max=4)) == \
+    assert quotient_curve([x, y ** 5], 2, 4) == \
         (1, 2, 3, 4, 5)
     with pytest.raises(NotStabilizedError):
-        quotient_dim([x, y ** 5], 2, StabilizationPolicy(d_max=3))
+        quotient_dim([x, y ** 5], 2, 3)
 
 
 def test_monomials_up_to_counts():

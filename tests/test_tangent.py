@@ -9,7 +9,7 @@ import pytest
 from germcalc import tangent
 from germcalc.errors import NotStabilizedError
 from germcalc.germ import Branch, MultiGerm, linear_prenormal_form
-from germcalc.ring import Poly, StabilizationPolicy
+from germcalc.ring import Poly
 from germcalc.tangent import (WilsonReport, a_codim, ae_codim, is_stable,
                               wilson_check)
 from germcalc._echelon import RowSpan
@@ -54,13 +54,13 @@ class TestFailureCache:
     def test_repeated_failure_raises_afresh_without_recomputing(
             self, codim, monkeypatch):
         # (x, y, x z^2) is not finite: its values grow up to the cap
-        germ, policy = G(B(X, Y, X * Z * Z)), StabilizationPolicy(d_max=8)
+        germ, d_max = G(B(X, Y, X * Z * Z)), 8
         runs = []
         stabilized = tangent._stabilized_codim
 
-        def counting(f, policy, extended):
+        def counting(f, d_max, extended):
             runs.append(f)
-            return stabilized(f, policy, extended)
+            return stabilized(f, d_max, extended)
 
         monkeypatch.setattr(tangent, "_stabilized_codim", counting)
         codim.cache_clear()
@@ -68,7 +68,7 @@ class TestFailureCache:
         errors = []
         for _ in range(2):
             with pytest.raises(NotStabilizedError) as info:
-                codim(germ, policy)
+                codim(germ, d_max)
             errors.append(info.value)
         first, second = errors
         assert first is not second
