@@ -313,21 +313,23 @@ def _instance(name: str, args: tuple) -> MultiGerm:
     return syntax.parse_multigerm(_BY_NAME[name]._text(*args))
 
 
-def instantiate(name: str, params: Mapping | None = None) -> MultiGerm:
-    """Build the normal form of a catalog row at the given parameters."""
+def _resolve(name: str, params: Mapping | None):
+    """The catalog row `name` and `_normalize_params` of it."""
     entry = _BY_NAME.get(name)
     if entry is None:
         raise ValueError(f"unknown atlas entry {name!r}")
-    _, args = _normalize_params(entry, params)
+    return (entry, *_normalize_params(entry, params))
+
+
+def instantiate(name: str, params: Mapping | None = None) -> MultiGerm:
+    """Build the normal form of a catalog row at the given parameters."""
+    _, _, args = _resolve(name, params)
     return _instance(name, args)
 
 
 def expected_codim(name: str, params: Mapping | None = None) -> int:
     """Evaluate the codimension formula of a catalog row."""
-    entry = _BY_NAME.get(name)
-    if entry is None:
-        raise ValueError(f"unknown atlas entry {name!r}")
-    _, args = _normalize_params(entry, params)
+    entry, _, args = _resolve(name, params)
     if entry._codim is not None:
         return entry._codim(*args)
     return milnor(args[0])  # function-parameter rows: mu of P
@@ -384,26 +386,21 @@ def _params_text(params: Mapping) -> str:
 def verify(name: str, params: Mapping | None = None,
            d_max: int = D_MAX) -> VerifyRow:
     """Recompute the codimension of one instantiation and compare."""
-    entry = _BY_NAME.get(name)
-    if entry is None:
-        raise ValueError(f"unknown atlas entry {name!r}")
-    display, _ = _normalize_params(entry, params)
+    _, display, _ = _resolve(name, params)
     expected = expected_codim(name, params)
     start = time.perf_counter()
     try:
         result = tangent.ae_codim(instantiate(name, params), d_max)
-        elapsed = time.perf_counter() - start
-        return VerifyRow(name=name, params_text=_params_text(display),
-                         computed=result.value, expected=expected,
-                         match=result.value == expected,
-                         degree_used=result.degree_used, c=result.c,
-                         seconds=elapsed)
     except NotStabilizedError as exc:
-        elapsed = time.perf_counter() - start
-        return VerifyRow(name=name, params_text=_params_text(display),
-                         computed=None, expected=expected, match=False,
-                         degree_used=None, seconds=elapsed,
+        return VerifyRow(name=name, seconds=time.perf_counter() - start,
+                         params_text=_params_text(display), computed=None,
+                         expected=expected, match=False, degree_used=None,
                          note=f"did not stabilize: {exc}")
+    return VerifyRow(name=name, seconds=time.perf_counter() - start,
+                     params_text=_params_text(display),
+                     computed=result.value, expected=expected,
+                     match=result.value == expected,
+                     degree_used=result.degree_used, c=result.c)
 
 
 def _parameter_sweep(entry: AtlasEntry, param_cap: int) -> list[Mapping]:

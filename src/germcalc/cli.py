@@ -4,7 +4,8 @@ Subcommands: `eval` (invariants), `build` (constructions), `gate`
 (aggregated simplicity report), `atlas verify|lookup|export`.  Germs are
 read and printed in the surface syntax of `germcalc.syntax`, whose parser,
 printer and canonical keys this module re-exports.  Exit codes: 0 success,
-1 parse/validation error, 2 failure to stabilize, 3 internal error.
+1 parse/validation error or an unwritable `--output`, 2 failure to
+stabilize, 3 internal error.
 The engine flag `--max-degree` is the only engine setting, passed to the
 library as `d_max` (default `ring.D_MAX`): it bounds the degree at which a
 dimension may be certified (a codimension's certificate elimination runs c
@@ -229,8 +230,11 @@ def _cmd_atlas(args) -> int:
         doc = atlas.export_document()
         text = json.dumps(doc, indent=2, sort_keys=True)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.output}: {exc.strerror}")
         else:
             print(text)
         return 0

@@ -1,6 +1,8 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and how a failure is cached."""
 
 from __future__ import annotations
+
+from functools import lru_cache, wraps
 
 
 class GermcalcError(Exception):
@@ -20,6 +22,31 @@ class NotStabilizedError(GermcalcError):
         super().__init__(message)
         self.d_max = d_max
         self.history = tuple(history)
+
+
+def remember_failures(maxsize: int):
+    """`lru_cache(maxsize)` over positional arguments that remembers a
+    NotStabilizedError like a value: a repeated call raises a fresh one
+    with the same message, d_max and history, without computing again."""
+    def decorate(fn):
+        @lru_cache(maxsize=maxsize)
+        def outcome(*args):
+            try:
+                return fn(*args), None
+            except NotStabilizedError as error:
+                return None, (str(error), error.d_max, error.history)
+
+        @wraps(fn)
+        def cached(*args):
+            value, failure = outcome(*args)
+            if failure:
+                raise NotStabilizedError(*failure)
+            return value
+
+        cached.cache_info, cached.cache_clear = (outcome.cache_info,
+                                                 outcome.cache_clear)
+        return cached
+    return decorate
 
 
 class NotCorankOneError(GermcalcError):

@@ -349,17 +349,16 @@ class SimplicityReport:
 
 def _atlas_verdict(f: MultiGerm, d_max: int) -> Verdict:
     try:
-        match = atlas_mod.lookup(f, d_max)
+        found = atlas_mod.lookup(f, d_max)
     except NotCorankOneError:
-        match = None
-    if match is not None and match.exact:
-        return Verdict.simple(
-            "atlas match",
-            candidates=tuple((name, dict(params)) for name, params in match.matches))
-    if match is not None and match.matches:
+        found = atlas_mod.LookupResult(matches=(), exact=False)
+    candidates = tuple((name, dict(params)) for name, params in found.matches)
+    if found.exact:
+        return Verdict.simple("atlas match", candidates=candidates)
+    if candidates:
         return Verdict.unknown(
             "invariants match atlas candidates but no literal normal-form match",
-            candidates=tuple((name, dict(params)) for name, params in match.matches))
+            candidates=candidates)
     return Verdict.unknown("no atlas entry with these invariants")
 
 
@@ -403,12 +402,10 @@ def simplicity_report(f: MultiGerm,
         run("augconc", gate_augconc, base_cod, phi, assertions.flags)
     run("atlas", _atlas_verdict, f, d_max)
 
-    for name, verdict in trace:
-        if verdict.kind == NOT_SIMPLE:
-            return SimplicityReport(verdict=verdict, trace=tuple(trace))
-    for name, verdict in trace:
-        if verdict.kind == SIMPLE:
-            return SimplicityReport(verdict=verdict, trace=tuple(trace))
+    for kind in (NOT_SIMPLE, SIMPLE):
+        for name, verdict in trace:
+            if verdict.kind == kind:
+                return SimplicityReport(verdict=verdict, trace=tuple(trace))
     if unstable:
         raise unstable[0]
     reasons: list[str] = []

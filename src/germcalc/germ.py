@@ -16,17 +16,18 @@ certificate.
 It also provides the linear prenormal form, the sparse representative of
 a germ's orbit under linear changes of coordinates that the codimension
 engine eliminates on.
+The branch multiplicities are cached by (branch, d_max), a failed search
+remembered like a value (`errors.remember_failures`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from . import ring
-from .errors import NotCorankOneError, NotStableTypeError
+from .errors import NotCorankOneError, NotStableTypeError, remember_failures
 from ._echelon import RowSpan, matrix_rank
 from .ring import D_MAX, Poly, substitute
 
@@ -127,7 +128,7 @@ def germ_corank(f: MultiGerm) -> int:
     return max(corank(b) for b in f.branches)
 
 
-@lru_cache(maxsize=1024)
+@remember_failures(maxsize=1024)
 def _branch_multiplicity(branch: Branch, d_max: int) -> tuple[int, int]:
     """The dimension of the branch's local algebra O_n / I, with I the
     ideal of its components, and the least d with m^d inside I: the first

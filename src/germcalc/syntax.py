@@ -274,16 +274,9 @@ def _render_term(mono: tuple[int, ...], coef: Fraction,
 def render_poly(poly: Poly, names: tuple[str, ...] | None = None) -> str:
     if names is None:
         names = variable_names(poly.nvars)
-    if poly.is_zero():
-        return "0"
-    bits = []
-    for mono, coef in poly.sorted_terms():
-        rendered = _render_term(mono, coef, names)
-        if not bits:
-            bits.append(f"-{rendered}" if coef < 0 else rendered)
-        else:
-            bits.append(("-" if coef < 0 else "+") + rendered)
-    return "".join(bits)
+    text = "".join(("-" if coef < 0 else "+") + _render_term(mono, coef, names)
+                   for mono, coef in poly.sorted_terms())
+    return text.removeprefix("+") or "0"
 
 
 def _join_branches(texts: Sequence[str]) -> str:
@@ -315,16 +308,10 @@ def canonical_variable_order(f: MultiGerm) -> MultiGerm:
     """
     n = f.n
     _require_named(n)
-    best_text = None
-    best = f
-    for perm in itertools.permutations(range(n)):
-        candidate = MultiGerm(tuple(
-            Branch(tuple(c.remap_variables(n, perm) for c in b.components))
-            for b in f.branches))
-        text = _render_multigerm(candidate)
-        if best_text is None or text < best_text:
-            best_text, best = text, candidate
-    return best
+    candidates = (MultiGerm(tuple(
+        Branch(tuple(c.remap_variables(n, perm) for c in b.components))
+        for b in f.branches)) for perm in itertools.permutations(range(n)))
+    return min(candidates, key=_render_multigerm)
 
 
 def format_multigerm(f: MultiGerm) -> str:

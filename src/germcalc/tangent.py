@@ -100,6 +100,11 @@ module too.
 The extended variant allows constant vector fields on both sides; the
 non-extended variant restricts the ambient to sections without constant
 term and the generators to multiples by variables.
+
+Both variants share one cache, keyed by the values (f, d_max, extended)
+that `ae_codim` and `a_codim` pass positionally, so every spelling of
+d_max computes once; a failure is remembered like a value, as for the
+branch multiplicities of `germ` (`errors.remember_failures`).
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import NotStabilizedError
+from .errors import remember_failures
 from .germ import Branch, MultiGerm, linear_prenormal_form, multiplicity_and_power
 from .ring import (D_MAX, MonomialTables, add_multiples, eliminate_graded,
                    monomial_tables, stabilize_curve)
@@ -321,30 +326,9 @@ def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
                        basis=tuple(free))
 
 
-class _Stabilized(Exception):
-    """Carries a result out of `_failure`: `lru_cache` keeps no call that
-    raises, so that cache holds failures only."""
-
-
-@lru_cache(maxsize=1024)
-def _failure(f: MultiGerm, d_max: int,
-             extended: bool) -> tuple[str, tuple[int, ...]]:
-    """The message and history of a codimension that does not stabilize,
-    so that it is not recomputed up to d_max on every call; a codimension
-    that does comes back raised in `_Stabilized`."""
-    try:
-        result = _stabilized_codim(f, d_max, extended)
-    except NotStabilizedError as error:
-        return str(error), error.history
-    raise _Stabilized(result)
-
-
+@remember_failures(maxsize=1024)
 def _codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
-    try:
-        message, history = _failure(f, d_max, extended)
-    except _Stabilized as done:
-        return done.args[0]
-    raise NotStabilizedError(message, d_max=d_max, history=history)
+    return _stabilized_codim(f, d_max, extended)
 
 
 @lru_cache(maxsize=1024)
@@ -352,16 +336,15 @@ def ae_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     """Codimension of the extended tangent space; 0 exactly for stable germs.
 
     Raises NotStabilizedError when no candidate degree up to d_max passes
-    its certificate; a repeated call raises a fresh one with the same
-    message, d_max and history without computing again."""
-    return _codim(f, d_max, extended=True)
+    its certificate, afresh but without computing again when repeated."""
+    return _codim(f, d_max, True)
 
 
 @lru_cache(maxsize=1024)
 def a_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     """Codimension of the non-extended tangent space inside sections without
     constant term; fails as `ae_codim` does."""
-    return _codim(f, d_max, extended=False)
+    return _codim(f, d_max, False)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from germcalc import atlas, cli, gates, syntax, tangent
+from germcalc import atlas, cli, gates, germ as germ_mod, ring, syntax, tangent
 from germcalc.errors import GermSyntaxError
 from germcalc.ring import Poly
 
@@ -319,7 +319,7 @@ class TestRun:
         # germ's codimension, which never stabilizes
         germ = ("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);"
                 "(x,y,z^2+x-y)}")
-        for cached in (tangent.ae_codim, tangent.a_codim, tangent._failure):
+        for cached in (tangent.ae_codim, tangent.a_codim, tangent._codim):
             cached.cache_clear()
         runs = []
         stabilized = tangent._stabilized_codim
@@ -332,6 +332,33 @@ class TestRun:
         assert cli.run(["eval", "--germ", germ]) == 2
         assert cli.run(["gate", "--germ", germ]) == 0
         assert runs.count((syntax.parse_multigerm(germ), True)) == 1
+
+    def test_a_failing_branch_multiplicity_is_searched_once(
+            self, capsys, monkeypatch):
+        # the branch ideal (x, y, x z^2) = (x, y) has no finite quotient
+        germ = "(x,y,x*z^2)"
+        branch = list(syntax.parse_multigerm(germ).branches[0].components)
+        for module in (germ_mod, tangent):
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+        runs = []
+        curve = ring.quotient_curve
+
+        def counting(generators, nvars, d_max=ring.D_MAX):
+            generators = list(generators)
+            runs.append(generators == branch)
+            return curve(generators, nvars, d_max)
+
+        monkeypatch.setattr(ring, "quotient_curve", counting)
+        assert cli.run(["gate", "--germ", germ]) == 2
+        gate_err = capsys.readouterr().err
+        assert runs.count(True) == 1
+        runs.clear()
+        assert cli.run(["eval", "--germ", germ]) == 2
+        assert capsys.readouterr().err == gate_err
+        assert "quotient dimension did not stabilize by degree 16" in gate_err
+        assert runs.count(True) == 0
 
     @pytest.mark.parametrize("germ", [
         "{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);(x,y,z^2+x-y)}",
@@ -479,6 +506,18 @@ class TestRun:
         doc = json.loads(target.read_text())
         assert doc["format"] == "germcalc-atlas" and len(doc["entries"]) == 26
 
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/atlas.json", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-parent", "directory"])
+    def test_atlas_export_to_an_unwritable_path_exits_1(
+            self, capsys, tmp_path, where, reason):
+        target = tmp_path / where
+        code = cli.run(["atlas", "export", "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: cannot write {target}: {reason}\n"
+
 
 def _python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports this checkout's germcalc."""
@@ -519,7 +558,7 @@ class TestLayering:
             "germcalc.germ._branch_multiplicity 1024 0",
             "germcalc.ring.monomial_tables 64 0",
             "germcalc.syntax.canonical_match_key 1024 0",
-            "germcalc.tangent._failure 1024 0",
+            "germcalc.tangent._codim 1024 0",
             "germcalc.tangent.a_codim 1024 0",
             "germcalc.tangent.ae_codim 1024 0", ""]
 

@@ -9,7 +9,7 @@ import pytest
 from germcalc import tangent
 from germcalc.errors import NotStabilizedError
 from germcalc.germ import Branch, MultiGerm, linear_prenormal_form
-from germcalc.ring import Poly
+from germcalc.ring import D_MAX, Poly
 from germcalc.tangent import (WilsonReport, a_codim, ae_codim, is_stable,
                               wilson_check)
 from germcalc._echelon import RowSpan
@@ -64,7 +64,7 @@ class TestFailureCache:
 
         monkeypatch.setattr(tangent, "_stabilized_codim", counting)
         codim.cache_clear()
-        tangent._failure.cache_clear()
+        tangent._codim.cache_clear()
         errors = []
         for _ in range(2):
             with pytest.raises(NotStabilizedError) as info:
@@ -76,6 +76,44 @@ class TestFailureCache:
         assert first.d_max == second.d_max == 8
         assert first.history == second.history and first.history
         assert runs == [germ]
+
+    @pytest.mark.parametrize("codim", [ae_codim, a_codim], ids=["ae", "a"])
+    @pytest.mark.parametrize("germ, spellings", [
+        (G(B(X, Y, Z ** 3 + X * Z)),
+         [lambda c, f: c(f), lambda c, f: c(f, D_MAX),
+          lambda c, f: c(f, d_max=D_MAX)]),
+        (G(B(X, Y, X * Z * Z)),
+         [lambda c, f: c(f, 8), lambda c, f: c(f, d_max=8),
+          lambda c, f: c(f=f, d_max=8)]),
+    ], ids=["stabilizes", "fails"])
+    def test_every_spelling_of_d_max_computes_once(self, codim, germ,
+                                                   spellings, monkeypatch):
+        runs = []
+        stabilized = tangent._stabilized_codim
+
+        def counting(f, d_max, extended):
+            runs.append(f)
+            return stabilized(f, d_max, extended)
+
+        monkeypatch.setattr(tangent, "_stabilized_codim", counting)
+        for fn in vars(tangent).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        outcomes = []
+        for spell in spellings:
+            try:
+                outcomes.append(spell(codim, germ))
+            except NotStabilizedError as error:
+                outcomes.append(error)
+        assert runs == [germ]
+        first = outcomes[0]
+        for other in outcomes[1:]:
+            if isinstance(first, NotStabilizedError):
+                assert other is not first
+                assert (str(other), other.d_max, other.history) == \
+                    (str(first), first.d_max, first.history)
+            else:
+                assert other == first
 
 
 class TestACodim:
