@@ -10,6 +10,9 @@ The engine flag `--max-degree` is the only engine setting, passed to the
 library as `d_max` (default `ring.D_MAX`): it bounds the degree at which a
 dimension may be certified (a codimension's certificate elimination runs c
 degrees above it).  A value below 1 exits 1 before any subcommand runs.
+`run` builds its argument parser once per process, on first use, so a
+caller that runs many command lines in one process parses each without
+rebuilding it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import atlas, gates, ops, tangent
 from . import germ as germ_mod
@@ -241,7 +245,10 @@ def _cmd_atlas(args) -> int:
     raise ValueError(f"unknown atlas action {action!r}")  # pragma: no cover
 
 
+@lru_cache(maxsize=1)
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then kept: each
+    parse_args call returns a fresh namespace, so runs share nothing."""
     parser = argparse.ArgumentParser(
         prog="germcalc",
         description="Exact invariants, constructions and simplicity gates "

@@ -17,6 +17,14 @@ parse(format(f)) the identity on parser output and printing insensitive
 to the variable order the caller happened to build a germ in.  The
 canonical order is defined for at most 6 variables; canonicalizing a
 germ in more raises ValueError instead of breaking the round trip.
+
+The least rendering is found piece by piece, not by rendering every
+reindexing.  A rendering is a sequence of pieces, each one component's
+text with its separator (", " or ")"); the search renders one piece at a
+time and keeps only the candidates whose piece is least, ties included,
+so its result is exactly the least full text.  The match key used by
+atlas lookups runs the same search with the target-component and branch
+orders left free as well.
 """
 
 from __future__ import annotations
@@ -252,43 +260,60 @@ def parse_multigerm(text: str, source_dim: int | None = None,
 
 # -- printer ----------------------------------------------------------------
 
-def _render_term(mono: tuple[int, ...], coef: Fraction,
-                 names: tuple[str, ...]) -> str:
+def _integer(coef: Fraction) -> int:
     if coef.denominator != 1:
         raise ValueError(
             "the surface syntax is integral; cannot print coefficient "
             f"{coef}")
-    c = abs(coef.numerator)
-    factors = []
-    for i, e in enumerate(mono):
-        if e == 1:
-            factors.append(names[i])
-        elif e > 1:
-            factors.append(f"{names[i]}^{e}")
-    if not factors:
-        return str(c)
-    body = "*".join(factors)
-    return body if c == 1 else f"{c}*{body}"
+    return coef.numerator
+
+
+def _term_text(c: int, mono: Sequence[int], names: tuple[str, ...]) -> str:
+    """One term with its sign, such as "+x*y^2", "-3*z" or "+5"."""
+    sign = "-" if c < 0 else "+"
+    body = "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
+                    for i, e in enumerate(mono) if e)
+    if not body:
+        return f"{sign}{abs(c)}"
+    return sign + body if abs(c) == 1 else f"{sign}{abs(c)}*{body}"
+
+
+# A component as the printer reads it: its terms in print order, each as
+# (degree, [(variable, exponent)], coefficient), and the variables it uses.
+_Component = tuple[list[tuple[int, list[tuple[int, int]], int]], list[int]]
+
+
+def _component(poly: Poly) -> _Component:
+    terms = [(sum(mono), [(v, e) for v, e in enumerate(mono) if e],
+              _integer(coef)) for mono, coef in poly.sorted_terms()]
+    return terms, sorted({v for _, pairs, _ in terms for v, _ in pairs})
+
+
+def _render_placed(comp: _Component, place: tuple[int, ...],
+                   names: tuple[str, ...]) -> str:
+    """The text of the component with variable v renamed to variable
+    place[v]; every variable the component uses must be placed."""
+    n = len(place)
+    moved = []
+    for deg, pairs, c in comp[0]:
+        mono = [0] * n
+        for v, e in pairs:
+            mono[place[v]] = e
+        moved.append((deg, mono, c))
+    moved.sort(reverse=True)  # descending graded-lex, as Poly.sorted_terms
+    text = "".join(_term_text(c, mono, names) for _, mono, c in moved)
+    return text.removeprefix("+") or "0"
 
 
 def render_poly(poly: Poly, names: tuple[str, ...] | None = None) -> str:
     if names is None:
         names = variable_names(poly.nvars)
-    text = "".join(("-" if coef < 0 else "+") + _render_term(mono, coef, names)
-                   for mono, coef in poly.sorted_terms())
-    return text.removeprefix("+") or "0"
+    return _render_placed(_component(poly), tuple(range(poly.nvars)), names)
 
 
 def _join_branches(texts: Sequence[str]) -> str:
     """The multigerm text of the given branch texts, in order."""
     return texts[0] if len(texts) == 1 else "{" + "; ".join(texts) + "}"
-
-
-def _render_multigerm(f: MultiGerm) -> str:
-    names = variable_names(f.n)
-    return _join_branches([
-        "(" + ", ".join(render_poly(c, names) for c in branch.components) + ")"
-        for branch in f.branches])
 
 
 def _require_named(n: int) -> None:
@@ -298,26 +323,116 @@ def _require_named(n: int) -> None:
             f"{len(_DEFAULT_NAMES)} variables; this germ has {n}")
 
 
+# -- least rendering --------------------------------------------------------
+
+def _placements(place: tuple[int, ...],
+                variables: list[int]) -> list[tuple[int, ...]]:
+    """Every extension of the partial variable map `place` (-1 marks an
+    unplaced variable) that places each of `variables`."""
+    out = [place]
+    for v in variables:
+        if place[v] < 0:
+            out = [q[:v] + (j,) + q[v + 1:]
+                   for q in out for j in range(len(q)) if j not in q]
+    return out
+
+
+def _first_of_each_kind(choices: range, taken: tuple[int, ...],
+                        kinds: Sequence) -> list[int]:
+    """The choices not yet taken, keeping only the first of each kind."""
+    free = [x for x in choices if x not in taken]
+    return [x for x in free
+            if all(kinds[y] != kinds[x] for y in free if y < x)]
+
+
+def _least_rendering(f: MultiGerm,
+                     arrange: bool) -> tuple[str, tuple[int, ...]]:
+    """The least rendering of f over every variable order and, with
+    `arrange`, every target-component order and branch order too; with a
+    variable order that gives it (old variable v becomes variable
+    order[v]).
+
+    A rendering is a fixed sequence of pieces, one per (branch slot,
+    component slot): the component's text and its separator, ", " or ")".
+    No component text contains "," or ")", so no piece is a proper prefix
+    of another piece in the same place, and the least text is the one whose
+    pieces are least one by one.  The search therefore renders one piece
+    at a time and keeps only the candidates whose piece is least; ties are
+    all kept, so the result is exact.  A candidate places only the
+    variables its pieces use so far and picks a target or a branch at the
+    first piece that needs it.  Two targets with equal components in every
+    branch, or two equal branches, give the same texts when swapped, so
+    only the first free one of each kind is tried.  The separator is part
+    of every comparison: "x" < "x*y" but "x, " > "x*y, ".  Raises
+    ValueError above 6 variables and, before the search starts, for any
+    non-integral coefficient.
+    """
+    n, p, r = f.n, f.p, f.r
+    _require_named(n)
+    names = variable_names(n)
+    comps = [[_component(c) for c in b.components] for b in f.branches]
+    # the terms of each branch and of each target, to find equal ones
+    rows = [[comp[0] for comp in row] for row in comps]
+    columns = [[row[t] for row in rows] for t in range(p)]
+    rendered: dict[tuple, str] = {}
+    # a candidate: (variable placement, target order so far, branch order
+    # so far); without `arrange` both orders are fixed from the start
+    states = [((-1,) * n, () if arrange else tuple(range(p)),
+               () if arrange else tuple(range(r)))]
+    slots = []
+    for s in range(r):
+        pieces = []
+        for i in range(p):
+            sep = ")" if i == p - 1 else ", "
+            best, kept = None, []
+            for place, targets, branches in states:
+                bs = ([branches[s]] if s < len(branches) else
+                      _first_of_each_kind(range(r), branches, rows))
+                ts = ([targets[i]] if i < len(targets) else
+                      _first_of_each_kind(range(p), targets, columns))
+                for b, t in itertools.product(bs, ts):
+                    comp = comps[b][t]
+                    grown = (targets if i < len(targets) else targets + (t,),
+                             branches if s < len(branches) else branches + (b,))
+                    for q in _placements(place, comp[1]):
+                        key = (b, t, tuple(q[v] for v in comp[1]))
+                        text = rendered.get(key)
+                        if text is None:
+                            text = rendered[key] = _render_placed(comp, q, names)
+                        piece = text + sep
+                        if best is None or piece < best:
+                            best, kept = piece, []
+                        if piece == best:
+                            kept.append((q, *grown))
+            states = kept
+            pieces.append(best)
+        slots.append("(" + "".join(pieces))
+    place = states[0][0]  # unused variables take the positions left over
+    unused = iter(j for j in range(n) if j not in place)
+    return (_join_branches(slots),
+            tuple(j if j >= 0 else next(unused) for j in place))
+
+
 def canonical_variable_order(f: MultiGerm) -> MultiGerm:
     """Reindex variables to minimize the rendered text.
 
     Invariants are insensitive to this permutation; it pins down one
     representative per variable ordering so parse and format round-trip.
     Raises ValueError for germs in more than 6 variables, where neither
-    the names nor the permutation search are defined.
+    the names nor the search are defined.
     """
-    n = f.n
-    _require_named(n)
-    candidates = (MultiGerm(tuple(
-        Branch(tuple(c.remap_variables(n, perm) for c in b.components))
-        for b in f.branches)) for perm in itertools.permutations(range(n)))
-    return min(candidates, key=_render_multigerm)
+    order = _least_rendering(f, arrange=False)[1]
+    if order == tuple(range(f.n)):
+        return f
+    return MultiGerm(tuple(
+        Branch(tuple(c.remap_variables(f.n, order) for c in b.components))
+        for b in f.branches))
 
 
 def format_multigerm(f: MultiGerm) -> str:
     """Deterministic canonical rendering; parse(format(f)) == f for any f
     produced by the parser (and any canonical f)."""
-    return _render_multigerm(canonical_variable_order(f))
+    return _least_rendering(f, arrange=False)[0]
 
 
 @lru_cache(maxsize=1024)
@@ -330,22 +445,10 @@ def canonical_match_key(f: MultiGerm) -> str:
     are equivalent; the converse fails, which is why lookups fall back to
     invariant matching.
 
-    A branch text ends at its first ")", so no branch text is a prefix of
-    another and the least concatenation of the branches is the sorted one:
-    each branch is rendered once per variable order instead of once per
-    branch order.
+    The least text is found piece by piece, each piece a component's text
+    with its separator (`_least_rendering`), and is exact: it equals the
+    least of the n! * p! * r! full renderings.  A branch text ends at its
+    first ")", so for any one variable and target order the least branch
+    arrangement is the sorted one.
     """
-    n = f.n
-    _require_named(n)
-    names = variable_names(n)
-    target_orders = list(itertools.permutations(range(f.p)))
-    best = None
-    for perm in itertools.permutations(range(n)):
-        texts = [[render_poly(c.remap_variables(n, perm), names)
-                  for c in b.components] for b in f.branches]
-        for order in target_orders:
-            text = _join_branches(sorted(
-                "(" + ", ".join(t[i] for i in order) + ")" for t in texts))
-            if best is None or text < best:
-                best = text
-    return best
+    return _least_rendering(f, arrange=True)[0]

@@ -128,6 +128,29 @@ def brute_force_key(f):
     return best
 
 
+def _reindexed(f, perm):
+    from germcalc.germ import Branch, MultiGerm
+    return MultiGerm(tuple(
+        Branch(tuple(c.remap_variables(f.n, perm) for c in b.components))
+        for b in f.branches))
+
+
+def brute_force_order(f):
+    """The least rendering over every variable order, by rendering all n!
+    reindexings in full, and the reindexed germ that gives it."""
+    names = syntax.variable_names(f.n)
+    best = None
+    for perm in itertools.permutations(range(f.n)):
+        g = _reindexed(f, perm)
+        texts = ["(" + ", ".join(syntax.render_poly(c, names)
+                                 for c in b.components) + ")"
+                 for b in g.branches]
+        text = texts[0] if g.r == 1 else "{" + "; ".join(texts) + "}"
+        if best is None or text < best[0]:
+            best = (text, g)
+    return best
+
+
 class TestCanonicalKeys:
     GERMS = [
         "{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);(x,y,z^2+x-y)}",
@@ -148,16 +171,70 @@ class TestCanonicalKeys:
             checked += 1
         assert checked == 61
 
+    def test_variable_order_matches_the_brute_force_minimum(self):
+        checked = 0
+        for f in self.corpus():
+            # the corpus is printed in canonical order; reversing and
+            # rotating the variables makes the search find it again
+            n = f.n
+            for perm in (range(n), range(n - 1, -1, -1), [*range(1, n), 0]):
+                g = _reindexed(f, tuple(perm))
+                text, least = brute_force_order(g)
+                assert syntax.canonical_variable_order(g) == least
+                assert syntax.format_multigerm(g) == text
+            checked += 1
+        assert checked == 61
+
+    def test_the_separator_takes_part_in_every_comparison(self):
+        # "x" < "x*y^3+...", but "x, " > "x*y^3+..., ": the least key puts
+        # the longer component first, while the printed order keeps x first
+        f = syntax.parse_multigerm("(x, y, y^3*z+x^2*z+z^3)")
+        assert syntax.canonical_match_key(f) == "(x*y^3+x^3+x*z^2, y, z)"
+        assert syntax.format_multigerm(f) == "(x, y, y^3*z+x^2*z+z^3)"
+
+    def test_only_targets_equal_in_every_branch_are_interchangeable(self):
+        # the two targets of the first germ, and targets 0 and 1 of the
+        # second, are equal in the first branch only, so their order
+        # still matters; the third germ repeats a branch and a target
+        cases = [("{(0, 0); (x, 0)}", "{(0, 0); (0, x)}"),
+                 ("{(x, x, y^2); (y, x^2, x)}", "{(x, x, y^2); (x^2, y, x)}"),
+                 ("{(x, y^2, y^2); (x, y^2, y^2); (y, x^2, x^2)}",
+                  "{(x, y^2, y^2); (x, y^2, y^2); (y, x^2, x^2)}")]
+        for text, key in cases:
+            f = syntax.parse_multigerm(text, canonical=False)
+            assert syntax.canonical_match_key(f) == key == brute_force_key(f)
+
+    def test_six_variables_and_six_targets(self):
+        # the key that a full enumeration of 720 * 720 renderings per
+        # branch arrangement gives
+        f = syntax.parse_multigerm(
+            "{(x^2+y*z*w*u*v, y, z, w, u, v); (x, y^2+x*z, z, w, u, v)}",
+            canonical=False)
+        assert syntax.canonical_match_key(f) == (
+            "{(u, v, w, x*u+y^2, x, z); (u, v, w, y, y*z*w*u*v+x^2, z)}")
+
+    def test_a_non_integral_coefficient_is_refused(self):
+        # the first two components settle the order and the third is
+        # fixed, but its coefficient 1/2 still has no surface syntax
+        from fractions import Fraction
+        from germcalc.germ import Branch, MultiGerm
+        f = MultiGerm((Branch((Poly(3, {(1, 0, 0): 1}), Poly(3, {(0, 1, 0): 1}),
+                               Poly(3, {(0, 0, 2): 1, (1, 1, 0): Fraction(1, 2)}))),))
+        for fn in (syntax.canonical_variable_order, syntax.format_multigerm,
+                   syntax.canonical_match_key):
+            with pytest.raises(ValueError, match="cannot print coefficient 1/2"):
+                fn(f)
+
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 @st.composite
-def _random_germs(draw):
+def _random_germs(draw, max_n=3, max_r=2):
     from germcalc.germ import Branch, MultiGerm
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_n))
     p = draw(st.integers(1, min(3, n + 1)))
-    r = draw(st.integers(1, 2))
+    r = draw(st.integers(1, max_r))
     branches = []
     for _ in range(r):
         comps = []
@@ -184,6 +261,16 @@ def test_parse_format_fixes_canonical_form(g):
     reparsed = syntax.parse_multigerm(text, source_dim=g.n)
     assert reparsed == canonical
     assert syntax.format_multigerm(reparsed) == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_germs(max_n=4, max_r=3))
+def test_searches_match_the_brute_force_minimum(g):
+    # coefficients in -3..3 over up to 9 components repeat and change sign
+    text, least = brute_force_order(g)
+    assert syntax.canonical_variable_order(g) == least
+    assert syntax.format_multigerm(g) == text
+    assert syntax.canonical_match_key(g) == brute_force_key(g)
 
 
 class TestParsePoly:
@@ -214,6 +301,24 @@ class TestRun:
         assert out["invariants"]["wilson"] == "consistent"
         assert out["degrees_used"]["aecod"] >= 1
         assert out["curves"]["aecod"][-1] == out["invariants"]["aecod"]
+
+    def test_runs_in_one_process_print_what_fresh_processes_print(self, capsys):
+        # the parser is built once per process: no run's subcommand or
+        # flags may carry over into the next
+        fold = "(x, y, z^3+x*z)"
+        failing = "(x,y,x*z^2)"
+        runs = [["eval", "--germ", fold, "--json"],
+                ["eval", "--germ", fold],
+                ["gate", "--germ", fold, "--json"],
+                ["atlas", "lookup", "--germ", "{(z^2+y,x,y);(z^2,x,y)}"],
+                ["eval", "--germ", failing, "--max-degree", "8"],
+                ["eval", "--germ", failing]]
+        for argv in runs:
+            code = cli.run(argv)
+            out, err = capsys.readouterr()
+            fresh = _python("-m", "germcalc.cli", *argv)
+            assert (code, out, err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
 
     def test_eval_plain(self, capsys):
         code = cli.run(["eval", "--germ", "(x,y,z^2)"])
@@ -555,6 +660,7 @@ class TestLayering:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split("\n") == [
             "germcalc.atlas._instance 1024 0",
+            "germcalc.cli.build_arg_parser 1 0",
             "germcalc.germ._branch_multiplicity 1024 0",
             "germcalc.ring.monomial_tables 64 0",
             "germcalc.syntax.canonical_match_key 1024 0",
