@@ -71,8 +71,8 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_eval(args) -> int:
     d_max = args.max_degree
-    f = parse_multigerm(args.germ, source_dim=args.source_dim,
-                        target_dim=args.target_dim)
+    f, text = parse_multigerm(args.germ, source_dim=args.source_dim,
+                              target_dim=args.target_dim, rendered=True)
     m0 = germ_mod.multiplicity(f, d_max)
     cork = germ_mod.germ_corank(f)
     try:
@@ -83,7 +83,7 @@ def _cmd_eval(args) -> int:
     a = tangent.a_codim(f, d_max)
     wilson = tangent.wilson_check(f, d_max)
     payload = {
-        "germ": format_multigerm(f),
+        "germ": text,
         "invariants": {
             "m0": m0,
             "corank": cork,
@@ -161,12 +161,12 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    f = parse_multigerm(args.germ)
+    f, text = parse_multigerm(args.germ, rendered=True)
     flags = frozenset(s.strip() for s in (args.asserted or "").split(",") if s.strip())
     report = gates.simplicity_report(
         f, args.max_degree, gates.ReportAssertions(flags=flags))
     payload = {
-        "germ": format_multigerm(f),
+        "germ": text,
         "verdict": _verdict_json(report.verdict),
         "trace": [{"gate": name, **_verdict_json(v)} for name, v in report.trace],
     }
@@ -213,10 +213,10 @@ def _cmd_atlas(args) -> int:
     if action == "lookup":
         if not args.germ:
             raise ValueError("lookup needs --germ")
-        f = parse_multigerm(args.germ)
+        f, text = parse_multigerm(args.germ, rendered=True)
         result = atlas.lookup(f, args.max_degree)
         payload = {
-            "germ": format_multigerm(f),
+            "germ": text,
             "exact": result.exact,
             "matches": [{"name": name, "params": _jsonable(dict(params))}
                         for name, params in result.matches],

@@ -23,7 +23,10 @@ defaults to `D_MAX`; it is the engines' only setting.  Both engines
 build their rows on monomial index tables (`MonomialTables`): a monomial
 is its position in the graded order, x_v times it is a lookup in a step
 table, and a product with a fixed monomial is a shift table composed from
-the steps, so no row is built by multiplying exponent tuples.  Many
+the steps, so no row is built by multiplying exponent tuples.  The
+numbering is a prefix of itself at every higher top, so the multiples of
+a generator (`Multiples`) and the shift tables grow with the top degree
+instead of being rebuilt.  Many
 generator rows are unit vectors or become unit vectors once other unit
 columns are stripped.  A row that is a unit vector as built (every
 multiple x^a * g of a one-term generator g, such as a monomial in an ideal
@@ -38,7 +41,7 @@ Milnor and Tjurina numbers of function germs are thin wrappers around it.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -387,7 +390,8 @@ class MonomialTables:
     def shift(self, k: int, memo: dict[int, list[int]]) -> list[int]:
         """Indices of mono_k * mono_i for every i of degree <= top - deg k.
 
-        `memo` keeps the tables already composed for one caller."""
+        `memo` keeps the tables already composed for one caller, at the top
+        of these tables (`raise_shifts`)."""
         got = memo.get(k)
         if got is None:
             if k == 0:
@@ -399,21 +403,32 @@ class MonomialTables:
             memo[k] = got
         return got
 
-    def multiply(self, a: dict[int, Coefficient], terms,
+    def raise_shifts(self, memo: dict[int, list[int]]) -> None:
+        """Extend every table of `memo`, composed at a lower top, to the top
+        of these tables: the table at the lower top is a prefix, so it
+        grows in place."""
+        start, top, deg = self.start, self.top, self.deg
+        for k in sorted(memo):  # each table's parent comes first
+            got = memo[k]
+            fits = start[top - deg[k] + 1]
+            if k == 0:
+                got.extend(range(len(got), fits))
+            elif len(got) < fits:
+                v, prev = self.parent[k]
+                step = self.step[v]
+                got.extend([step[i] for i in memo[prev][len(got):fits]])
+
+    def multiply(self, a: dict[int, Coefficient], terms, low: int,
                  memo: dict[int, list[int]]) -> dict[int, Coefficient]:
-        """The product of a polynomial {index: coefficient} with the
-        (index, coefficient) terms of another, truncated at top."""
-        if len(terms) == 1:
-            # one term maps distinct monomials to distinct monomials
-            (k, c), = terms
-            shift = self.shift(k, memo)
-            fits = len(shift)
-            return {shift[i]: v * c for i, v in a.items() if i < fits}
+        """The terms of degree low+1..top of the product of a polynomial
+        {index: coefficient} with the (index, coefficient) terms of
+        another; low = -1 gives the whole product truncated at top."""
         out: dict[int, Coefficient] = {}
         for k, c in terms:
             shift = self.shift(k, memo)
-            fits = len(shift)
-            for i, v in a.items():
+            fits, lo = len(shift), self.start[max(low - self.deg[k] + 1, 0)]
+            for i, v in ([(i, v) for i, v in a.items() if i >= lo] if lo
+                         else a.items()):
                 if i < fits:
                     j = shift[i]
                     out[j] = out.get(j, 0) + v * c
@@ -425,37 +440,90 @@ def monomial_tables(nvars: int, top: int) -> MonomialTables:
     return MonomialTables(nvars, top)
 
 
-def add_multiples(tables: MonomialTables, terms, min_degree: int,
-                  rows: list[dict], killed: set[int],
-                  memo: dict[int, list[int]]) -> None:
-    """Add the rows x^a * (sum of the terms) for every |a| >= min_degree,
-    truncated at the top degree of `tables`.
+class Multiples:
+    """The rows x^a * g for every |a| >= low of one generator g, truncated
+    at a top degree that can rise (`grow`), and lifted from below as
+    `low` rises (`drop`).
 
-    `terms` holds (monomial index, coefficient, column map) triples, the
-    column map taking a monomial index to the column id of that term's
-    component.  Distinct terms must land in distinct columns, as they do
-    for the terms of one polynomial or of distinct components, so every
-    row is filled directly.  A row with one entry is a unit row: its column
-    goes into `killed` instead (see `eliminate_graded`).
+    The rows of one |a| = e form a slab: each holds one entry per term of
+    g of degree <= top - e, in the column that term's product with x^a
+    lands in.  A slab of one-entry rows is kept as their columns, never as
+    dicts; it turns into rows once the top lets a second term in.
     """
-    if not terms:
-        return
-    top, start, deg = tables.top, tables.start, tables.deg
-    # (degree, column id of the product with each monomial a, coefficient)
-    # ascending by degree, so the terms that fit under top form a prefix
-    products = sorted(((deg[k], [colmap[i] for i in tables.shift(k, memo)], c)
-                       for k, c, colmap in terms), key=lambda t: t[0])
-    active = len(products)
-    for e in range(min_degree, top - products[0][0] + 1):
-        while products[active - 1][0] > top - e:
-            active -= 1
-        lo, hi = start[e], start[e + 1]
-        if active == 1:
-            killed.update(products[0][1][lo:hi])
-            continue
-        coefs = [c for _, _, c in products[:active]]
-        rows.extend(dict(zip(ids, coefs)) for ids in
-                    zip(*(cols[lo:hi] for _, cols, _ in products[:active])))
+
+    __slots__ = ("low", "top", "products", "slabs")
+
+    def __init__(self, low: int):
+        self.low, self.top = low, -1
+        # (degree, coefficient, monomial index, column map) of each term,
+        # ascending by degree
+        self.products: list[tuple] = []
+        # |a| -> (number of terms in its rows, the rows or the columns)
+        self.slabs: dict[int, tuple[int, list]] = {}
+
+    def grow(self, tables: MonomialTables, terms,
+             memo: dict[int, list[int]]) -> None:
+        """Bring the rows up to the top degree of `tables`, which is not
+        below the last one.
+
+        `terms` holds the (monomial index, coefficient, column map) triples
+        of every term of g of degree <= top, the column map taking a
+        monomial index to the column id of that term's component.  Distinct
+        terms must land in distinct columns, as they do for the terms of one
+        polynomial or of distinct components, so every row is filled
+        directly.  `memo` holds shift tables at this top
+        (`MonomialTables.raise_shifts`)."""
+        top, start, deg = tables.top, tables.start, tables.deg
+        products = self.products
+        products.extend(sorted(((deg[k], c, k, colmap)
+                                for k, c, colmap in terms if deg[k] > self.top),
+                               key=lambda t: t[0]))
+        self.top = top
+        if not products:
+            return
+        degrees = [t[0] for t in products]
+        slabs = self.slabs
+
+        def columns(t, lo, hi):
+            # the column of the product of the term t with each x^a of
+            # index lo..hi-1
+            colmap = t[3]
+            return [colmap[i] for i in tables.shift(t[2], memo)[lo:hi]]
+
+        for e in range(self.low, top - degrees[0] + 1):
+            active = bisect_right(degrees, top - e)
+            had, rows = slabs.get(e, (0, None))
+            if active == had:
+                continue
+            lo, hi = start[e], start[e + 1]
+            if active == 1:
+                rows = columns(products[0], lo, hi)
+            elif had < 2:
+                coefs = [t[1] for t in products[:active]]
+                rows = [dict(zip(ids, coefs)) for ids in
+                        zip(*(columns(t, lo, hi) for t in products[:active]))]
+            else:
+                for t in products[had:active]:
+                    c = t[1]
+                    for row, col in zip(rows, columns(t, lo, hi)):
+                        row[col] = c
+            slabs[e] = (active, rows)
+
+    def drop(self, low: int) -> None:
+        """Raise `low`, dropping the rows of |a| < low."""
+        self.low = low
+        for e in [e for e in self.slabs if e < low]:
+            del self.slabs[e]
+
+    def collect(self, rows: list[dict], killed: set[int]) -> None:
+        """Hand the rows to an elimination: the rows of two or more entries
+        into `rows`, in the order of |a| and then of a, and the columns of
+        the one-entry rows into `killed` (see `eliminate_graded`)."""
+        for active, got in self.slabs.values():
+            if active == 1:
+                killed.update(got)
+            else:
+                rows.extend(got)
 
 
 def eliminate_graded(widths: Sequence[int], rows: list[dict],
@@ -464,12 +532,15 @@ def eliminate_graded(widths: Sequence[int], rows: list[dict],
 
     The columns are numbered by position, ascending by degree: `widths[d]`
     of them have degree d, for d = 0..D.  Position i carries the column id
-    last - i, so the lowest position gets the largest id; RowSpan pivots on
-    the largest id, so every pivot row leads with its lowest-degree term (a
-    local order).  `rows` are generator rows at D, keyed by column id and
-    holding nonzero entries only; `killed` holds the columns of further
-    generator rows with a single entry, which the builders hand over as
-    columns instead of building them.  The set is extended in place.
+    -i, so the lowest position gets the largest id; RowSpan pivots on the
+    largest id, so every pivot row leads with its lowest-degree term (a
+    local order).  The id of a column does not depend on D, so a builder
+    that raises its top degree keeps the ids it has handed out.  `rows`
+    are generator rows at D, keyed by column id and holding nonzero
+    entries only; `killed` holds the columns of further generator rows
+    with a single entry, which the builders hand over as columns instead
+    of building them (`Multiples`).  The list is sorted and the set
+    extended in place; the rows themselves are not changed.
 
     Before the echelon, a singleton presolve (the singleton step of LP
     presolve) peels unit rows until nothing changes: killed columns are
@@ -493,7 +564,6 @@ def eliminate_graded(widths: Sequence[int], rows: list[dict],
     ascending order; the first (value at d) of them are a basis of the
     quotient at d.
     """
-    last = sum(widths) - 1
     # singleton presolve: strip every column killed so far, and let a row
     # left with one entry kill its column; sweep until a sweep kills nothing
     grew = True
@@ -513,8 +583,8 @@ def eliminate_graded(widths: Sequence[int], rows: list[dict],
     span = RowSpan()
     for row in rows:
         span.insert(row)
-    free = sorted(last - c for c in
-                  set(range(last + 1)).difference(killed, span.pivots))
+    free = sorted(-c for c in set(range(0, -sum(widths), -1)).difference(
+        killed, span.pivots))
     return [bisect_left(free, end)
             for end in itertools.accumulate(widths)], free
 
@@ -567,16 +637,17 @@ def stabilize_curve(eliminate, k0: int, c: int, step, d_max: int,
 def _graded_ideal(generators: Sequence[Poly], nvars: int,
                   top: int) -> tuple[list[int], list[Monomial]]:
     """One elimination of the generator multiples of degree <= top; the
-    column of a monomial is its position in the tables."""
+    position of a monomial's column is its index in the tables."""
     tables = monomial_tables(nvars, top)
-    last = len(tables.monos) - 1
-    colmap = list(range(last, -1, -1))
+    colmap = list(range(0, -len(tables.monos), -1))
     rows: list[dict] = []
     killed: set[int] = set()
     memo: dict[int, list[int]] = {}
     for g in generators:
-        add_multiples(tables, [(k, c, colmap) for k, c in tables.terms(g)], 0,
-                      rows, killed, memo)
+        multiples = Multiples(0)
+        multiples.grow(tables, [(k, c, colmap) for k, c in tables.terms(g)],
+                       memo)
+        multiples.collect(rows, killed)
     start = tables.start
     values, free = eliminate_graded(
         [start[d + 1] - start[d] for d in range(top + 1)], rows, killed)

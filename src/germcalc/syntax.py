@@ -216,7 +216,7 @@ def parse_poly(text: str, names: tuple[str, ...] | None = None) -> Poly:
 
 def parse_multigerm(text: str, source_dim: int | None = None,
                     target_dim: int | None = None,
-                    canonical: bool = True) -> MultiGerm:
+                    canonical: bool = True, *, rendered: bool = False):
     """Parse a germ expression into a canonical MultiGerm.
 
     The source dimension is the number of distinct variables (the
@@ -226,7 +226,9 @@ def parse_multigerm(text: str, source_dim: int | None = None,
     term, and ValueError when canonicalizing more than 6 variables.
     canonical=False keeps variables in first-appearance order, which
     callers that attach meaning to variable positions (unfolding
-    parameters) rely on.
+    parameters) rely on.  With canonical, rendered=True returns the pair
+    (germ, format_multigerm(germ)), the text read off the search that put
+    the germ in canonical order.
     """
     parser = _Parser(text)
     raw = parser.parse_multigerm()
@@ -255,7 +257,10 @@ def parse_multigerm(text: str, source_dim: int | None = None,
         raise GermSyntaxError(
             f"target-dim {target_dim} disagrees with the {p} components")
     result = MultiGerm(tuple(branches))
-    return canonical_variable_order(result) if canonical else result
+    if not canonical:
+        return result
+    germ, printed = _canonical_form(result)
+    return (germ, printed) if rendered else germ
 
 
 # -- printer ----------------------------------------------------------------
@@ -413,6 +418,16 @@ def _least_rendering(f: MultiGerm,
             tuple(j if j >= 0 else next(unused) for j in place))
 
 
+def _canonical_form(f: MultiGerm) -> tuple[MultiGerm, str]:
+    """f in canonical variable order, and its text, from one search."""
+    text, order = _least_rendering(f, arrange=False)
+    if order != tuple(range(f.n)):
+        f = MultiGerm(tuple(
+            Branch(tuple(c.remap_variables(f.n, order) for c in b.components))
+            for b in f.branches))
+    return f, text
+
+
 def canonical_variable_order(f: MultiGerm) -> MultiGerm:
     """Reindex variables to minimize the rendered text.
 
@@ -421,12 +436,7 @@ def canonical_variable_order(f: MultiGerm) -> MultiGerm:
     Raises ValueError for germs in more than 6 variables, where neither
     the names nor the search are defined.
     """
-    order = _least_rendering(f, arrange=False)[1]
-    if order == tuple(range(f.n)):
-        return f
-    return MultiGerm(tuple(
-        Branch(tuple(c.remap_variables(f.n, order) for c in b.components))
-        for b in f.branches))
+    return _canonical_form(f)[0]
 
 
 def format_multigerm(f: MultiGerm) -> str:

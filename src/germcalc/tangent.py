@@ -81,21 +81,25 @@ e_{b,l'}.  Each target row is scaled by one integer so that its
 coefficients stay those of the germ times integers.  A branch without a
 coordinate component (a curve, say) is built in full.
 
-The engine builds and eliminates the rows once per candidate k, at the
-top degree D = k + c, in a local order, and reads the value at every
-d <= D from the pivots (see `ring.eliminate_graded`).  The rows come from
-the monomial index tables of `ring`: the slots are numbered by (degree,
-branch, kept component, monomial) arithmetically, a derivative row
-x^a * df_b/dx_j is one shift table per term of the partial, and the
-products (y^beta o f_b) * g, for g = 1 and for each partial a substituted
-target row needs, follow the same recursion over beta, kept by the index
-of beta and of each source monomial.  Rows with a single entry reach the
-elimination as killed columns.  The quotient
-basis is returned as the free slots of that elimination, the standard
-monomials of the local order: the unit section at a slot places one
-source monomial in one kept component of one branch and zero elsewhere;
-pi fixes it, so these sections are a basis of the quotient of the full
-module too.
+The engine eliminates once per candidate k, at the top degree D = k + c,
+in a local order, and reads the value at every d <= D from the pivots
+(see `ring.eliminate_graded`).  It builds the rows once per search and
+grows them from one candidate's top degree to the next (`_SearchRows`):
+a failed candidate's rows gain only their entries of the new degrees,
+the new multiples and betas add rows, and the certificate rows of the
+old candidate that lie inside the new one's range are dropped.  The
+rows come from the monomial index tables of `ring`: a slot's column
+id is computed from (degree, branch, kept component, monomial) and does
+not depend on D, a derivative row x^a * df_b/dx_j is one shift table
+per term of the partial, and the products (y^beta o f_b) * g, for g = 1
+and for each partial a substituted target row needs, follow the same
+recursion over beta, kept by the index of beta and of each source
+monomial.  Rows with a single entry reach the elimination as killed
+columns.  The quotient basis is returned as the free slots of the
+certified elimination, the standard monomials of the local order: the
+unit section at a slot places one source monomial in one kept component
+of one branch and zero elsewhere; pi fixes it, so these sections are a
+basis of the quotient of the full module too.
 
 The extended variant allows constant vector fields on both sides; the
 non-extended variant restricts the ambient to sections without constant
@@ -117,7 +121,7 @@ from math import lcm
 
 from .errors import remember_failures
 from .germ import Branch, MultiGerm, linear_prenormal_form, multiplicity_and_power
-from .ring import (D_MAX, MonomialTables, add_multiples, eliminate_graded,
+from .ring import (D_MAX, MonomialTables, Multiples, eliminate_graded,
                    monomial_tables, stabilize_curve)
 
 Slot = tuple[int, int, tuple[int, ...]]  # (branch, component, source monomial)
@@ -165,149 +169,359 @@ def _coordinates(branch: Branch) -> dict[int, tuple[int, Fraction]]:
     return found
 
 
-def _generator_rows(f: MultiGerm, tables: MonomialTables, min_deg: int,
-                    coordinates, colmaps,
-                    certify: int | None) -> tuple[list[dict], set[int]]:
-    """The derivative and target rows of degree >= min_deg at the top
-    degree of `tables`, in the reduced module, as rows and killed columns
-    (`eliminate_graded`).  `coordinates[b]` is `_coordinates` of branch b,
-    and `colmaps[b][l]` maps a monomial index to the column id of its slot
-    in kept component l of branch b.  With a candidate degree `certify` =
-    k, the certificate rows of k are added and the target rows stop at
-    |beta| = k + 1 (see the module docstring)."""
-    n, p = f.n, f.p
-    rows: list[dict] = []
-    killed: set[int] = set()
-    memo: dict[int, list[int]] = {}
+class _Branch:
+    """The recursion over beta shared by the products of one branch b:
+    the product of beta is that of beta / y_v times f_{b,v}, for the v in
+    beta with the fewest terms in f_b (for a coordinate, one shift)."""
 
-    # derivative rows x^a * df_b/dx_j for the variables j that are no
-    # coordinate of branch b, over its kept components
-    for b, branch in enumerate(f.branches):
-        taken = {j for j, _ in coordinates[b].values()}
-        for j in range(n):
-            if j not in taken:
-                add_multiples(tables, [(k, c, cm)
-                                       for l, cm in colmaps[b].items()
-                                       for k, c in tables.terms(
-                                           branch.components[l].diff(j))],
-                              min_deg, rows, killed, memo)
+    __slots__ = ("components", "order", "recursions", "steps", "degrees",
+                 "degree", "factors")
 
-    # target rows: the row of (l, beta) has a part per branch b, the
-    # composition y^beta o f_b in component l when l is kept on b, and
-    # else, for each kept l', the product (y^beta o f_b) * g in l' with
-    # g = -(scale / c) * df_{b,l'}/dx_j.  The compositions, kept by the
-    # index of beta, follow a recursion over beta, each beta reached from
-    # beta / y_v for the v in it with the fewest terms in f_b (for a
-    # coordinate, one shift).  A one-term g is one more shift, applied to
-    # the column map; a longer g starts the same recursion from g.
-    betas = monomial_tables(p, tables.top if certify is None
-                            else min(tables.top, certify + 1))
-    below = betas.start[betas.top]
+    def __init__(self, branch: Branch, recursions: dict):
+        self.components = branch.components
+        # a zero component is taken off with the one-term ones: its
+        # products are empty whatever the order
+        self.order = tuple(sorted(
+            range(len(branch.components)),
+            key=lambda v: max(len(branch.components[v].items()), 1)))
+        # steps[beta] = (v, index of beta / y_v), None for beta = 1; the
+        # lists of the orders other than 0, 1, .. are shared by the
+        # branches of the search through `recursions`
+        self.recursions = recursions
+        self.steps: list[tuple[int, int] | None] = []
+        self.degrees = [comp.degree() for comp in branch.components]
+        # a bound on the degree of y^beta o f_b by beta, filled on demand
+        # (`bounds`)
+        self.degree: list[int] = []
 
-    def products(seed: dict, comps: list, parent: list) -> list[dict]:
-        table = [seed]
-        for v, prev in parent[1:]:
-            table.append(tables.multiply(table[prev], comps[v], memo))
-        return table
+    def grow(self, betas: MonomialTables, tables: MonomialTables, low: int,
+             memo: dict[int, list[int]]) -> None:
+        """Take the recursion to every beta of `betas`, and the factors
+        f_{b,v} to the top of `tables` from the last top `low`."""
+        if self.order == tuple(range(len(self.order))):
+            # the order of the tables' own parents: take off the first
+            # variable in beta
+            self.steps = betas.parent
+        else:
+            steps = self.steps = self.recursions.setdefault(self.order, [])
+            known = len(steps)
+            steps.extend([None] * (len(betas.monos) - known))
+            # beta / y_v of a new beta has at least the degree of the last
+            # known betas
+            first = betas.start[betas.deg[known - 1]] if known else 0
+            below = betas.start[betas.top]
+            for v in self.order:
+                for i, k in enumerate(betas.step[v][first:below], first):
+                    if steps[k] is None:
+                        steps[k] = (v, i)
+        # the terms of each f_{b,v}, and for a one-term c x^k, which the
+        # products apply inline to save a call per beta: its shift table,
+        # c, the monomials the table covers, and the first monomial whose
+        # product lies above low
+        self.factors = []
+        for comp in self.components:
+            terms = tables.terms(comp)
+            one = None
+            if len(terms) == 1:
+                (k, c), = terms
+                shift = tables.shift(k, memo)
+                one = (shift, c, len(shift),
+                       tables.start[max(low - tables.deg[k] + 1, 0)])
+            self.factors.append((terms, one))
 
-    # the rows of component l are scaled by the least common multiple of
-    # the numerators of its coordinate coefficients c, so every -scale / c
-    # is an integer
-    scale = [lcm(*(abs(coords[l][1].numerator) for coords in coordinates
-                   if l in coords)) for l in range(p)]
-    # parts[l]: (table by beta, column map, scale, length of the map)
-    parts: list[list] = [[] for _ in range(p)]
-    for b, branch in enumerate(f.branches):
-        comps = [tables.terms(comp) for comp in branch.components]
-        parent = [None] * len(betas.monos)
-        for v in sorted(range(p), key=lambda v: len(comps[v])):
-            for i, k in enumerate(betas.step[v][:below]):
-                if parent[k] is None:
-                    parent[k] = (v, i)
-        compositions = products({0: 1}, comps, parent)
-        for l in range(p):
-            if l in colmaps[b]:
-                cm = colmaps[b][l]
-                parts[l].append((compositions, cm, scale[l], len(cm)))
-                continue
-            j, c = coordinates[b][l]
-            factor = int(-scale[l] / c)
-            for kept, cm in colmaps[b].items():
-                terms = tables.terms(branch.components[kept].diff(j))
-                if len(terms) == 1:
-                    # a one-term partial x^k moves the compositions by one
-                    # shift, which maps distinct monomials to distinct slots
-                    (k, coef), = terms
-                    moved = [cm[i] for i in tables.shift(k, memo)]
-                    parts[l].append((compositions, moved, factor * coef,
-                                     len(moved)))
-                elif terms:
-                    parts[l].append((products(
-                        {k: factor * v for k, v in terms}, comps, parent),
-                        cm, 1, len(cm)))
-    for l in range(p):
-        for beta in range(min_deg, len(betas.monos)):
-            row = {cm[i]: s * c for table, cm, s, fits in parts[l]
-                   for i, c in table[beta].items() if i < fits}
-            if len(row) > 1:
-                rows.append(row)
+    def bounds(self, count: int) -> list[int]:
+        """The degree bounds, known up to the beta of index `count` at
+        least."""
+        degree, degrees = self.degree, self.degrees
+        if not degree:
+            degree.append(0)
+        for v, i in self.steps[len(degree):count]:
+            degree.append(degree[i] + degrees[v])
+        return degree
+
+
+class _Compositions:
+    """The products (y^beta o f_b) * g for every target monomial beta, one
+    branch b and one polynomial g, as {source monomial index:
+    coefficient}, grown with the top degree: raising the top adds only the
+    terms of the new degrees to each product, and the products of the new
+    betas in full."""
+
+    __slots__ = ("seed", "degree", "branch", "table")
+
+    def __init__(self, seed, branch: _Branch):
+        # seed: (g, factor), or None for g = 1; degree: that of g
+        self.seed, self.branch = seed, branch
+        self.degree = seed[0].degree() if seed else 0
+        self.table: list[dict[int, int | Fraction]] = []
+
+    def grow(self, tables: MonomialTables, low: int, count: int,
+             memo: dict[int, list[int]]) -> dict[int, dict]:
+        """Add the terms of degree low+1..top to the products there are,
+        and the products of the betas up to index `count` in full; returns
+        the terms added to the products there were, by beta."""
+        table, multiply, old = self.table, tables.multiply, len(self.table)
+        fresh: dict[int, dict[int, int | Fraction]] = {}
+        if not table:
+            table.append({} if self.seed else {0: 1})
+        if self.seed and self.degree > low:
+            poly, factor = self.seed
+            new = {k: factor * c for k, c in tables.terms(poly)
+                   if tables.deg[k] > low}
+            if old:
+                fresh[0] = new
+            table[0].update(new)
+        steps, factors = self.branch.steps, self.branch.factors
+        # a product whose degree lies below the last top was complete
+        # there and gains nothing
+        degree, since = self.branch.bounds(old), low - self.degree
+        for beta in range(1, old):
+            if degree[beta] > since:
+                v, prev = steps[beta]
+                terms, one = factors[v]
+                if one is None:
+                    new = multiply(table[prev], terms, low, memo)
+                else:
+                    shift, c, fits, lo = one
+                    new = {shift[i]: x * c for i, x in table[prev].items()
+                           if lo <= i < fits}
+                if new:
+                    fresh[beta] = new
+                    table[beta].update(new)
+        for v, prev in steps[max(old, 1):count]:
+            terms, one = factors[v]
+            if one is None:
+                table.append(multiply(table[prev], terms, -1, memo))
             else:
-                killed.update(row)
+                shift, c, fits, _ = one
+                table.append({shift[i]: x * c for i, x in table[prev].items()
+                              if i < fits})
+        return fresh
 
-    # certificate rows x^a * f_{b,i} in each kept component of branch b
-    if certify is not None:
+
+class _SearchRows:
+    """The derivative, target and certificate rows of one codimension
+    search, grown from one candidate's top degree to the next instead of
+    rebuilt.
+
+    Every row is kept in the reduced module, keyed by column id, where the
+    slot of mono_k in the q-th kept component (in (branch, component)
+    order, K of them) sits at position K start[d] + q width_d + k - start[d]
+    of the degree-d block (d = deg k, width_d monomials of degree d), less
+    the degree-0 block when not extended, and carries the id -position
+    (`eliminate_graded`); no position depends on the top degree.  Raising
+    the top from T to T' adds to each derivative and target row its entries
+    of degree T+1..T', adds the rows of the new multiples and betas, and
+    turns a one-entry row whose other terms lay above T into a full row
+    again (`ring.Multiples`).  Moving the candidate from k to k' drops the
+    certificate rows of |a| <= k'.  Each elimination gets its own list of
+    rows and its own killed set.  At the last candidate the search may try,
+    no row grows again: its new rows of one entry go in as killed columns,
+    and the tables kept for growing die before its elimination."""
+
+    def __init__(self, f: MultiGerm, extended: bool, last: int | None):
+        self.f, self.extended, self.last = f, extended, last
+        self.min_deg = 0 if extended else 1
+        self.coordinates = [_coordinates(branch) for branch in f.branches]
+        self.blocks = [(b, l) for b, coords in enumerate(self.coordinates)
+                       for l in range(f.p) if l not in coords]
+        # colmaps[b][l]: monomial index -> column id, kept component l of b
+        self.colmaps: list[dict[int, list[int]]] = [{} for _ in f.branches]
+        for b, l in self.blocks:
+            self.colmaps[b][l] = []
+        self.top = -1
+        self.known = 0  # the monomials the column maps cover
+        self.memo: dict[int, list[int]] = {}
+
+        # derivative rows x^a * df_b/dx_j for the variables j that are no
+        # coordinate of branch b, over its kept components
+        self.derivatives = []
         for b, branch in enumerate(f.branches):
-            for comp in branch.components:
-                terms = tables.terms(comp)
-                for cm in colmaps[b].values():
-                    add_multiples(tables, [(k, c, cm) for k, c in terms],
-                                  certify + 1, rows, killed, memo)
-    return rows, killed
+            taken = {j for j, _ in self.coordinates[b].values()}
+            for j in range(f.n):
+                if j not in taken:
+                    self.derivatives.append((
+                        [(branch.components[l].diff(j), cm)
+                         for l, cm in self.colmaps[b].items()],
+                        Multiples(self.min_deg)))
+
+        # target rows: the row of (l, beta) has a part per branch b, the
+        # composition y^beta o f_b in component l when l is kept on b, and
+        # else, for each kept l', the product (y^beta o f_b) * g in l' with
+        # g = -(scale / c) * df_{b,l'}/dx_j.  A one-term g is one more
+        # shift, applied to the column map; a longer g starts the
+        # recursion of the compositions from g.  The rows of component l
+        # are scaled by the least common multiple of the numerators of its
+        # coordinate coefficients c, so every -scale / c is an integer.
+        scale = [lcm(*(abs(coords[l][1].numerator)
+                       for coords in self.coordinates if l in coords))
+                 for l in range(f.p)]
+        recursions: dict = {}
+        self.branches = [_Branch(branch, recursions)
+                         for branch in f.branches]
+        self.families: list[_Compositions] = []
+        # parts[l]: (products, column map, scale, and for a one-term g its
+        # source monomial and the column map moved by it)
+        self.parts: list[list] = [[] for _ in range(f.p)]
+        for b, branch in enumerate(f.branches):
+            compositions = _Compositions(None, self.branches[b])
+            self.families.append(compositions)
+            for l in range(f.p):
+                if l in self.colmaps[b]:
+                    self.parts[l].append((compositions, self.colmaps[b][l],
+                                          scale[l], None, None))
+                    continue
+                j, c = self.coordinates[b][l]
+                factor = int(-scale[l] / c)
+                for kept, cm in self.colmaps[b].items():
+                    g = branch.components[kept].diff(j)
+                    if len(g.items()) == 1:
+                        (mono, coef), = g.items()
+                        self.parts[l].append((compositions, cm,
+                                              factor * int(coef), mono, []))
+                    elif not g.is_zero():
+                        family = _Compositions((g, factor), self.branches[b])
+                        self.families.append(family)
+                        self.parts[l].append((family, cm, 1, None, None))
+        # targets[l]: the row of each beta from min_deg on (at the last
+        # candidate, its new rows of two entries or more); units: the
+        # columns of its new rows of one entry
+        self.targets: list[list[dict]] = [[] for _ in range(f.p)]
+        self.units: list[int] = []
+        # certificate rows x^a * f_{b,i} in each kept component of branch b
+        self.certificates = [
+            (comp, cm, Multiples(0)) for b, branch in enumerate(f.branches)
+            for comp in branch.components for cm in self.colmaps[b].values()]
+
+    def _grow(self, top: int, certify: int | None) -> MonomialTables:
+        f, memo, low = self.f, self.memo, self.top
+        tables = monomial_tables(f.n, top)
+        tables.raise_shifts(memo)
+        start, deg = tables.start, tables.deg
+        # the id of mono_k in the q-th kept component is offset[d] - k
+        known = self.known
+        kept = len(self.blocks)
+        for q, (b, l) in enumerate(self.blocks):
+            offset = [kept * start[self.min_deg] - (kept - 1) * start[d]
+                      - q * (start[d + 1] - start[d]) for d in range(top + 1)]
+            self.colmaps[b][l].extend([offset[d] - k for k, d in
+                                       enumerate(deg[known:], known)])
+        self.known = len(deg)
+
+        for spec, multiples in self.derivatives:
+            multiples.grow(tables, [(k, c, cm) for g, cm in spec
+                                    for k, c in tables.terms(g)], memo)
+
+        # with a candidate degree k the target rows stop at |beta| = k + 1
+        # (see the module docstring)
+        betas = monomial_tables(f.p, top if certify is None
+                                else min(top, certify + 1))
+        count = len(betas.monos)
+        for branch in self.branches:
+            branch.grow(betas, tables, low, memo)
+        fresh = {family: family.grow(tables, low, count, memo)
+                 for family in self.families}
+        for l, rows in enumerate(self.targets):
+            # (products, column map, scale, the monomials the map covers,
+            # the first monomial whose moved product lies above low, the
+            # branch, the degree bound above which a product has terms
+            # past low, and for an unmoved part the terms its products
+            # just gained)
+            parts = []
+            for family, cm, s, mono, moved in self.parts[l]:
+                shift = 0
+                if mono is not None:
+                    k = tables.index.get(mono)
+                    if k is None:  # the term of g lies above top
+                        continue
+                    shift = deg[k]
+                    moved.extend([cm[i] for i in
+                                  tables.shift(k, memo)[len(moved):]])
+                    cm = moved
+                parts.append((family.table, cm, s, len(cm),
+                              start[max(low - shift + 1, 0)], family.branch,
+                              low - shift - family.degree,
+                              None if shift else fresh[family]))
+            old = self.min_deg + len(rows)
+            for table, cm, s, fits, lo, branch, since, added in parts:
+                if added is not None:
+                    # unmoved: the new entries are the terms just added
+                    for beta, new in added.items():
+                        if self.min_deg <= beta < old:
+                            rows[beta - self.min_deg].update(
+                                {cm[i]: s * c for i, c in new.items()})
+                    continue
+                degree = branch.bounds(old)
+                for beta in range(self.min_deg, old):
+                    if degree[beta] > since:
+                        rows[beta - self.min_deg].update({
+                            cm[i]: s * c for i, c in table[beta].items()
+                            if lo <= i < fits})
+            read = [part[:4] for part in parts]
+            built = ({cm[i]: s * c for table, cm, s, fits in read
+                      for i, c in table[beta].items() if i < fits}
+                     for beta in range(old, count))
+            if certify != self.last:
+                rows.extend(built)
+                continue
+            # no candidate follows, so no row grows again: a new row of one
+            # entry is kept as its column, and one of none not at all
+            for row in built:
+                if len(row) > 1:
+                    rows.append(row)
+                else:
+                    self.units.extend(row)
+
+        if certify is not None:
+            for comp, cm, multiples in self.certificates:
+                multiples.drop(certify + 1)
+                multiples.grow(tables, [(k, c, cm)
+                                        for k, c in tables.terms(comp)], memo)
+        self.top = top
+        return tables
+
+    def eliminate(self, certify: int | None,
+                  top: int) -> tuple[list[int], list[Slot]]:
+        """One elimination at top degree `top`, not below the top of the
+        call before: the value at every degree 0..top and the free slots in
+        ascending order.  With a candidate degree `certify`, the rows are
+        those of its certificate, and the values and slots are the engine's
+        own at degrees <= certify + 1 only."""
+        tables = self._grow(top, certify)
+        rows: list[dict] = []
+        killed: set[int] = set()
+        for _, multiples in self.derivatives:
+            multiples.collect(rows, killed)
+        killed.update(self.units)
+        for targets in self.targets:
+            # a target row with one entry or none is left to the presolve
+            rows.extend(targets)
+        if certify is not None:
+            for _, _, multiples in self.certificates:
+                multiples.collect(rows, killed)
+        if certify == self.last:
+            self.families = self.branches = self.parts = self.memo = None
+        start = tables.start
+        width = [start[d + 1] - start[d] for d in range(top + 1)]
+        kept = len(self.blocks)
+        values, free = eliminate_graded(
+            [kept * w if d >= self.min_deg else 0
+             for d, w in enumerate(width)], rows, killed)
+        bounds = [kept * s for s in start]  # where each degree block begins
+        slots = []
+        for position in free:
+            position += bounds[self.min_deg]
+            d = bisect_right(bounds, position) - 1
+            q, i = divmod(position - bounds[d], width[d])
+            slots.append((*self.blocks[q], tables.monos[start[d] + i]))
+        return values, slots
 
 
 def _graded_tangent(f: MultiGerm, top: int, extended: bool,
                     certify: int | None = None) -> tuple[list[int], list[Slot]]:
-    """One elimination at top degree `top`: the value at every degree
-    0..top and the free slots in ascending order.  With a candidate degree
-    `certify`, the rows are those of its certificate, and the values and
-    slots are the engine's own at degrees <= certify + 1 only.
-
-    The slots run by (degree, branch, kept component, monomial): with K
-    kept components over all branches, the q-th of them in (branch,
-    component) order, the slot of mono_k there sits at position
-    K start[d] + q width_d + k - start[d] of the degree-d block (d = deg k,
-    width_d monomials of degree d), less the degree-0 block when not
-    extended; its column id is computed from that, not looked up.
-    """
-    coordinates = [_coordinates(branch) for branch in f.branches]
-    blocks = [(b, l) for b, coords in enumerate(coordinates)
-              for l in range(f.p) if l not in coords]
-    kept = len(blocks)
-    tables = monomial_tables(f.n, top)
-    start, deg = tables.start, tables.deg
-    min_deg = 0 if extended else 1
-    width = [start[d + 1] - start[d] for d in range(top + 1)]
-    widths = [kept * w if d >= min_deg else 0 for d, w in enumerate(width)]
-    # id = last - position; `offset - base[k]` is the id at q = 0
-    offset = sum(widths) - 1 + kept * start[min_deg]
-    base = [(kept - 1) * start[d] + k for k, d in enumerate(deg)]
-    colmaps: list[dict[int, list[int]]] = [{} for _ in f.branches]
-    for q, (b, l) in enumerate(blocks):
-        colmaps[b][l] = [offset - bk - q * width[d]
-                         for bk, d in zip(base, deg)]
-
-    # the builder's tables die before the elimination allocates
-    values, free = eliminate_graded(
-        widths, *_generator_rows(f, tables, min_deg, coordinates, colmaps,
-                                 certify))
-    bounds = [kept * s for s in start]  # where each degree block begins
-    slots = []
-    for position in free:
-        position += bounds[min_deg]
-        d = bisect_right(bounds, position) - 1
-        q, i = divmod(position - bounds[d], width[d])
-        slots.append((*blocks[q], tables.monos[start[d] + i]))
-    return values, slots
+    """One elimination at top degree `top`, with rows grown from nothing
+    (`_SearchRows.eliminate`)."""
+    return _SearchRows(f, extended, certify).eliminate(certify, top)
 
 
 def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
@@ -317,7 +531,7 @@ def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
     m, c = multiplicity_and_power(f, d_max)
     start = m + 3 - c
     values, degree, free = stabilize_curve(
-        lambda k, top: _graded_tangent(g, top, extended, k), start, c,
+        _SearchRows(g, extended, d_max).eliminate, start, c,
         lambda k, values: max(k + 2, values[k + 1] + 1), d_max,
         "codimension")
     # the first candidate was min(start, d_max), which is at most degree

@@ -320,6 +320,36 @@ class TestRun:
             assert (code, out, err) == (
                 fresh.returncode, fresh.stdout, fresh.stderr), argv
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--germ", "(x, y, z^3+x*z)"],
+        ["eval", "--germ", "{(x,y,z^2);(y,x,z^2+x)}", "--json"],
+        ["gate", "--germ", "(x, y, z^3+x*z)"],
+        ["gate", "--germ", "{(x,y,z^2);(y,x,z^2+x)}", "--json"],
+        ["atlas", "lookup", "--germ", "{(z^2+y,x,y);(z^2,x,y)}"],
+        ["atlas", "lookup", "--germ", "(x,y,z^3+x*z)", "--json"],
+    ], ids=["eval", "eval-json", "gate", "gate-json", "lookup",
+            "lookup-json"])
+    def test_each_command_searches_its_germ_once(self, argv, monkeypatch,
+                                                 capsys):
+        # the printed germ is the text of the search that put the input in
+        # canonical order; the first run fills the caches of the catalog
+        # rows that gate and lookup parse, so the second one searches only
+        # the input
+        searches = []
+        search = syntax._least_rendering
+
+        def counting(f, arrange):
+            searches.append(arrange)
+            return search(f, arrange)
+
+        monkeypatch.setattr(syntax, "_least_rendering", counting)
+        assert cli.run(argv) == 0
+        first = capsys.readouterr().out
+        searches.clear()
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == first
+        assert searches == [False]
+
     def test_eval_plain(self, capsys):
         code = cli.run(["eval", "--germ", "(x,y,z^2)"])
         out = capsys.readouterr().out

@@ -33,6 +33,7 @@ from germcalc.ring import (Poly, _graded_ideal, eliminate_graded,
                            substitute)
 from germcalc.tangent import _graded_tangent, ae_codim
 from germcalc._echelon import RowSpan
+from test_cli import _random_germs
 
 
 def V(n, i):
@@ -260,12 +261,12 @@ def ideal_reference(gens: list[Poly], nvars: int, d: int) -> int:
 
 def plain_graded(widths, rows, killed):
     """`eliminate_graded` without the presolve: every row, and a unit row
-    for every killed column, through RowSpan."""
-    last = sum(widths) - 1
+    for every killed column, through RowSpan.  Position i has column id
+    -i."""
     span = RowSpan()
     for row in list(rows) + [{c: 1} for c in killed]:
         span.insert(row)
-    free = [i for i in range(last + 1) if last - i not in span.pivots]
+    free = [i for i in range(sum(widths)) if -i not in span.pivots]
     ends = [sum(widths[:d + 1]) for d in range(len(widths))]
     return [sum(1 for i in free if i < end) for end in ends], free
 
@@ -380,10 +381,9 @@ def test_coordinate_components_get_no_columns(extended, monkeypatch):
     slots = [s for s in reference_slots(germ, top, extended) if s[1] == 2]
     assert sum(widths) == len(slots)
     assert {l for _, l, _ in free} <= {2}
-    last = len(slots) - 1
     for i, (b, _, mono) in enumerate(slots):
         if b == 0 and mono[2] >= 1 and sum(mono) > (0 if extended else 1):
-            assert last - i in killed, slots[i]
+            assert -i in killed, slots[i]
     assert (eliminate_graded(widths, [dict(r) for r in rows], set(killed))
             == plain_graded(widths, rows, killed))
 
@@ -392,11 +392,11 @@ def test_coordinate_components_get_no_columns(extended, monkeypatch):
 def graded_rows(draw):
     """Sparse integer rows over at most 30 graded columns, most of them
     one-entry rows, plus a chain whose rows become unit rows one kill at
-    a time.  Columns are drawn as positions and keyed by id = last - i."""
+    a time.  Columns are drawn as positions and keyed by id = -i."""
     n = draw(st.integers(1, 30))
     degrees = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     widths = [degrees.count(d) for d in range(5)]
-    column = st.integers(0, n - 1).map(lambda i: n - 1 - i)
+    column = st.integers(0, n - 1).map(lambda i: -i)
     coef = st.integers(-3, 3).filter(bool)
     rows = draw(st.lists(st.dictionaries(column, coef, min_size=1, max_size=4),
                          max_size=40))
@@ -424,9 +424,9 @@ def test_presolve_cascade():
     # {b} kills b, which leaves {b, c} as a unit row on the next sweep, and
     # c then does the same to {c, d}; {a, e} stays for the echelon, which
     # pivots on its lowest-degree column a.  Positions a..e carry the ids
-    # 4..0 and have degrees 0, 1, 1, 2, 2.
+    # 0..-4 and have degrees 0, 1, 1, 2, 2.
     widths = [1, 2, 2]
-    a, b, c, d, e = 4, 3, 2, 1, 0
+    a, b, c, d, e = 0, -1, -2, -3, -4
     rows = [{c: 2, d: -3}, {b: 5, c: 1}, {a: 1, e: -1}]
     expected = ([0, 0, 1], [4])  # e, at position 4, is the only free column
     assert eliminate_graded(widths, rows + [{b: 1}], set()) == expected
@@ -558,3 +558,87 @@ def test_target_row_cut_matches_every_target_row(name, params, extended):
             span.insert(row)
         assert curve == graded_curve(
             [s for s in slots if col[s] not in span.pivots], top)
+
+
+# -- the grown search ---------------------------------------------------------
+#
+# One codimension search keeps its rows from one candidate degree to the
+# next and grows them to the next top degree (`tangent._SearchRows`); the
+# oracle is `_graded_tangent`, which grows a new set of rows from nothing
+# to the same top.
+
+def checked_searches(monkeypatch) -> list:
+    """From now on, every elimination of a search is compared with the
+    oracle at the same candidate and top; returns the (candidate, top)
+    pairs of each search, one list per search."""
+    search, searches = tangent.stabilize_curve, []
+
+    def checking(eliminate, *args):
+        rows, tried = eliminate.__self__, []
+        searches.append(tried)
+
+        def checked(k, top):
+            got = eliminate(k, top)
+            assert got == _graded_tangent(rows.f, top, rows.extended, k), \
+                (rows.f, k, top)
+            tried.append((k, top))
+            return got
+
+        return search(checked, *args)
+
+    monkeypatch.setattr(tangent, "stabilize_curve", checking)
+    return searches
+
+
+def run_search(germ: MultiGerm, d_max: int, extended: bool) -> bool:
+    """Run one search past every cache; True when it was certified."""
+    try:
+        tangent._stabilized_codim(germ, d_max, extended)
+    except NotStabilizedError:
+        return False
+    return True
+
+
+def grown(searches: list) -> int:
+    """The number of searches that grew their rows at least once."""
+    return sum(len(tried) > 1 for tried in searches)
+
+
+def test_grown_search_matches_fresh_rows_on_the_cap_8_catalog(monkeypatch):
+    searches = checked_searches(monkeypatch)
+    rows = [atlas.instantiate(entry.name, params) for entry in atlas.entries()
+            for params in atlas._parameter_sweep(entry, 8)]
+    assert len(rows) == 165
+    assert all(run_search(germ, 16, True) for germ in rows)
+    assert grown(searches) == 55
+
+
+def test_grown_search_matches_fresh_rows_on_the_cap_3_a_codim(monkeypatch):
+    searches = checked_searches(monkeypatch)
+    assert all(run_search(germ, 16, False) for _, germ in cap3_rows())
+    assert len(searches) == 59 and grown(searches) > 0
+
+
+@pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
+@pytest.mark.parametrize("name,params,d_max", [
+    ("4_2^k", {"k": 6}, 10), ("A1A3", {"k": 7}, 11), ("4_2^k", {"k": 8}, 9),
+])
+def test_grown_search_matches_fresh_rows_when_it_fails(name, params, d_max,
+                                                       extended,
+                                                       monkeypatch):
+    # each search tries several candidates and fails at the cap
+    searches = checked_searches(monkeypatch)
+    assert not run_search(atlas.instantiate(name, params), d_max, extended)
+    (tried,) = searches
+    assert len(tried) > 1 and tried[-1][0] == d_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_germs(max_n=3, max_r=2), st.booleans())
+def test_grown_search_matches_fresh_rows_on_random_germs(germ, extended):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        checked_searches(monkeypatch)
+        try:
+            run_search(germ, 7, extended)
+        except NotStabilizedError:
+            pass  # the branch multiplicities did not stabilize by the cap
