@@ -29,8 +29,9 @@ from .errors import GermcalcError, NotCorankOneError, NotStabilizedError
 from .germ import MultiGerm
 from .ring import D_MAX, Poly
 # the whole parse/print surface, re-exported for callers of the CLI module
-from .syntax import (canonical_match_key, canonical_variable_order,  # noqa: F401
-                     format_multigerm, parse_multigerm, parse_poly, render_poly)
+from .syntax import (canonical_form, canonical_match_key,  # noqa: F401
+                     canonical_variable_order, format_multigerm,
+                     parse_multigerm, parse_poly, render_poly)
 
 
 # -- JSON helpers -------------------------------------------------------------
@@ -71,8 +72,9 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_eval(args) -> int:
     d_max = args.max_degree
-    f, text = parse_multigerm(args.germ, source_dim=args.source_dim,
-                              target_dim=args.target_dim, rendered=True)
+    f, text = canonical_form(parse_multigerm(
+        args.germ, source_dim=args.source_dim, target_dim=args.target_dim,
+        canonical=False))
     m0 = germ_mod.multiplicity(f, d_max)
     cork = germ_mod.germ_corank(f)
     try:
@@ -161,7 +163,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    f, text = parse_multigerm(args.germ, rendered=True)
+    f, text = canonical_form(parse_multigerm(args.germ, canonical=False))
     flags = frozenset(s.strip() for s in (args.asserted or "").split(",") if s.strip())
     report = gates.simplicity_report(
         f, args.max_degree, gates.ReportAssertions(flags=flags))
@@ -213,7 +215,7 @@ def _cmd_atlas(args) -> int:
     if action == "lookup":
         if not args.germ:
             raise ValueError("lookup needs --germ")
-        f, text = parse_multigerm(args.germ, rendered=True)
+        f, text = canonical_form(parse_multigerm(args.germ, canonical=False))
         result = atlas.lookup(f, args.max_degree)
         payload = {
             "germ": text,

@@ -25,8 +25,8 @@ is its position in the graded order, x_v times it is a lookup in a step
 table, and a product with a fixed monomial is a shift table composed from
 the steps, so no row is built by multiplying exponent tuples.  The
 numbering is a prefix of itself at every higher top, so the multiples of
-a generator (`Multiples`) and the shift tables grow with the top degree
-instead of being rebuilt.  Many
+a generator (`Multiples`) grow with the top degree instead of being
+rebuilt.  Many
 generator rows are unit vectors or become unit vectors once other unit
 columns are stripped.  A row that is a unit vector as built (every
 multiple x^a * g of a one-term generator g, such as a monomial in an ideal
@@ -390,8 +390,7 @@ class MonomialTables:
     def shift(self, k: int, memo: dict[int, list[int]]) -> list[int]:
         """Indices of mono_k * mono_i for every i of degree <= top - deg k.
 
-        `memo` keeps the tables already composed for one caller, at the top
-        of these tables (`raise_shifts`)."""
+        `memo` keeps the tables already composed for one caller."""
         got = memo.get(k)
         if got is None:
             if k == 0:
@@ -402,21 +401,6 @@ class MonomialTables:
                 got = [step[i] for i in self.shift(prev, memo)[:fits]]
             memo[k] = got
         return got
-
-    def raise_shifts(self, memo: dict[int, list[int]]) -> None:
-        """Extend every table of `memo`, composed at a lower top, to the top
-        of these tables: the table at the lower top is a prefix, so it
-        grows in place."""
-        start, top, deg = self.start, self.top, self.deg
-        for k in sorted(memo):  # each table's parent comes first
-            got = memo[k]
-            fits = start[top - deg[k] + 1]
-            if k == 0:
-                got.extend(range(len(got), fits))
-            elif len(got) < fits:
-                v, prev = self.parent[k]
-                step = self.step[v]
-                got.extend([step[i] for i in memo[prev][len(got):fits]])
 
     def multiply(self, a: dict[int, Coefficient], terms, low: int,
                  memo: dict[int, list[int]]) -> dict[int, Coefficient]:
@@ -471,8 +455,7 @@ class Multiples:
         monomial index to the column id of that term's component.  Distinct
         terms must land in distinct columns, as they do for the terms of one
         polynomial or of distinct components, so every row is filled
-        directly.  `memo` holds shift tables at this top
-        (`MonomialTables.raise_shifts`)."""
+        directly.  `memo` holds shift tables at this top."""
         top, start, deg = tables.top, tables.start, tables.deg
         products = self.products
         products.extend(sorted(((deg[k], c, k, colmap)
@@ -482,14 +465,10 @@ class Multiples:
         if not products:
             return
         degrees = [t[0] for t in products]
+        # the column of each term's product with every x^a that fits
+        columns = [[colmap[i] for i in tables.shift(k, memo)]
+                   for _, _, k, colmap in products]
         slabs = self.slabs
-
-        def columns(t, lo, hi):
-            # the column of the product of the term t with each x^a of
-            # index lo..hi-1
-            colmap = t[3]
-            return [colmap[i] for i in tables.shift(t[2], memo)[lo:hi]]
-
         for e in range(self.low, top - degrees[0] + 1):
             active = bisect_right(degrees, top - e)
             had, rows = slabs.get(e, (0, None))
@@ -497,15 +476,15 @@ class Multiples:
                 continue
             lo, hi = start[e], start[e + 1]
             if active == 1:
-                rows = columns(products[0], lo, hi)
+                rows = columns[0][lo:hi]
             elif had < 2:
                 coefs = [t[1] for t in products[:active]]
                 rows = [dict(zip(ids, coefs)) for ids in
-                        zip(*(columns(t, lo, hi) for t in products[:active]))]
+                        zip(*(cols[lo:hi] for cols in columns[:active]))]
             else:
-                for t in products[had:active]:
+                for t, cols in zip(products[had:active], columns[had:active]):
                     c = t[1]
-                    for row, col in zip(rows, columns(t, lo, hi)):
+                    for row, col in zip(rows, cols[lo:hi]):
                         row[col] = c
             slabs[e] = (active, rows)
 

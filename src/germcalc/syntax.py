@@ -216,7 +216,7 @@ def parse_poly(text: str, names: tuple[str, ...] | None = None) -> Poly:
 
 def parse_multigerm(text: str, source_dim: int | None = None,
                     target_dim: int | None = None,
-                    canonical: bool = True, *, rendered: bool = False):
+                    canonical: bool = True) -> MultiGerm:
     """Parse a germ expression into a canonical MultiGerm.
 
     The source dimension is the number of distinct variables (the
@@ -226,9 +226,7 @@ def parse_multigerm(text: str, source_dim: int | None = None,
     term, and ValueError when canonicalizing more than 6 variables.
     canonical=False keeps variables in first-appearance order, which
     callers that attach meaning to variable positions (unfolding
-    parameters) rely on.  With canonical, rendered=True returns the pair
-    (germ, format_multigerm(germ)), the text read off the search that put
-    the germ in canonical order.
+    parameters) rely on.
     """
     parser = _Parser(text)
     raw = parser.parse_multigerm()
@@ -257,10 +255,7 @@ def parse_multigerm(text: str, source_dim: int | None = None,
         raise GermSyntaxError(
             f"target-dim {target_dim} disagrees with the {p} components")
     result = MultiGerm(tuple(branches))
-    if not canonical:
-        return result
-    germ, printed = _canonical_form(result)
-    return (germ, printed) if rendered else germ
+    return canonical_variable_order(result) if canonical else result
 
 
 # -- printer ----------------------------------------------------------------
@@ -418,8 +413,9 @@ def _least_rendering(f: MultiGerm,
             tuple(j if j >= 0 else next(unused) for j in place))
 
 
-def _canonical_form(f: MultiGerm) -> tuple[MultiGerm, str]:
-    """f in canonical variable order, and its text, from one search."""
+def canonical_form(f: MultiGerm) -> tuple[MultiGerm, str]:
+    """f in canonical variable order and its text (`format_multigerm`),
+    read off one search."""
     text, order = _least_rendering(f, arrange=False)
     if order != tuple(range(f.n)):
         f = MultiGerm(tuple(
@@ -436,7 +432,7 @@ def canonical_variable_order(f: MultiGerm) -> MultiGerm:
     Raises ValueError for germs in more than 6 variables, where neither
     the names nor the search are defined.
     """
-    return _canonical_form(f)[0]
+    return canonical_form(f)[0]
 
 
 def format_multigerm(f: MultiGerm) -> str:

@@ -174,8 +174,8 @@ class _Branch:
     the product of beta is that of beta / y_v times f_{b,v}, for the v in
     beta with the fewest terms in f_b (for a coordinate, one shift)."""
 
-    __slots__ = ("components", "order", "recursions", "steps", "degrees",
-                 "degree", "factors")
+    __slots__ = ("components", "order", "steps", "degrees", "degree",
+                 "factors")
 
     def __init__(self, branch: Branch, recursions: dict):
         self.components = branch.components
@@ -184,11 +184,9 @@ class _Branch:
         self.order = tuple(sorted(
             range(len(branch.components)),
             key=lambda v: max(len(branch.components[v].items()), 1)))
-        # steps[beta] = (v, index of beta / y_v), None for beta = 1; the
-        # lists of the orders other than 0, 1, .. are shared by the
-        # branches of the search through `recursions`
-        self.recursions = recursions
-        self.steps: list[tuple[int, int] | None] = []
+        # steps[beta] = (v, index of beta / y_v), None for beta = 1, shared
+        # by the branches of the search with the same order
+        self.steps: list = recursions.setdefault(self.order, [])
         self.degrees = [comp.degree() for comp in branch.components]
         # a bound on the degree of y^beta o f_b by beta, filled on demand
         # (`bounds`)
@@ -198,13 +196,8 @@ class _Branch:
              memo: dict[int, list[int]]) -> None:
         """Take the recursion to every beta of `betas`, and the factors
         f_{b,v} to the top of `tables` from the last top `low`."""
-        if self.order == tuple(range(len(self.order))):
-            # the order of the tables' own parents: take off the first
-            # variable in beta
-            self.steps = betas.parent
-        else:
-            steps = self.steps = self.recursions.setdefault(self.order, [])
-            known = len(steps)
+        steps, known = self.steps, len(self.steps)
+        if known < len(betas.monos):
             steps.extend([None] * (len(betas.monos) - known))
             # beta / y_v of a new beta has at least the degree of the last
             # known betas
@@ -331,7 +324,6 @@ class _SearchRows:
             self.colmaps[b][l] = []
         self.top = -1
         self.known = 0  # the monomials the column maps cover
-        self.memo: dict[int, list[int]] = {}
 
         # derivative rows x^a * df_b/dx_j for the variables j that are no
         # coordinate of branch b, over its kept components
@@ -377,8 +369,10 @@ class _SearchRows:
                     g = branch.components[kept].diff(j)
                     if len(g.items()) == 1:
                         (mono, coef), = g.items()
+                        if coef.denominator == 1:
+                            coef = coef.numerator
                         self.parts[l].append((compositions, cm,
-                                              factor * int(coef), mono, []))
+                                              factor * coef, mono, []))
                     elif not g.is_zero():
                         family = _Compositions((g, factor), self.branches[b])
                         self.families.append(family)
@@ -394,9 +388,10 @@ class _SearchRows:
             for comp in branch.components for cm in self.colmaps[b].values()]
 
     def _grow(self, top: int, certify: int | None) -> MonomialTables:
-        f, memo, low = self.f, self.memo, self.top
+        # the shift tables are composed again at each top, so they do not
+        # stay alive through the elimination
+        f, memo, low = self.f, {}, self.top
         tables = monomial_tables(f.n, top)
-        tables.raise_shifts(memo)
         start, deg = tables.start, tables.deg
         # the id of mono_k in the q-th kept component is offset[d] - k
         known = self.known
@@ -494,13 +489,18 @@ class _SearchRows:
             multiples.collect(rows, killed)
         killed.update(self.units)
         for targets in self.targets:
-            # a target row with one entry or none is left to the presolve
-            rows.extend(targets)
+            # a target row of one entry goes in as its column (it is kept,
+            # as a higher top may extend it)
+            for row in targets:
+                if len(row) > 1:
+                    rows.append(row)
+                else:
+                    killed.update(row)
         if certify is not None:
             for _, _, multiples in self.certificates:
                 multiples.collect(rows, killed)
         if certify == self.last:
-            self.families = self.branches = self.parts = self.memo = None
+            self.families = self.branches = self.parts = None
         start = tables.start
         width = [start[d + 1] - start[d] for d in range(top + 1)]
         kept = len(self.blocks)

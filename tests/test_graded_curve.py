@@ -339,6 +339,10 @@ HALF = Fraction(1, 2)
                 Branch((3 * X3, Y3, Z3 ** 2 + X3 + Y3 * Z3)),
                 Branch((Z3 ** 2 + Y3, X3, Y3)))), 4),
     (MultiGerm((Branch((HALF * X3, Y3, Z3 ** 3 + X3 * Z3)),)), 6),
+    # the partial in the coordinate x, z / 2, is one term with a
+    # coefficient that is no integer
+    (MultiGerm((Branch((X3, Y3, Z3 ** 4 + HALF * X3 * Z3 + Y3 ** 2 * Z3)),)),
+     6),
     # two components equal to x: the second one is kept
     (MultiGerm((Branch((X3, Y3, Z3, X3 * 0)),
                 Branch((X3, Y3, Z3, X3)))), 4),
@@ -354,7 +358,7 @@ HALF = Fraction(1, 2)
                 Branch((2 * X3, X3 * 0, X3)))), 3),
 ], ids=["term-above-top", "quintic", "zero-partial", "three-branches",
         "curve", "coordinate-2x", "coordinates-2x-3x", "coordinate-half-x",
-        "repeated-coordinate", "linear-term-in-a-coordinate",
+        "half-in-a-one-term-partial", "repeated-coordinate", "linear-term-in-a-coordinate",
         "branch-without-coordinates", "sign-of-the-substitution"])
 def test_index_builder_matches_the_reference_builder(germ, top, extended):
     curve, free = _graded_tangent(germ, top, extended)
