@@ -26,16 +26,16 @@ table, and a product with a fixed monomial is a shift table composed from
 the steps, so no row is built by multiplying exponent tuples.  The
 numbering is a prefix of itself at every higher top, so the multiples of
 a generator (`Multiples`) grow with the top degree instead of being
-rebuilt.  Many
-generator rows are unit vectors or become unit vectors once other unit
-columns are stripped.  A row that is a unit vector as built (every
-multiple x^a * g of a one-term generator g, such as a monomial in an ideal
-or a one-term partial derivative in the tangent space) is handed to the
-elimination as a killed column, never built; the elimination peels the
-rest of those rows (a singleton presolve) and runs the echelon on what
-remains.  The pivot set, hence every value and basis, is the same as
-without either step, because an echelon basis's lead columns are unique.
-Milnor and Tjurina numbers of function germs are thin wrappers around it.
+rebuilt.  Many generator rows are unit vectors or become unit vectors
+once other unit columns are stripped.  A row that is a unit vector as
+built (every multiple x^a * g of a one-term generator g, such as a
+monomial in an ideal or a one-term partial derivative in the tangent
+space) is handed to the elimination as a killed column, never built; the
+elimination peels the rest of those rows (a singleton presolve) and runs
+the echelon on what remains.  The pivot set, hence every value and basis,
+is the same as without either step, because an echelon basis's lead
+columns are unique.  Milnor and Tjurina numbers of function germs are
+thin wrappers around it.
 """
 
 from __future__ import annotations

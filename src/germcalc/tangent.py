@@ -83,11 +83,14 @@ coordinate component (a curve, say) is built in full.
 
 The engine eliminates once per candidate k, at the top degree D = k + c,
 in a local order, and reads the value at every d <= D from the pivots
-(see `ring.eliminate_graded`).  It builds the rows once per search and
-grows them from one candidate's top degree to the next (`_SearchRows`):
-a failed candidate's rows gain only their entries of the new degrees,
-the new multiples and betas add rows, and the certificate rows of the
-old candidate that lie inside the new one's range are dropped.  The
+(see `ring.eliminate_graded`).  One search keeps what its rows come from
+and grows it from one candidate's top degree to the next (`_SearchRows`):
+after a failed candidate, the derivative and certificate rows gain only
+their entries of the new degrees and the new multiples add rows, the
+certificate rows of the old candidate that lie inside the new one's
+range are dropped, and the compositions y^beta o f_b gain only their
+terms of the new degrees and the new betas.  The target rows are not
+kept: each elimination reads them off the compositions afresh.  The
 rows come from the monomial index tables of `ring`: a slot's column
 id is computed from (degree, branch, kept component, monomial) and does
 not depend on D, a derivative row x^a * df_b/dx_j is one shift table
@@ -249,21 +252,16 @@ class _Compositions:
         self.table: list[dict[int, int | Fraction]] = []
 
     def grow(self, tables: MonomialTables, low: int, count: int,
-             memo: dict[int, list[int]]) -> dict[int, dict]:
+             memo: dict[int, list[int]]) -> None:
         """Add the terms of degree low+1..top to the products there are,
-        and the products of the betas up to index `count` in full; returns
-        the terms added to the products there were, by beta."""
+        and the products of the betas up to index `count` in full."""
         table, multiply, old = self.table, tables.multiply, len(self.table)
-        fresh: dict[int, dict[int, int | Fraction]] = {}
         if not table:
             table.append({} if self.seed else {0: 1})
         if self.seed and self.degree > low:
             poly, factor = self.seed
-            new = {k: factor * c for k, c in tables.terms(poly)
-                   if tables.deg[k] > low}
-            if old:
-                fresh[0] = new
-            table[0].update(new)
+            table[0].update({k: factor * c for k, c in tables.terms(poly)
+                             if tables.deg[k] > low})
         steps, factors = self.branch.steps, self.branch.factors
         # a product whose degree lies below the last top was complete
         # there and gains nothing
@@ -273,14 +271,11 @@ class _Compositions:
                 v, prev = steps[beta]
                 terms, one = factors[v]
                 if one is None:
-                    new = multiply(table[prev], terms, low, memo)
+                    table[beta].update(multiply(table[prev], terms, low, memo))
                 else:
                     shift, c, fits, lo = one
-                    new = {shift[i]: x * c for i, x in table[prev].items()
-                           if lo <= i < fits}
-                if new:
-                    fresh[beta] = new
-                    table[beta].update(new)
+                    table[beta].update({shift[i]: x * c for i, x in
+                                        table[prev].items() if lo <= i < fits})
         for v, prev in steps[max(old, 1):count]:
             terms, one = factors[v]
             if one is None:
@@ -289,28 +284,29 @@ class _Compositions:
                 shift, c, fits, _ = one
                 table.append({shift[i]: x * c for i, x in table[prev].items()
                               if i < fits})
-        return fresh
 
 
 class _SearchRows:
-    """The derivative, target and certificate rows of one codimension
-    search, grown from one candidate's top degree to the next instead of
-    rebuilt.
+    """The derivative and certificate rows of one codimension search, and
+    the compositions its target rows are read off, grown from one
+    candidate's top degree to the next instead of rebuilt.
 
-    Every row is kept in the reduced module, keyed by column id, where the
+    Every row lies in the reduced module, keyed by column id, where the
     slot of mono_k in the q-th kept component (in (branch, component)
     order, K of them) sits at position K start[d] + q width_d + k - start[d]
     of the degree-d block (d = deg k, width_d monomials of degree d), less
     the degree-0 block when not extended, and carries the id -position
     (`eliminate_graded`); no position depends on the top degree.  Raising
-    the top from T to T' adds to each derivative and target row its entries
-    of degree T+1..T', adds the rows of the new multiples and betas, and
-    turns a one-entry row whose other terms lay above T into a full row
-    again (`ring.Multiples`).  Moving the candidate from k to k' drops the
-    certificate rows of |a| <= k'.  Each elimination gets its own list of
-    rows and its own killed set.  At the last candidate the search may try,
-    no row grows again: its new rows of one entry go in as killed columns,
-    and the tables kept for growing die before its elimination."""
+    the top from T to T' adds to each derivative row its entries of degree
+    T+1..T', adds the rows of the new multiples, and turns a one-entry row
+    whose other terms lay above T into a full row again (`ring.Multiples`);
+    it adds to each composition its terms of degree T+1..T', and the
+    compositions of the new betas in full (`_Compositions`).  Moving the
+    candidate from k to k' drops the certificate rows of |a| <= k'.  No
+    target row is kept between candidates: each elimination builds every
+    one from the compositions and the column maps, and gets its own list
+    of rows and its own killed set.  The compositions die before the
+    elimination of the last candidate the search may try."""
 
     def __init__(self, f: MultiGerm, extended: bool, last: int | None):
         self.f, self.extended, self.last = f, extended, last
@@ -352,8 +348,9 @@ class _SearchRows:
         self.branches = [_Branch(branch, recursions)
                          for branch in f.branches]
         self.families: list[_Compositions] = []
-        # parts[l]: (products, column map, scale, and for a one-term g its
-        # source monomial and the column map moved by it)
+        # parts[l]: (products, column map, scale, and for a one-term g of
+        # positive degree its source monomial, by which the column map is
+        # moved at each top)
         self.parts: list[list] = [[] for _ in range(f.p)]
         for b, branch in enumerate(f.branches):
             compositions = _Compositions(None, self.branches[b])
@@ -361,7 +358,7 @@ class _SearchRows:
             for l in range(f.p):
                 if l in self.colmaps[b]:
                     self.parts[l].append((compositions, self.colmaps[b][l],
-                                          scale[l], None, None))
+                                          scale[l], None))
                     continue
                 j, c = self.coordinates[b][l]
                 factor = int(-scale[l] / c)
@@ -371,25 +368,26 @@ class _SearchRows:
                         (mono, coef), = g.items()
                         if coef.denominator == 1:
                             coef = coef.numerator
-                        self.parts[l].append((compositions, cm,
-                                              factor * coef, mono, []))
+                        # a constant g moves no column
+                        self.parts[l].append((compositions, cm, factor * coef,
+                                              mono if any(mono) else None))
                     elif not g.is_zero():
                         family = _Compositions((g, factor), self.branches[b])
                         self.families.append(family)
-                        self.parts[l].append((family, cm, 1, None, None))
-        # targets[l]: the row of each beta from min_deg on (at the last
-        # candidate, its new rows of two entries or more); units: the
-        # columns of its new rows of one entry
-        self.targets: list[list[dict]] = [[] for _ in range(f.p)]
-        self.units: list[int] = []
+                        self.parts[l].append((family, cm, 1, None))
         # certificate rows x^a * f_{b,i} in each kept component of branch b
         self.certificates = [
             (comp, cm, Multiples(0)) for b, branch in enumerate(f.branches)
             for comp in branch.components for cm in self.colmaps[b].values()]
 
-    def _grow(self, top: int, certify: int | None) -> MonomialTables:
-        # the shift tables are composed again at each top, so they do not
-        # stay alive through the elimination
+    def _rows(self, top: int,
+              certify: int | None) -> tuple[MonomialTables, list, set]:
+        """Grow the multiples and compositions to `top` and hand over the
+        rows of its elimination: those of two or more entries, and the
+        columns of those of one (see `eliminate_graded`).  The target rows
+        are read off the compositions here and not kept; the shift tables
+        and moved column maps they are read through die on return, before
+        the elimination runs."""
         f, memo, low = self.f, {}, self.top
         tables = monomial_tables(f.n, top)
         start, deg = tables.start, tables.deg
@@ -414,84 +412,32 @@ class _SearchRows:
         count = len(betas.monos)
         for branch in self.branches:
             branch.grow(betas, tables, low, memo)
-        fresh = {family: family.grow(tables, low, count, memo)
-                 for family in self.families}
-        for l, rows in enumerate(self.targets):
-            # (products, column map, scale, the monomials the map covers,
-            # the first monomial whose moved product lies above low, the
-            # branch, the degree bound above which a product has terms
-            # past low, and for an unmoved part the terms its products
-            # just gained)
-            parts = []
-            for family, cm, s, mono, moved in self.parts[l]:
-                shift = 0
-                if mono is not None:
-                    k = tables.index.get(mono)
-                    if k is None:  # the term of g lies above top
-                        continue
-                    shift = deg[k]
-                    moved.extend([cm[i] for i in
-                                  tables.shift(k, memo)[len(moved):]])
-                    cm = moved
-                parts.append((family.table, cm, s, len(cm),
-                              start[max(low - shift + 1, 0)], family.branch,
-                              low - shift - family.degree,
-                              None if shift else fresh[family]))
-            old = self.min_deg + len(rows)
-            for table, cm, s, fits, lo, branch, since, added in parts:
-                if added is not None:
-                    # unmoved: the new entries are the terms just added
-                    for beta, new in added.items():
-                        if self.min_deg <= beta < old:
-                            rows[beta - self.min_deg].update(
-                                {cm[i]: s * c for i, c in new.items()})
-                    continue
-                degree = branch.bounds(old)
-                for beta in range(self.min_deg, old):
-                    if degree[beta] > since:
-                        rows[beta - self.min_deg].update({
-                            cm[i]: s * c for i, c in table[beta].items()
-                            if lo <= i < fits})
-            read = [part[:4] for part in parts]
-            built = ({cm[i]: s * c for table, cm, s, fits in read
-                      for i, c in table[beta].items() if i < fits}
-                     for beta in range(old, count))
-            if certify != self.last:
-                rows.extend(built)
-                continue
-            # no candidate follows, so no row grows again: a new row of one
-            # entry is kept as its column, and one of none not at all
-            for row in built:
-                if len(row) > 1:
-                    rows.append(row)
-                else:
-                    self.units.extend(row)
-
+        for family in self.families:
+            family.grow(tables, low, count, memo)
         if certify is not None:
             for comp, cm, multiples in self.certificates:
                 multiples.drop(certify + 1)
                 multiples.grow(tables, [(k, c, cm)
                                         for k, c in tables.terms(comp)], memo)
         self.top = top
-        return tables
 
-    def eliminate(self, certify: int | None,
-                  top: int) -> tuple[list[int], list[Slot]]:
-        """One elimination at top degree `top`, not below the top of the
-        call before: the value at every degree 0..top and the free slots in
-        ascending order.  With a candidate degree `certify`, the rows are
-        those of its certificate, and the values and slots are the engine's
-        own at degrees <= certify + 1 only."""
-        tables = self._grow(top, certify)
         rows: list[dict] = []
         killed: set[int] = set()
         for _, multiples in self.derivatives:
             multiples.collect(rows, killed)
-        killed.update(self.units)
-        for targets in self.targets:
-            # a target row of one entry goes in as its column (it is kept,
-            # as a higher top may extend it)
-            for row in targets:
+        for parts in self.parts:
+            # (products, column map, scale, the monomials the map covers)
+            read = []
+            for family, cm, s, mono in parts:
+                if mono is not None:
+                    k = tables.index.get(mono)
+                    if k is None:  # the term of g lies above top
+                        continue
+                    cm = [cm[i] for i in tables.shift(k, memo)]
+                read.append((family.table, cm, s, len(cm)))
+            for beta in range(self.min_deg, count):
+                row = {cm[i]: s * c for table, cm, s, fits in read
+                       for i, c in table[beta].items() if i < fits}
                 if len(row) > 1:
                     rows.append(row)
                 else:
@@ -500,7 +446,18 @@ class _SearchRows:
             for _, _, multiples in self.certificates:
                 multiples.collect(rows, killed)
         if certify == self.last:
+            # no candidate follows, so nothing grows again
             self.families = self.branches = self.parts = None
+        return tables, rows, killed
+
+    def eliminate(self, certify: int | None,
+                  top: int) -> tuple[list[int], list[Slot]]:
+        """One elimination at top degree `top`, not below the top of the
+        call before: the value at every degree 0..top and the free slots in
+        ascending order.  With a candidate degree `certify`, the rows are
+        those of its certificate, and the values and slots are the engine's
+        own at degrees <= certify + 1 only."""
+        tables, rows, killed = self._rows(top, certify)
         start = tables.start
         width = [start[d + 1] - start[d] for d in range(top + 1)]
         kept = len(self.blocks)
@@ -519,7 +476,8 @@ class _SearchRows:
 
 def _graded_tangent(f: MultiGerm, top: int, extended: bool,
                     certify: int | None = None) -> tuple[list[int], list[Slot]]:
-    """One elimination at top degree `top`, with rows grown from nothing
+    """One elimination at top degree `top`, by a new search whose multiples
+    and compositions are built from nothing at that top
     (`_SearchRows.eliminate`)."""
     return _SearchRows(f, extended, certify).eliminate(certify, top)
 

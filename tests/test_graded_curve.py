@@ -31,6 +31,7 @@ from germcalc.germ import (Branch, MultiGerm, multiplicity,
 from germcalc.ring import (Poly, _graded_ideal, eliminate_graded,
                            monomial_mul, monomials_up_to, quotient_dim,
                            substitute)
+from germcalc.syntax import parse_multigerm
 from germcalc.tangent import _graded_tangent, ae_codim
 from germcalc._echelon import RowSpan
 from test_cli import _random_germs
@@ -626,13 +627,19 @@ def test_grown_search_matches_fresh_rows_on_the_cap_3_a_codim(monkeypatch):
 @pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
 @pytest.mark.parametrize("name,params,d_max", [
     ("4_2^k", {"k": 6}, 10), ("A1A3", {"k": 7}, 11), ("4_2^k", {"k": 8}, 9),
+    # the widest failing search: five branches whose coordinate
+    # components are substituted by constant one-term partials
+    pytest.param("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);"
+                 "(x,y,z^2+x-y)}", None, 13, id="fold-pentagerm-13"),
 ])
 def test_grown_search_matches_fresh_rows_when_it_fails(name, params, d_max,
                                                        extended,
                                                        monkeypatch):
     # each search tries several candidates and fails at the cap
     searches = checked_searches(monkeypatch)
-    assert not run_search(atlas.instantiate(name, params), d_max, extended)
+    germ = (parse_multigerm(name) if params is None
+            else atlas.instantiate(name, params))
+    assert not run_search(germ, d_max, extended)
     (tried,) = searches
     assert len(tried) > 1 and tried[-1][0] == d_max
 
