@@ -365,12 +365,18 @@ def _atlas_verdict(f: MultiGerm, d_max: int) -> Verdict:
 def simplicity_report(f: MultiGerm,
                       d_max: int = D_MAX,
                       assertions: ReportAssertions | None = None) -> SimplicityReport:
-    """Run every applicable gate plus the atlas lookup and aggregate.
+    """Run the gates and the atlas lookup until the verdict is decided.
 
     Any NotSimple wins; Simple arises only from an atlas match or from the
     augmentation-and-concatenation gate; otherwise Unknown with the union
-    of the unverified hypotheses.  The final kind does not depend on the
-    gate order; the trace records every gate that ran.
+    of the unverified hypotheses, in trace order.
+
+    The gates run in the order nishimura, branch_count, tau_pairing,
+    augconc (only with its assertion), atlas, primitive_plus_morse; the
+    trace records those that ran.  The first NotSimple ends the report.
+    After a Simple only a gate that can still prove NotSimple runs: not
+    the atlas lookup, and primitive_plus_morse only when primitivity is
+    asserted (without it that gate can only abstain).
 
     A gate (or the atlas lookup) whose dimension does not stabilize by the
     degree cap gives an Unknown trace entry naming the cap and carrying the
@@ -382,7 +388,11 @@ def simplicity_report(f: MultiGerm,
     trace: list[tuple[str, Verdict]] = []
     unstable: list[NotStabilizedError] = []
 
-    def run(name: str, gate, *args, **kwargs) -> None:
+    def run(name: str, refutes: bool, gate, *args, **kwargs) -> None:
+        # a gate that cannot prove NotSimple changes nothing after a Simple
+        kinds = {verdict.kind for _, verdict in trace}
+        if NOT_SIMPLE in kinds or (SIMPLE in kinds and not refutes):
+            return
         try:
             verdict = gate(*args, **kwargs)
         except NotStabilizedError as exc:
@@ -392,15 +402,16 @@ def simplicity_report(f: MultiGerm,
                 d_max=exc.d_max, history=exc.history)
         trace.append((name, verdict))
 
-    run("nishimura", gate_nishimura, f, d_max)
-    run("branch_count", gate_branch_count, f, d_max)
-    run("tau_pairing", gate_tau_pairing, f, d_max)
-    run("primitive_plus_morse", gate_primitive_plus_morse, f, d_max,
-        primitive_flag=FLAG_PRIMITIVITY in assertions.flags)
+    primitive = FLAG_PRIMITIVITY in assertions.flags
+    run("nishimura", True, gate_nishimura, f, d_max)
+    run("branch_count", True, gate_branch_count, f, d_max)
+    run("tau_pairing", True, gate_tau_pairing, f, d_max)
     if assertions.augconc is not None:
         base_cod, phi = assertions.augconc
-        run("augconc", gate_augconc, base_cod, phi, assertions.flags)
-    run("atlas", _atlas_verdict, f, d_max)
+        run("augconc", True, gate_augconc, base_cod, phi, assertions.flags)
+    run("atlas", False, _atlas_verdict, f, d_max)
+    run("primitive_plus_morse", primitive, gate_primitive_plus_morse, f,
+        d_max, primitive_flag=primitive)
 
     for kind in (NOT_SIMPLE, SIMPLE):
         for name, verdict in trace:

@@ -553,5 +553,9 @@ def wilson_check(f: MultiGerm, d_max: int = D_MAX) -> WilsonReport:
 
 
 def is_stable(f: MultiGerm, d_max: int = D_MAX) -> bool:
-    """True exactly when the extended codimension vanishes."""
+    """True exactly when the extended codimension vanishes.
+
+    Raises NotStabilizedError when that codimension is not certified by
+    d_max, as `ae_codim` does; a False answer is always a certified
+    nonzero value."""
     return ae_codim(f, d_max).value == 0

@@ -107,6 +107,10 @@ def test_criterion_4_gate_soundness():
         for params in atlas._parameter_sweep(entry, 3):
             germ = atlas.instantiate(entry.name, params)
             report = gates.simplicity_report(germ)
+            # the refuting gates run even after the atlas match
+            ran = [gate_name for gate_name, _ in report.trace]
+            assert {"nishimura", "branch_count", "tau_pairing"} <= set(ran), \
+                f"{entry.name} {params}: only {ran} ran"
             for gate_name, verdict in report.trace:
                 assert verdict.kind != gates.NOT_SIMPLE, \
                     f"{gate_name} fired on {entry.name} {params}"

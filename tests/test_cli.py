@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from germcalc import atlas, cli, gates, germ as germ_mod, ring, syntax, tangent
-from germcalc.errors import GermSyntaxError
+from germcalc.errors import GermSyntaxError, NotStabilizedError
 from germcalc.ring import Poly
 
 
@@ -431,7 +431,8 @@ class TestRun:
         assert out["verdict"]["kind"] == "not_simple"
         assert out["verdict"]["rule"] == "multiplicity bound"
         assert out["verdict"]["evidence"]["bound"] == {"num": 13, "den": 2}
-        assert any(t["gate"] == "atlas" for t in out["trace"])
+        # the first proof ends the report
+        assert out["trace"] == [{"gate": "nishimura", **out["verdict"]}]
 
     def test_gate_with_assertions(self, capsys):
         code = cli.run(["gate", "--germ",
@@ -500,32 +501,36 @@ class TestRun:
         "{(x,y,z,0);(x,y,0,z);(x,0,y,z);(0,x,y,z);(x,y,z,x);(x,y,z,y)}",
     ], ids=["fold-pentagerm", "sextuple-point"])
     def test_gate_not_simple_outlasts_an_unstabilized_gate(self, capsys, germ):
-        # the multiplicity bound proves both non-simple, while the atlas
-        # lookup's codimension never stabilizes
+        # the multiplicity bound proves both non-simple, so the atlas
+        # lookup, whose codimension never stabilizes, does not run
         code = cli.run(["gate", "--germ", germ, "--json"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["verdict"]["kind"] == "not_simple"
-        atlas_entry, = [t for t in out["trace"] if t["gate"] == "atlas"]
-        assert atlas_entry["kind"] == "unknown"
-        assert atlas_entry["unverified_hypotheses"] == [
-            "did not stabilize by degree 16"]
-        assert atlas_entry["evidence"]["d_max"] == 16
-        history = atlas_entry["evidence"]["history"]
-        assert history and history == sorted(history) and history[0] < history[-1]
+        assert out["verdict"]["rule"] == "multiplicity bound"
+        assert out["trace"] == [{"gate": "nishimura", **out["verdict"]}]
+
+    def test_gate_pentagerm_computes_no_codimension(self, capsys, monkeypatch):
+        def refuse(f, d_max=ring.D_MAX):
+            raise AssertionError("no codimension expected")
+        monkeypatch.setattr(tangent, "ae_codim", refuse)
+        code = cli.run(["gate", "--germ", "{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);"
+                        "(x,y,z^2+x+y);(x,y,z^2+x-y)}", "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"]["kind"] == \
+            "not_simple"
 
     def test_gate_sextuple_point_skips_the_primitive_rule(self, capsys):
         # n = 3 is below the threshold of the immersion-partner rule
-        code = cli.run(["gate", "--germ", "{(x,y,z,0);(x,y,0,z);(x,0,y,z);"
-                        "(0,x,y,z);(x,y,z,x);(x,y,z,y)}", "--json"])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 0 and out["verdict"]["kind"] == "not_simple"
-        entry, = [t for t in out["trace"]
-                  if t["gate"] == "primitive_plus_morse"]
-        assert entry["kind"] == "unknown"
-        assert entry["unverified_hypotheses"] == [
-            "dimensions below the threshold for the immersion partner, "
-            "(n, n+1) rule"]
+        sextuple = cli.parse_multigerm("{(x,y,z,0);(x,y,0,z);(x,0,y,z);"
+                                       "(0,x,y,z);(x,y,z,x);(x,y,z,y)}")
+        for asserted in (False, True):
+            v = gates.gate_primitive_plus_morse(sextuple,
+                                                primitive_flag=asserted)
+            assert v.kind == "unknown"
+            assert v.unverified == (
+                "dimensions below the threshold for the immersion partner, "
+                "(n, n+1) rule",)
 
     def test_eval_reports_each_certificate(self, capsys):
         # 4_2^6: multiplicity 4 and c = 4, so the candidates start at
@@ -541,12 +546,19 @@ class TestRun:
         assert ("aecod:    6   (certified at degree 11, c = 4)\n"
                 in capsys.readouterr().out)
 
-    def test_gate_text_shows_the_reason_of_an_unknown_entry(self, capsys):
+    def test_gate_text_shows_the_reason_of_an_unknown_entry(
+            self, capsys, monkeypatch):
+        def unstable(f, d_max):
+            raise NotStabilizedError("no", d_max=5, history=(3, 4))
+        monkeypatch.setattr(gates, "gate_nishimura", unstable)
         code = cli.run(["gate", "--germ", "{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);"
                         "(x,y,z^2+x+y);(x,y,z^2+x-y)}"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "  atlas: unknown (did not stabilize by degree 16)\n" in out
+        assert out.endswith(
+            "trace:\n"
+            "  nishimura: unknown (did not stabilize by degree 5)\n"
+            "  branch_count: not_simple [branch count bound]\n")
 
     def test_gate_without_other_evidence_exits_2(self, capsys):
         # (x, y, x*z^2) is not finite: its multiplicity, hence every gate

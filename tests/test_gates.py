@@ -219,10 +219,30 @@ class TestSimplicityReport:
         assert rep.verdict.unverified
 
     def test_trace_covers_all_gates(self):
-        rep = simplicity_report(P("(x,y,z^2)"))
+        # nothing decides this germ, so every gate runs, the atlas before
+        # the primitive rule
+        rep = simplicity_report(P("(x,y,z^5+x^2*z+y*z^2)"))
         names = [name for name, _ in rep.trace]
         assert names == ["nishimura", "branch_count", "tau_pairing",
-                         "primitive_plus_morse", "atlas"]
+                         "atlas", "primitive_plus_morse"]
+        # after the atlas match, the primitive rule could only abstain
+        rep = simplicity_report(P("(x,y,z^2)"))
+        names = [name for name, _ in rep.trace]
+        assert names == ["nishimura", "branch_count", "tau_pairing", "atlas"]
+
+    def test_asserted_primitivity_runs_after_an_atlas_match(self):
+        flags = ReportAssertions(flags=frozenset({FLAG_PRIMITIVITY}))
+        rep = simplicity_report(P("(x,y,z^2)"), assertions=flags)
+        assert rep.verdict.kind == SIMPLE
+        assert [name for name, _ in rep.trace][-2:] == [
+            "atlas", "primitive_plus_morse"]
+        # the asserted rule can overturn the atlas match (3_mu A1-a, mu = 1,
+        # has a codimension-1 part and a fold)
+        rep = simplicity_report(P("{(x^3+y^2*x+z^2*x,y,z);(x,y,z^2)}"),
+                                assertions=flags)
+        assert dict(rep.trace)["atlas"].kind == SIMPLE
+        assert rep.verdict.kind == NOT_SIMPLE
+        assert rep.trace[-1] == ("primitive_plus_morse", rep.verdict)
 
     def test_augconc_assertion_path(self):
         rep = simplicity_report(
@@ -231,14 +251,18 @@ class TestSimplicityReport:
                 flags=frozenset({FLAG_DZ, FLAG_AUG_SIMPLE}),
                 augconc=(1, W ** 2)))
         assert rep.verdict.kind == SIMPLE
+        # the atlas lookup cannot refute, so it does not run after a Simple
+        assert rep.trace[-1] == ("augconc", rep.verdict)
 
     def test_final_kind_order_independent(self):
-        # both the multiplicity and the pairing gate fire on this germ;
-        # the aggregated kind is NotSimple regardless of which reports first
+        # both the multiplicity and the pairing gate fire on this germ, so
+        # the kind is NotSimple whichever runs first; the report stops at
+        # the first proof
+        assert gate_nishimura(A2A3).kind == NOT_SIMPLE
+        assert gate_tau_pairing(A2A3).kind == NOT_SIMPLE
         rep = simplicity_report(A2A3)
-        fired = [v.kind for _, v in rep.trace]
-        assert fired.count(NOT_SIMPLE) >= 2
-        assert rep.verdict.kind == NOT_SIMPLE
+        assert rep.verdict == gate_nishimura(A2A3)
+        assert rep.trace == (("nishimura", rep.verdict),)
 
     def test_unstabilized_gate_before_a_proof(self, monkeypatch):
         # the first gate fails to stabilize; the branch-count and pairing
