@@ -376,7 +376,9 @@ def simplicity_report(f: MultiGerm,
     trace records those that ran.  The first NotSimple ends the report.
     After a Simple only a gate that can still prove NotSimple runs: not
     the atlas lookup, and primitive_plus_morse only when primitivity is
-    asserted (without it that gate can only abstain).
+    asserted (without it that gate can only abstain).  When several gates
+    could prove NotSimple, the earliest in this order decides: augconc's
+    NotSimple is returned before primitive_plus_morse runs.
 
     A gate (or the atlas lookup) whose dimension does not stabilize by the
     degree cap gives an Unknown trace entry naming the cap and carrying the

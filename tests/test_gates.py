@@ -225,6 +225,17 @@ class TestSimplicityReport:
         names = [name for name, _ in rep.trace]
         assert names == ["nishimura", "branch_count", "tau_pairing",
                          "atlas", "primitive_plus_morse"]
+        # the Unknown lists the distinct reasons in trace order, the
+        # atlas's before the primitive rule's
+        rep = simplicity_report(P("{(x,y,0);(x,0,y+x^2)}"))
+        assert [name for name, _ in rep.trace] == names
+        assert rep.verdict.unverified == (
+            "below the multiplicity bound; no conclusion",
+            "needs the equidimensional case",
+            "no bipartition matches the hypotheses",
+            "no atlas entry with these invariants",
+            "dimensions below the threshold for the immersion partner, "
+            "(n, n+1) rule")
         # after the atlas match, the primitive rule could only abstain
         rep = simplicity_report(P("(x,y,z^2)"))
         names = [name for name, _ in rep.trace]
@@ -252,6 +263,20 @@ class TestSimplicityReport:
                 augconc=(1, W ** 2)))
         assert rep.verdict.kind == SIMPLE
         # the atlas lookup cannot refute, so it does not run after a Simple
+        assert rep.trace[-1] == ("augconc", rep.verdict)
+
+    def test_augconc_proof_ends_the_report_before_the_primitive_rule(self):
+        # both the augconc assertion and the asserted primitive rule prove
+        # this germ non-simple; augconc runs first, so its rule is returned
+        germ = P("{(x^3+y^2*x+z^2*x,y,z);(x,y,z^2)}")
+        flags = frozenset({FLAG_PRIMITIVITY, FLAG_TRANSVERSALITY})
+        assert gate_primitive_plus_morse(germ, primitive_flag=True).kind \
+            == NOT_SIMPLE
+        rep = simplicity_report(germ, assertions=ReportAssertions(
+            flags=flags, augconc=(2, W ** 2)))
+        assert rep.verdict.kind == NOT_SIMPLE
+        assert rep.verdict.rule == (
+            "augmentation-and-concatenation of codimension >= 2")
         assert rep.trace[-1] == ("augconc", rep.verdict)
 
     def test_final_kind_order_independent(self):
@@ -288,8 +313,20 @@ class TestSimplicityReport:
             simplicity_report(P("(x,y,z^5+x^2*z+y*z^2)"))
 
     def test_unstabilized_gate_next_to_an_atlas_match(self, monkeypatch):
+        # a gate that fails to stabilize, before the atlas match or (with
+        # primitivity asserted) after it, leaves the proven Simple standing
         def unstable(f, d_max, primitive_flag=False):
             raise NotStabilizedError("no", d_max=5, history=(3, 4))
-        monkeypatch.setattr(gates, "gate_primitive_plus_morse", unstable)
-        rep = simplicity_report(P("{(x,y,z^2);(x,y,z^2+y^2+x^3)}"))
-        assert rep.verdict.kind == SIMPLE
+        germ = P("{(x,y,z^2);(x,y,z^2+y^2+x^3)}")
+        for name, flags in (("nishimura", frozenset()),
+                            ("primitive_plus_morse",
+                             frozenset({FLAG_PRIMITIVITY}))):
+            with monkeypatch.context() as patch:
+                patch.setattr(gates, f"gate_{name}", unstable)
+                rep = simplicity_report(
+                    germ, assertions=ReportAssertions(flags=flags))
+            assert rep.verdict.kind == SIMPLE
+            assert rep.verdict.rule == "atlas match"
+            entry = dict(rep.trace)[name]
+            assert entry.kind == UNKNOWN
+            assert entry.unverified == ("did not stabilize by degree 5",)
