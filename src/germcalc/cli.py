@@ -5,7 +5,9 @@ Subcommands: `eval` (invariants), `build` (constructions), `gate`
 read and printed in the surface syntax of `germcalc.syntax`, whose parser,
 printer and canonical keys this module re-exports.  Exit codes: 0 success,
 1 parse/validation error or an unwritable `--output`, 2 failure to
-stabilize, 3 internal error.
+stabilize (no certificate either way by the cap), 3 internal error.  A
+dimension proved infinite is an answer: `eval` prints it as `infinite`
+with its proof and exits 0.
 The engine flag `--max-degree` is the only engine setting, passed to the
 library as `d_max` (default `ring.D_MAX`): it bounds the degree at which a
 dimension may be certified (a codimension's certificate elimination runs c
@@ -25,7 +27,8 @@ from functools import lru_cache
 
 from . import atlas, gates, ops, tangent
 from . import germ as germ_mod
-from .errors import GermcalcError, NotCorankOneError, NotStabilizedError
+from .errors import (GermcalcError, NotCorankOneError, NotStabilizedError,
+                     ProvedInfiniteError)
 from .germ import MultiGerm
 from .ring import D_MAX, Poly
 # the whole parse/print surface, re-exported for callers of the CLI module
@@ -70,47 +73,72 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def _value_or_proof(fn, *args):
+    """fn(*args), or the ProvedInfiniteError it raises."""
+    try:
+        return fn(*args)
+    except ProvedInfiniteError as proof:
+        return proof
+
+
 def _cmd_eval(args) -> int:
     d_max = args.max_degree
     f, text = canonical_form(parse_multigerm(
         args.germ, source_dim=args.source_dim, target_dim=args.target_dim,
         canonical=False))
-    m0 = germ_mod.multiplicity(f, d_max)
+    m0 = _value_or_proof(germ_mod.multiplicity, f, d_max)
     cork = germ_mod.germ_corank(f)
     try:
         atype = list(germ_mod.recognize_type(f, d_max).ks)
-    except NotCorankOneError:
+    except (NotCorankOneError, ProvedInfiniteError):
         atype = None
-    ae = tangent.ae_codim(f, d_max)
-    a = tangent.a_codim(f, d_max)
+    ae = _value_or_proof(tangent.ae_codim, f, d_max)
+    a = _value_or_proof(tangent.a_codim, f, d_max)
     wilson = tangent.wilson_check(f, d_max)
+    results = {"m0": m0, "aecod": ae, "acod": a}
+    proofs = {name: {"reason": res.reason, **res.certificate}
+              for name, res in results.items()
+              if isinstance(res, ProvedInfiniteError)}
+    certified = {name: res for name, res in (("aecod", ae), ("acod", a))
+                 if name not in proofs}
+    values = {"m0": m0, **{name: res.value for name, res in certified.items()},
+              **dict.fromkeys(proofs, "infinite")}
     payload = {
         "germ": text,
         "invariants": {
-            "m0": m0,
+            "m0": values["m0"],
             "corank": cork,
             "atype": atype,
-            "aecod": ae.value,
-            "acod": a.value,
+            "aecod": values["aecod"],
+            "acod": values["acod"],
             "wilson": wilson.status,
         },
-        "degrees_used": {"aecod": ae.degree_used, "acod": a.degree_used},
-        "c": {"aecod": ae.c, "acod": a.c},
-        "curves": {"aecod": list(ae.curve), "acod": list(a.curve)},
+        "degrees_used": {name: res.degree_used
+                         for name, res in certified.items()},
+        "c": {name: res.c for name, res in certified.items()},
+        "curves": {name: list(res.curve) for name, res in certified.items()},
     }
+    if proofs:
+        payload["proofs"] = proofs
     if args.json:
         print(json.dumps(_jsonable(payload), sort_keys=True))
     else:
         print(f"germ:     {payload['germ']}")
         print(f"(n, p, r): ({f.n}, {f.p}, {f.r})")
-        print(f"m0:       {m0}")
+        print(f"m0:       {values['m0']}" + (
+            f"   ({proofs['m0']['reason']})" if "m0" in proofs else ""))
         print(f"corank:   {cork}")
-        label = "A_{" + ",".join(map(str, atype)) + "}" if atype else "corank >= 2"
+        if atype:
+            label = "A_{" + ",".join(map(str, atype)) + "}"
+        else:
+            label = "not finite" if "m0" in proofs else "corank >= 2"
         print(f"type:     {label}")
-        for name, res in (("aecod", ae), ("acod", a)):
-            print(f"{name + ':':9} {res.value}   (certified at degree "
-                  f"{res.degree_used}, c = {res.c})")
-        for name, res in (("aecod", ae), ("acod", a)):
+        for name in ("aecod", "acod"):
+            res = certified.get(name)
+            note = (proofs[name]["reason"] if res is None else
+                    f"certified at degree {res.degree_used}, c = {res.c}")
+            print(f"{name + ':':9} {values[name]}   ({note})")
+        for name, res in certified.items():
             first = res.degree_used - len(res.curve) + 1
             print(f"curve:    {name} {list(res.curve)}   "
                   f"(degrees {first}..{res.degree_used})")
@@ -216,7 +244,11 @@ def _cmd_atlas(args) -> int:
         if not args.germ:
             raise ValueError("lookup needs --germ")
         f, text = canonical_form(parse_multigerm(args.germ, canonical=False))
-        result = atlas.lookup(f, args.max_degree)
+        try:
+            result = atlas.lookup(f, args.max_degree)
+        except ProvedInfiniteError:
+            # every catalog row has a finite codimension
+            result = atlas.LookupResult(matches=(), exact=False)
         payload = {
             "germ": text,
             "exact": result.exact,

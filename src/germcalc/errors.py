@@ -12,9 +12,9 @@ class GermcalcError(Exception):
 class NotStabilizedError(GermcalcError):
     """A truncated-jet dimension did not stabilize before hitting d_max.
 
-    This usually signals an infinite-dimensional quotient (non-isolated
-    singularity, non-finite codimension) or a d_max that is too small for
-    the germ at hand.
+    No certificate either way was found by the cap: the dimension may be
+    finite and certified only above d_max, or infinite where no proof of
+    it applies (`ProvedInfiniteError` is raised where one does).
     """
 
     def __init__(self, message: str, d_max: int | None = None,
@@ -24,23 +24,44 @@ class NotStabilizedError(GermcalcError):
         self.history = tuple(history)
 
 
+class ProvedInfiniteError(GermcalcError):
+    """A dimension proved infinite by a certificate.
+
+    Unlike NotStabilizedError this is an answer, not a failure to find
+    one.  `reason` says what the certificate shows, such as "not finite:
+    ..." or "not A-finite: ...", and `certificate` holds its data as a
+    mapping of plain values (tuples, ints and Fractions).
+    """
+
+    def __init__(self, message: str, reason: str = "",
+                 certificate: dict | None = None):
+        super().__init__(message)
+        self.reason = reason
+        self.certificate = dict(certificate or {})
+
+
 def remember_failures(maxsize: int):
     """`lru_cache(maxsize)` over positional arguments that remembers a
-    NotStabilizedError like a value: a repeated call raises a fresh one
-    with the same message, d_max and history, without computing again."""
+    NotStabilizedError or a ProvedInfiniteError like a value: a repeated
+    call raises a fresh one of the same class with the same message and
+    attributes, without computing again."""
     def decorate(fn):
         @lru_cache(maxsize=maxsize)
         def outcome(*args):
             try:
                 return fn(*args), None
-            except NotStabilizedError as error:
-                return None, (str(error), error.d_max, error.history)
+            except (NotStabilizedError, ProvedInfiniteError) as error:
+                # the class, message and attributes, not the traceback
+                return None, (type(error), str(error), dict(vars(error)))
 
         @wraps(fn)
         def cached(*args):
             value, failure = outcome(*args)
             if failure:
-                raise NotStabilizedError(*failure)
+                kind, message, attributes = failure
+                error = kind(message)
+                vars(error).update(attributes)
+                raise error
             return value
 
         cached.cache_info, cached.cache_clear = (outcome.cache_info,

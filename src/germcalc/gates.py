@@ -29,7 +29,8 @@ from typing import Iterable, Mapping
 
 from . import atlas as atlas_mod
 from . import tangent
-from .errors import NotCorankOneError, NotStabilizedError, NotStableTypeError
+from .errors import (NotCorankOneError, NotStabilizedError,
+                     NotStableTypeError, ProvedInfiniteError)
 from .germ import (AType, MultiGerm, corank, multiplicity, recognize_type,
                    stratum_dim)
 from .ring import D_MAX, Poly, is_quasi_homogeneous
@@ -99,13 +100,21 @@ def nishimura_bound(n: int, p: int, r: int) -> Fraction:
 
 
 def gate_nishimura(f: MultiGerm, d_max: int = D_MAX) -> Verdict:
-    """Necessary condition: multiplicity must not exceed the bound."""
+    """Necessary condition: multiplicity must not exceed the bound.
+
+    A multiplicity proved infinite (a branch that is not finite) exceeds
+    every bound."""
     if any(corank(b) > 1 for b in f.branches):
         return Verdict.unknown("corank at most 1")
     if f.n > f.p or f.n * f.p == 1:
         return Verdict.unknown(f"dimension range (n, p) = ({f.n}, {f.p}) not covered")
     bound = nishimura_bound(f.n, f.p, f.r)
-    m0 = multiplicity(f, d_max)
+    try:
+        m0 = multiplicity(f, d_max)
+    except ProvedInfiniteError as proof:
+        return Verdict.not_simple(
+            "multiplicity bound", multiplicity="infinite", bound=bound,
+            n=f.n, p=f.p, r=f.r, reason=proof.reason, **proof.certificate)
     if m0 > bound:
         return Verdict.not_simple(
             "multiplicity bound", multiplicity=m0, bound=bound,
@@ -150,7 +159,7 @@ def gate_tau_pairing(f: MultiGerm, d_max: int = D_MAX) -> Verdict:
     indices = range(r)
 
     def part_stable(sub: tuple[int, ...]) -> bool:
-        # ae_codim's cache holds the answer for a part already asked about
+        # is_stable's cache holds the answer for a part already asked about
         return tangent.is_stable(MultiGerm(tuple(f.branches[i] for i in sub)),
                                  d_max)
 
@@ -385,6 +394,16 @@ def simplicity_report(f: MultiGerm,
     values reached.  A proven verdict from another gate still stands.  An
     Unknown is what a larger cap could still change, so instead of it the
     first such NotStabilizedError is raised.
+
+    A gate whose dimension is proved infinite (ProvedInfiniteError) gives a
+    NotSimple entry, rule "not A-finite", with the proof as evidence.  Each
+    gate computes on f or on a sub-multigerm of f, and such a proof shows
+    that one of them is not A-finite (a branch that is not finite, with
+    n <= p, or a germ unstable off 0): then neither is f, since by the
+    Mather-Gaffney criterion a finite germ is A-finite exactly when it is
+    stable off 0, and a sub-multigerm of a stable multigerm is stable.  A
+    simple germ is A-finite (Mond and Nuno-Ballesteros, "Singularities of
+    Mappings", Springer 2020).
     """
     assertions = assertions or ReportAssertions()
     trace: list[tuple[str, Verdict]] = []
@@ -402,6 +421,9 @@ def simplicity_report(f: MultiGerm,
             verdict = Verdict.unknown(
                 f"did not stabilize by degree {exc.d_max}",
                 d_max=exc.d_max, history=exc.history)
+        except ProvedInfiniteError as proof:
+            verdict = Verdict.not_simple("not A-finite", reason=proof.reason,
+                                         **proof.certificate)
         trace.append((name, verdict))
 
     primitive = FLAG_PRIMITIVITY in assertions.flags

@@ -15,19 +15,26 @@ lies in every branch ideal, which sizes the codimension engine's
 certificate.
 It also provides the linear prenormal form, the sparse representative of
 a germ's orbit under linear changes of coordinates that the codimension
-engine eliminates on.
+engine eliminates on, and the weight fit that makes a whole multigerm
+weighted homogeneous (`weights`).
 The branch multiplicities are cached by (branch, d_max), a failed search
-remembered like a value (`errors.remember_failures`).
+remembered like a value (`errors.remember_failures`).  When n <= p, a
+branch whose search reaches its last candidate is first tested for a line
+through 0 on which it vanishes; such a branch is not finite, so its
+multiplicity is proved infinite (`ProvedInfiniteError`) instead of failing
+at the cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from . import ring
-from .errors import NotCorankOneError, NotStableTypeError, remember_failures
+from .errors import (NotCorankOneError, NotStableTypeError,
+                     ProvedInfiniteError, remember_failures)
 from ._echelon import RowSpan, matrix_rank
 from .ring import D_MAX, Poly, substitute
 
@@ -128,13 +135,49 @@ def germ_corank(f: MultiGerm) -> int:
     return max(corank(b) for b in f.branches)
 
 
+def _vanishing_line(branch: Branch) -> tuple[Fraction, ...] | None:
+    """A direction, in the branch's own coordinates, of a line through 0
+    on which every component vanishes, or None when none is found.
+
+    The test is exact and looks at coordinate axes only: the axis of x_j
+    lies in the zero set when no term of any component is a power of x_j
+    alone.  It runs on the branch and on its linear prenormal form, whose
+    axis u_j is the line through column j of the source change."""
+    g, _, (source,) = linear_prenormal_form(MultiGerm((branch,)))
+    for moved, change in ((branch, _identity(branch.n)),
+                          (g.branches[0], source)):
+        for j in range(branch.n):
+            if all(any(e for i, e in enumerate(mono) if i != j)
+                   for comp in moved.components for mono, _ in comp.items()):
+                return tuple(row[j] for row in change)
+    return None
+
+
+def _prove_not_finite(branch: Branch) -> None:
+    """Raise ProvedInfiniteError when the branch vanishes on a line: its
+    zero set is then not the point 0, so O_n / I is infinite."""
+    line = _vanishing_line(branch)
+    if line is not None:
+        reason = ("not finite: a branch vanishes on the line through 0 "
+                  f"and ({', '.join(map(str, line))})")
+        raise ProvedInfiniteError(f"multiplicity is infinite ({reason})",
+                                  reason, {"line": line})
+
+
 @remember_failures(maxsize=1024)
 def _branch_multiplicity(branch: Branch, d_max: int) -> tuple[int, int]:
     """The dimension of the branch's local algebra O_n / I, with I the
     ideal of its components, and the least d with m^d inside I: the first
     d >= 1 where the truncated values of I repeat, read off the same
-    curve (see `ring.quotient_curve`)."""
-    curve = ring.quotient_curve(list(branch.components), branch.n, d_max)
+    curve (see `ring.quotient_curve`).  When n <= p, a line on which the
+    branch vanishes, found before the search's last candidate, proves the
+    dimension infinite (ProvedInfiniteError).  Only then does that proof
+    make both codimensions infinite too: a stable germ with n <= p is
+    finite, while for n > p no map is finite and a submersion is stable,
+    so there the search fails at the cap as before."""
+    curve = ring.quotient_curve(
+        list(branch.components), branch.n, d_max,
+        partial(_prove_not_finite, branch) if branch.n <= branch.p else None)
     power = next((d for d in range(1, len(curve))
                   if curve[d] == curve[d - 1]), len(curve))
     return curve[-1], power
@@ -144,7 +187,9 @@ def multiplicity_and_power(f: MultiGerm,
                            d_max: int = D_MAX) -> tuple[int, int]:
     """The multiplicity of f and the least c with m^c inside the ideal
     I_b = f_b^*(m_p) O_n of every branch b (the largest of the branch
-    values).  Both are invariant under changes of coordinates."""
+    values).  Both are invariant under changes of coordinates.  Raises
+    ProvedInfiniteError when a branch is proved not finite, and
+    NotStabilizedError when a branch's search fails by d_max."""
     pairs = [_branch_multiplicity(b, d_max) for b in f.branches]
     return sum(m for m, _ in pairs), max(c for _, c in pairs)
 
@@ -315,3 +360,32 @@ def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
     target_change = tuple(tuple(scale[i] * target[i].get(l, 0)
                                 for l in range(p)) for i in range(p))
     return g, target_change, sources
+
+
+# -- weights ------------------------------------------------------------------
+
+def weights(f: MultiGerm) -> tuple[tuple[tuple[Fraction, ...], ...],
+                                   tuple[Fraction, ...]] | None:
+    """Positive weights that make f weighted homogeneous, or None.
+
+    Returns (source weights w_b of each branch b, target weights v): all
+    positive, scaled together to primitive integers, with w_b . a = v_l
+    for every term x^a of every component f_{b,l}.  Then
+    f_b(t^w_b x) = t^v f_b(x) for every t, with one v for all branches.
+    A zero component constrains nothing.  The fit is the one linear
+    program of `ring.is_quasi_homogeneous`, over all branches at once
+    (`ring.positive_kernel_vector`).
+    """
+    n, p, r = f.n, f.p, f.r
+    rows = []
+    for b, branch in enumerate(f.branches):
+        for l, comp in enumerate(branch.components):
+            for mono, _ in comp.items():
+                row: dict[int, int] = {b * n + j: e
+                                       for j, e in enumerate(mono) if e}
+                row[r * n + l] = -1
+                rows.append(row)
+    w = ring.positive_kernel_vector(rows, r * n + p)
+    if w is None:
+        return None
+    return tuple(w[b * n:(b + 1) * n] for b in range(r)), w[r * n:]

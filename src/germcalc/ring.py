@@ -44,6 +44,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NotStabilizedError
@@ -569,7 +570,7 @@ def eliminate_graded(widths: Sequence[int], rows: list[dict],
 
 
 def stabilize_curve(eliminate, k0: int, c: int, step, d_max: int,
-                    what: str) -> tuple[tuple[int, ...], int, list]:
+                    what: str, last_resort=None) -> tuple[tuple[int, ...], int, list]:
     """The truncation-degree search shared by every graded quotient.
 
     `eliminate(k, top)` is one elimination at top degree `top` = k + c,
@@ -583,6 +584,12 @@ def stabilize_curve(eliminate, k0: int, c: int, step, d_max: int,
     the exact value, and a failure at k = d_max proves that no k <= d_max
     passes.  The candidates start at k0 and go to `step(k, values)` after
     a failure, both capped at d_max.
+
+    `last_resort`, when given, is called with no arguments once, just
+    before the elimination at k = d_max, the one that either certifies or
+    fails the search.  It may raise ProvedInfiniteError to end the search
+    with a proof that the dimension is infinite, so that elimination is
+    never run; if it returns, the search goes on as without it.
 
     In the library this is the one place that checks d_max: it raises
     ValueError when d_max < 1.  A call that never runs the search, such as
@@ -598,6 +605,8 @@ def stabilize_curve(eliminate, k0: int, c: int, step, d_max: int,
     first = k = min(k0, d_max)
     tried = []
     while True:
+        if k == d_max and last_resort is not None:
+            last_resort()
         tried.append(k)
         values, free = eliminate(k, k + c)
         if values[k + c] == values[k]:
@@ -634,7 +643,7 @@ def _graded_ideal(generators: Sequence[Poly], nvars: int,
 
 
 def quotient_curve(generators: Iterable[Poly], nvars: int,
-                   d_max: int = D_MAX) -> tuple[int, ...]:
+                   d_max: int = D_MAX, last_resort=None) -> tuple[int, ...]:
     """The truncated values v(d) = dim K[x]/(I + m^{d+1}) of the ideal I of
     the generators, from degree 0 up to the degree that certifies the last
     one as dim K[[x_1..x_n]]/I.
@@ -650,6 +659,8 @@ def quotient_curve(generators: Iterable[Poly], nvars: int,
     makes the ideal the whole ring, whose curve is (0,).  An empty
     effective generator list cannot have a finite quotient and raises
     NotStabilizedError immediately, as does failure to stabilize by d_max.
+    `last_resort` is handed to `stabilize_curve`, which may end the search
+    with its proof that the quotient is infinite.
     """
     gens = []
     for g in generators:
@@ -666,7 +677,7 @@ def quotient_curve(generators: Iterable[Poly], nvars: int,
             d_max=d_max)
     curve, _, _ = stabilize_curve(
         lambda k, top: _graded_ideal(gens, nvars, top), 2, 1,
-        lambda k, values: k + 1, d_max, "quotient dimension")
+        lambda k, values: k + 1, d_max, "quotient dimension", last_resort)
     return curve
 
 
@@ -694,24 +705,85 @@ def tjurina(p: Poly, d_max: int = D_MAX) -> int:
 
 # -- quasi-homogeneity ------------------------------------------------------
 
-def _strict_positive_feasible(constraints: list[tuple[list[Fraction], Fraction]]) -> bool:
-    """Fourier-Motzkin feasibility of strict inequalities coef . t > rhs."""
-    work = [(list(c), r) for c, r in constraints]
-    nvar = len(work[0][0]) if work else 0
-    for j in range(nvar):
-        pos = [cr for cr in work if cr[0][j] > 0]
-        neg = [cr for cr in work if cr[0][j] < 0]
-        rest = [cr for cr in work if cr[0][j] == 0]
-        new = list(rest)
-        for cp, rp in pos:
-            for cn, rn in neg:
-                # eliminate t_j between cp.t > rp and cn.t > rn
-                scale_p, scale_n = -cn[j], cp[j]
-                coef = [scale_p * a + scale_n * b for a, b in zip(cp, cn)]
-                rhs = scale_p * rp + scale_n * rn
-                new.append((coef, rhs))
-        work = new
-    return all(rhs < 0 for coef, rhs in work)
+def _positive_point(constraints: list[list[Fraction]]) -> list[Fraction] | None:
+    """A point t with c . t > 0 for every constraint c, or None when there
+    is none: Fourier-Motzkin elimination, then back substitution.
+
+    Eliminating t_j pairs each constraint with a positive coefficient at j
+    with each with a negative one; a constraint with no variable left
+    reads 0 > 0, so any such constraint proves infeasibility.  Back
+    substitution picks t_j, with the later t fixed, strictly inside the
+    bounds that the constraints of the j-th stage put on it."""
+    size = len(constraints[0]) if constraints else 0
+    stages = []
+    work = constraints
+    for j in range(size):
+        stages.append(work)
+        pos = [c for c in work if c[j] > 0]
+        neg = [c for c in work if c[j] < 0]
+        new = {tuple(c) for c in work if c[j] == 0}
+        for cp in pos:
+            for cn in neg:
+                combined = [-cn[j] * a + cp[j] * b for a, b in zip(cp, cn)]
+                # scaled to primitive integers, so equal constraints merge
+                den = lcm(*(v.denominator for v in combined))
+                num = gcd(*(v.numerator * (den // v.denominator)
+                            for v in combined))
+                new.add(tuple(Fraction(v * den, num) if num else v
+                              for v in combined))
+        work = [list(c) for c in new]
+    if work:  # every variable eliminated: each is 0 > 0
+        return None
+    t = [Fraction(0)] * size
+    for j in reversed(range(size)):
+        low = high = None
+        for c in stages[j]:
+            if c[j]:
+                bound = -sum(c[i] * t[i] for i in range(j + 1, size)) / c[j]
+                if c[j] > 0:
+                    low = bound if low is None else max(low, bound)
+                else:
+                    high = bound if high is None else min(high, bound)
+        # a value strictly between the bounds, 1 where 1 is one
+        if (low is None or low < 1) and (high is None or high > 1):
+            t[j] = Fraction(1)
+        elif low is None:
+            t[j] = high - 1
+        elif high is None:
+            t[j] = low + 1
+        else:
+            t[j] = (low + high) / 2
+    return t
+
+
+def positive_kernel_vector(rows: list[dict[int, Coefficient]],
+                           size: int) -> tuple[Fraction, ...] | None:
+    """A vector w in Q^size with w_i > 0 for every i and row . w = 0 for
+    every row ({index: coefficient}), scaled to primitive integers; None
+    when there is none.
+
+    The rows are reduced to pivot form, so each pivot entry is a linear
+    form in the free entries; the free entries and those forms must all be
+    positive, which `_positive_point` decides and solves exactly."""
+    span = RowSpan()
+    for row in rows:
+        if row:
+            span.insert(dict(row))
+    pivots = span.reduced_pivots()
+    free = [i for i in range(size) if i not in pivots]
+    if not free:
+        return None
+    # w_lead = -sum over free c of (row[c] / row[lead]) w_c
+    forms = {i: [Fraction(int(i == c)) for c in free] for i in free}
+    for lead, row in pivots.items():
+        forms[lead] = [Fraction(-row.get(c, 0), row[lead]) for c in free]
+    t = _positive_point([forms[i] for i in range(size)])
+    if t is None:
+        return None
+    w = [sum(a * b for a, b in zip(forms[i], t)) for i in range(size)]
+    den = lcm(*(v.denominator for v in w))
+    num = gcd(*(v.numerator * (den // v.denominator) for v in w))
+    return tuple(v * den / num for v in w)
 
 
 def is_quasi_homogeneous(p: Poly) -> bool:
@@ -719,32 +791,13 @@ def is_quasi_homogeneous(p: Poly) -> bool:
 
     A function germ is quasi-homogeneous here when there are weights
     w_i > 0 with sum_i w_i * e_i = 1 for the exponent tuple e of every term.
-    The zero polynomial and germs with a constant term are not.
+    The zero polynomial and germs with a constant term are not.  Scaling
+    turns the fit into a positive vector (w, d) with e . w - d = 0 for
+    every term (`positive_kernel_vector`).
     """
     if p.is_zero() or p.constant_term() != 0:
         return False
-    exponents = list(p._terms.keys())
-    appearing = [i for i in range(p.nvars) if any(m[i] for m in exponents)]
-    if not appearing:
-        return False
-    # e . w - 1 = 0 per term: the constant in column 0, weight j in column
-    # j + 1.  RowSpan leads on the largest column, so a pivot on column 0
-    # is the equation 0 = nonzero.
-    span = RowSpan()
-    for m in exponents:
-        row = {j + 1: m[i] for j, i in enumerate(appearing) if m[i]}
-        row[0] = -1
-        span.insert(row)
-    pivots = span.reduced_pivots()
-    if 0 in pivots:
-        return False
-    free = [c for c in range(1, len(appearing) + 1) if c not in pivots]
-    # every weight > 0: each free weight, and each pivot weight as the
-    # affine form in the free weights that its reduced row
-    # v_lead w_lead + sum_free v_c w_c + v_0 = 0 gives
-    constraints = [([Fraction(int(c == f)) for f in free], Fraction(0))
-                   for c in free]
-    for lead, row in pivots.items():
-        constraints.append(([Fraction(-row.get(f, 0), row[lead]) for f in free],
-                            Fraction(row.get(0, 0), row[lead])))
-    return _strict_positive_feasible(constraints)
+    n = p.nvars
+    rows = [{**{i: e for i, e in enumerate(m) if e}, n: -1}
+            for m in p._terms]
+    return positive_kernel_vector(rows, n + 1) is not None

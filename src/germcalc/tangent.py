@@ -112,20 +112,70 @@ Both variants share one cache, keyed by the values (f, d_max, extended)
 that `ae_codim` and `a_codim` pass positionally, so every spelling of
 d_max computes once; a failure is remembered like a value, as for the
 branch multiplicities of `germ` (`errors.remember_failures`).
+
+Stability takes one elimination (`is_stable`).  If f is stable, its
+tangent space is theta(f), so every candidate passes with value 0; so a
+finite f is stable exactly when its first candidate passes with value 0,
+and that candidate need not be capped by d_max.
+
+Infinite codimension is proved, not only failed to certify, where this
+certificate applies (`unstable_point`).  It rests on the Mather-Gaffney
+criterion: a finite f has finite A_e-codimension exactly when it is
+stable off 0, that is, when for a representative the multigerm of f at
+the fibre over every y != 0 near 0 is stable (Wall, "Finite determinacy of
+smooth map-germs", Bull. LMS 13, 1981; Mond and Nuno-Ballesteros,
+"Singularities of Mappings", Springer 2020).  The certificate is sound by
+three facts:
+
+  * Weights.  Suppose f has positive weights: source weights w_b for each
+    branch and target weights v shared by all of them, with
+    f_b(t^w_b x) = t^v f_b(x) (`germ.weights`).  The scalings x -> t^w_b x
+    and y -> t^v y are diffeomorphisms for t != 0, so the multigerm of f
+    over t^v y is A-equivalent to the one over y, and t^v y tends to 0 with
+    t, as do the fibre points t^w_b x.  So one y != 0 over which f is
+    unstable gives unstable points of f arbitrarily near 0.
+  * Sub-multigerms.  A sub-multigerm of a stable multigerm is stable:
+    projecting theta(f) = tf(theta_S) + wf(theta_p) onto the sections of
+    some of the branches gives the same equation for the sub-multigerm.
+    So it is enough that the multigerm at some of the points over y is
+    unstable: irrational or uncomputed fibre points are left out, and for
+    n = p so are the points where a branch is a local diffeomorphism, which
+    never change stability.
+  * Finiteness.  The certificate is asked for only by a search, after
+    `germ.multiplicity_and_power` has certified that f is finite.
+
+The candidate points y are the images f_b(x*) != 0 of the points x* in
+{0,1}^n minus 0 of each branch.  The fibre of y on a branch is read off
+its coordinate components, which fix every variable but at most one, and
+the rational roots of a component in the remaining one.  Each sub-multigerm
+is translated to the origin and tested with `is_stable`.
+
+A search asks for the certificate once, just before the elimination of
+its last candidate k = d_max (`ring.stabilize_curve`), so it costs nothing
+where a search certifies earlier; when it finds a proof, that elimination
+never runs and ProvedInfiniteError is raised.  A-finiteness depends on
+neither the variant nor the search, so both variants of one germ and cap
+share the certificate, and once one search has proved f not A-finite the
+other raises the proof before its first candidate.  A germ with n <= p
+that is not finite raises the proof of `germ`'s multiplicity search
+instead: such a germ is unstable at every point of its zero set, since
+there its differential has rank below p, so neither codimension is finite.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm, prod
 
-from .errors import remember_failures
-from .germ import Branch, MultiGerm, linear_prenormal_form, multiplicity_and_power
-from .ring import (D_MAX, MonomialTables, Multiples, eliminate_graded,
-                   monomial_tables, stabilize_curve)
+from .errors import NotStabilizedError, ProvedInfiniteError, remember_failures
+from .germ import (Branch, MultiGerm, corank, linear_prenormal_form,
+                   multiplicity_and_power, weights)
+from .ring import (D_MAX, MonomialTables, Multiples, Poly, eliminate_graded,
+                   monomial_tables, stabilize_curve, substitute)
 
 Slot = tuple[int, int, tuple[int, ...]]  # (branch, component, source monomial)
 
@@ -491,15 +541,183 @@ def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
     values, degree, free = stabilize_curve(
         _SearchRows(g, extended, d_max).eliminate, start, c,
         lambda k, values: max(k + 2, values[k + 1] + 1), d_max,
-        "codimension")
+        "codimension", _finiteness(f, d_max).prove)
     # the first candidate was min(start, d_max), which is at most degree
     return CodimResult(value=values[-1], degree_used=degree, c=c,
                        curve=values[min(start, degree):],
                        basis=tuple(free))
 
 
+@dataclass(frozen=True)
+class UnstablePoint:
+    """A certificate that a finite, weighted homogeneous f is not A-finite.
+
+    `point` is a target point y != 0; `fibre` holds (branch, source point)
+    pairs of rational points with f_b(x) = y, whose multigerm, each branch
+    translated to its point and y to 0, is not stable; `source_weights`
+    (one tuple per branch) and `target_weights` are positive integers with
+    f_b(t^w_b x) = t^v f_b(x) (`germ.weights`).
+    """
+
+    point: tuple[Fraction, ...]
+    fibre: tuple[tuple[int, tuple[Fraction, ...]], ...]
+    source_weights: tuple[tuple[Fraction, ...], ...]
+    target_weights: tuple[Fraction, ...]
+
+    @property
+    def reason(self) -> str:
+        return (f"not A-finite: unstable at y = {_text(self.point)}, "
+                f"weights {_text(self.target_weights)}")
+
+    def error(self) -> ProvedInfiniteError:
+        return ProvedInfiniteError(f"codimension is infinite ({self.reason})",
+                                   self.reason, asdict(self))
+
+
+def _text(values) -> str:
+    return f"({', '.join(map(str, values))})"
+
+
+def _evaluate(poly: Poly, x) -> Fraction:
+    return sum((c * prod(v ** e for v, e in zip(x, mono) if e)
+                for mono, c in poly.items()), Fraction(0))
+
+
+def _rational_roots(coefs: dict[int, Fraction]) -> list[Fraction]:
+    """The rational roots of sum of c_e t^e, not every c_e zero, by the
+    rational root theorem; only 0 is tried when the outer coefficients
+    are too large to factor by trial division."""
+    low = min(e for e, c in coefs.items() if c)
+    roots = [Fraction(0)] if low else []
+    den = lcm(*(Fraction(c).denominator for c in coefs.values()))
+    ints = {e - low: int(c * den) for e, c in coefs.items() if c}
+    top = max(ints)
+    if not top or max(abs(ints[0]), abs(ints[top])) > 10 ** 6:
+        return roots
+
+    def divisors(a: int) -> set[int]:
+        a = abs(a)
+        return {d for i in range(1, isqrt(a) + 1) if a % i == 0
+                for d in (i, a // i)}
+
+    for t in sorted({Fraction(sign * a, b) for a in divisors(ints[0])
+                     for b in divisors(ints[top]) for sign in (1, -1)}):
+        if sum(c * t ** e for e, c in ints.items()) == 0:
+            roots.append(t)
+    return roots
+
+
+def _rational_fibre(branch: Branch, y) -> list[tuple[Fraction, ...]]:
+    """Rational points x with f_b(x) = y, all of those the coordinate
+    components pin down: they fix every variable but at most one, and the
+    rational roots of a component that still depends on the free variable
+    give its values.  With two or more free variables, or no such
+    component, no point is returned."""
+    fixed = {j: y[l] / c for l, (j, c) in _coordinates(branch).items()}
+    free = [j for j in range(branch.n) if j not in fixed]
+    if not free:
+        candidates = [tuple(fixed[j] for j in range(branch.n))]
+    elif len(free) > 1:
+        return []
+    else:
+        (j,) = free
+        candidates = []
+        for l, comp in enumerate(branch.components):
+            coefs = {0: -y[l]}
+            for mono, c in comp.items():
+                coefs[mono[j]] = coefs.get(mono[j], 0) + c * prod(
+                    fixed[i] ** e for i, e in enumerate(mono) if i != j and e)
+            if any(coefs.values()):
+                candidates = [tuple(fixed.get(i, t) for i in range(branch.n))
+                              for t in _rational_roots(coefs)]
+                break
+    return [x for x in candidates
+            if all(_evaluate(comp, x) == v
+                   for comp, v in zip(branch.components, y))]
+
+
+def _translated(branch: Branch, x, y) -> Branch:
+    """The branch at its point x, moved so that x and y = f_b(x) are 0."""
+    n = branch.n
+    shifted = [Poly.variable(n, i) + v for i, v in enumerate(x)]
+    return Branch(tuple(substitute(comp, shifted) - v
+                        for comp, v in zip(branch.components, y)))
+
+
+def unstable_point(f: MultiGerm, d_max: int = D_MAX) -> UnstablePoint | None:
+    """A certificate that f, a finite germ, is not A-finite, or None.
+
+    The candidate points are y = f_b(x*) != 0 for x* in {0,1}^n minus 0,
+    branch by branch, each y once.  At each y the rational fibre points of
+    every branch (`_rational_fibre`) are collected, less the points where
+    a branch is a local diffeomorphism when n = p; the multigerm at the
+    rest, translated to the origin, is tested by `is_stable`.  The first
+    unstable one is returned, when f has positive weights
+    (`germ.weights`); see the module docstring for why that proves f is
+    not A-finite.  A y whose test cannot be certified by d_max is passed
+    over.  None means no proof was found, not that f is A-finite.
+    """
+    fitted = weights(f)
+    if fitted is None:
+        return None
+    seen = set()
+    for branch in f.branches:
+        for x in itertools.product((0, 1), repeat=f.n):
+            y = tuple(_evaluate(comp, x) for comp in branch.components)
+            if not any(y) or y in seen:
+                continue
+            seen.add(y)
+            fibre, parts = [], []
+            for b, other in enumerate(f.branches):
+                for point in _rational_fibre(other, y):
+                    part = _translated(other, point, y)
+                    if f.n != f.p or corank(part):
+                        fibre.append((b, point))
+                        parts.append(part)
+            if not parts:
+                continue
+            try:
+                stable = is_stable(MultiGerm(tuple(parts)), d_max)
+            except NotStabilizedError:
+                continue
+            if not stable:
+                return UnstablePoint(y, tuple(fibre), *fitted)
+    return None
+
+
+class _Finiteness:
+    """What the codimension searches of one germ under one cap know of its
+    A-finiteness: the certificate `unstable_point`, run at most once, when
+    a search first reaches its last candidate, and shared by the searches
+    of both variants, since A-finiteness depends on neither."""
+
+    __slots__ = ("f", "d_max", "searched", "proof")
+
+    def __init__(self, f: MultiGerm, d_max: int):
+        self.f, self.d_max = f, d_max
+        self.searched, self.proof = False, None
+
+    def prove(self) -> None:
+        """Raise ProvedInfiniteError when the certificate proves f is not
+        A-finite, computing it on the first call only."""
+        if not self.searched:
+            self.searched = True
+            self.proof = unstable_point(self.f, self.d_max)
+        if self.proof is not None:
+            raise self.proof.error()
+
+
+@lru_cache(maxsize=1024)
+def _finiteness(f: MultiGerm, d_max: int) -> _Finiteness:
+    return _Finiteness(f, d_max)
+
+
 @remember_failures(maxsize=1024)
 def _codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
+    proof = _finiteness(f, d_max).proof
+    if proof is not None:
+        # the other variant's search proved f is not A-finite
+        raise proof.error()
     return _stabilized_codim(f, d_max, extended)
 
 
@@ -507,15 +725,19 @@ def _codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
 def ae_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     """Codimension of the extended tangent space; 0 exactly for stable germs.
 
-    Raises NotStabilizedError when no candidate degree up to d_max passes
-    its certificate, afresh but without computing again when repeated."""
+    Raises ProvedInfiniteError when f is proved not finite or not A-finite,
+    and NotStabilizedError when no candidate degree up to d_max passes its
+    certificate and no such proof is found; either afresh but without
+    computing again when repeated."""
     return _codim(f, d_max, True)
 
 
 @lru_cache(maxsize=1024)
 def a_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     """Codimension of the non-extended tangent space inside sections without
-    constant term; fails as `ae_codim` does."""
+    constant term; fails as `ae_codim` does.  After either search of f has
+    proved it not A-finite, the other raises the same proof without an
+    elimination."""
     return _codim(f, d_max, False)
 
 
@@ -540,9 +762,13 @@ class WilsonReport:
 def wilson_check(f: MultiGerm, d_max: int = D_MAX) -> WilsonReport:
     """Compare the two codimension engines through the codimension relation.
 
-    Not applicable for stable germs (extended codimension 0).
+    Not applicable for stable germs (extended codimension 0), nor for
+    germs proved not A-finite.
     """
-    ae = ae_codim(f, d_max).value
+    try:
+        ae = ae_codim(f, d_max).value
+    except ProvedInfiniteError:
+        return WilsonReport(status=WilsonReport.NOT_APPLICABLE)
     if ae == 0:
         return WilsonReport(status=WilsonReport.NOT_APPLICABLE, extended=0)
     a = a_codim(f, d_max).value
@@ -552,10 +778,25 @@ def wilson_check(f: MultiGerm, d_max: int = D_MAX) -> WilsonReport:
                         expected_extended=expected)
 
 
+@lru_cache(maxsize=1024)
 def is_stable(f: MultiGerm, d_max: int = D_MAX) -> bool:
-    """True exactly when the extended codimension vanishes.
+    """True exactly when f is stable, decided by one elimination.
 
-    Raises NotStabilizedError when that codimension is not certified by
-    d_max, as `ae_codim` does; a False answer is always a certified
-    nonzero value."""
-    return ae_codim(f, d_max).value == 0
+    If f is stable, its tangent space is all of theta(f), so every
+    candidate degree passes with value 0.  So a finite f is stable exactly
+    when its first candidate, k = m + 3 - c, passes with value 0, that is,
+    when the value at k + c is 0 (the values never fall with the degree).
+    That candidate is not capped by d_max, and the answer does not depend
+    on it; d_max bounds only the multiplicity search.  A germ proved not
+    finite is not stable.  Raises NotStabilizedError only when a branch's
+    multiplicity is neither certified nor proved infinite by d_max.  The
+    answer is cached by (f, d_max): the parts that `gates.gate_tau_pairing`
+    asks about recur across germs."""
+    try:
+        m, c = multiplicity_and_power(f, d_max)
+    except ProvedInfiniteError:
+        return False
+    g, _, _ = linear_prenormal_form(f)
+    k = m + 3 - c
+    values, _ = _graded_tangent(g, k + c, True, k)
+    return values[k + c] == 0

@@ -383,9 +383,25 @@ class TestRun:
         assert "internal error" in capsys.readouterr().err
 
     def test_not_stabilized_exit_code(self, capsys):
-        # (x, y, z^3) is not finitely determined: no cap certifies it
-        code = cli.run(["eval", "--germ", "(x,y,z^3)", "--max-degree", "6"])
+        # 4_2^6 is finite and certified only at degree 11, and it has no
+        # positive weights, so under a cap of 6 nothing is proved
+        code = cli.run(["eval", "--germ", FOUR_2_6, "--max-degree", "6"])
         assert code == 2
+        assert "did not stabilize by degree 6" in capsys.readouterr().err
+        # (x, y, z^3) is not A-finite: it is unstable at (0, 1, 0), where
+        # it is (x, y, z^3) again, and on the whole orbit of that point
+        # under its weights, which tends to 0
+        code = cli.run(["eval", "--germ", "(x,y,z^3)", "--max-degree", "6",
+                        "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["invariants"]["aecod"] == out["invariants"]["acod"] == \
+            "infinite"
+        proof = out["proofs"]["aecod"]
+        assert (proof["point"], proof["fibre"]) == ([0, 1, 0], [[0, [0, 1, 0]]])
+        assert proof["target_weights"] == [1, 1, 3]
+        assert proof["reason"] == \
+            "not A-finite: unstable at y = (0, 1, 0), weights (1, 1, 3)"
 
     def test_max_degree_environment_variable_is_ignored(self, capsys,
                                                         monkeypatch):
@@ -451,11 +467,13 @@ class TestRun:
 
     def test_eval_then_gate_computes_a_failing_codimension_once(
             self, capsys, monkeypatch):
-        # eval's aecod and the atlas lookup of gate ask for the same full
-        # germ's codimension, which never stabilizes
+        # eval proves the full germ's codimension infinite in its extended
+        # search; the non-extended search never starts, and gate, decided
+        # by the multiplicity bound, asks for no codimension
         germ = ("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);"
                 "(x,y,z^2+x-y)}")
-        for cached in (tangent.ae_codim, tangent.a_codim, tangent._codim):
+        for cached in (tangent.ae_codim, tangent.a_codim, tangent._codim,
+                       tangent._finiteness):
             cached.cache_clear()
         runs = []
         stabilized = tangent._stabilized_codim
@@ -465,9 +483,15 @@ class TestRun:
             return stabilized(f, d_max, extended)
 
         monkeypatch.setattr(tangent, "_stabilized_codim", counting)
-        assert cli.run(["eval", "--germ", germ]) == 2
+        assert cli.run(["eval", "--germ", germ]) == 0
+        out = capsys.readouterr().out
+        for name in ("aecod:   ", "acod:    "):
+            assert (f"{name} infinite   (not A-finite: unstable at "
+                    "y = (1, 0, 1), weights (2, 2, 2))\n") in out
         assert cli.run(["gate", "--germ", germ]) == 0
-        assert runs.count((syntax.parse_multigerm(germ), True)) == 1
+        f = syntax.parse_multigerm(germ)
+        assert runs.count((f, True)) == 1
+        assert runs.count((f, False)) == 0
 
     def test_a_failing_branch_multiplicity_is_searched_once(
             self, capsys, monkeypatch):
@@ -481,19 +505,27 @@ class TestRun:
         runs = []
         curve = ring.quotient_curve
 
-        def counting(generators, nvars, d_max=ring.D_MAX):
+        def counting(generators, nvars, d_max=ring.D_MAX, last_resort=None):
             generators = list(generators)
             runs.append(generators == branch)
-            return curve(generators, nvars, d_max)
+            return curve(generators, nvars, d_max, last_resort)
 
         monkeypatch.setattr(ring, "quotient_curve", counting)
-        assert cli.run(["gate", "--germ", germ]) == 2
-        gate_err = capsys.readouterr().err
+        assert cli.run(["gate", "--germ", germ, "--json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert (verdict["kind"], verdict["rule"]) == ("not_simple",
+                                                      "multiplicity bound")
+        assert verdict["evidence"]["multiplicity"] == "infinite"
         assert runs.count(True) == 1
         runs.clear()
-        assert cli.run(["eval", "--germ", germ]) == 2
-        assert capsys.readouterr().err == gate_err
-        assert "quotient dimension did not stabilize by degree 16" in gate_err
+        assert cli.run(["eval", "--germ", germ]) == 0
+        out, err = capsys.readouterr()
+        reason = ("not finite: a branch vanishes on the line through 0 and "
+                  "(0, 0, 1)")
+        assert err == ""
+        assert f"m0:       infinite   ({reason})\n" in out
+        assert f"aecod:    infinite   ({reason})\n" in out
+        assert f"acod:     infinite   ({reason})\n" in out
         assert runs.count(True) == 0
 
     @pytest.mark.parametrize("germ", [
@@ -561,14 +593,31 @@ class TestRun:
             "  branch_count: not_simple [branch count bound]\n")
 
     def test_gate_without_other_evidence_exits_2(self, capsys):
-        # (x, y, x*z^2) is not finite: its multiplicity, hence every gate
-        # and the atlas lookup, keeps growing with the cap
-        code = cli.run(["gate", "--germ", "(x,y,x*z^2)", "--max-degree", "8",
+        # 4_2^6 is below the multiplicity bound and has one branch, so only
+        # the atlas lookup could decide; its codimension is certified at
+        # degree 11 and nothing proves it infinite, so a cap of 8 leaves
+        # no answer
+        code = cli.run(["gate", "--germ", FOUR_2_6, "--max-degree", "8",
                         "--json"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "did not stabilize by degree 8" in captured.err
+
+    def test_a_proof_of_infinite_codimension_ends_the_report(self, capsys):
+        # (x, y, z^3) is below the multiplicity bound and has one branch,
+        # so the atlas lookup is the first gate to compute a codimension;
+        # its proof that the germ is not A-finite proves it not simple
+        code = cli.run(["gate", "--germ", "(x,y,z^3)", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (out["verdict"]["kind"], out["verdict"]["rule"]) == (
+            "not_simple", "not A-finite")
+        assert out["verdict"]["evidence"]["point"] == [0, 1, 0]
+        assert [entry["gate"] for entry in out["trace"]] == [
+            "nishimura", "branch_count", "tau_pairing", "atlas"]
+        assert cli.run(["atlas", "lookup", "--germ", "(x,y,z^3)"]) == 0
+        assert capsys.readouterr().out == "no match\n"
 
     def test_build_augment(self, capsys):
         code = cli.run(["build", "augment",
@@ -707,6 +756,8 @@ class TestLayering:
             "germcalc.ring.monomial_tables 64 0",
             "germcalc.syntax.canonical_match_key 1024 0",
             "germcalc.tangent._codim 1024 0",
+            "germcalc.tangent._finiteness 1024 0",
             "germcalc.tangent.a_codim 1024 0",
-            "germcalc.tangent.ae_codim 1024 0", ""]
+            "germcalc.tangent.ae_codim 1024 0",
+            "germcalc.tangent.is_stable 1024 0", ""]
 

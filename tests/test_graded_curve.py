@@ -25,9 +25,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germcalc import atlas, tangent
-from germcalc.errors import NotStabilizedError
-from germcalc.germ import (Branch, MultiGerm, multiplicity,
-                           multiplicity_and_power)
+from germcalc.errors import NotStabilizedError, ProvedInfiniteError
+from germcalc.germ import (Branch, MultiGerm, linear_prenormal_form,
+                           multiplicity, multiplicity_and_power)
 from germcalc.ring import (Poly, _graded_ideal, eliminate_graded,
                            monomial_mul, monomials_up_to, quotient_dim,
                            substitute)
@@ -627,21 +627,32 @@ def test_grown_search_matches_fresh_rows_on_the_cap_3_a_codim(monkeypatch):
 @pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
 @pytest.mark.parametrize("name,params,d_max", [
     ("4_2^k", {"k": 6}, 10), ("A1A3", {"k": 7}, 11), ("4_2^k", {"k": 8}, 9),
-    # the widest failing search: five branches whose coordinate
-    # components are substituted by constant one-term partials
-    pytest.param("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);"
-                 "(x,y,z^2+x-y)}", None, 13, id="fold-pentagerm-13"),
 ])
 def test_grown_search_matches_fresh_rows_when_it_fails(name, params, d_max,
                                                        extended,
                                                        monkeypatch):
     # each search tries several candidates and fails at the cap
     searches = checked_searches(monkeypatch)
-    germ = (parse_multigerm(name) if params is None
-            else atlas.instantiate(name, params))
-    assert not run_search(germ, d_max, extended)
+    assert not run_search(atlas.instantiate(name, params), d_max, extended)
     (tried,) = searches
     assert len(tried) > 1 and tried[-1][0] == d_max
+
+
+@pytest.mark.parametrize("extended", [True, False], ids=["ae", "a"])
+def test_grown_search_matches_fresh_rows_on_five_branches(extended):
+    # the widest search: five branches whose coordinate components are
+    # substituted by constant one-term partials.  The fold pentagerm's
+    # search is proved infinite before its last candidate, so its rows
+    # are grown here by hand over the candidates 11 and 13, both failing
+    germ = parse_multigerm("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);"
+                           "(x,y,z^2+x+y);(x,y,z^2+x-y)}")
+    g, _, _ = linear_prenormal_form(germ)
+    _, c = multiplicity_and_power(germ)
+    rows = tangent._SearchRows(g, extended, 13)
+    for k in (11, 13):
+        values, free = rows.eliminate(k, k + c)
+        assert (values, free) == _graded_tangent(g, k + c, extended, k)
+        assert values[k + c] != values[k]
 
 
 @settings(max_examples=40, deadline=None)
@@ -651,5 +662,7 @@ def test_grown_search_matches_fresh_rows_on_random_germs(germ, extended):
         checked_searches(monkeypatch)
         try:
             run_search(germ, 7, extended)
-        except NotStabilizedError:
-            pass  # the branch multiplicities did not stabilize by the cap
+        except (NotStabilizedError, ProvedInfiniteError):
+            # the branch multiplicities did not stabilize by the cap, or
+            # the germ is proved not finite or not A-finite
+            pass

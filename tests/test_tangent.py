@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from germcalc import tangent
-from germcalc.errors import NotStabilizedError
-from germcalc.germ import Branch, MultiGerm, linear_prenormal_form
-from germcalc.ring import D_MAX, Poly
-from germcalc.tangent import (WilsonReport, a_codim, ae_codim, is_stable,
-                              wilson_check)
+from germcalc import atlas, cli, ops, syntax, tangent
+from germcalc.errors import NotStabilizedError, ProvedInfiniteError
+from germcalc.germ import (Branch, MultiGerm, linear_prenormal_form,
+                           multiplicity, weights)
+from germcalc.ring import D_MAX, Poly, substitute
+from germcalc.tangent import (WilsonReport, _graded_tangent, a_codim,
+                              ae_codim, is_stable, wilson_check)
 from germcalc._echelon import RowSpan
 from test_graded_curve import reference_slots, reference_tangent_rows
 
@@ -53,8 +54,10 @@ class TestFailureCache:
     @pytest.mark.parametrize("codim", [ae_codim, a_codim], ids=["ae", "a"])
     def test_repeated_failure_raises_afresh_without_recomputing(
             self, codim, monkeypatch):
-        # (x, y, x z^2) is not finite: its values grow up to the cap
-        germ, d_max = G(B(X, Y, X * Z * Z)), 8
+        # 4_2^6 is certified only at degree 11, and has no positive
+        # weights, so under a cap of 10 no proof of infinity replaces
+        # the failure
+        germ, d_max = atlas.instantiate("4_2^k", {"k": 6}), 10
         runs = []
         stabilized = tangent._stabilized_codim
 
@@ -73,8 +76,36 @@ class TestFailureCache:
         first, second = errors
         assert first is not second
         assert str(first) == str(second)
-        assert first.d_max == second.d_max == 8
+        assert first.d_max == second.d_max == 10
         assert first.history == second.history and first.history
+        assert runs == [germ]
+
+    @pytest.mark.parametrize("codim", [ae_codim, a_codim], ids=["ae", "a"])
+    def test_repeated_proof_raises_afresh_without_recomputing(
+            self, codim, monkeypatch):
+        # (x, y, x z^2) vanishes on the z-axis, so it is not finite
+        germ, d_max = G(B(X, Y, X * Z * Z)), 8
+        runs = []
+        stabilized = tangent._stabilized_codim
+
+        def counting(f, d_max, extended):
+            runs.append(f)
+            return stabilized(f, d_max, extended)
+
+        monkeypatch.setattr(tangent, "_stabilized_codim", counting)
+        for fn in vars(tangent).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ProvedInfiniteError) as info:
+                codim(germ, d_max)
+            errors.append(info.value)
+        first, second = errors
+        assert first is not second
+        assert (str(first), first.reason, first.certificate) == \
+            (str(second), second.reason, second.certificate)
+        assert first.certificate == {"line": (0, 0, 1)}
         assert runs == [germ]
 
     @pytest.mark.parametrize("codim", [ae_codim, a_codim], ids=["ae", "a"])
@@ -82,9 +113,9 @@ class TestFailureCache:
         (G(B(X, Y, Z ** 3 + X * Z)),
          [lambda c, f: c(f), lambda c, f: c(f, D_MAX),
           lambda c, f: c(f, d_max=D_MAX)]),
-        (G(B(X, Y, X * Z * Z)),
-         [lambda c, f: c(f, 8), lambda c, f: c(f, d_max=8),
-          lambda c, f: c(f=f, d_max=8)]),
+        (atlas.instantiate("4_2^k", {"k": 6}),
+         [lambda c, f: c(f, 10), lambda c, f: c(f, d_max=10),
+          lambda c, f: c(f=f, d_max=10)]),
     ], ids=["stabilizes", "fails"])
     def test_every_spelling_of_d_max_computes_once(self, codim, germ,
                                                    spellings, monkeypatch):
@@ -151,6 +182,135 @@ class TestIsStable:
     def test_two_cusps_with_contact(self):
         g = G(B(X ** 3 + Z * X, Y, Z), B(X, Y, Z ** 3 + Y * Z))
         assert not is_stable(g)
+
+    def test_answers_where_the_codimension_is_not_certified(self):
+        # 4_2^6 has codimension 6, certified only at degree 11
+        g = atlas.instantiate("4_2^k", {"k": 6})
+        with pytest.raises(NotStabilizedError):
+            ae_codim(g, 10)
+        assert is_stable(g, 10) is False
+
+    def test_a_map_that_is_not_finite_is_not_stable(self):
+        assert is_stable(G(B(X, Y, X * Z * Z)), 8) is False
+
+    def test_no_proof_when_the_source_is_larger(self):
+        # for n > p no map is finite and a submersion is stable, so the
+        # multiplicity search of x^2 + y^2 fails at the cap, unproved
+        x, y = V(2, 0), V(2, 1)
+        g = G(Branch((x * x + y * y,)))
+        for fn in (multiplicity, ae_codim, is_stable):
+            with pytest.raises(NotStabilizedError):
+                fn(g, 6)
+
+    def test_agrees_with_the_codimension_on_the_cap_3_catalog(self):
+        for entry in atlas.entries():
+            for params in atlas._parameter_sweep(entry, 3):
+                g = atlas.instantiate(entry.name, params)
+                assert is_stable(g) == (ae_codim(g).value == 0), g
+
+
+def _classify_germs() -> list[MultiGerm]:
+    """The finite germs a classify pass evaluates: the catalog rows up to
+    parameter 3 and the augmentation-and-concatenation of the triple-fold
+    base by w^2, w^3 and w^4, each in the canonical form `eval` reads."""
+    rows = [atlas.instantiate(entry.name, params) for entry in atlas.entries()
+            for params in atlas._parameter_sweep(entry, 3)]
+    base = ops.normalized_unfolding(syntax.parse_multigerm(
+        "{(x^2,y,u);(x,y^2,u);(x^2+y+u,y,u)}", canonical=False), 1)
+    rows += [ops.sim_aug_concat(base, syntax.parse_poly(f"w^{k}"))
+             for k in (2, 3, 4)]
+    return [syntax.canonical_form(g)[0] for g in rows]
+
+
+PENTAGERM = ("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);"
+             "(x,y,z^2+x-y)}")
+SEXTUPLE = "{(x,y,z,0);(x,y,0,z);(x,0,y,z);(0,x,y,z);(x,y,z,x);(x,y,z,y)}"
+
+
+class TestInfinityCertificate:
+    def test_silent_on_every_finite_catalog_and_classify_germ(self):
+        # every catalog row through parameter 8 (the cap-3 rows, whose
+        # a_codim the engine tests, among them) and every finite classify
+        # input is A-finite, so no certificate may exist for any of them
+        germs = {atlas.instantiate(entry.name, params)
+                 for entry in atlas.entries()
+                 for params in atlas._parameter_sweep(entry, 8)}
+        assert len(germs) == 164  # of 165 rows; one is a boundary member
+        classify = _classify_germs()
+        assert len(classify) == 62
+        for g in list(germs) + classify:
+            assert tangent.unstable_point(g) is None, g
+
+    @pytest.mark.parametrize("text", [PENTAGERM, SEXTUPLE, "(x,y,z^3)"],
+                             ids=["fold-pentagerm", "sextuple-point", "z3"])
+    def test_fires_with_a_witness_that_checks(self, text):
+        f = syntax.parse_multigerm(text)
+        proof = tangent.unstable_point(f)
+        assert proof is not None
+        y = proof.point
+        assert any(y)
+        # the weights are positive and make every component homogeneous
+        assert all(w > 0 for ws in proof.source_weights for w in ws)
+        assert all(v > 0 for v in proof.target_weights)
+        for ws, branch in zip(proof.source_weights, f.branches):
+            for v, comp in zip(proof.target_weights, branch.components):
+                assert all(sum(a * w for a, w in zip(mono, ws)) == v
+                           for mono, _ in comp.items())
+        # each point lies over y; translated there, the points form a germ
+        # whose truncated value at degree 3, a lower bound of its extended
+        # codimension, is not 0, so it is not stable
+        parts = []
+        for b, x in proof.fibre:
+            branch = f.branches[b]
+            shifted = [V(f.n, i) + c for i, c in enumerate(x)]
+            moved = [substitute(comp, shifted) for comp in branch.components]
+            assert tuple(m.constant_term() for m in moved) == y
+            parts.append(Branch(tuple(m - c for m, c in zip(moved, y))))
+        values, _ = _graded_tangent(MultiGerm(tuple(parts)), 3, True)
+        assert values[3] > 0
+
+    @pytest.mark.parametrize("text, point", [
+        (PENTAGERM, (1, 0, 1)), (SEXTUPLE, (0, 0, 1, 0)),
+        ("(x,y,z^3)", (0, 1, 0))],
+        ids=["fold-pentagerm", "sextuple-point", "z3"])
+    def test_both_codimensions_are_proved_infinite(self, text, point):
+        f = syntax.parse_multigerm(text)
+        for codim in (ae_codim, a_codim):
+            with pytest.raises(ProvedInfiniteError) as info:
+                codim(f)
+            assert info.value.certificate["point"] == point
+        assert wilson_check(f).status == WilsonReport.NOT_APPLICABLE
+
+    @pytest.mark.parametrize("name, params, d_max", [
+        ("A1A2-b", {"k": 8}, 7), ("3_muA1-b", {"mu": 8}, 8)],
+        ids=["A1A2-b-8", "3_muA1-b-8"])
+    def test_weighted_finite_rows_below_their_cap_still_exit_2(
+            self, name, params, d_max, capsys, monkeypatch):
+        # both rows have positive weights, and are finite, so the
+        # certificate runs before the last candidate and finds nothing:
+        # passing is monotone, so under any cap from their least passing
+        # degree (8 and 9) they are certified, and below it they fail
+        f = atlas.instantiate(name, params)
+        assert weights(f) is not None
+        for fn in vars(tangent).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        found = []
+        certificate = tangent.unstable_point
+
+        def spying(g, d_max=D_MAX):
+            found.append(certificate(g, d_max))
+            return found[-1]
+
+        monkeypatch.setattr(tangent, "unstable_point", spying)
+        text = syntax.format_multigerm(f)
+        assert cli.run(["eval", "--germ", text, "--max-degree",
+                        str(d_max)]) == 2
+        assert f"did not stabilize by degree {d_max}" in \
+            capsys.readouterr().err
+        assert found == [None]
+        assert cli.run(["eval", "--germ", text, "--max-degree",
+                        str(d_max + 1)]) == 0
 
 
 class TestInvariance:
