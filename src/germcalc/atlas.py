@@ -466,7 +466,8 @@ def lookup(f: MultiGerm,
     codimension); when some instantiation coincides with the germ up to
     branch order and variable reindexing, that single row is returned with
     exact=True.  Raises NotCorankOneError for corank >= 2 input and
-    propagates stabilization failures.
+    propagates stabilization failures and proofs of an infinite dimension
+    (ProvedInfiniteError), which no catalog row has.
     """
     t_f = germ_mod.recognize_type(f, d_max)
     m0_f = germ_mod.multiplicity(f, d_max)

@@ -194,10 +194,11 @@ class TestIsStable:
         assert is_stable(G(B(X, Y, X * Z * Z)), 8) is False
 
     def test_no_proof_when_the_source_is_larger(self):
-        # for n > p no map is finite and a submersion is stable, so the
-        # multiplicity search of x^2 + y^2 fails at the cap, unproved
+        # for n > p no map is finite, yet the Morse function x y is stable
+        # though it vanishes on both axes: its multiplicity search fails at
+        # the cap, unproved, and so do its codimension and stability
         x, y = V(2, 0), V(2, 1)
-        g = G(Branch((x * x + y * y,)))
+        g = G(Branch((x * y,)))
         for fn in (multiplicity, ae_codim, is_stable):
             with pytest.raises(NotStabilizedError):
                 fn(g, 6)
