@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from functools import lru_cache, wraps
 
 
@@ -41,11 +42,17 @@ class ProvedInfiniteError(GermcalcError):
 
 
 def remember_failures(maxsize: int):
-    """`lru_cache(maxsize)` over positional arguments that remembers a
-    NotStabilizedError or a ProvedInfiniteError like a value: a repeated
-    call raises a fresh one of the same class with the same message and
-    attributes, without computing again."""
+    """`lru_cache(maxsize)` keyed by value: a call is written out
+    positionally, defaults filled in, before the lookup, so every spelling
+    of the same arguments shares one entry.  A NotStabilizedError or a
+    ProvedInfiniteError is remembered like a value: a repeated call raises
+    a fresh one of the same class with the same message and attributes,
+    without computing again.  `cache_info` counts one hit or miss per
+    call."""
     def decorate(fn):
+        signature = inspect.signature(fn)
+        size = len(signature.parameters)
+
         @lru_cache(maxsize=maxsize)
         def outcome(*args):
             try:
@@ -55,7 +62,11 @@ def remember_failures(maxsize: int):
                 return None, (type(error), str(error), dict(vars(error)))
 
         @wraps(fn)
-        def cached(*args):
+        def cached(*args, **kwargs):
+            if kwargs or len(args) != size:
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                args = bound.args
             value, failure = outcome(*args)
             if failure:
                 kind, message, attributes = failure

@@ -17,12 +17,12 @@ It also provides the linear prenormal form, the sparse representative of
 a germ's orbit under linear changes of coordinates that the codimension
 engine eliminates on, and the weight fit that makes a whole multigerm
 weighted homogeneous (`weights`).
-The branch multiplicities are cached by (branch, d_max), a failed search
-remembered like a value (`errors.remember_failures`).  When n <= p, a
-branch whose search reaches its last candidate is first tested for a line
-through 0 on which it vanishes; such a branch is not finite, so its
-multiplicity is proved infinite (`ProvedInfiniteError`) instead of failing
-at the cap.
+The branch multiplicities are cached by the values (branch, d_max), a
+failed search remembered like a value (`errors.remember_failures`).
+When n <= p, a branch whose search reaches its last candidate is first
+tested for a line through 0 on which it vanishes; such a branch is not
+finite, so its multiplicity is proved infinite (`ProvedInfiniteError`)
+instead of failing at the cap.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
 
 from . import ring
 from .errors import (NotCorankOneError, NotStableTypeError,
@@ -174,7 +173,9 @@ def _branch_multiplicity(branch: Branch, d_max: int) -> tuple[int, int]:
     dimension infinite (ProvedInfiniteError).  Only then does that proof
     make both codimensions infinite too: a stable germ with n <= p is
     finite, while for n > p no map is finite and a submersion is stable,
-    so there the search fails at the cap as before."""
+    so there the search fails at the cap as before.  The answer, or that
+    failure, is cached by the values (branch, d_max)
+    (`errors.remember_failures`)."""
     curve = ring.quotient_curve(
         list(branch.components), branch.n, d_max,
         partial(_prove_not_finite, branch) if branch.n <= branch.p else None)
@@ -348,10 +349,8 @@ def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
     # component on one branch alone is not a change of coordinates
     scale = []
     for i in range(p):
-        coefs = [c for b in range(r) for _, c in moved[b][i].items()]
-        den = lcm(*(c.denominator for c in coefs))
-        num = gcd(*(c.numerator * (den // c.denominator) for c in coefs))
-        scale.append(Fraction(den, num) if num else Fraction(1))
+        scale.append(ring.primitive_scale(
+            [c for b in range(r) for _, c in moved[b][i].items()]))
     g = MultiGerm(tuple(
         Branch(tuple(moved[b][i] * scale[i] for i in range(p)))
         for b in range(r)))

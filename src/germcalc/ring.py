@@ -705,6 +705,15 @@ def tjurina(p: Poly, d_max: int = D_MAX) -> int:
 
 # -- quasi-homogeneity ------------------------------------------------------
 
+def primitive_scale(values: Sequence[Fraction]) -> Fraction:
+    """The factor den / num that scales `values` to integers without a
+    common factor: den is their least common denominator and num the gcd
+    of their numerators over den; 1 when every value is 0."""
+    den = lcm(*(v.denominator for v in values))
+    num = gcd(*(v.numerator * (den // v.denominator) for v in values))
+    return Fraction(den, num) if num else Fraction(1)
+
+
 def _positive_point(constraints: list[list[Fraction]]) -> list[Fraction] | None:
     """A point t with c . t > 0 for every constraint c, or None when there
     is none: Fourier-Motzkin elimination, then back substitution.
@@ -726,11 +735,8 @@ def _positive_point(constraints: list[list[Fraction]]) -> list[Fraction] | None:
             for cn in neg:
                 combined = [-cn[j] * a + cp[j] * b for a, b in zip(cp, cn)]
                 # scaled to primitive integers, so equal constraints merge
-                den = lcm(*(v.denominator for v in combined))
-                num = gcd(*(v.numerator * (den // v.denominator)
-                            for v in combined))
-                new.add(tuple(Fraction(v * den, num) if num else v
-                              for v in combined))
+                scale = primitive_scale(combined)
+                new.add(tuple(v * scale for v in combined))
         work = [list(c) for c in new]
     if work:  # every variable eliminated: each is 0 > 0
         return None
@@ -781,9 +787,8 @@ def positive_kernel_vector(rows: list[dict[int, Coefficient]],
     if t is None:
         return None
     w = [sum(a * b for a, b in zip(forms[i], t)) for i in range(size)]
-    den = lcm(*(v.denominator for v in w))
-    num = gcd(*(v.numerator * (den // v.denominator) for v in w))
-    return tuple(v * den / num for v in w)
+    scale = primitive_scale(w)
+    return tuple(v * scale for v in w)
 
 
 def is_quasi_homogeneous(p: Poly) -> bool:

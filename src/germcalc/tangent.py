@@ -88,10 +88,10 @@ and grows it from one candidate's top degree to the next (`_SearchRows`):
 after a failed candidate, the derivative and certificate rows gain only
 their entries of the new degrees and the new multiples add rows, the
 certificate rows of the old candidate that lie inside the new one's
-range are dropped, and the compositions y^beta o f_b gain only their
-terms of the new degrees and the new betas.  The target rows are not
-kept: each elimination reads them off the compositions afresh.  The
-rows come from the monomial index tables of `ring`: a slot's column
+range are dropped, and every composition y^beta o f_b gains its terms of
+the new degrees, those of the new betas built in full.  The target rows
+are not kept: each elimination reads them off the compositions afresh.
+The rows come from the monomial index tables of `ring`: a slot's column
 id is computed from (degree, branch, kept component, monomial) and does
 not depend on D, a derivative row x^a * df_b/dx_j is one shift table
 per term of the partial, and the products (y^beta o f_b) * g, for g = 1
@@ -108,10 +108,10 @@ The extended variant allows constant vector fields on both sides; the
 non-extended variant restricts the ambient to sections without constant
 term and the generators to multiples by variables.
 
-Both variants share one cache, keyed by the values (f, d_max, extended)
-that `ae_codim` and `a_codim` pass positionally, so every spelling of
-d_max computes once; a failure is remembered like a value, as for the
-branch multiplicities of `germ` (`errors.remember_failures`).
+`ae_codim`, `a_codim` and `is_stable` are each one cache keyed by the
+values (f, d_max), so every spelling of d_max computes once; a failure is
+remembered like a value, as for the branch multiplicities of `germ`
+(`errors.remember_failures`).
 
 Stability takes one elimination (`is_stable`).  If f is stable, its
 tangent space is theta(f), so every candidate passes with value 0; so a
@@ -227,8 +227,7 @@ class _Branch:
     the product of beta is that of beta / y_v times f_{b,v}, for the v in
     beta with the fewest terms in f_b (for a coordinate, one shift)."""
 
-    __slots__ = ("components", "order", "steps", "degrees", "degree",
-                 "factors")
+    __slots__ = ("components", "order", "steps", "factors")
 
     def __init__(self, branch: Branch, recursions: dict):
         self.components = branch.components
@@ -240,10 +239,6 @@ class _Branch:
         # steps[beta] = (v, index of beta / y_v), None for beta = 1, shared
         # by the branches of the search with the same order
         self.steps: list = recursions.setdefault(self.order, [])
-        self.degrees = [comp.degree() for comp in branch.components]
-        # a bound on the degree of y^beta o f_b by beta, filled on demand
-        # (`bounds`)
-        self.degree: list[int] = []
 
     def grow(self, betas: MonomialTables, tables: MonomialTables, low: int,
              memo: dict[int, list[int]]) -> None:
@@ -275,16 +270,6 @@ class _Branch:
                        tables.start[max(low - tables.deg[k] + 1, 0)])
             self.factors.append((terms, one))
 
-    def bounds(self, count: int) -> list[int]:
-        """The degree bounds, known up to the beta of index `count` at
-        least."""
-        degree, degrees = self.degree, self.degrees
-        if not degree:
-            degree.append(0)
-        for v, i in self.steps[len(degree):count]:
-            degree.append(degree[i] + degrees[v])
-        return degree
-
 
 class _Compositions:
     """The products (y^beta o f_b) * g for every target monomial beta, one
@@ -293,12 +278,11 @@ class _Compositions:
     terms of the new degrees to each product, and the products of the new
     betas in full."""
 
-    __slots__ = ("seed", "degree", "branch", "table")
+    __slots__ = ("seed", "branch", "table")
 
     def __init__(self, seed, branch: _Branch):
-        # seed: (g, factor), or None for g = 1; degree: that of g
+        # seed: (g, factor), or None for g = 1
         self.seed, self.branch = seed, branch
-        self.degree = seed[0].degree() if seed else 0
         self.table: list[dict[int, int | Fraction]] = []
 
     def grow(self, tables: MonomialTables, low: int, count: int,
@@ -308,24 +292,20 @@ class _Compositions:
         table, multiply, old = self.table, tables.multiply, len(self.table)
         if not table:
             table.append({} if self.seed else {0: 1})
-        if self.seed and self.degree > low:
+        if self.seed:
             poly, factor = self.seed
             table[0].update({k: factor * c for k, c in tables.terms(poly)
                              if tables.deg[k] > low})
         steps, factors = self.branch.steps, self.branch.factors
-        # a product whose degree lies below the last top was complete
-        # there and gains nothing
-        degree, since = self.branch.bounds(old), low - self.degree
         for beta in range(1, old):
-            if degree[beta] > since:
-                v, prev = steps[beta]
-                terms, one = factors[v]
-                if one is None:
-                    table[beta].update(multiply(table[prev], terms, low, memo))
-                else:
-                    shift, c, fits, lo = one
-                    table[beta].update({shift[i]: x * c for i, x in
-                                        table[prev].items() if lo <= i < fits})
+            v, prev = steps[beta]
+            terms, one = factors[v]
+            if one is None:
+                table[beta].update(multiply(table[prev], terms, low, memo))
+            else:
+                shift, c, fits, lo = one
+                table[beta].update({shift[i]: x * c for i, x in
+                                    table[prev].items() if lo <= i < fits})
         for v, prev in steps[max(old, 1):count]:
             terms, one = factors[v]
             if one is None:
@@ -355,11 +335,10 @@ class _SearchRows:
     candidate from k to k' drops the certificate rows of |a| <= k'.  No
     target row is kept between candidates: each elimination builds every
     one from the compositions and the column maps, and gets its own list
-    of rows and its own killed set.  The compositions die before the
-    elimination of the last candidate the search may try."""
+    of rows and its own killed set."""
 
-    def __init__(self, f: MultiGerm, extended: bool, last: int | None):
-        self.f, self.extended, self.last = f, extended, last
+    def __init__(self, f: MultiGerm, extended: bool):
+        self.f, self.extended = f, extended
         self.min_deg = 0 if extended else 1
         self.coordinates = [_coordinates(branch) for branch in f.branches]
         self.blocks = [(b, l) for b, coords in enumerate(self.coordinates)
@@ -495,9 +474,6 @@ class _SearchRows:
         if certify is not None:
             for _, _, multiples in self.certificates:
                 multiples.collect(rows, killed)
-        if certify == self.last:
-            # no candidate follows, so nothing grows again
-            self.families = self.branches = self.parts = None
         return tables, rows, killed
 
     def eliminate(self, certify: int | None,
@@ -529,7 +505,7 @@ def _graded_tangent(f: MultiGerm, top: int, extended: bool,
     """One elimination at top degree `top`, by a new search whose multiples
     and compositions are built from nothing at that top
     (`_SearchRows.eliminate`)."""
-    return _SearchRows(f, extended, certify).eliminate(certify, top)
+    return _SearchRows(f, extended).eliminate(certify, top)
 
 
 def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
@@ -539,7 +515,7 @@ def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
     m, c = multiplicity_and_power(f, d_max)
     start = m + 3 - c
     values, degree, free = stabilize_curve(
-        _SearchRows(g, extended, d_max).eliminate, start, c,
+        _SearchRows(g, extended).eliminate, start, c,
         lambda k, values: max(k + 2, values[k + 1] + 1), d_max,
         "codimension", _finiteness(f, d_max).prove)
     # the first candidate was min(start, d_max), which is at most degree
@@ -703,6 +679,11 @@ class _Finiteness:
         if not self.searched:
             self.searched = True
             self.proof = unstable_point(self.f, self.d_max)
+        self.proved()
+
+    def proved(self) -> None:
+        """Raise ProvedInfiniteError when a search has already proved f
+        not A-finite; never compute the certificate."""
         if self.proof is not None:
             raise self.proof.error()
 
@@ -713,15 +694,6 @@ def _finiteness(f: MultiGerm, d_max: int) -> _Finiteness:
 
 
 @remember_failures(maxsize=1024)
-def _codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
-    proof = _finiteness(f, d_max).proof
-    if proof is not None:
-        # the other variant's search proved f is not A-finite
-        raise proof.error()
-    return _stabilized_codim(f, d_max, extended)
-
-
-@lru_cache(maxsize=1024)
 def ae_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     """Codimension of the extended tangent space; 0 exactly for stable germs.
 
@@ -729,16 +701,18 @@ def ae_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     and NotStabilizedError when no candidate degree up to d_max passes its
     certificate and no such proof is found; either afresh but without
     computing again when repeated."""
-    return _codim(f, d_max, True)
+    _finiteness(f, d_max).proved()
+    return _stabilized_codim(f, d_max, True)
 
 
-@lru_cache(maxsize=1024)
+@remember_failures(maxsize=1024)
 def a_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     """Codimension of the non-extended tangent space inside sections without
     constant term; fails as `ae_codim` does.  After either search of f has
     proved it not A-finite, the other raises the same proof without an
     elimination."""
-    return _codim(f, d_max, False)
+    _finiteness(f, d_max).proved()
+    return _stabilized_codim(f, d_max, False)
 
 
 @dataclass(frozen=True)
@@ -778,7 +752,7 @@ def wilson_check(f: MultiGerm, d_max: int = D_MAX) -> WilsonReport:
                         expected_extended=expected)
 
 
-@lru_cache(maxsize=1024)
+@remember_failures(maxsize=1024)
 def is_stable(f: MultiGerm, d_max: int = D_MAX) -> bool:
     """True exactly when f is stable, decided by one elimination.
 
@@ -790,8 +764,9 @@ def is_stable(f: MultiGerm, d_max: int = D_MAX) -> bool:
     on it; d_max bounds only the multiplicity search.  A germ proved not
     finite is not stable.  Raises NotStabilizedError only when a branch's
     multiplicity is neither certified nor proved infinite by d_max.  The
-    answer is cached by (f, d_max): the parts that `gates.gate_tau_pairing`
-    asks about recur across germs."""
+    answer, or that failure, is cached by the values (f, d_max) however
+    they are spelled (`errors.remember_failures`): the parts that
+    `gates.gate_tau_pairing` asks about recur across germs."""
     try:
         m, c = multiplicity_and_power(f, d_max)
     except ProvedInfiniteError:

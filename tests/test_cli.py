@@ -472,7 +472,7 @@ class TestRun:
         # by the multiplicity bound, asks for no codimension
         germ = ("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);"
                 "(x,y,z^2+x-y)}")
-        for cached in (tangent.ae_codim, tangent.a_codim, tangent._codim,
+        for cached in (tangent.ae_codim, tangent.a_codim,
                        tangent._finiteness):
             cached.cache_clear()
         runs = []
@@ -755,7 +755,6 @@ class TestLayering:
             "germcalc.germ._branch_multiplicity 1024 0",
             "germcalc.ring.monomial_tables 64 0",
             "germcalc.syntax.canonical_match_key 1024 0",
-            "germcalc.tangent._codim 1024 0",
             "germcalc.tangent._finiteness 1024 0",
             "germcalc.tangent.a_codim 1024 0",
             "germcalc.tangent.ae_codim 1024 0",

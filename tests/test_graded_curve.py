@@ -648,7 +648,7 @@ def test_grown_search_matches_fresh_rows_on_five_branches(extended):
                            "(x,y,z^2+x+y);(x,y,z^2+x-y)}")
     g, _, _ = linear_prenormal_form(germ)
     _, c = multiplicity_and_power(germ)
-    rows = tangent._SearchRows(g, extended, 13)
+    rows = tangent._SearchRows(g, extended)
     for k in (11, 13):
         values, free = rows.eliminate(k, k + c)
         assert (values, free) == _graded_tangent(g, k + c, extended, k)

@@ -67,7 +67,6 @@ class TestFailureCache:
 
         monkeypatch.setattr(tangent, "_stabilized_codim", counting)
         codim.cache_clear()
-        tangent._codim.cache_clear()
         errors = []
         for _ in range(2):
             with pytest.raises(NotStabilizedError) as info:
@@ -145,6 +144,60 @@ class TestFailureCache:
                     (str(first), first.d_max, first.history)
             else:
                 assert other == first
+
+    def test_every_spelling_of_d_max_tests_stability_once(self,
+                                                          monkeypatch):
+        germ, runs = G(B(X, Y, Z ** 3 + X * Z)), []
+        graded = tangent._graded_tangent
+
+        def counting(f, *args):
+            runs.append(f)
+            return graded(f, *args)
+
+        monkeypatch.setattr(tangent, "_graded_tangent", counting)
+        is_stable.cache_clear()
+        answers = [is_stable(germ), is_stable(germ, D_MAX),
+                   is_stable(germ, d_max=D_MAX),
+                   is_stable(f=germ, d_max=D_MAX)]
+        assert answers == [True] * 4
+        assert len(runs) == 1
+
+    def test_repeated_stability_failure_raises_afresh_without_recomputing(
+            self, monkeypatch):
+        # for n > p the multiplicity search fails at the cap, unproved
+        germ, runs = G(Branch((V(2, 0) * V(2, 1),))), []
+        power = tangent.multiplicity_and_power
+
+        def counting(f, d_max):
+            runs.append(f)
+            return power(f, d_max)
+
+        monkeypatch.setattr(tangent, "multiplicity_and_power", counting)
+        is_stable.cache_clear()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(NotStabilizedError) as info:
+                is_stable(germ, 6)
+            errors.append(info.value)
+        first, second = errors
+        assert first is not second
+        assert (str(first), first.d_max, first.history) == \
+            (str(second), second.d_max, second.history)
+        assert runs == [germ]
+
+    def test_cache_info_counts_a_repeat_and_a_new_spelling_as_hits(self):
+        failing = atlas.instantiate("4_2^k", {"k": 6})
+        stable = G(B(X, Y, Z * Z))
+        ae_codim.cache_clear()
+        for _ in range(2):
+            with pytest.raises(NotStabilizedError):
+                ae_codim(failing, 10)
+        with pytest.raises(NotStabilizedError):
+            ae_codim(failing, d_max=10)
+        assert ae_codim(stable).value == 0
+        assert ae_codim(stable, D_MAX).value == 0
+        info = ae_codim.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
 
 
 class TestACodim:
