@@ -127,7 +127,8 @@ def normalized_unfolding(total: MultiGerm, s: int) -> Unfolding:
 def _require_stable(g: MultiGerm, d_max: int, what: str) -> None:
     if not tangent.is_stable(g, d_max):
         raise ValueError(
-            f"{what} is not stable; pass check_stability=False to assert it")
+            f"{what} is not stable; pass check_stability=False (on the "
+            "command line, --unchecked) to assert it")
 
 
 def _embed(poly: Poly, new_nvars: int, offset: int = 0) -> Poly:
@@ -252,10 +253,9 @@ def generalised_concat(u: Unfolding, gbar: MultiGerm,
         _require_stable(u.total, d_max, "the unfolding total")
     keep = p - s
     branches = list(u.total.branches)
-    assign = [Poly.variable(n, keep + i) for i in range(gbar.n)]
     for branch in gbar.branches:
         comps = [Poly.variable(n, i) for i in range(keep)]
-        comps.extend(substitute(comp, assign) for comp in branch.components)
+        comps.extend(_embed(comp, n, offset=keep) for comp in branch.components)
         branches.append(Branch(tuple(comps)))
     return MultiGerm(tuple(branches))
 

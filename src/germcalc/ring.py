@@ -403,17 +403,15 @@ class MonomialTables:
             memo[k] = got
         return got
 
-    def multiply(self, a: dict[int, Coefficient], terms, low: int,
+    def multiply(self, a: dict[int, Coefficient], terms,
                  memo: dict[int, list[int]]) -> dict[int, Coefficient]:
-        """The terms of degree low+1..top of the product of a polynomial
-        {index: coefficient} with the (index, coefficient) terms of
-        another; low = -1 gives the whole product truncated at top."""
+        """The product, truncated at top, of a polynomial {index:
+        coefficient} with the (index, coefficient) terms of another."""
         out: dict[int, Coefficient] = {}
         for k, c in terms:
             shift = self.shift(k, memo)
-            fits, lo = len(shift), self.start[max(low - self.deg[k] + 1, 0)]
-            for i, v in ([(i, v) for i, v in a.items() if i >= lo] if lo
-                         else a.items()):
+            fits = len(shift)
+            for i, v in a.items():
                 if i < fits:
                     j = shift[i]
                     out[j] = out.get(j, 0) + v * c
@@ -656,9 +654,11 @@ def quotient_curve(generators: Iterable[Poly], nvars: int,
     inside I, and it lies at most one degree past the end of the curve.
 
     Zero generators are skipped.  A generator with a nonzero constant term
-    makes the ideal the whole ring, whose curve is (0,).  An empty
-    effective generator list cannot have a finite quotient and raises
-    NotStabilizedError immediately, as does failure to stabilize by d_max.
+    makes the ideal the whole ring, whose curve is (0,).  In no variables
+    the ring is K, whose maximal ideal is 0, so an empty effective
+    generator list gives the curve (1,); in one or more variables it cannot
+    have a finite quotient and raises NotStabilizedError immediately, as
+    does failure to stabilize by d_max.
     `last_resort` is handed to `stabilize_curve`, which may end the search
     with its proof that the quotient is infinite.
     """
@@ -671,6 +671,8 @@ def quotient_curve(generators: Iterable[Poly], nvars: int,
         if g.constant_term() != 0:
             return (0,)
         gens.append(g)
+    if not gens and not nvars:
+        return (1,)
     if not gens:
         raise NotStabilizedError(
             "empty generator list: quotient is the full local ring",

@@ -83,26 +83,25 @@ coordinate component (a curve, say) is built in full.
 
 The engine eliminates once per candidate k, at the top degree D = k + c,
 in a local order, and reads the value at every d <= D from the pivots
-(see `ring.eliminate_graded`).  One search keeps what its rows come from
-and grows it from one candidate's top degree to the next (`_SearchRows`):
-after a failed candidate, the derivative and certificate rows gain only
-their entries of the new degrees and the new multiples add rows, the
+(see `ring.eliminate_graded`).  One search keeps its derivative and
+certificate rows and grows them from one candidate's top degree to the
+next (`_SearchRows`): after a failed candidate, they gain only their
+entries of the new degrees and the new multiples add rows, and the
 certificate rows of the old candidate that lie inside the new one's
-range are dropped, and every composition y^beta o f_b gains its terms of
-the new degrees, those of the new betas built in full.  The target rows
-are not kept: each elimination reads them off the compositions afresh.
-The rows come from the monomial index tables of `ring`: a slot's column
-id is computed from (degree, branch, kept component, monomial) and does
-not depend on D, a derivative row x^a * df_b/dx_j is one shift table
-per term of the partial, and the products (y^beta o f_b) * g, for g = 1
-and for each partial a substituted target row needs, follow the same
-recursion over beta, kept by the index of beta and of each source
-monomial.  Rows with a single entry reach the elimination as killed
-columns.  The quotient basis is returned as the free slots of the
-certified elimination, the standard monomials of the local order: the
-unit section at a slot places one source monomial in one kept component
-of one branch and zero elsewhere; pi fixes it, so these sections are a
-basis of the quotient of the full module too.
+range are dropped.  The target rows are built afresh for each
+elimination, read off the products (y^beta o f_b) * g, which are built
+in full at its top (`_compositions`) and freed before it runs.  The rows
+come from the monomial index tables of `ring`: a slot's column id is
+computed from (degree, branch, kept component, monomial) and does not
+depend on D, a derivative row x^a * df_b/dx_j is one shift table per
+term of the partial, and the products, for g = 1 and for each partial a
+substituted target row needs, follow one recursion over beta, indexed
+by beta and by source monomial.  Rows with a single entry reach the
+elimination as killed columns.  The quotient basis is returned as the
+free slots of the certified elimination, the standard monomials of the
+local order: the unit section at a slot places one source monomial in
+one kept component of one branch and zero elsewhere; pi fixes it, so
+these sections are a basis of the quotient of the full module too.
 
 The extended variant allows constant vector fields on both sides; the
 non-extended variant restricts the ambient to sections without constant
@@ -225,9 +224,11 @@ def _coordinates(branch: Branch) -> dict[int, tuple[int, Fraction]]:
 class _Branch:
     """The recursion over beta shared by the products of one branch b:
     the product of beta is that of beta / y_v times f_{b,v}, for the v in
-    beta with the fewest terms in f_b (for a coordinate, one shift)."""
+    beta with the fewest terms in f_b (for a coordinate, one shift).  The
+    recursion grows with the betas of a search; the factors f_{b,v} at
+    one top are handed out by `factors` and not kept."""
 
-    __slots__ = ("components", "order", "steps", "factors")
+    __slots__ = ("components", "order", "steps")
 
     def __init__(self, branch: Branch, recursions: dict):
         self.components = branch.components
@@ -240,10 +241,8 @@ class _Branch:
         # by the branches of the search with the same order
         self.steps: list = recursions.setdefault(self.order, [])
 
-    def grow(self, betas: MonomialTables, tables: MonomialTables, low: int,
-             memo: dict[int, list[int]]) -> None:
-        """Take the recursion to every beta of `betas`, and the factors
-        f_{b,v} to the top of `tables` from the last top `low`."""
+    def grow(self, betas: MonomialTables) -> None:
+        """Take the recursion to every beta of `betas`."""
         steps, known = self.steps, len(self.steps)
         if known < len(betas.monos):
             steps.extend([None] * (len(betas.monos) - known))
@@ -255,71 +254,47 @@ class _Branch:
                 for i, k in enumerate(betas.step[v][first:below], first):
                     if steps[k] is None:
                         steps[k] = (v, i)
-        # the terms of each f_{b,v}, and for a one-term c x^k, which the
-        # products apply inline to save a call per beta: its shift table,
-        # c, the monomials the table covers, and the first monomial whose
-        # product lies above low
-        self.factors = []
+
+    def factors(self, tables: MonomialTables,
+                memo: dict[int, list[int]]) -> list:
+        """The terms of each f_{b,v} up to the top of `tables`, and for a
+        one-term c x^k, which the products apply inline to save a call per
+        beta, its shift table, c and the monomials the table covers."""
+        factors = []
         for comp in self.components:
             terms = tables.terms(comp)
             one = None
             if len(terms) == 1:
                 (k, c), = terms
                 shift = tables.shift(k, memo)
-                one = (shift, c, len(shift),
-                       tables.start[max(low - tables.deg[k] + 1, 0)])
-            self.factors.append((terms, one))
+                one = (shift, c, len(shift))
+            factors.append((terms, one))
+        return factors
 
 
-class _Compositions:
-    """The products (y^beta o f_b) * g for every target monomial beta, one
-    branch b and one polynomial g, as {source monomial index:
-    coefficient}, grown with the top degree: raising the top adds only the
-    terms of the new degrees to each product, and the products of the new
-    betas in full."""
-
-    __slots__ = ("seed", "branch", "table")
-
-    def __init__(self, seed, branch: _Branch):
-        # seed: (g, factor), or None for g = 1
-        self.seed, self.branch = seed, branch
-        self.table: list[dict[int, int | Fraction]] = []
-
-    def grow(self, tables: MonomialTables, low: int, count: int,
-             memo: dict[int, list[int]]) -> None:
-        """Add the terms of degree low+1..top to the products there are,
-        and the products of the betas up to index `count` in full."""
-        table, multiply, old = self.table, tables.multiply, len(self.table)
-        if not table:
-            table.append({} if self.seed else {0: 1})
-        if self.seed:
-            poly, factor = self.seed
-            table[0].update({k: factor * c for k, c in tables.terms(poly)
-                             if tables.deg[k] > low})
-        steps, factors = self.branch.steps, self.branch.factors
-        for beta in range(1, old):
-            v, prev = steps[beta]
-            terms, one = factors[v]
-            if one is None:
-                table[beta].update(multiply(table[prev], terms, low, memo))
-            else:
-                shift, c, fits, lo = one
-                table[beta].update({shift[i]: x * c for i, x in
-                                    table[prev].items() if lo <= i < fits})
-        for v, prev in steps[max(old, 1):count]:
-            terms, one = factors[v]
-            if one is None:
-                table.append(multiply(table[prev], terms, -1, memo))
-            else:
-                shift, c, fits, _ = one
-                table.append({shift[i]: x * c for i, x in table[prev].items()
-                              if i < fits})
+def _compositions(g: Poly, factor: int, steps: list, factors: list,
+                  tables: MonomialTables, count: int,
+                  memo: dict[int, list[int]]) -> list[dict]:
+    """The products factor * (y^beta o f_b) * g up to the top of `tables`,
+    as {source monomial index: coefficient}, for the first `count` betas,
+    built along the recursion `steps` of branch b with its `factors`
+    (`_Branch`)."""
+    table = [{k: factor * c for k, c in tables.terms(g)}]
+    for v, prev in steps[1:count]:
+        terms, one = factors[v]
+        if one is None:
+            table.append(tables.multiply(table[prev], terms, memo))
+        else:
+            shift, c, fits = one
+            table.append({shift[i]: x * c for i, x in table[prev].items()
+                          if i < fits})
+    return table
 
 
 class _SearchRows:
-    """The derivative and certificate rows of one codimension search, and
-    the compositions its target rows are read off, grown from one
-    candidate's top degree to the next instead of rebuilt.
+    """The rows of one codimension search: the derivative and certificate
+    rows grown from one candidate's top degree to the next instead of
+    rebuilt, and the target rows built afresh for each elimination.
 
     Every row lies in the reduced module, keyed by column id, where the
     slot of mono_k in the q-th kept component (in (branch, component)
@@ -329,13 +304,12 @@ class _SearchRows:
     (`eliminate_graded`); no position depends on the top degree.  Raising
     the top from T to T' adds to each derivative row its entries of degree
     T+1..T', adds the rows of the new multiples, and turns a one-entry row
-    whose other terms lay above T into a full row again (`ring.Multiples`);
-    it adds to each composition its terms of degree T+1..T', and the
-    compositions of the new betas in full (`_Compositions`).  Moving the
-    candidate from k to k' drops the certificate rows of |a| <= k'.  No
-    target row is kept between candidates: each elimination builds every
-    one from the compositions and the column maps, and gets its own list
-    of rows and its own killed set."""
+    whose other terms lay above T into a full row again (`ring.Multiples`).
+    Moving the candidate from k to k' drops the certificate rows of
+    |a| <= k'.  The column maps and the recursion over beta of each
+    branch grow too.  The products (y^beta o f_b) * g that the target rows
+    are read off are built in full at each elimination (`_compositions`)
+    and die with the rows' other sources before it runs."""
 
     def __init__(self, f: MultiGerm, extended: bool):
         self.f, self.extended = f, extended
@@ -347,7 +321,6 @@ class _SearchRows:
         self.colmaps: list[dict[int, list[int]]] = [{} for _ in f.branches]
         for b, l in self.blocks:
             self.colmaps[b][l] = []
-        self.top = -1
         self.known = 0  # the monomials the column maps cover
 
         # derivative rows x^a * df_b/dx_j for the variables j that are no
@@ -376,14 +349,15 @@ class _SearchRows:
         recursions: dict = {}
         self.branches = [_Branch(branch, recursions)
                          for branch in f.branches]
-        self.families: list[_Compositions] = []
-        # parts[l]: (products, column map, scale, and for a one-term g of
+        # families: the (g, factor, branch) of each set of products
+        self.families: list[tuple[Poly, int, int]] = []
+        # parts[l]: (family, column map, scale, and for a one-term g of
         # positive degree its source monomial, by which the column map is
         # moved at each top)
         self.parts: list[list] = [[] for _ in range(f.p)]
         for b, branch in enumerate(f.branches):
-            compositions = _Compositions(None, self.branches[b])
-            self.families.append(compositions)
+            compositions = len(self.families)
+            self.families.append((Poly.const(f.n, 1), 1, b))
             for l in range(f.p):
                 if l in self.colmaps[b]:
                     self.parts[l].append((compositions, self.colmaps[b][l],
@@ -401,23 +375,20 @@ class _SearchRows:
                         self.parts[l].append((compositions, cm, factor * coef,
                                               mono if any(mono) else None))
                     elif not g.is_zero():
-                        family = _Compositions((g, factor), self.branches[b])
-                        self.families.append(family)
-                        self.parts[l].append((family, cm, 1, None))
+                        self.parts[l].append((len(self.families), cm, 1, None))
+                        self.families.append((g, factor, b))
         # certificate rows x^a * f_{b,i} in each kept component of branch b
         self.certificates = [
             (comp, cm, Multiples(0)) for b, branch in enumerate(f.branches)
             for comp in branch.components for cm in self.colmaps[b].values()]
 
-    def _rows(self, top: int,
-              certify: int | None) -> tuple[MonomialTables, list, set]:
-        """Grow the multiples and compositions to `top` and hand over the
-        rows of its elimination: those of two or more entries, and the
-        columns of those of one (see `eliminate_graded`).  The target rows
-        are read off the compositions here and not kept; the shift tables
-        and moved column maps they are read through die on return, before
-        the elimination runs."""
-        f, memo, low = self.f, {}, self.top
+    def _rows(self, top: int, certify: int) -> tuple[MonomialTables, list, set]:
+        """Grow the multiples to `top` and hand over the rows of its
+        elimination: those of two or more entries, and the columns of those
+        of one (see `eliminate_graded`).  The target rows are read off
+        products built here; the products, shift tables and moved column
+        maps die on return, before the elimination runs."""
+        f, memo = self.f, {}
         tables = monomial_tables(f.n, top)
         start, deg = tables.start, tables.deg
         # the id of mono_k in the q-th kept component is offset[d] - k
@@ -433,22 +404,22 @@ class _SearchRows:
         for spec, multiples in self.derivatives:
             multiples.grow(tables, [(k, c, cm) for g, cm in spec
                                     for k, c in tables.terms(g)], memo)
+        for comp, cm, multiples in self.certificates:
+            multiples.drop(certify + 1)
+            multiples.grow(tables, [(k, c, cm)
+                                    for k, c in tables.terms(comp)], memo)
 
         # with a candidate degree k the target rows stop at |beta| = k + 1
         # (see the module docstring)
-        betas = monomial_tables(f.p, top if certify is None
-                                else min(top, certify + 1))
+        betas = monomial_tables(f.p, min(top, certify + 1))
         count = len(betas.monos)
+        factors = []
         for branch in self.branches:
-            branch.grow(betas, tables, low, memo)
-        for family in self.families:
-            family.grow(tables, low, count, memo)
-        if certify is not None:
-            for comp, cm, multiples in self.certificates:
-                multiples.drop(certify + 1)
-                multiples.grow(tables, [(k, c, cm)
-                                        for k, c in tables.terms(comp)], memo)
-        self.top = top
+            branch.grow(betas)
+            factors.append(branch.factors(tables, memo))
+        products = [_compositions(g, factor, self.branches[b].steps,
+                                  factors[b], tables, count, memo)
+                    for g, factor, b in self.families]
 
         rows: list[dict] = []
         killed: set[int] = set()
@@ -463,7 +434,7 @@ class _SearchRows:
                     if k is None:  # the term of g lies above top
                         continue
                     cm = [cm[i] for i in tables.shift(k, memo)]
-                read.append((family.table, cm, s, len(cm)))
+                read.append((products[family], cm, s, len(cm)))
             for beta in range(self.min_deg, count):
                 row = {cm[i]: s * c for table, cm, s, fits in read
                        for i, c in table[beta].items() if i < fits}
@@ -471,18 +442,18 @@ class _SearchRows:
                     rows.append(row)
                 else:
                     killed.update(row)
-        if certify is not None:
-            for _, _, multiples in self.certificates:
-                multiples.collect(rows, killed)
+        for _, _, multiples in self.certificates:
+            multiples.collect(rows, killed)
         return tables, rows, killed
 
-    def eliminate(self, certify: int | None,
+    def eliminate(self, certify: int,
                   top: int) -> tuple[list[int], list[Slot]]:
         """One elimination at top degree `top`, not below the top of the
         call before: the value at every degree 0..top and the free slots in
-        ascending order.  With a candidate degree `certify`, the rows are
-        those of its certificate, and the values and slots are the engine's
-        own at degrees <= certify + 1 only."""
+        ascending order.  The rows are those of the certificate of the
+        candidate degree `certify`, and the values and slots are the
+        engine's own at degrees <= certify + 1 only; `certify` = `top`
+        adds no certificate row (each has degree >= certify + 2)."""
         tables, rows, killed = self._rows(top, certify)
         start = tables.start
         width = [start[d + 1] - start[d] for d in range(top + 1)]
@@ -503,9 +474,10 @@ class _SearchRows:
 def _graded_tangent(f: MultiGerm, top: int, extended: bool,
                     certify: int | None = None) -> tuple[list[int], list[Slot]]:
     """One elimination at top degree `top`, by a new search whose multiples
-    and compositions are built from nothing at that top
-    (`_SearchRows.eliminate`)."""
-    return _SearchRows(f, extended).eliminate(certify, top)
+    are built from nothing at that top (`_SearchRows.eliminate`); without
+    a candidate degree `certify`, the engine's own rows at `top`."""
+    return _SearchRows(f, extended).eliminate(
+        top if certify is None else certify, top)
 
 
 def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:

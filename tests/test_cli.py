@@ -669,7 +669,8 @@ class TestRun:
         code = cli.run(["build", "augment",
                         "--germ", "(x^3+y^2*x+z^2*x, y, z)", "--phi", "w^2"])
         assert code == 1
-        assert "not stable" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not stable" in err and "--unchecked" in err
         code = cli.run(["build", "augment", "--unchecked",
                         "--germ", "(x^3+y^2*x+z^2*x, y, z)", "--phi", "w^2"])
         assert code == 0

@@ -158,6 +158,13 @@ class TestGeneralisedConcat:
         gbar = MultiGerm((Branch((w * w,)),))
         assert generalised_concat(u, gbar) == monic_concat(u)
 
+    def test_zero_dimensional_gbar_is_monic_immersion(self):
+        # n = p - s: gbar is the point K^0 -> K^1, stable, and the adjoined
+        # branch is the immersion of the monic concatenation
+        gbar = MultiGerm((Branch((Poly.zero(0),)),))
+        u = curve_unfolding()
+        assert generalised_concat(u, gbar) == monic_concat(u)
+
     def test_cusp_block_assembly(self):
         # two-parameter unfolding total (x^3+y^2x+z^3x, y, z) is not stable:
         # assemble with the explicit escape hatch, adjoining the plane cusp

@@ -91,6 +91,9 @@ class TestQuotientDim:
         with pytest.raises(NotStabilizedError):
             quotient_dim([], 2)
 
+    def test_ring_in_no_variables_is_the_field(self):
+        assert quotient_dim([], 0) == 1
+
     def test_non_finite_not_stabilized(self):
         # (x) in two variables has an infinite-dimensional quotient
         with pytest.raises(NotStabilizedError):
