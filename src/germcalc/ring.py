@@ -504,44 +504,60 @@ class Multiples:
                 rows.extend(got)
 
 
-def eliminate_graded(widths: Sequence[int], rows: list[dict],
-                     killed: set[int]) -> tuple[list[int], list[int]]:
-    """Eliminate once at top degree D and read the quotient at every degree.
+def eliminate_graded(widths: Sequence[int],
+                     *phases: tuple[list[dict], set[int]]
+                     ) -> list[tuple[list[int], list[int]]]:
+    """Eliminate once at top degree D and read the quotient at every degree,
+    after each of one or more phases of rows.
 
     The columns are numbered by position, ascending by degree: `widths[d]`
     of them have degree d, for d = 0..D.  Position i carries the column id
     -i, so the lowest position gets the largest id; RowSpan pivots on the
     largest id, so every pivot row leads with its lowest-degree term (a
     local order).  The id of a column does not depend on D, so a builder
-    that raises its top degree keeps the ids it has handed out.  `rows`
-    are generator rows at D, keyed by column id and holding nonzero
-    entries only; `killed` holds the columns of further generator rows
-    with a single entry, which the builders hand over as columns instead
-    of building them (`Multiples`).  The list is sorted and the set
-    extended in place; the rows themselves are not changed.
+    that raises its top degree keeps the ids it has handed out.  Each phase
+    is a pair (rows, killed): `rows` are generator rows at D, keyed by
+    column id and holding nonzero entries only; `killed` holds the columns
+    of further generator rows with a single entry, which the builders hand
+    over as columns instead of building them (`Multiples`).  Each phase
+    adds its generators to those of the phases before it.  The first
+    phase's killed set is extended in place; no list or row is changed.
 
     Before the echelon, a singleton presolve (the singleton step of LP
-    presolve) peels unit rows until nothing changes: killed columns are
-    stripped from every row, a row left with one entry kills its column in
-    turn, and a row left empty is dropped.  The killed set it reaches is
-    the least set closed under that step, so it does not depend on whether
-    a unit row arrives as a row or as a killed column.  Only the remaining
-    rows go through RowSpan.  This is exact: for a fixed column order the
-    set of lead columns of an echelon basis of a row space is unique, and
-    the unit vectors of the killed columns together with an echelon basis
-    of the stripped rows are such a basis.  So the pivots are the killed
-    columns plus the pivots of the residual span, the same set a plain
-    RowSpan fed every row would give.
+    presolve) peels the first phase's unit rows until nothing changes:
+    killed columns are stripped from every row, a row left with one entry
+    kills its column in turn, and a row left empty is dropped.  The killed
+    set it reaches is the least set closed under that step, so it does not
+    depend on whether a unit row arrives as a row or as a killed column.
+    Only the remaining rows go through RowSpan.  This is exact: for a fixed
+    column order the set of lead columns of an echelon basis of a row space
+    is unique, and the unit vectors of the killed columns together with an
+    echelon basis of the stripped rows are such a basis.  So the pivots are
+    the killed columns plus the pivots of the residual span, the same set a
+    plain RowSpan fed every row would give.
+
+    A later phase goes into the same RowSpan: its rows are stripped of the
+    columns the first phase killed, and each of its own killed columns
+    goes in as a unit row.  This is exact by the same argument: a row and
+    its stripped copy differ by a combination of the unit vectors of the
+    killed columns, so those unit vectors and the RowSpan's rows still
+    span every generator so far; the RowSpan's rows have no entry in a
+    killed column, since they only ever combine stripped rows, so with the
+    unit vectors they form an echelon basis, whose leads are the killed
+    columns plus the RowSpan's pivots.  A phase only adds rows, so it only
+    adds leads: the non-pivot columns after it are those after the phase
+    before less the new leads.
 
     The rows at a degree d <= D are the degree-<=d truncations of the rows
     at D, and projecting an echelon basis with lowest-term leads onto the
     columns of degree <= d keeps exactly the pivots that lead there, still
     independent.  So the quotient dimension at d is the number of non-pivot
-    columns of degree <= d.  Returns those dimensions for d = 0..D and the
-    non-pivot positions (the standard monomials of the local order) in
-    ascending order; the first (value at d) of them are a basis of the
-    quotient at d.
+    columns of degree <= d.  Returns, after each phase, those dimensions
+    for d = 0..D and the non-pivot positions (the standard monomials of the
+    local order) in ascending order; the first (value at d) of them are a
+    basis of the quotient at d.
     """
+    (rows, killed), *later = phases
     # singleton presolve: strip every column killed so far, and let a row
     # left with one entry kill its column; sweep until a sweep kills nothing
     grew = True
@@ -561,10 +577,21 @@ def eliminate_graded(widths: Sequence[int], rows: list[dict],
     span = RowSpan()
     for row in rows:
         span.insert(row)
-    free = sorted(-c for c in set(range(0, -sum(widths), -1)).difference(
+    ends = list(itertools.accumulate(widths))
+    free = sorted(-c for c in set(range(0, -ends[-1], -1)).difference(
         killed, span.pivots))
-    return [bisect_left(free, end)
-            for end in itertools.accumulate(widths)], free
+    out = [([bisect_left(free, end) for end in ends], free)]
+    for rows, units in later:
+        rows = [{c: v for c, v in r.items() if c not in killed} for r in rows]
+        rows += [{c: 1} for c in units if c not in killed]
+        rows = [r for r in rows if r]
+        rows.sort(key=lambda r: (len(r), max(r)))
+        for row in rows:
+            span.insert(row)
+        pivots = span.pivots
+        free = [i for i in free if -i not in pivots]
+        out.append(([bisect_left(free, end) for end in ends], free))
+    return out
 
 
 def stabilize_curve(eliminate, k0: int, c: int, step, d_max: int,
@@ -635,8 +662,8 @@ def _graded_ideal(generators: Sequence[Poly], nvars: int,
                        memo)
         multiples.collect(rows, killed)
     start = tables.start
-    values, free = eliminate_graded(
-        [start[d + 1] - start[d] for d in range(top + 1)], rows, killed)
+    (values, free), = eliminate_graded(
+        [start[d + 1] - start[d] for d in range(top + 1)], (rows, killed))
     return values, [tables.monos[i] for i in free]
 
 

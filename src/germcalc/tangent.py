@@ -83,9 +83,10 @@ coordinate component (a curve, say) is built in full.
 
 The engine eliminates once per candidate k, at the top degree D = k + c,
 in a local order, and reads the value at every d <= D from the pivots
-(see `ring.eliminate_graded`).  One search keeps its derivative and
-certificate rows and grows them from one candidate's top degree to the
-next (`_SearchRows`): after a failed candidate, they gain only their
+(see `ring.eliminate_graded`); that one elimination serves both variants
+(below).  One search keeps its derivative and certificate rows and grows
+them from one candidate's top degree to the next (`_SearchRows`): after
+a failed candidate, they gain only their
 entries of the new degrees and the new multiples add rows, and the
 certificate rows of the old candidate that lie inside the new one's
 range are dropped.  The target rows are built afresh for each
@@ -105,7 +106,23 @@ these sections are a basis of the quotient of the full module too.
 
 The extended variant allows constant vector fields on both sides; the
 non-extended variant restricts the ambient to sections without constant
-term and the generators to multiples by variables.
+term and the generators to multiples by variables.  So its rows are the
+extended rows without the derivative rows of |a| = 0 and the target rows
+of beta = 0, and none of them has an entry of degree 0: y^beta o f_b has
+order >= |beta| since f(0) = 0, and a certificate row has order >= k + 2.
+The rows are built once, in the extended module (`_SearchRows`), and
+eliminated in two phases: the non-extended rows first, whose free slots
+of degree >= 1 are the non-extended ones (no row touches the degree-0
+slots, which the non-extended module lacks), then the two extra families
+in the same span, whose new leads leave the extended free slots.  For a
+fixed column order the lead columns of a row space are unique, so each
+phase gives exactly what an elimination of its rows alone would.  The
+searches of both variants of one germ and cap share what this gives: a
+search leaves the other variant's free slots at each candidate it runs
+with `_shared(f, d_max)`, and the other search reads them, and drops
+them, at every candidate both try, building no rows there.  The two
+searches start at the same candidate and part only after a failure,
+where the next candidate depends on the value.
 
 `ae_codim`, `a_codim` and `is_stable` are each one cache keyed by the
 values (f, d_max), so every spelling of d_max computes once; a failure is
@@ -164,7 +181,7 @@ there its differential has rank below p, so neither codimension is finite.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -291,29 +308,42 @@ def _compositions(g: Poly, factor: int, steps: list, factors: list,
     return table
 
 
+def _hand_over(row: dict, rows: list[dict], killed: set[int]) -> None:
+    """A row of two or more entries into `rows`, and the column of a row of
+    one into `killed` (see `eliminate_graded`)."""
+    if len(row) > 1:
+        rows.append(row)
+    else:
+        killed.update(row)
+
+
 class _SearchRows:
     """The rows of one codimension search: the derivative and certificate
     rows grown from one candidate's top degree to the next instead of
     rebuilt, and the target rows built afresh for each elimination.
 
-    Every row lies in the reduced module, keyed by column id, where the
-    slot of mono_k in the q-th kept component (in (branch, component)
-    order, K of them) sits at position K start[d] + q width_d + k - start[d]
-    of the degree-d block (d = deg k, width_d monomials of degree d), less
-    the degree-0 block when not extended, and carries the id -position
-    (`eliminate_graded`); no position depends on the top degree.  Raising
-    the top from T to T' adds to each derivative row its entries of degree
-    T+1..T', adds the rows of the new multiples, and turns a one-entry row
-    whose other terms lay above T into a full row again (`ring.Multiples`).
-    Moving the candidate from k to k' drops the certificate rows of
-    |a| <= k'.  The column maps and the recursion over beta of each
-    branch grow too.  The products (y^beta o f_b) * g that the target rows
-    are read off are built in full at each elimination (`_compositions`)
-    and die with the rows' other sources before it runs."""
+    Every row lies in the reduced module of the extended variant, keyed by
+    column id, where the slot of mono_k in the q-th kept component (in
+    (branch, component) order, K of them) sits at position
+    K start[d] + q width_d + k - start[d] of the degree-d block (d = deg k,
+    width_d monomials of degree d), and carries the id -position
+    (`eliminate_graded`); no position depends on the top degree.  The
+    rows of the non-extended variant are the rows of the extended one
+    without the derivative rows of |a| = 0 and the target rows of beta = 0,
+    and none of them has an entry of degree 0; so one elimination serves
+    both, the non-extended rows in its first phase and those two families
+    in its second.  Raising the top from T to T' adds to each derivative
+    row its entries of degree T+1..T', adds the rows of the new multiples,
+    and turns a one-entry row whose other terms lay above T into a full
+    row again (`ring.Multiples`).  Moving the candidate from k to k' drops
+    the certificate rows of |a| <= k'.  The column maps and the recursion
+    over beta of each branch grow too.  The products (y^beta o f_b) * g
+    that the target rows are read off are built in full at each
+    elimination (`_compositions`) and die with the rows' other sources
+    before it runs."""
 
-    def __init__(self, f: MultiGerm, extended: bool):
-        self.f, self.extended = f, extended
-        self.min_deg = 0 if extended else 1
+    def __init__(self, f: MultiGerm):
+        self.f = f
         self.coordinates = [_coordinates(branch) for branch in f.branches]
         self.blocks = [(b, l) for b, coords in enumerate(self.coordinates)
                        for l in range(f.p) if l not in coords]
@@ -324,7 +354,8 @@ class _SearchRows:
         self.known = 0  # the monomials the column maps cover
 
         # derivative rows x^a * df_b/dx_j for the variables j that are no
-        # coordinate of branch b, over its kept components
+        # coordinate of branch b, over its kept components; the multiples
+        # hold |a| >= 1, and the row of a = 0 is the partial itself
         self.derivatives = []
         for b, branch in enumerate(f.branches):
             taken = {j for j, _ in self.coordinates[b].values()}
@@ -333,7 +364,7 @@ class _SearchRows:
                     self.derivatives.append((
                         [(branch.components[l].diff(j), cm)
                          for l, cm in self.colmaps[b].items()],
-                        Multiples(self.min_deg)))
+                        Multiples(1)))
 
         # target rows: the row of (l, beta) has a part per branch b, the
         # composition y^beta o f_b in component l when l is kept on b, and
@@ -382,12 +413,16 @@ class _SearchRows:
             (comp, cm, Multiples(0)) for b, branch in enumerate(f.branches)
             for comp in branch.components for cm in self.colmaps[b].values()]
 
-    def _rows(self, top: int, certify: int) -> tuple[MonomialTables, list, set]:
+    def _rows(self, top: int,
+              certify: int) -> tuple[MonomialTables, tuple, tuple]:
         """Grow the multiples to `top` and hand over the rows of its
-        elimination: those of two or more entries, and the columns of those
-        of one (see `eliminate_graded`).  The target rows are read off
-        products built here; the products, shift tables and moved column
-        maps die on return, before the elimination runs."""
+        elimination, for each of its two phases: those of two or more
+        entries, and the columns of those of one (see `eliminate_graded`).
+        The first phase holds the rows of the non-extended variant, the
+        second the derivative rows of |a| = 0 and the target rows of
+        beta = 0.  The target rows are read off products built here; the
+        products, shift tables and moved column maps die on return, before
+        the elimination runs."""
         f, memo = self.f, {}
         tables = monomial_tables(f.n, top)
         start, deg = tables.start, tables.deg
@@ -395,15 +430,22 @@ class _SearchRows:
         known = self.known
         kept = len(self.blocks)
         for q, (b, l) in enumerate(self.blocks):
-            offset = [kept * start[self.min_deg] - (kept - 1) * start[d]
-                      - q * (start[d + 1] - start[d]) for d in range(top + 1)]
+            offset = [-(kept - 1) * start[d] - q * (start[d + 1] - start[d])
+                      for d in range(top + 1)]
             self.colmaps[b][l].extend([offset[d] - k for k, d in
                                        enumerate(deg[known:], known)])
         self.known = len(deg)
 
+        rows: list[dict] = []
+        killed: set[int] = set()
+        extra: list[dict] = []
+        extra_killed: set[int] = set()
         for spec, multiples in self.derivatives:
-            multiples.grow(tables, [(k, c, cm) for g, cm in spec
-                                    for k, c in tables.terms(g)], memo)
+            terms = [(k, c, cm) for g, cm in spec for k, c in tables.terms(g)]
+            multiples.grow(tables, terms, memo)
+            # the partial itself, the row of a = 0; distinct terms land in
+            # distinct columns (see `Multiples.grow`)
+            _hand_over({cm[k]: c for k, c, cm in terms}, extra, extra_killed)
         for comp, cm, multiples in self.certificates:
             multiples.drop(certify + 1)
             multiples.grow(tables, [(k, c, cm)
@@ -421,8 +463,6 @@ class _SearchRows:
                                   factors[b], tables, count, memo)
                     for g, factor, b in self.families]
 
-        rows: list[dict] = []
-        killed: set[int] = set()
         for _, multiples in self.derivatives:
             multiples.collect(rows, killed)
         for parts in self.parts:
@@ -435,7 +475,10 @@ class _SearchRows:
                         continue
                     cm = [cm[i] for i in tables.shift(k, memo)]
                 read.append((products[family], cm, s, len(cm)))
-            for beta in range(self.min_deg, count):
+            _hand_over({cm[i]: s * c for table, cm, s, fits in read
+                        for i, c in table[0].items() if i < fits},
+                       extra, extra_killed)
+            for beta in range(1, count):
                 row = {cm[i]: s * c for table, cm, s, fits in read
                        for i, c in table[beta].items() if i < fits}
                 if len(row) > 1:
@@ -444,40 +487,76 @@ class _SearchRows:
                     killed.update(row)
         for _, _, multiples in self.certificates:
             multiples.collect(rows, killed)
-        return tables, rows, killed
+        return tables, (rows, killed), (extra, extra_killed)
 
     def eliminate(self, certify: int,
-                  top: int) -> tuple[list[int], list[Slot]]:
+                  top: int) -> tuple[list[int], list[int]]:
         """One elimination at top degree `top`, not below the top of the
-        call before: the value at every degree 0..top and the free slots in
-        ascending order.  The rows are those of the certificate of the
-        candidate degree `certify`, and the values and slots are the
-        engine's own at degrees <= certify + 1 only; `certify` = `top`
-        adds no certificate row (each has degree >= certify + 2)."""
-        tables, rows, killed = self._rows(top, certify)
+        call before: the free positions in ascending order, of the
+        non-extended variant and of the extended one.  The rows are those
+        of the certificate of the candidate degree `certify`, and the free
+        positions are the engine's own at degrees <= certify + 1 only;
+        `certify` = `top` adds no certificate row (each has degree
+        >= certify + 2)."""
+        tables, rows, extra = self._rows(top, certify)
+        start, kept = tables.start, len(self.blocks)
+        (_, free), (_, extended) = eliminate_graded(
+            [kept * (start[d + 1] - start[d]) for d in range(top + 1)],
+            rows, extra)
+        # no non-extended row has an entry of degree 0, so the first phase
+        # leaves the degree-0 block, the first K positions, free; the
+        # non-extended module has no such block
+        return free[kept:], extended
+
+    def read(self, top: int,
+             free: list[int]) -> tuple[list[int], list[Slot]]:
+        """The value at every degree 0..top of an elimination at top `top`
+        with these free positions, and the slot at each of them."""
+        tables = monomial_tables(self.f.n, top)
         start = tables.start
-        width = [start[d + 1] - start[d] for d in range(top + 1)]
-        kept = len(self.blocks)
-        values, free = eliminate_graded(
-            [kept * w if d >= self.min_deg else 0
-             for d, w in enumerate(width)], rows, killed)
-        bounds = [kept * s for s in start]  # where each degree block begins
+        # where each degree block begins, and the last one ends
+        bounds = [len(self.blocks) * s for s in start]
         slots = []
         for position in free:
-            position += bounds[self.min_deg]
             d = bisect_right(bounds, position) - 1
-            q, i = divmod(position - bounds[d], width[d])
+            q, i = divmod(position - bounds[d], start[d + 1] - start[d])
             slots.append((*self.blocks[q], tables.monos[start[d] + i]))
-        return values, slots
+        return [bisect_left(free, end) for end in bounds[1:]], slots
 
 
 def _graded_tangent(f: MultiGerm, top: int, extended: bool,
                     certify: int | None = None) -> tuple[list[int], list[Slot]]:
-    """One elimination at top degree `top`, by a new search whose multiples
-    are built from nothing at that top (`_SearchRows.eliminate`); without
-    a candidate degree `certify`, the engine's own rows at `top`."""
-    return _SearchRows(f, extended).eliminate(
-        top if certify is None else certify, top)
+    """One elimination at top degree `top`, by new rows whose multiples are
+    built from nothing at that top (`_SearchRows.eliminate`); without a
+    candidate degree `certify`, the engine's own rows at `top`."""
+    rows = _SearchRows(f)
+    return rows.read(top, rows.eliminate(
+        top if certify is None else certify, top)[extended])
+
+
+class _Search:
+    """The eliminations of one codimension search.  Each elimination
+    serves both variants (`_SearchRows.eliminate`): the search leaves the
+    other variant's free positions in the results that the searches of one
+    germ and cap share (`_Shared`), and where the other variant's search
+    has run the same candidate it takes its own from there, dropping them,
+    and builds no rows."""
+
+    __slots__ = ("rows", "extended", "results")
+
+    def __init__(self, f: MultiGerm, extended: bool, results: dict):
+        self.rows, self.extended, self.results = (_SearchRows(f), extended,
+                                                  results)
+
+    def eliminate(self, certify: int,
+                  top: int) -> tuple[list[int], list[Slot]]:
+        free = self.results.pop((self.extended, certify, top), None)
+        if free is None:
+            both = self.rows.eliminate(certify, top)
+            self.results[not self.extended, certify, top] = \
+                both[not self.extended]
+            free = both[self.extended]
+        return self.rows.read(top, free)
 
 
 def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
@@ -486,10 +565,11 @@ def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
     g, _, _ = linear_prenormal_form(f)
     m, c = multiplicity_and_power(f, d_max)
     start = m + 3 - c
+    shared = _shared(f, d_max)
     values, degree, free = stabilize_curve(
-        _SearchRows(g, extended).eliminate, start, c,
+        _Search(g, extended, shared.results).eliminate, start, c,
         lambda k, values: max(k + 2, values[k + 1] + 1), d_max,
-        "codimension", _finiteness(f, d_max).prove)
+        "codimension", shared.prove)
     # the first candidate was min(start, d_max), which is at most degree
     return CodimResult(value=values[-1], degree_used=degree, c=c,
                        curve=values[min(start, degree):],
@@ -633,17 +713,22 @@ def unstable_point(f: MultiGerm, d_max: int = D_MAX) -> UnstablePoint | None:
     return None
 
 
-class _Finiteness:
-    """What the codimension searches of one germ under one cap know of its
-    A-finiteness: the certificate `unstable_point`, run at most once, when
-    a search first reaches its last candidate, and shared by the searches
-    of both variants, since A-finiteness depends on neither."""
+class _Shared:
+    """What the codimension searches of one germ under one cap share.
 
-    __slots__ = ("f", "d_max", "searched", "proof")
+    The certificate `unstable_point`, run at most once, when a search
+    first reaches its last candidate, serves both variants, since
+    A-finiteness depends on neither.  `results` holds, keyed by
+    (extended, candidate degree, top degree), the free positions that a
+    search's elimination gave for the other variant (`_Search`); the other
+    variant's search drops each one as it reads it."""
+
+    __slots__ = ("f", "d_max", "searched", "proof", "results")
 
     def __init__(self, f: MultiGerm, d_max: int):
         self.f, self.d_max = f, d_max
         self.searched, self.proof = False, None
+        self.results: dict = {}
 
     def prove(self) -> None:
         """Raise ProvedInfiniteError when the certificate proves f is not
@@ -661,8 +746,8 @@ class _Finiteness:
 
 
 @lru_cache(maxsize=1024)
-def _finiteness(f: MultiGerm, d_max: int) -> _Finiteness:
-    return _Finiteness(f, d_max)
+def _shared(f: MultiGerm, d_max: int) -> _Shared:
+    return _Shared(f, d_max)
 
 
 @remember_failures(maxsize=1024)
@@ -673,7 +758,7 @@ def ae_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     and NotStabilizedError when no candidate degree up to d_max passes its
     certificate and no such proof is found; either afresh but without
     computing again when repeated."""
-    _finiteness(f, d_max).proved()
+    _shared(f, d_max).proved()
     return _stabilized_codim(f, d_max, True)
 
 
@@ -683,7 +768,7 @@ def a_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     constant term; fails as `ae_codim` does.  After either search of f has
     proved it not A-finite, the other raises the same proof without an
     elimination."""
-    _finiteness(f, d_max).proved()
+    _shared(f, d_max).proved()
     return _stabilized_codim(f, d_max, False)
 
 

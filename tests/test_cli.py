@@ -473,7 +473,7 @@ class TestRun:
         germ = ("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);"
                 "(x,y,z^2+x-y)}")
         for cached in (tangent.ae_codim, tangent.a_codim,
-                       tangent._finiteness):
+                       tangent._shared):
             cached.cache_clear()
         runs = []
         stabilized = tangent._stabilized_codim
@@ -737,6 +737,12 @@ class TestLayering:
         assert done.returncode == 0, done.stderr
         assert "aecod:    0" in done.stdout
 
+    def test_package_runs_as_a_module(self):
+        done = _python("-W", "error", "-m", "germcalc", "eval",
+                       "--germ", "(x,y,z^2)", "--json")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["invariants"]["aecod"] == 0
+
     def test_ring_caches_are_bounded_and_empty_after_import(self):
         # every functools cache of every module in the package
         done = _python("-c", "import importlib, pkgutil, germcalc\n"
@@ -756,7 +762,7 @@ class TestLayering:
             "germcalc.germ._branch_multiplicity 1024 0",
             "germcalc.ring.monomial_tables 64 0",
             "germcalc.syntax.canonical_match_key 1024 0",
-            "germcalc.tangent._finiteness 1024 0",
+            "germcalc.tangent._shared 1024 0",
             "germcalc.tangent.a_codim 1024 0",
             "germcalc.tangent.ae_codim 1024 0",
             "germcalc.tangent.is_stable 1024 0", ""]

@@ -272,17 +272,34 @@ def plain_graded(widths, rows, killed):
     return [sum(1 for i in free if i < end) for end in ends], free
 
 
+def copied(phases) -> list:
+    return [([dict(r) for r in rows], set(killed)) for rows, killed in phases]
+
+
 def recorded_eliminations(monkeypatch) -> list:
     """Copies of the arguments of every `eliminate_graded` call made by
-    the tangent engine from now on (the call extends its killed set)."""
+    the tangent engine from now on, as (widths, phases) (the call extends
+    its first phase's killed set)."""
     calls = []
 
-    def recording(widths, rows, killed):
-        calls.append((list(widths), [dict(r) for r in rows], set(killed)))
-        return eliminate_graded(widths, rows, killed)
+    def recording(widths, *phases):
+        calls.append((list(widths), copied(phases)))
+        return eliminate_graded(widths, *phases)
 
     monkeypatch.setattr(tangent, "eliminate_graded", recording)
     return calls
+
+
+def assert_phases_match_plain(widths, phases) -> None:
+    """After each phase, `eliminate_graded` leaves the columns free that a
+    plain RowSpan fed every row and killed column of that phase and the
+    phases before leaves free."""
+    got = eliminate_graded(widths, *copied(phases))
+    assert len(got) == len(phases)
+    rows, killed = [], set()
+    for (more, units), result in zip(phases, got):
+        rows, killed = rows + more, killed | units
+        assert result == plain_graded(widths, rows, killed)
 
 
 def cap3_rows():
@@ -297,6 +314,8 @@ def test_catalog_curves_match_per_degree_reference(extended, monkeypatch):
     # plain RowSpan must leave the same slots free, those slots must be a
     # basis of the full module's quotient, and a plain RowSpan fed the
     # engine's own rows and killed columns must leave the same columns free
+    # after each phase of its elimination: the non-extended rows alone, and
+    # with the rows only the extended tangent space has
     calls = recorded_eliminations(monkeypatch)
     checked = 0
     for name, germ in cap3_rows():
@@ -308,9 +327,9 @@ def test_catalog_curves_match_per_degree_reference(extended, monkeypatch):
         assert (curve, free) == reduced_graded_tangent(germ, d0 + 2,
                                                        extended), name
         assert_full_module_basis(germ, d0 + 2, extended, curve, free)
-        widths, rows, killed = calls.pop()
-        assert (eliminate_graded(widths, [dict(r) for r in rows], set(killed))
-                == plain_graded(widths, rows, killed)), name
+        widths, phases = calls.pop()
+        assert len(phases) == 2, name
+        assert_phases_match_plain(widths, phases)
         checked += 1
     assert checked == 59
 
@@ -373,24 +392,26 @@ def test_index_builder_matches_the_reference_builder(germ, top, extended):
 def test_coordinate_components_get_no_columns(extended, monkeypatch):
     # the coordinate components x and y of the fold branch (x, y, z^2) and
     # of the cusp branch (x, y, z^3 + x z) have no columns: the columns are
-    # the slots of the two kept components z^2 and z^3 + x z.  The fold's
-    # partial in z, 2 z, is a single term all the same, so its rows
-    # x^a * 2 z e_2 arrive as killed columns, one per slot divisible by z
+    # the slots of the two kept components z^2 and z^3 + x z, in the
+    # extended module for both variants.  The fold's partial in z, 2 z, is
+    # a single term all the same, so its rows x^a * 2 z e_2 arrive as
+    # killed columns, one per slot divisible by z: those of |a| >= 1 in the
+    # first phase, the non-extended rows, and 2 z e_2 itself in the second
     germ = MultiGerm((Branch((X3, Y3, Z3 ** 2)),
                       Branch((X3, Y3, Z3 ** 3 + X3 * Z3))))
     top = 4
     calls = recorded_eliminations(monkeypatch)
     curve, free = _graded_tangent(germ, top, extended)
     assert (curve, free) == reduced_graded_tangent(germ, top, extended)
-    widths, rows, killed = calls.pop()
-    slots = [s for s in reference_slots(germ, top, extended) if s[1] == 2]
+    widths, phases = calls.pop()
+    (_, killed), (_, extra_killed) = phases
+    slots = [s for s in reference_slots(germ, top, True) if s[1] == 2]
     assert sum(widths) == len(slots)
     assert {l for _, l, _ in free} <= {2}
     for i, (b, _, mono) in enumerate(slots):
-        if b == 0 and mono[2] >= 1 and sum(mono) > (0 if extended else 1):
-            assert -i in killed, slots[i]
-    assert (eliminate_graded(widths, [dict(r) for r in rows], set(killed))
-            == plain_graded(widths, rows, killed))
+        if b == 0 and mono[2] >= 1:
+            assert -i in (killed if sum(mono) > 1 else extra_killed), slots[i]
+    assert_phases_match_plain(widths, phases)
 
 
 @st.composite
@@ -421,8 +442,28 @@ def test_presolve_keeps_the_plain_pivots(case, units_as_killed):
     if units_as_killed:
         killed = {c for r in rows if len(r) == 1 for c in r}
         rows = [r for r in rows if len(r) > 1]
-    assert (eliminate_graded(widths, [dict(r) for r in rows], set(killed))
-            == plain_graded(widths, rows, killed))
+    assert (eliminate_graded(widths, ([dict(r) for r in rows], set(killed)))
+            == [plain_graded(widths, rows, killed)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_rows(), graded_rows(), st.booleans())
+def test_second_phase_keeps_the_plain_pivots(first, second, units_as_killed):
+    # a second phase goes into the span of the first, after its presolve;
+    # after it the pivots are those of the rows of both phases.  The second
+    # case's columns are cut to the first one's
+    widths, rows = first
+    columns = sum(widths)
+    more = [{c: v for c, v in r.items() if -c < columns} for r in second[1]]
+    more = [r for r in more if r]
+    phases = []
+    for part in (rows, more):
+        killed = set()
+        if units_as_killed:
+            killed = {c for r in part if len(r) == 1 for c in r}
+            part = [r for r in part if len(r) > 1]
+        phases.append((part, killed))
+    assert_phases_match_plain(widths, phases)
 
 
 def test_presolve_cascade():
@@ -434,8 +475,9 @@ def test_presolve_cascade():
     a, b, c, d, e = 0, -1, -2, -3, -4
     rows = [{c: 2, d: -3}, {b: 5, c: 1}, {a: 1, e: -1}]
     expected = ([0, 0, 1], [4])  # e, at position 4, is the only free column
-    assert eliminate_graded(widths, rows + [{b: 1}], set()) == expected
-    assert eliminate_graded(widths, [dict(r) for r in rows], {b}) == expected
+    assert eliminate_graded(widths, (rows + [{b: 1}], set())) == [expected]
+    assert eliminate_graded(widths, ([dict(r) for r in rows], {b})) == \
+        [expected]
     assert plain_graded(widths, rows, {b}) == expected
 
 
@@ -579,13 +621,13 @@ def checked_searches(monkeypatch) -> list:
     search, searches = tangent.stabilize_curve, []
 
     def checking(eliminate, *args):
-        rows, tried = eliminate.__self__, []
+        own, tried = eliminate.__self__, []
+        f, extended = own.rows.f, own.extended
         searches.append(tried)
 
         def checked(k, top):
             got = eliminate(k, top)
-            assert got == _graded_tangent(rows.f, top, rows.extended, k), \
-                (rows.f, k, top)
+            assert got == _graded_tangent(f, top, extended, k), (f, k, top)
             tried.append((k, top))
             return got
 
@@ -648,9 +690,9 @@ def test_grown_search_matches_fresh_rows_on_five_branches(extended):
                            "(x,y,z^2+x+y);(x,y,z^2+x-y)}")
     g, _, _ = linear_prenormal_form(germ)
     _, c = multiplicity_and_power(germ)
-    rows = tangent._SearchRows(g, extended)
+    rows = tangent._SearchRows(g)
     for k in (11, 13):
-        values, free = rows.eliminate(k, k + c)
+        values, free = rows.read(k + c, rows.eliminate(k, k + c)[extended])
         assert (values, free) == _graded_tangent(g, k + c, extended, k)
         assert values[k + c] != values[k]
 
@@ -666,3 +708,96 @@ def test_grown_search_matches_fresh_rows_on_random_germs(germ, extended):
             # the branch multiplicities did not stabilize by the cap, or
             # the germ is proved not finite or not A-finite
             pass
+
+
+# -- one elimination for both variants ---------------------------------------
+#
+# Each elimination of a search serves both codimensions; the search of the
+# other variant of the same germ and cap reads the result at every
+# candidate the first search ran (`tangent._Search`).
+
+def clear_tangent_caches() -> None:
+    for fn in vars(tangent).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def shared_searches(monkeypatch) -> tuple[list, list]:
+    """From now on, the (candidate, top) pairs of each search, one list
+    per search, and those of every row build (`_SearchRows._rows`)."""
+    search, searches, built = tangent.stabilize_curve, [], []
+    rows = tangent._SearchRows._rows
+
+    def recording(eliminate, *args):
+        tried = []
+        searches.append(tried)
+
+        def recorded(k, top):
+            tried.append((k, top))
+            return eliminate(k, top)
+
+        return search(recorded, *args)
+
+    def building(self, top, certify):
+        built.append((certify, top))
+        return rows(self, top, certify)
+
+    monkeypatch.setattr(tangent, "stabilize_curve", recording)
+    monkeypatch.setattr(tangent._SearchRows, "_rows", building)
+    return searches, built
+
+
+def fields(result: tangent.CodimResult) -> tuple:
+    return (result.value, result.degree_used, result.c, result.curve,
+            result.basis)
+
+
+@pytest.mark.parametrize("first,second", [
+    (tangent.ae_codim, tangent.a_codim), (tangent.a_codim, tangent.ae_codim),
+], ids=["ae-then-a", "a-then-ae"])
+def test_second_variant_builds_rows_only_where_the_first_did_not(
+        first, second, monkeypatch):
+    alone = {}
+    for name, germ in cap3_rows():
+        clear_tangent_caches()
+        alone[name] = fields(second(germ))
+    searches, built = shared_searches(monkeypatch)
+    read = 0
+    for name, germ in cap3_rows():
+        clear_tangent_caches()
+        first(germ)
+        ran = set(built)
+        built.clear()
+        assert fields(second(germ)) == alone[name], name
+        tried = searches[-1]
+        assert built == [pair for pair in tried if pair not in ran], name
+        read += len(tried) - len(built)
+        built.clear()
+    assert read >= 59
+
+
+def test_a_search_past_the_shared_candidates_eliminates_on_its_own(
+        monkeypatch):
+    # 5_1: the extended search passes at k = 3 (c = 5), where the
+    # non-extended one fails; that one reads k = 3 and builds rows at k = 5,
+    # leaving the extended result there for a later search.  The result it
+    # read is dropped
+    germ = parse_multigerm("(x,y,z^5+x*z+y*z^2)")
+    clear_tangent_caches()
+    alone = fields(tangent.a_codim(germ))
+    clear_tangent_caches()
+    searches, built = shared_searches(monkeypatch)
+    assert tangent.ae_codim(germ).degree_used == 3
+    assert searches == [[(3, 8)]] and built == [(3, 8)]
+    assert set(tangent._shared(germ, 16).results) == {(False, 3, 8)}
+    assert fields(tangent.a_codim(germ)) == alone
+    assert searches[1] == [(3, 8), (5, 10)] and built == [(3, 8), (5, 10)]
+    assert set(tangent._shared(germ, 16).results) == {(True, 5, 10)}
+
+
+def test_stability_and_single_eliminations_share_nothing():
+    germ = parse_multigerm("(x,y,z^5+x*z+y*z^2)")
+    clear_tangent_caches()
+    assert not tangent.is_stable(germ)
+    _graded_tangent(germ, 8, False, 3)
+    assert tangent._shared.cache_info().currsize == 0
