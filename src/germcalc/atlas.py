@@ -7,8 +7,11 @@ four branches, each with a parameterized template and the expected
 codimension formula.  `verify` recomputes the codimension of an
 instantiation with the exact engine and compares; `verify_all` sweeps the
 whole catalog and is the package's headline reproduction.  `lookup`
-classifies a germ by structural matching against instantiations, falling
-back to invariant-tuple candidates when no literal match exists.
+classifies a germ by structural matching against instantiations: it
+compares match keys first, among the rows with the germ's codimension and
+dimensions, and computes the rows' type labels and multiplicities only
+for the fallback to invariant-tuple candidates when no literal match
+exists.
 
 All signs that would distinguish real forms are taken +; the catalog works
 over an exact subfield of the complex numbers.  Two encoding notes, both
@@ -278,6 +281,8 @@ def _catalog() -> tuple[AtlasEntry, ...]:
 
 _CATALOG = _catalog()
 _BY_NAME = {e.name: e for e in _CATALOG}
+# the branch count of a row is the same at every parameter value
+_BRANCHES = {e.name: e.template.count(";") + 1 for e in _CATALOG}
 
 
 def entries() -> tuple[AtlasEntry, ...]:
@@ -309,8 +314,11 @@ def _normalize_params(entry: AtlasEntry, params: Mapping | None):
 
 
 @lru_cache(maxsize=1024)
-def _instance(name: str, args: tuple) -> MultiGerm:
-    return syntax.parse_multigerm(_BY_NAME[name]._text(*args))
+def _instance(name: str, args: tuple, canonical: bool) -> MultiGerm:
+    """The parsed row, in canonical variable order or, without the
+    search that finds it, in order of first appearance."""
+    return syntax.parse_multigerm(_BY_NAME[name]._text(*args),
+                                  canonical=canonical)
 
 
 def _resolve(name: str, params: Mapping | None):
@@ -324,7 +332,7 @@ def _resolve(name: str, params: Mapping | None):
 def instantiate(name: str, params: Mapping | None = None) -> MultiGerm:
     """Build the normal form of a catalog row at the given parameters."""
     _, _, args = _resolve(name, params)
-    return _instance(name, args)
+    return _instance(name, args, True)
 
 
 def expected_codim(name: str, params: Mapping | None = None) -> int:
@@ -458,45 +466,61 @@ def _candidate_params(entry: AtlasEntry, aecod: int) -> list[Mapping]:
     return [{entry.param: label} for label in labels]
 
 
+def _term_counts(f: MultiGerm) -> list[int]:
+    """The number of terms of each branch, sorted: unchanged by branch
+    order and by reindexing source variables or target components."""
+    return sorted(sum(len(c.items()) for c in b.components)
+                  for b in f.branches)
+
+
 def lookup(f: MultiGerm,
            d_max: int = D_MAX) -> LookupResult:
     """Classify a germ against the catalog.
 
-    Matches on the invariant tuple (n, p, r, type label, multiplicity,
-    codimension); when some instantiation coincides with the germ up to
-    branch order and variable reindexing, that single row is returned with
-    exact=True.  Raises NotCorankOneError for corank >= 2 input and
-    propagates stabilization failures and proofs of an infinite dimension
-    (ProvedInfiniteError), which no catalog row has.
+    The pool is every instantiation with f's codimension and dimensions
+    (n, p, r).  The pool members that coincide with the germ up to branch
+    order and the order of source variables and target components,
+    compared by their match keys, are returned with exact=True; all of them, since distinct rows can share
+    boundary members.  Equal keys imply equal type labels and
+    multiplicities, so no catalog row's invariants are computed for an
+    exact match, and it is decided at any cap that decides f's own.  Only
+    when none matches are the pool members filtered on the rest of the
+    invariant tuple (type label, multiplicity), with exact=False.  Raises
+    NotCorankOneError for corank >= 2 input and propagates stabilization
+    failures and proofs of an infinite dimension (ProvedInfiniteError),
+    which no catalog row has.
     """
     t_f = germ_mod.recognize_type(f, d_max)
     m0_f = germ_mod.multiplicity(f, d_max)
     ae_f = tangent.ae_codim(f, d_max).value
     shape = (f.n, f.p, f.r)
-    candidates: list[tuple[str, Mapping, MultiGerm]] = []
+    # neither the match key nor an invariant depends on the variable
+    # order, so the pool is parsed without the search for the canonical one
+    pool: list[tuple[str, Mapping, MultiGerm]] = []
     for entry in _CATALOG:
+        if _BRANCHES[entry.name] != f.r:
+            continue
         for params in _candidate_params(entry, ae_f):
-            inst = instantiate(entry.name, params)
-            if (inst.n, inst.p, inst.r) != shape:
-                continue
-            if germ_mod.recognize_type(inst, d_max) != t_f:
-                continue
-            if germ_mod.multiplicity(inst, d_max) != m0_f:
-                continue
-            display, _ = _normalize_params(entry, params)
-            candidates.append((entry.name, display, inst))
-    exact = ()
-    if candidates:
-        key = syntax.canonical_match_key(f)
-        exact = tuple((name, display) for name, display, inst in candidates
-                      if syntax.canonical_match_key(inst) == key)
+            display, args = _normalize_params(entry, params)
+            inst = _instance(entry.name, args, False)
+            if (inst.n, inst.p, inst.r) == shape:
+                pool.append((entry.name, display, inst))
+    counts, key, exact = _term_counts(f), None, []
+    for name, display, inst in pool:
+        if _term_counts(inst) != counts:
+            continue
+        if key is None:
+            key = syntax.canonical_match_key(f)
+        if syntax.canonical_match_key(inst) == key:
+            exact.append((name, display))
     if exact:
-        # distinct rows can share boundary members, so all literal matches
-        # are reported
-        return LookupResult(matches=exact, exact=True)
-    return LookupResult(
-        matches=tuple((name, display) for name, display, _ in candidates),
-        exact=False)
+        return LookupResult(matches=tuple(exact), exact=True)
+    matches = []
+    for name, display, inst in pool:
+        if (germ_mod.recognize_type(inst, d_max) == t_f
+                and germ_mod.multiplicity(inst, d_max) == m0_f):
+            matches.append((name, display))
+    return LookupResult(matches=tuple(matches), exact=False)
 
 
 def export_document() -> dict:

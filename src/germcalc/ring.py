@@ -98,9 +98,10 @@ class Poly:
                     f"monomial {mono} has {len(mono)} exponents, expected {nvars}")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in monomial {mono}")
-            frac = Fraction(coef)
-            if frac != 0:
-                clean[mono] = frac
+            if type(coef) is not Fraction:
+                coef = Fraction(coef)
+            if coef:
+                clean[mono] = coef
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_key", None)

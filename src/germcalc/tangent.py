@@ -55,7 +55,8 @@ the failed elimination gave, and k never passes `d_max` (see
 `ring.stabilize_curve`).  Every value is invariant under linear changes
 of coordinates, so the engine works on the linear prenormal form of the
 germ (`germ.linear_prenormal_form`), which is the germ itself unless a
-linear change makes it strictly sparser.
+linear change makes it strictly sparser; both variants read it from the
+one `_shared(f, d_max)` entry, so it is computed once per germ and cap.
 
 The rows are built in a reduced module, without the coordinate components
 of each branch (the unfolding reduction of Marar and Mond).  A component
@@ -560,14 +561,12 @@ class _Search:
 
 
 def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
-    # the value at every degree is invariant under linear changes of
-    # coordinates, and the sparser form costs far less fill-in
-    g, _, _ = linear_prenormal_form(f)
+    shared = _shared(f, d_max)
     m, c = multiplicity_and_power(f, d_max)
     start = m + 3 - c
-    shared = _shared(f, d_max)
+    search = _Search(shared.prenormal, extended, shared.results)
     values, degree, free = stabilize_curve(
-        _Search(g, extended, shared.results).eliminate, start, c,
+        search.eliminate, start, c,
         lambda k, values: max(k + 2, values[k + 1] + 1), d_max,
         "codimension", shared.prove)
     # the first candidate was min(start, d_max), which is at most degree
@@ -716,17 +715,22 @@ def unstable_point(f: MultiGerm, d_max: int = D_MAX) -> UnstablePoint | None:
 class _Shared:
     """What the codimension searches of one germ under one cap share.
 
-    The certificate `unstable_point`, run at most once, when a search
-    first reaches its last candidate, serves both variants, since
-    A-finiteness depends on neither.  `results` holds, keyed by
-    (extended, candidate degree, top degree), the free positions that a
-    search's elimination gave for the other variant (`_Search`); the other
-    variant's search drops each one as it reads it."""
+    `prenormal` is the germ the searches eliminate on: the linear
+    prenormal form of f, computed once for both variants.  The value at
+    every degree is invariant under linear changes of coordinates, and
+    the sparser form costs far less fill-in.  The certificate
+    `unstable_point`, run at most once, when a search first reaches its
+    last candidate, serves both variants, since A-finiteness depends on
+    neither.  `results` holds, keyed by (extended, candidate degree, top
+    degree), the free positions that a search's elimination gave for the
+    other variant (`_Search`); the other variant's search drops each one
+    as it reads it."""
 
-    __slots__ = ("f", "d_max", "searched", "proof", "results")
+    __slots__ = ("f", "d_max", "prenormal", "searched", "proof", "results")
 
     def __init__(self, f: MultiGerm, d_max: int):
         self.f, self.d_max = f, d_max
+        self.prenormal = linear_prenormal_form(f)[0]
         self.searched, self.proof = False, None
         self.results: dict = {}
 

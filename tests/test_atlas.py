@@ -220,3 +220,88 @@ class TestLookup:
                 assert (entry.name, display) in res.matches, \
                     f"{entry.name} {params} not identified"
                 assert res.exact
+
+    def test_exact_lookup_reads_no_catalog_row_invariants(self, monkeypatch):
+        # equal match keys imply equal type labels and multiplicities, so
+        # only f's own are computed
+        from germcalc import germ as germ_mod
+        seen = []
+        for fn in ("recognize_type", "multiplicity"):
+            original = getattr(germ_mod, fn)
+
+            def recording(g, *args, original=original, fn=fn):
+                seen.append((fn, g))
+                return original(g, *args)
+
+            monkeypatch.setattr(germ_mod, fn, recording)
+        for entry in atlas.entries():
+            for params in atlas._parameter_sweep(entry, 3):
+                f = atlas.instantiate(entry.name, params)
+                seen.clear()
+                assert atlas.lookup(f).exact
+                assert [(fn, g is f) for fn, g in seen] == [
+                    ("recognize_type", True), ("multiplicity", True)]
+
+
+# Lookup answers recorded before the match key was tried ahead of the
+# catalog rows' invariants; the invariant fallback is checked only here.
+# Every catalog row up to parameter 4 matches itself alone and literally,
+# except the boundary members that two rows share:
+SHARED_ROWS = [("3_muA1-a mu=1", "3_muA1-b mu=1"),
+               ("A1A1A1-a k=2", "A1A1A1-b k=1")]
+PINNED_LOOKUPS = {
+    # A1A2-a at k = 2 and 5_1, linearly moved (the dense benchmark inputs)
+    "{(x^3+36*x^2*y+432*x*y^2+1728*y^3+16*x*y+3*x*z+192*y^2+36*y*z+10*y"
+    "+2*z,41*y+8*z,2*x^3+72*x^2*y+864*x*y^2+3456*y^3+32*x*y+6*x*z+384*y^2"
+    "+72*y*z-16*y-3*z);(x+22*y+2*z,281*y^2+106*y*z+10*z^2+25*y+5*z,"
+    "-281*y^2-106*y*z-10*z^2+2*x+24*y)}": (False, ("A1A2-a k=2",)),
+    "(32*x^5+80*x^4*y+80*x^4*z+80*x^3*y^2+160*x^3*y*z+80*x^3*z^2"
+    "+40*x^2*y^3+120*x^2*y^2*z+120*x^2*y*z^2+40*x^2*z^3+10*x*y^4"
+    "+40*x*y^3*z+60*x*y^2*z^2+40*x*y*z^3+10*x*z^4+y^5+5*y^4*z+10*y^3*z^2"
+    "+10*y^2*z^3+5*y*z^4+z^5-8*x^3-20*x^2*y-8*x^2*z-14*x*y^2-16*x*y*z"
+    "-2*x*z^2-3*y^3-6*y^2*z-3*y*z^2+2*x^2+5*x*y+x*z+2*y^2+2*y*z+3*x+4*y"
+    ",96*x^5+240*x^4*y+240*x^4*z+240*x^3*y^2+480*x^3*y*z+240*x^3*z^2"
+    "+120*x^2*y^3+360*x^2*y^2*z+360*x^2*y*z^2+120*x^2*z^3+30*x*y^4"
+    "+120*x*y^3*z+180*x*y^2*z^2+120*x*y*z^3+30*x*z^4+3*y^5+15*y^4*z"
+    "+30*y^3*z^2+30*y^2*z^3+15*y*z^4+3*z^5-24*x^3-60*x^2*y-24*x^2*z"
+    "-42*x*y^2-48*x*y*z-6*x*z^2-9*y^3-18*y^2*z-9*y*z^2+6*x^2+15*x*y"
+    "+3*x*z+6*y^2+6*y*z-y,-192*x^5-480*x^4*y-480*x^4*z-480*x^3*y^2"
+    "-960*x^3*y*z-480*x^3*z^2-240*x^2*y^3-720*x^2*y^2*z-720*x^2*y*z^2"
+    "-240*x^2*z^3-60*x*y^4-240*x*y^3*z-360*x*y^2*z^2-240*x*y*z^3"
+    "-60*x*z^4-6*y^5-30*y^4*z-60*y^3*z^2-60*y^2*z^3-30*y*z^4-6*z^5"
+    "+48*x^3+120*x^2*y+48*x^2*z+84*x*y^2+96*x*y*z+12*x*z^2+18*y^3"
+    "+36*y^2*z+18*y*z^2-12*x^2-30*x*y-6*x*z-12*y^2-12*y*z-2*x-y)":
+        (False, ("5_1 -",)),
+    "(x+y,y,z^5+x*z+y*z^2)": (False, ("5_1 -",)),
+    "{(x+y,y,z^2);(x+y,y,z^2+y^2+x^3)}": (False, ("A1A1 h=A2",)),
+    "{(x^3+y*x+z^2*x,y,z);(x,y,z^2)}": (False, ("A1A2-a k=1",
+                                                "A1A2-b k=1")),
+    "(x,y,z^5+x^2*z+y*z^2)": (False, ()),
+    # the plane cusp has the type, multiplicity and codimension of 3_mu at
+    # P = A0, but not its dimensions
+    "(x, y^3+x*y)": (False, ()),
+    # A1A3 at k = 2 with the first target component moved by the second:
+    # A2A2-b shares its multiplicity and codimension, not its type
+    "{(x^4+y*x+z*x^2+y,y,z);(x+y^2+z^2,y^2+z^2,z)}": (False, (
+        "A1A3 k=2", "4_1^kA1 k=2")),
+}
+
+
+def _answer(result: atlas.LookupResult) -> tuple[bool, tuple[str, ...]]:
+    return result.exact, tuple(f"{name} {atlas._params_text(display)}"
+                               for name, display in result.matches)
+
+
+def test_lookup_answers_are_the_recorded_ones():
+    rows = []
+    for entry in atlas.entries():
+        for params in atlas._parameter_sweep(entry, 4):
+            display, _ = atlas._normalize_params(entry, params)
+            rows.append((f"{entry.name} {atlas._params_text(display)}",
+                         atlas.instantiate(entry.name, params)))
+    assert len(rows) == 79
+    for label, f in rows:
+        group = next((g for g in SHARED_ROWS if label in g), (label,))
+        assert _answer(atlas.lookup(f)) == (True, group), label
+    for text, answer in PINNED_LOOKUPS.items():
+        assert _answer(atlas.lookup(P(text))) == answer, text

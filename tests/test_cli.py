@@ -604,6 +604,32 @@ class TestRun:
         assert captured.out == ""
         assert "did not stabilize by degree 8" in captured.err
 
+    @pytest.mark.parametrize("germ, name, params", [
+        ("(x, y, y^2*z^2+z^4+x*z)", "4_1^k", {"k": 2}),
+        ("(x, y, x^2*z+y^2*z+z^3)", "3_mu", {"P": ["A", 1]}),
+        ("(x, y, y^3*z+x^2*z+z^3)", "3_mu", {"P": ["A", 2]}),
+        ("(x, y, y^3*z^2+z^4+x*z)", "4_1^k", {"k": 3}),
+        ("(x, y, z^4+x^2*z+x*z^2+y^2*z)", "4_2^k", {"k": 2}),
+    ])
+    def test_a_literal_catalog_germ_is_matched_at_a_small_cap(
+            self, germ, name, params, capsys):
+        # the germ's own invariants are certified by degree 3; those of
+        # other catalog rows with its codimension are not, and a literal
+        # match reads none of them
+        code = cli.run(["gate", "--germ", germ, "--max-degree", "3",
+                        "--json"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["verdict"]["kind"], out["verdict"]["rule"]) == (
+            "simple", "atlas match")
+        assert out["verdict"]["evidence"]["candidates"] == [[name, params]]
+        code = cli.run(["atlas", "lookup", "--germ", germ, "--max-degree",
+                        "3", "--json"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["exact"] and out["matches"] == [
+            {"name": name, "params": params}]
+
     def test_a_proof_of_infinite_codimension_ends_the_report(self, capsys):
         # (x, y, z^3) is below the multiplicity bound and has one branch,
         # so the atlas lookup is the first gate to compute a codimension;
