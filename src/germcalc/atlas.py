@@ -439,7 +439,7 @@ class LookupResult:
     `exact` means one instantiation matched the germ literally (up to
     branch order and variable reindexing); otherwise `matches` lists every
     row whose invariant tuple (dimensions, branch count, type label,
-    multiplicity, codimension) agrees, which may be ambiguous.
+    codimension) agrees, which may be ambiguous.
     """
 
     matches: tuple[tuple[str, Mapping], ...]
@@ -480,18 +480,19 @@ def lookup(f: MultiGerm,
     The pool is every instantiation with f's codimension and dimensions
     (n, p, r).  The pool members that coincide with the germ up to branch
     order and the order of source variables and target components,
-    compared by their match keys, are returned with exact=True; all of them, since distinct rows can share
-    boundary members.  Equal keys imply equal type labels and
-    multiplicities, so no catalog row's invariants are computed for an
-    exact match, and it is decided at any cap that decides f's own.  Only
-    when none matches are the pool members filtered on the rest of the
-    invariant tuple (type label, multiplicity), with exact=False.  Raises
+    compared by their match keys, are returned with exact=True; all of
+    them, since distinct rows can share boundary members.  Every instance
+    is integral, so a germ with a non-integral coefficient matches none
+    literally and no key is compared.  Equal keys imply equal type labels,
+    so no catalog row's invariants are computed for an exact match, and it
+    is decided at any cap that decides f's own.  Only when none matches
+    are the pool members filtered on the rest of the invariant tuple, the
+    type label (which fixes the multiplicity), with exact=False.  Raises
     NotCorankOneError for corank >= 2 input and propagates stabilization
     failures and proofs of an infinite dimension (ProvedInfiniteError),
     which no catalog row has.
     """
     t_f = germ_mod.recognize_type(f, d_max)
-    m0_f = germ_mod.multiplicity(f, d_max)
     ae_f = tangent.ae_codim(f, d_max).value
     shape = (f.n, f.p, f.r)
     # neither the match key nor an invariant depends on the variable
@@ -505,8 +506,10 @@ def lookup(f: MultiGerm,
             inst = _instance(entry.name, args, False)
             if (inst.n, inst.p, inst.r) == shape:
                 pool.append((entry.name, display, inst))
+    integral = all(c.denominator == 1 for branch in f.branches
+                   for comp in branch.components for _, c in comp.items())
     counts, key, exact = _term_counts(f), None, []
-    for name, display, inst in pool:
+    for name, display, inst in pool if integral else ():
         if _term_counts(inst) != counts:
             continue
         if key is None:
@@ -515,11 +518,8 @@ def lookup(f: MultiGerm,
             exact.append((name, display))
     if exact:
         return LookupResult(matches=tuple(exact), exact=True)
-    matches = []
-    for name, display, inst in pool:
-        if (germ_mod.recognize_type(inst, d_max) == t_f
-                and germ_mod.multiplicity(inst, d_max) == m0_f):
-            matches.append((name, display))
+    matches = [(name, display) for name, display, inst in pool
+               if germ_mod.recognize_type(inst, d_max) == t_f]
     return LookupResult(matches=tuple(matches), exact=False)
 
 

@@ -95,6 +95,13 @@ def normalized_unfolding(total: MultiGerm, s: int) -> Unfolding:
     ones across branches; those become the parameters and the source
     variables are reindexed so they come last, giving the convention form
     Unfolding expects.
+
+    The other source variables keep the order they have in `total`, so
+    the result depends on the variable order of the parse that built it:
+    one text parsed in two variable orders gives two A-equivalent, but not
+    always equal, unfoldings, and the constructions built on them
+    (`sim_aug_concat`, say) differ the same way, which a literal atlas
+    match can tell apart.
     """
     n, p = total.n, total.p
     if not 1 <= s < min(n, p):

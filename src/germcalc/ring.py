@@ -355,9 +355,15 @@ class MonomialTables:
     (v, i) with step[v][i] == k, for every k > 0.  A product x^m * x^a is
     then a shift table composed from the step tables (`shift`), so the row
     builders never touch an exponent tuple in their inner loops.
+
+    The shift tables are kept in `shifts`, so each is composed once for
+    every caller at this (n, top).  That holds at most one table per
+    monomial, each no longer than the monomial list, and only as long as
+    the tables object itself lives: `monomial_tables` keeps 64 of them.
     """
 
-    __slots__ = ("top", "monos", "index", "start", "deg", "step", "parent")
+    __slots__ = ("top", "monos", "index", "start", "deg", "step", "parent",
+                 "shifts")
 
     def __init__(self, nvars: int, top: int):
         monos = monomials_up_to(nvars, top)
@@ -377,6 +383,7 @@ class MonomialTables:
                     parent[k] = (v, i)
         self.top, self.monos, self.index = top, monos, index
         self.start, self.deg, self.step, self.parent = start, deg, step, parent
+        self.shifts: dict[int, list[int]] = {}
 
     def terms(self, poly: Poly) -> list[tuple[int, Coefficient]]:
         """(index, coefficient) of every term of degree <= top; integral
@@ -389,28 +396,28 @@ class MonomialTables:
                 out.append((k, coef.numerator if coef.denominator == 1 else coef))
         return out
 
-    def shift(self, k: int, memo: dict[int, list[int]]) -> list[int]:
-        """Indices of mono_k * mono_i for every i of degree <= top - deg k.
-
-        `memo` keeps the tables already composed for one caller."""
-        got = memo.get(k)
+    def shift(self, k: int) -> list[int]:
+        """Indices of mono_k * mono_i for every i of degree <= top - deg k,
+        composed on the first call and kept in `shifts`; the caller must
+        not change the list."""
+        got = self.shifts.get(k)
         if got is None:
             if k == 0:
                 got = list(range(len(self.monos)))
             else:
                 v, prev = self.parent[k]
                 step, fits = self.step[v], self.start[self.top - self.deg[k] + 1]
-                got = [step[i] for i in self.shift(prev, memo)[:fits]]
-            memo[k] = got
+                got = [step[i] for i in self.shift(prev)[:fits]]
+            self.shifts[k] = got
         return got
 
-    def multiply(self, a: dict[int, Coefficient], terms,
-                 memo: dict[int, list[int]]) -> dict[int, Coefficient]:
+    def multiply(self, a: dict[int, Coefficient],
+                 terms) -> dict[int, Coefficient]:
         """The product, truncated at top, of a polynomial {index:
         coefficient} with the (index, coefficient) terms of another."""
         out: dict[int, Coefficient] = {}
         for k, c in terms:
-            shift = self.shift(k, memo)
+            shift = self.shift(k)
             fits = len(shift)
             for i, v in a.items():
                 if i < fits:
@@ -445,8 +452,7 @@ class Multiples:
         # |a| -> (number of terms in its rows, the rows or the columns)
         self.slabs: dict[int, tuple[int, list]] = {}
 
-    def grow(self, tables: MonomialTables, terms,
-             memo: dict[int, list[int]]) -> None:
+    def grow(self, tables: MonomialTables, terms) -> None:
         """Bring the rows up to the top degree of `tables`, which is not
         below the last one.
 
@@ -455,7 +461,7 @@ class Multiples:
         monomial index to the column id of that term's component.  Distinct
         terms must land in distinct columns, as they do for the terms of one
         polynomial or of distinct components, so every row is filled
-        directly.  `memo` holds shift tables at this top."""
+        directly."""
         top, start, deg = tables.top, tables.start, tables.deg
         products = self.products
         products.extend(sorted(((deg[k], c, k, colmap)
@@ -466,7 +472,7 @@ class Multiples:
             return
         degrees = [t[0] for t in products]
         # the column of each term's product with every x^a that fits
-        columns = [[colmap[i] for i in tables.shift(k, memo)]
+        columns = [[colmap[i] for i in tables.shift(k)]
                    for _, _, k, colmap in products]
         slabs = self.slabs
         for e in range(self.low, top - degrees[0] + 1):
@@ -560,13 +566,16 @@ def eliminate_graded(widths: Sequence[int],
     """
     (rows, killed), *later = phases
     # singleton presolve: strip every column killed so far, and let a row
-    # left with one entry kill its column; sweep until a sweep kills nothing
+    # left with one entry kill its column; sweep until a sweep kills nothing.
+    # A row wholly inside the killed columns is dropped without a copy.
     grew = True
     while grew:
         grew = False
         kept = []
         for r in rows:
             if not killed.isdisjoint(r):
+                if killed.issuperset(r):
+                    continue
                 r = {c: v for c, v in r.items() if c not in killed}
             if len(r) == 1:
                 killed.update(r)
@@ -579,8 +588,9 @@ def eliminate_graded(widths: Sequence[int],
     for row in rows:
         span.insert(row)
     ends = list(itertools.accumulate(widths))
-    free = sorted(-c for c in set(range(0, -ends[-1], -1)).difference(
-        killed, span.pivots))
+    pivots = span.pivots  # a live view: later phases read their pivots too
+    free = [-c for c in range(0, -ends[-1], -1)
+            if c not in killed and c not in pivots]
     out = [([bisect_left(free, end) for end in ends], free)]
     for rows, units in later:
         rows = [{c: v for c, v in r.items() if c not in killed} for r in rows]
@@ -589,7 +599,6 @@ def eliminate_graded(widths: Sequence[int],
         rows.sort(key=lambda r: (len(r), max(r)))
         for row in rows:
             span.insert(row)
-        pivots = span.pivots
         free = [i for i in free if -i not in pivots]
         out.append(([bisect_left(free, end) for end in ends], free))
     return out
@@ -656,11 +665,9 @@ def _graded_ideal(generators: Sequence[Poly], nvars: int,
     colmap = list(range(0, -len(tables.monos), -1))
     rows: list[dict] = []
     killed: set[int] = set()
-    memo: dict[int, list[int]] = {}
     for g in generators:
         multiples = Multiples(0)
-        multiples.grow(tables, [(k, c, colmap) for k, c in tables.terms(g)],
-                       memo)
+        multiples.grow(tables, [(k, c, colmap) for k, c in tables.terms(g)])
         multiples.collect(rows, killed)
     start = tables.start
     (values, free), = eliminate_graded(

@@ -87,16 +87,18 @@ in a local order, and reads the value at every d <= D from the pivots
 (see `ring.eliminate_graded`); that one elimination serves both variants
 (below).  One search keeps its derivative and certificate rows and grows
 them from one candidate's top degree to the next (`_SearchRows`): after
-a failed candidate, they gain only their
-entries of the new degrees and the new multiples add rows, and the
-certificate rows of the old candidate that lie inside the new one's
-range are dropped.  The target rows are built afresh for each
-elimination, read off the products (y^beta o f_b) * g, which are built
-in full at its top (`_compositions`) and freed before it runs.  The rows
-come from the monomial index tables of `ring`: a slot's column id is
-computed from (degree, branch, kept component, monomial) and does not
-depend on D, a derivative row x^a * df_b/dx_j is one shift table per
-term of the partial, and the products, for g = 1 and for each partial a
+a failed candidate, they gain only their entries of the new degrees and
+the new multiples add rows, and the certificate rows of the old
+candidate that lie inside the new one's range are dropped.  The target
+rows are built afresh for each elimination, read off the products
+(y^beta o f_b) * g, which are built in full at its top (`_compositions`)
+and freed before it runs.  The rows come from the monomial index tables
+of `ring`: a slot's column id is computed from (degree, branch, kept
+component, monomial) and does not depend on D, and a derivative row
+x^a * df_b/dx_j is one shift table per term of the partial.  Each shift
+table is composed once and kept on its monomial tables
+(`ring.MonomialTables.shift`), so every search at the same n and top
+reads the same ones.  The products, for g = 1 and for each partial a
 substituted target row needs, follow one recursion over beta, indexed
 by beta and by source monomial.  Rows with a single entry reach the
 elimination as killed columns.  The quotient basis is returned as the
@@ -273,8 +275,7 @@ class _Branch:
                     if steps[k] is None:
                         steps[k] = (v, i)
 
-    def factors(self, tables: MonomialTables,
-                memo: dict[int, list[int]]) -> list:
+    def factors(self, tables: MonomialTables) -> list:
         """The terms of each f_{b,v} up to the top of `tables`, and for a
         one-term c x^k, which the products apply inline to save a call per
         beta, its shift table, c and the monomials the table covers."""
@@ -284,15 +285,14 @@ class _Branch:
             one = None
             if len(terms) == 1:
                 (k, c), = terms
-                shift = tables.shift(k, memo)
+                shift = tables.shift(k)
                 one = (shift, c, len(shift))
             factors.append((terms, one))
         return factors
 
 
 def _compositions(g: Poly, factor: int, steps: list, factors: list,
-                  tables: MonomialTables, count: int,
-                  memo: dict[int, list[int]]) -> list[dict]:
+                  tables: MonomialTables, count: int) -> list[dict]:
     """The products factor * (y^beta o f_b) * g up to the top of `tables`,
     as {source monomial index: coefficient}, for the first `count` betas,
     built along the recursion `steps` of branch b with its `factors`
@@ -301,11 +301,15 @@ def _compositions(g: Poly, factor: int, steps: list, factors: list,
     for v, prev in steps[1:count]:
         terms, one = factors[v]
         if one is None:
-            table.append(tables.multiply(table[prev], terms, memo))
+            table.append(tables.multiply(table[prev], terms))
         else:
             shift, c, fits = one
-            table.append({shift[i]: x * c for i, x in table[prev].items()
-                          if i < fits})
+            if c == 1:  # most coordinates: a copy costs less than a product
+                table.append({shift[i]: x for i, x in table[prev].items()
+                              if i < fits})
+            else:
+                table.append({shift[i]: x * c for i, x in table[prev].items()
+                              if i < fits})
     return table
 
 
@@ -341,7 +345,8 @@ class _SearchRows:
     over beta of each branch grow too.  The products (y^beta o f_b) * g
     that the target rows are read off are built in full at each
     elimination (`_compositions`) and die with the rows' other sources
-    before it runs."""
+    before it runs; the shift tables they are built with stay on the
+    monomial tables."""
 
     def __init__(self, f: MultiGerm):
         self.f = f
@@ -422,9 +427,10 @@ class _SearchRows:
         The first phase holds the rows of the non-extended variant, the
         second the derivative rows of |a| = 0 and the target rows of
         beta = 0.  The target rows are read off products built here; the
-        products, shift tables and moved column maps die on return, before
-        the elimination runs."""
-        f, memo = self.f, {}
+        products and moved column maps die on return, before the
+        elimination runs, and the shift tables stay on `tables` for the
+        next call at this top."""
+        f = self.f
         tables = monomial_tables(f.n, top)
         start, deg = tables.start, tables.deg
         # the id of mono_k in the q-th kept component is offset[d] - k
@@ -443,14 +449,14 @@ class _SearchRows:
         extra_killed: set[int] = set()
         for spec, multiples in self.derivatives:
             terms = [(k, c, cm) for g, cm in spec for k, c in tables.terms(g)]
-            multiples.grow(tables, terms, memo)
+            multiples.grow(tables, terms)
             # the partial itself, the row of a = 0; distinct terms land in
             # distinct columns (see `Multiples.grow`)
             _hand_over({cm[k]: c for k, c, cm in terms}, extra, extra_killed)
         for comp, cm, multiples in self.certificates:
             multiples.drop(certify + 1)
             multiples.grow(tables, [(k, c, cm)
-                                    for k, c in tables.terms(comp)], memo)
+                                    for k, c in tables.terms(comp)])
 
         # with a candidate degree k the target rows stop at |beta| = k + 1
         # (see the module docstring)
@@ -459,9 +465,9 @@ class _SearchRows:
         factors = []
         for branch in self.branches:
             branch.grow(betas)
-            factors.append(branch.factors(tables, memo))
+            factors.append(branch.factors(tables))
         products = [_compositions(g, factor, self.branches[b].steps,
-                                  factors[b], tables, count, memo)
+                                  factors[b], tables, count)
                     for g, factor, b in self.families]
 
         for _, multiples in self.derivatives:
@@ -474,7 +480,7 @@ class _SearchRows:
                     k = tables.index.get(mono)
                     if k is None:  # the term of g lies above top
                         continue
-                    cm = [cm[i] for i in tables.shift(k, memo)]
+                    cm = [cm[i] for i in tables.shift(k)]
                 read.append((products[family], cm, s, len(cm)))
             _hand_over({cm[i]: s * c for table, cm, s, fits in read
                         for i, c in table[0].items() if i < fits},

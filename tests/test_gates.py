@@ -8,6 +8,7 @@ import pytest
 
 from germcalc import gates, syntax, tangent
 from germcalc.errors import NotStabilizedError
+from germcalc.germ import Branch, MultiGerm
 from germcalc.gates import (FLAG_AUG_SIMPLE, FLAG_DZ, FLAG_PRIMITIVITY,
                             FLAG_TRANSVERSALITY, NOT_SIMPLE, SIMPLE, UNKNOWN,
                             PARTNER_CUSPIDAL_EDGE, PARTNER_TWO_IMMERSIONS,
@@ -207,6 +208,19 @@ class TestSimplicityReport:
         assert rep.verdict.rule == "atlas match"
         names = [name for name, _ in rep.verdict.evidence["candidates"]]
         assert names == ["A1A1"]
+
+    def test_non_integral_germ_reaches_the_atlas_fallback(self):
+        # the match key is rendered in the integral surface syntax, and no
+        # catalog instance, all of them integral, equals a germ with a
+        # coefficient 1/2 literally: the lookup compares no key and falls
+        # back to the invariants
+        x, y, z = (Poly.variable(3, i) for i in range(3))
+        f = MultiGerm((Branch((x, y, z**4 + y * z**2
+                               + Fraction(1, 2) * x * z)),))
+        rep = simplicity_report(f)
+        assert rep.verdict.kind == UNKNOWN
+        assert dict(rep.trace)["atlas"].evidence["candidates"] == (
+            ("4_1^k", {"k": 1}),)
 
     def test_nishimura_not_simple(self):
         rep = simplicity_report(A2A3)

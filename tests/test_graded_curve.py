@@ -481,6 +481,21 @@ def test_presolve_cascade():
     assert plain_graded(widths, rows, {b}) == expected
 
 
+def test_presolve_drops_rows_inside_the_killed_columns():
+    # with b killed, the rows {b: 7} and {c: 2, b: 5} lie wholly in the
+    # killed columns: the first at once, the second once {b: 3, c: -2},
+    # stripped to {c}, has killed c earlier in the same sweep.  Only
+    # {d, e} and {a, e} reach the echelon, which pivots on d and a.
+    # Positions a..e carry the ids 0..-4 and have degrees 0, 1, 1, 2, 2.
+    widths = [1, 2, 2]
+    a, b, c, d, e = 0, -1, -2, -3, -4
+    rows = [{b: 7}, {b: 3, c: -2}, {c: 2, b: 5}, {d: 1, e: 4}, {a: 1, e: -1}]
+    expected = ([0, 0, 1], [4])
+    assert eliminate_graded(widths, ([dict(r) for r in rows], {b})) == \
+        [expected]
+    assert plain_graded(widths, rows, {b}) == expected
+
+
 def test_ideal_curves_match_per_degree_reference():
     x, y, z = V(3, 0), V(3, 1), V(3, 2)
     s, t = V(2, 0), V(2, 1)

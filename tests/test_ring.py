@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from germcalc.errors import NotStabilizedError
 from germcalc.germ import Branch, MultiGerm
-from germcalc.ring import (Poly, _graded_ideal, is_quasi_homogeneous, milnor,
+from germcalc.ring import (MonomialTables, Poly, _graded_ideal,
+                           is_quasi_homogeneous, milnor, monomial_mul,
                            monomials_up_to, quotient_curve, quotient_dim,
                            substitute, tjurina)
 from germcalc.tangent import ae_codim
@@ -256,3 +257,19 @@ def test_ideal_quotient_cap_bounds_the_candidate_degree():
 def test_monomials_up_to_counts():
     assert len(monomials_up_to(3, 4)) == 35  # C(7, 3)
     assert monomials_up_to(2, 1) == ((0, 0), (0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("nvars,top", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_shift_tables_index_the_products(nvars, top):
+    # shift(k)[i] is the index of mono_k * mono_i for every mono_i of degree
+    # <= top - deg k, and the table is composed once: every later call
+    # hands back the same list
+    tables = MonomialTables(nvars, top)
+    monos, start, deg = tables.monos, tables.start, tables.deg
+    for k in reversed(range(len(monos))):  # the longest chains first
+        shift = tables.shift(k)
+        assert len(shift) == start[top - deg[k] + 1]
+        assert [monos[j] for j in shift] == [
+            monomial_mul(monos[k], monos[i]) for i in range(len(shift))]
+        assert tables.shift(k) is shift
+    assert len(tables.shifts) == len(monos)
