@@ -393,12 +393,22 @@ def _params_text(params: Mapping) -> str:
 
 def verify(name: str, params: Mapping | None = None,
            d_max: int = D_MAX) -> VerifyRow:
-    """Recompute the codimension of one instantiation and compare."""
-    _, display, _ = _resolve(name, params)
+    """Recompute the codimension of one instantiation and compare.
+
+    The row is parsed in its order of first appearance, without the search
+    for the canonical variable order that `instantiate` runs.  That is
+    exact: a permutation of the source or target variables is a linear
+    change of coordinates, which changes no truncated value, so neither
+    the value, the certified degree, c (from the branch multiplicities)
+    nor the values of a failed search, which are all `VerifyRow` reports,
+    depend on the order.  (Whether a proof that the codimension is
+    infinite is found can depend on the coordinates, but no catalog row
+    has one: each has finite codimension.)"""
+    _, display, args = _resolve(name, params)
     expected = expected_codim(name, params)
     start = time.perf_counter()
     try:
-        result = tangent.ae_codim(instantiate(name, params), d_max)
+        result = tangent.ae_codim(_instance(name, args, False), d_max)
     except NotStabilizedError as exc:
         return VerifyRow(name=name, seconds=time.perf_counter() - start,
                          params_text=_params_text(display), computed=None,

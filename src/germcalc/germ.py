@@ -18,7 +18,9 @@ a germ's orbit under linear changes of coordinates that the codimension
 engine eliminates on, and the weight fit that makes a whole multigerm
 weighted homogeneous (`weights`).
 The branch multiplicities are cached by the values (branch, d_max), a
-failed search remembered like a value (`errors.remember_failures`).
+failed search remembered like a value (`errors.remember_failures`), and
+the corank by the branch: the gates and the CLI ask for it many times
+per germ.
 When n <= p, a branch whose search reaches its last candidate is first
 tested for a line through 0 on which it vanishes; such a branch is not
 finite, so its multiplicity is proved infinite (`ProvedInfiniteError`)
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from . import ring
 from .errors import (NotCorankOneError, NotStableTypeError,
@@ -124,6 +126,7 @@ class AType:
         return "A_{" + ",".join(str(k) for k in self.ks) + "}"
 
 
+@lru_cache(maxsize=1024)
 def corank(branch: Branch) -> int:
     """min(n, p) minus the rank of the linear part at the origin."""
     return min(branch.n, branch.p) - matrix_rank(branch.jacobian_at_origin())

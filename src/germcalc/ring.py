@@ -41,6 +41,7 @@ thin wrappers around it.
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -356,14 +357,20 @@ class MonomialTables:
     then a shift table composed from the step tables (`shift`), so the row
     builders never touch an exponent tuple in their inner loops.
 
-    The shift tables are kept in `shifts`, so each is composed once for
-    every caller at this (n, top).  That holds at most one table per
-    monomial, each no longer than the monomial list, and only as long as
-    the tables object itself lives: `monomial_tables` keeps 64 of them.
+    Three kinds of table are built on the first call and kept, so each
+    is built once for every caller at this (n, top): the shift table of a
+    monomial (`shift`, in `shifts`), the column ids of one block of a
+    blocked column numbering (`columns`, in `blocks`), and a recursion
+    over the monomials for one variable order (`recursion`, in
+    `recursions`).  Each is no longer than the monomial list, and there
+    is at most one per monomial, per block (K, q) and per order of the n
+    variables; the column ids and recursions are kept as arrays of
+    machine ints.  They live only as long as the tables object itself:
+    `monomial_tables` keeps 64 of them.
     """
 
     __slots__ = ("top", "monos", "index", "start", "deg", "step", "parent",
-                 "shifts")
+                 "shifts", "blocks", "recursions")
 
     def __init__(self, nvars: int, top: int):
         monos = monomials_up_to(nvars, top)
@@ -384,6 +391,8 @@ class MonomialTables:
         self.top, self.monos, self.index = top, monos, index
         self.start, self.deg, self.step, self.parent = start, deg, step, parent
         self.shifts: dict[int, list[int]] = {}
+        self.blocks: dict[tuple[int, int], array] = {}
+        self.recursions: dict[tuple[int, ...], tuple[array, array]] = {}
 
     def terms(self, poly: Poly) -> list[tuple[int, Coefficient]]:
         """(index, coefficient) of every term of degree <= top; integral
@@ -409,6 +418,38 @@ class MonomialTables:
                 step, fits = self.step[v], self.start[self.top - self.deg[k] + 1]
                 got = [step[i] for i in self.shift(prev)[:fits]]
             self.shifts[k] = got
+        return got
+
+    def columns(self, kept: int, q: int) -> array:
+        """The column id of mono_i in the q-th of `kept` blocks, for every
+        i: position K start[d] + q width_d + i - start[d] of the degree-d
+        blocks (d = deg i, width_d monomials of degree d, K = kept) carries
+        the id -position (see `eliminate_graded`).  No id depends on top,
+        so the ids at a lower top are a prefix.  Built on the first call
+        and kept in `blocks`."""
+        got = self.blocks.get((kept, q))
+        if got is None:
+            start = self.start
+            offset = [-(kept - 1) * start[d] - q * (start[d + 1] - start[d])
+                      for d in range(self.top + 1)]
+            got = array("l", [offset[d] - i for i, d in enumerate(self.deg)])
+            self.blocks[kept, q] = got
+        return got
+
+    def recursion(self, order: tuple[int, ...]) -> tuple[array, array]:
+        """For every monomial mono_k with k > 0, the first variable v of
+        `order` that divides it and the index of mono_k / x_v: entry k of
+        the two arrays (entry 0 is unused).  Built on the first call and
+        kept in `recursions`."""
+        got = self.recursions.get(order)
+        if got is None:
+            size, below = len(self.monos), self.start[self.top]
+            var, prev = array("b", [-1]) * size, array("l", [0]) * size
+            for v in order:
+                for i, k in enumerate(self.step[v][:below]):
+                    if var[k] < 0:
+                        var[k], prev[k] = v, i
+            got = self.recursions[order] = (var, prev)
         return got
 
     def multiply(self, a: dict[int, Coefficient],
@@ -471,9 +512,7 @@ class Multiples:
         if not products:
             return
         degrees = [t[0] for t in products]
-        # the column of each term's product with every x^a that fits
-        columns = [[colmap[i] for i in tables.shift(k)]
-                   for _, _, k, colmap in products]
+        shift = tables.shift
         slabs = self.slabs
         for e in range(self.low, top - degrees[0] + 1):
             active = bisect_right(degrees, top - e)
@@ -481,16 +520,19 @@ class Multiples:
             if active == had:
                 continue
             lo, hi = start[e], start[e + 1]
+            # the columns of the slab's x^a times each term new to it
+            new = products[had if had > 1 else 0:active]
+            columns = [[colmap[i] for i in shift(k)[lo:hi]]
+                       for _, _, k, colmap in new]
             if active == 1:
-                rows = columns[0][lo:hi]
+                rows = columns[0]
             elif had < 2:
-                coefs = [t[1] for t in products[:active]]
-                rows = [dict(zip(ids, coefs)) for ids in
-                        zip(*(cols[lo:hi] for cols in columns[:active]))]
+                coefs = [t[1] for t in new]
+                rows = [dict(zip(ids, coefs)) for ids in zip(*columns)]
             else:
-                for t, cols in zip(products[had:active], columns[had:active]):
+                for t, cols in zip(new, columns):
                     c = t[1]
-                    for row, col in zip(rows, cols[lo:hi]):
+                    for row, col in zip(rows, cols):
                         row[col] = c
             slabs[e] = (active, rows)
 

@@ -93,14 +93,16 @@ candidate that lie inside the new one's range are dropped.  The target
 rows are built afresh for each elimination, read off the products
 (y^beta o f_b) * g, which are built in full at its top (`_compositions`)
 and freed before it runs.  The rows come from the monomial index tables
-of `ring`: a slot's column id is computed from (degree, branch, kept
-component, monomial) and does not depend on D, and a derivative row
-x^a * df_b/dx_j is one shift table per term of the partial.  Each shift
-table is composed once and kept on its monomial tables
-(`ring.MonomialTables.shift`), so every search at the same n and top
-reads the same ones.  The products, for g = 1 and for each partial a
-substituted target row needs, follow one recursion over beta, indexed
-by beta and by source monomial.  Rows with a single entry reach the
+of `ring`: a slot's column id depends on (degree, branch, kept
+component, monomial) and not on D, and is read off the column ids of its
+kept component's block (`ring.MonomialTables.columns`); a derivative row
+x^a * df_b/dx_j is one shift table per term of the partial
+(`ring.MonomialTables.shift`).  The products, for g = 1 and for each
+partial a substituted target row needs, follow one recursion over beta,
+indexed by beta and by source monomial, which is a table of the betas
+(`ring.MonomialTables.recursion`).  Each of these tables is built once
+and kept on its monomial tables, so every search at the same n (or p)
+and top reads the same ones.  Rows with a single entry reach the
 elimination as killed columns.  The quotient basis is returned as the
 free slots of the certified elimination, the standard monomials of the
 local order: the unit section at a slot places one source monomial in
@@ -243,37 +245,22 @@ def _coordinates(branch: Branch) -> dict[int, tuple[int, Fraction]]:
 
 class _Branch:
     """The recursion over beta shared by the products of one branch b:
-    the product of beta is that of beta / y_v times f_{b,v}, for the v in
-    beta with the fewest terms in f_b (for a coordinate, one shift).  The
-    recursion grows with the betas of a search; the factors f_{b,v} at
-    one top are handed out by `factors` and not kept."""
+    the product of beta is that of beta / y_v times f_{b,v}, for the first
+    v in `order` that beta contains, the components with the fewest terms
+    in f_b first (for a coordinate, one shift).  The recursion itself is
+    a table of the betas (`ring.MonomialTables.recursion`), kept there
+    for every search with the same order; the factors f_{b,v} at one top
+    are handed out by `factors` and not kept."""
 
-    __slots__ = ("components", "order", "steps")
+    __slots__ = ("components", "order")
 
-    def __init__(self, branch: Branch, recursions: dict):
+    def __init__(self, branch: Branch):
         self.components = branch.components
         # a zero component is taken off with the one-term ones: its
         # products are empty whatever the order
         self.order = tuple(sorted(
             range(len(branch.components)),
             key=lambda v: max(len(branch.components[v].items()), 1)))
-        # steps[beta] = (v, index of beta / y_v), None for beta = 1, shared
-        # by the branches of the search with the same order
-        self.steps: list = recursions.setdefault(self.order, [])
-
-    def grow(self, betas: MonomialTables) -> None:
-        """Take the recursion to every beta of `betas`."""
-        steps, known = self.steps, len(self.steps)
-        if known < len(betas.monos):
-            steps.extend([None] * (len(betas.monos) - known))
-            # beta / y_v of a new beta has at least the degree of the last
-            # known betas
-            first = betas.start[betas.deg[known - 1]] if known else 0
-            below = betas.start[betas.top]
-            for v in self.order:
-                for i, k in enumerate(betas.step[v][first:below], first):
-                    if steps[k] is None:
-                        steps[k] = (v, i)
 
     def factors(self, tables: MonomialTables) -> list:
         """The terms of each f_{b,v} up to the top of `tables`, and for a
@@ -291,14 +278,15 @@ class _Branch:
         return factors
 
 
-def _compositions(g: Poly, factor: int, steps: list, factors: list,
-                  tables: MonomialTables, count: int) -> list[dict]:
+def _compositions(g: Poly, factor: int, recursion: tuple, factors: list,
+                  tables: MonomialTables) -> list[dict]:
     """The products factor * (y^beta o f_b) * g up to the top of `tables`,
-    as {source monomial index: coefficient}, for the first `count` betas,
-    built along the recursion `steps` of branch b with its `factors`
-    (`_Branch`)."""
+    as {source monomial index: coefficient}, for every beta of the
+    `recursion` of branch b (`ring.MonomialTables.recursion`), built with
+    its `factors` (`_Branch`)."""
     table = [{k: factor * c for k, c in tables.terms(g)}]
-    for v, prev in steps[1:count]:
+    var, prevs = recursion
+    for v, prev in zip(var[1:], prevs[1:]):
         terms, one = factors[v]
         if one is None:
             table.append(tables.multiply(table[prev], terms))
@@ -329,24 +317,26 @@ class _SearchRows:
 
     Every row lies in the reduced module of the extended variant, keyed by
     column id, where the slot of mono_k in the q-th kept component (in
-    (branch, component) order, K of them) sits at position
-    K start[d] + q width_d + k - start[d] of the degree-d block (d = deg k,
-    width_d monomials of degree d), and carries the id -position
-    (`eliminate_graded`); no position depends on the top degree.  The
-    rows of the non-extended variant are the rows of the extended one
-    without the derivative rows of |a| = 0 and the target rows of beta = 0,
-    and none of them has an entry of degree 0; so one elimination serves
-    both, the non-extended rows in its first phase and those two families
-    in its second.  Raising the top from T to T' adds to each derivative
-    row its entries of degree T+1..T', adds the rows of the new multiples,
-    and turns a one-entry row whose other terms lay above T into a full
-    row again (`ring.Multiples`).  Moving the candidate from k to k' drops
-    the certificate rows of |a| <= k'.  The column maps and the recursion
-    over beta of each branch grow too.  The products (y^beta o f_b) * g
+    (branch, component) order, K of them) carries the id
+    `ring.MonomialTables.columns(K, q)[k]`: the positions ascend by
+    degree, then by kept component, then by monomial, and no id depends
+    on the top degree.  The rows of the non-extended variant are the rows
+    of the extended one without the derivative rows of |a| = 0 and the
+    target rows of beta = 0, and none of them has an entry of degree 0;
+    so one elimination serves both, the non-extended rows in its first
+    phase and those two families in its second.  Raising the top from T
+    to T' adds to each derivative row its entries of degree T+1..T', adds
+    the rows of the new multiples, and turns a one-entry row whose other
+    terms lay above T into a full row again (`ring.Multiples`).  Moving
+    the candidate from k to k' drops the certificate rows of |a| <= k'.
+    The column maps grow too, each by
+    the new part of its block's column ids on the monomial tables
+    (`ring.MonomialTables.columns`).  The products (y^beta o f_b) * g
     that the target rows are read off are built in full at each
     elimination (`_compositions`) and die with the rows' other sources
-    before it runs; the shift tables they are built with stay on the
-    monomial tables."""
+    before it runs; the shift tables they are built with, and the
+    recursion over beta of each branch (`ring.MonomialTables.recursion`,
+    on the tables of the betas), stay on the monomial tables."""
 
     def __init__(self, f: MultiGerm):
         self.f = f
@@ -357,7 +347,6 @@ class _SearchRows:
         self.colmaps: list[dict[int, list[int]]] = [{} for _ in f.branches]
         for b, l in self.blocks:
             self.colmaps[b][l] = []
-        self.known = 0  # the monomials the column maps cover
 
         # derivative rows x^a * df_b/dx_j for the variables j that are no
         # coordinate of branch b, over its kept components; the multiples
@@ -383,9 +372,7 @@ class _SearchRows:
         scale = [lcm(*(abs(coords[l][1].numerator)
                        for coords in self.coordinates if l in coords))
                  for l in range(f.p)]
-        recursions: dict = {}
-        self.branches = [_Branch(branch, recursions)
-                         for branch in f.branches]
+        self.branches = [_Branch(branch) for branch in f.branches]
         # families: the (g, factor, branch) of each set of products
         self.families: list[tuple[Poly, int, int]] = []
         # parts[l]: (family, column map, scale, and for a one-term g of
@@ -428,20 +415,14 @@ class _SearchRows:
         second the derivative rows of |a| = 0 and the target rows of
         beta = 0.  The target rows are read off products built here; the
         products and moved column maps die on return, before the
-        elimination runs, and the shift tables stay on `tables` for the
-        next call at this top."""
+        elimination runs, and the shift tables, column ids and recursions
+        stay on the monomial tables for the next call at this top."""
         f = self.f
         tables = monomial_tables(f.n, top)
-        start, deg = tables.start, tables.deg
-        # the id of mono_k in the q-th kept component is offset[d] - k
-        known = self.known
         kept = len(self.blocks)
         for q, (b, l) in enumerate(self.blocks):
-            offset = [-(kept - 1) * start[d] - q * (start[d + 1] - start[d])
-                      for d in range(top + 1)]
-            self.colmaps[b][l].extend([offset[d] - k for k, d in
-                                       enumerate(deg[known:], known)])
-        self.known = len(deg)
+            cm = self.colmaps[b][l]
+            cm.extend(tables.columns(kept, q)[len(cm):])
 
         rows: list[dict] = []
         killed: set[int] = set()
@@ -462,12 +443,11 @@ class _SearchRows:
         # (see the module docstring)
         betas = monomial_tables(f.p, min(top, certify + 1))
         count = len(betas.monos)
-        factors = []
-        for branch in self.branches:
-            branch.grow(betas)
-            factors.append(branch.factors(tables))
-        products = [_compositions(g, factor, self.branches[b].steps,
-                                  factors[b], tables, count)
+        recursions = [betas.recursion(branch.order)
+                      for branch in self.branches]
+        factors = [branch.factors(tables) for branch in self.branches]
+        products = [_compositions(g, factor, recursions[b], factors[b],
+                                  tables)
                     for g, factor, b in self.families]
 
         for _, multiples in self.derivatives:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from germcalc import atlas, syntax
+from germcalc.errors import NotStabilizedError
 from germcalc.germ import AType, multiplicity, recognize_type
-from germcalc.ring import Poly
+from germcalc.ring import D_MAX, Poly
 from germcalc.tangent import ae_codim
 
 P = syntax.parse_multigerm
@@ -116,6 +117,24 @@ class TestVerify:
         assert row.match is False and row.computed is None
         assert "stabilize" in row.note
 
+    @pytest.mark.parametrize("d_max", [D_MAX, 5])
+    def test_plain_parse_reports_what_the_canonical_one_does(self, d_max):
+        # verify parses each row without the canonical variable order; at
+        # d_max 5 two rows fail, so the notes of failed searches compare too
+        for entry in atlas.entries():
+            for params in atlas._parameter_sweep(entry, 4):
+                row = atlas.verify(entry.name, params, d_max)
+                try:
+                    result = ae_codim(atlas.instantiate(entry.name, params),
+                                      d_max)
+                except NotStabilizedError as exc:
+                    expected = (None, None, None, f"did not stabilize: {exc}")
+                else:
+                    expected = (result.value, result.degree_used, result.c,
+                                "")
+                assert (row.computed, row.degree_used, row.c,
+                        row.note) == expected, (entry.name, params)
+
     def test_verify_all_smallest_scale(self):
         report = atlas.verify_all(1)
         assert report.rows
@@ -161,7 +180,6 @@ class TestStabilizationEnvelope:
     def test_stair_row_fails_honestly_below_its_certified_degree(self):
         # 4_2^8 is certified at degree 15 under the default cap; a cap of 14
         # raises instead of reporting a too-small value
-        from germcalc.errors import NotStabilizedError
         g = atlas.instantiate("4_2^k", {"k": 8})
         result = ae_codim(g)
         assert (result.value, result.degree_used) == (8, 15)

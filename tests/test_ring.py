@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from germcalc.errors import NotStabilizedError
 from germcalc.germ import Branch, MultiGerm
-from germcalc.ring import (MonomialTables, Poly, _graded_ideal,
+from germcalc.ring import (MonomialTables, Multiples, Poly, _graded_ideal,
                            is_quasi_homogeneous, milnor, monomial_mul,
                            monomials_up_to, quotient_curve, quotient_dim,
                            substitute, tjurina)
@@ -273,3 +274,86 @@ def test_shift_tables_index_the_products(nvars, top):
             monomial_mul(monos[k], monos[i]) for i in range(len(shift))]
         assert tables.shift(k) is shift
     assert len(tables.shifts) == len(monos)
+
+
+@pytest.mark.parametrize("nvars,top,kept,q",
+                         [(1, 6, 1, 0), (2, 5, 3, 1), (3, 4, 4, 3),
+                          (3, 6, 2, 0), (3, 6, 5, 2)])
+def test_block_columns_follow_the_position_formula(nvars, top, kept, q):
+    # the id of mono_k in the q-th of K blocks is -(K - 1) start[d]
+    # - q width_d - k, d = deg k; the ids at a lower top are a prefix
+    tables = MonomialTables(nvars, top)
+    start = tables.start
+    offset = [-(kept - 1) * start[d] - q * (start[d + 1] - start[d])
+              for d in range(top + 1)]
+    columns = tables.columns(kept, q)
+    assert list(columns) == [offset[d] - k for k, d in enumerate(tables.deg)]
+    assert tables.columns(kept, q) is columns
+    below = MonomialTables(nvars, top - 1).columns(kept, q)
+    assert list(columns[:len(below)]) == list(below)
+
+
+def _grown_recursion(nvars, order, tops):
+    """The recursion over the monomials for `order`, grown from each top
+    of `tops` to the next: every new monomial takes the first v of order
+    whose step table reaches it from a monomial of the degree below."""
+    steps = []
+    for top in tops:
+        tables = MonomialTables(nvars, top)
+        known = len(steps)
+        steps.extend([None] * (len(tables.monos) - known))
+        first = tables.start[tables.deg[known - 1]] if known else 0
+        below = tables.start[top]
+        for v in order:
+            for i, k in enumerate(tables.step[v][first:below], first):
+                if steps[k] is None:
+                    steps[k] = (v, i)
+        yield tables, steps
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("tops", [range(9), (2, 5, 8)])
+def test_recursion_is_the_grown_recursion(nvars, tops):
+    for order in permutations(range(nvars)):
+        for tables, steps in _grown_recursion(nvars, order, tops):
+            var, prev = tables.recursion(order)
+            assert list(zip(var[1:], prev[1:])) == steps[1:]
+            assert tables.recursion(order) == (var, prev)
+            # the first v of order that the monomial contains
+            for k in range(1, len(tables.monos)):
+                mono = tables.monos[k]
+                v = next(v for v in order if mono[v])
+                assert var[k] == v
+                assert tables.monos[prev[k]] == mono[:v] + (mono[v] - 1,) \
+                    + mono[v + 1:]
+
+
+def test_grown_multiples_are_the_multiples_built_at_the_last_top():
+    x, y, z = (V(3, i) for i in range(3))
+    g = 2 * x * y - z ** 3 + 5 * x ** 2 * y ** 2 + y ** 5
+    colmap = list(range(0, -len(MonomialTables(3, 8).monos), -1))
+
+    def terms(tables):
+        return [(k, c, colmap) for k, c in tables.terms(g)]
+
+    grown = Multiples(0)
+    for top in (3, 5):
+        grown.grow(MonomialTables(3, top), terms(MonomialTables(3, top)))
+    grown.drop(2)
+    tables = MonomialTables(3, 8)
+    grown.grow(tables, terms(tables))
+    fresh = Multiples(2)
+    fresh.grow(tables, terms(tables))
+    assert grown.slabs == fresh.slabs
+
+    # each slab directly: x^a * g truncated at 8, for every |a| = e >= 2
+    expected = {}
+    for e in range(2, 8):
+        fits = [(m, c) for m, c in g.items() if sum(m) <= 8 - e]
+        if not fits:
+            continue
+        rows = [{colmap[tables.index[monomial_mul(a, m)]]: c for m, c in fits}
+                for a in tables.monos[tables.start[e]:tables.start[e + 1]]]
+        expected[e] = (len(fits), [next(iter(r)) for r in rows]
+                       if len(fits) == 1 else rows)
+    assert fresh.slabs == expected
