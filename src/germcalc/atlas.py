@@ -497,11 +497,14 @@ def lookup(f: MultiGerm,
     so no catalog row's invariants are computed for an exact match, and it
     is decided at any cap that decides f's own.  Only when none matches
     are the pool members filtered on the rest of the invariant tuple, the
-    type label (which fixes the multiplicity), with exact=False.  Raises
-    NotCorankOneError for corank >= 2 input and propagates stabilization
-    failures and proofs of an infinite dimension (ProvedInfiniteError),
-    which no catalog row has.
+    type label (which fixes the multiplicity), with exact=False.  Every
+    catalog row has corank <= 1, so a germ with a branch of corank >= 2
+    matches none, and nothing is computed for it.  Propagates
+    stabilization failures and proofs of an infinite dimension
+    (ProvedInfiniteError), which no catalog row has.
     """
+    if germ_mod.germ_corank(f) > 1:
+        return LookupResult(matches=(), exact=False)
     t_f = germ_mod.recognize_type(f, d_max)
     ae_f = tangent.ae_codim(f, d_max).value
     shape = (f.n, f.p, f.r)

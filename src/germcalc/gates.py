@@ -357,10 +357,7 @@ class SimplicityReport:
 
 
 def _atlas_verdict(f: MultiGerm, d_max: int) -> Verdict:
-    try:
-        found = atlas_mod.lookup(f, d_max)
-    except NotCorankOneError:
-        found = atlas_mod.LookupResult(matches=(), exact=False)
+    found = atlas_mod.lookup(f, d_max)
     candidates = tuple((name, dict(params)) for name, params in found.matches)
     if found.exact:
         return Verdict.simple("atlas match", candidates=candidates)

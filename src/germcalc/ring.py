@@ -23,16 +23,17 @@ defaults to `D_MAX`; it is the engines' only setting.  Both engines
 build their rows on monomial index tables (`MonomialTables`): a monomial
 is its position in the graded order, x_v times it is a lookup in a step
 table, and a product with a fixed monomial is a shift table composed from
-the steps, so no row is built by multiplying exponent tuples.  The
-numbering is a prefix of itself at every higher top, so the multiples of
-a generator (`Multiples`) grow with the top degree instead of being
-rebuilt.  Many generator rows are unit vectors or become unit vectors
-once other unit columns are stripped.  A row that is a unit vector as
-built (every multiple x^a * g of a one-term generator g, such as a
-monomial in an ideal or a one-term partial derivative in the tangent
-space) is handed to the elimination as a killed column, never built; the
-elimination peels the rest of those rows (a singleton presolve) and runs
-the echelon on what remains.  The pivot set, hence every value and basis,
+the steps, so no row is built by multiplying exponent tuples.  Each
+elimination builds the multiples of each generator in one pass at its
+top (`multiples`): the rows of one |a| read their columns off one shift
+table per term, and no row is kept for the next elimination.  Many
+generator rows are unit vectors or become unit vectors once other unit
+columns are stripped.  A row that is a unit vector as built (every
+multiple x^a * g of a one-term generator g, such as a monomial in an
+ideal or a one-term partial derivative in the tangent space) is handed
+to the elimination as a killed column, never built; the elimination
+peels the rest of those rows (a singleton presolve) and runs the echelon
+on what remains.  The pivot set, hence every value and basis,
 is the same as without either step, because an echelon basis's lead
 columns are unique.  Milnor and Tjurina numbers of function germs are
 thin wrappers around it.
@@ -472,85 +473,37 @@ def monomial_tables(nvars: int, top: int) -> MonomialTables:
     return MonomialTables(nvars, top)
 
 
-class Multiples:
-    """The rows x^a * g for every |a| >= low of one generator g, truncated
-    at a top degree that can rise (`grow`), and lifted from below as
-    `low` rises (`drop`).
+def multiples(tables: MonomialTables, terms, low: int, rows: list[dict],
+              killed: set[int]) -> None:
+    """Hand the rows x^a * g for every |a| >= low of one generator g,
+    truncated at the top of `tables`, to an elimination: those of two or
+    more entries into `rows`, in the order of |a| and then of a, and the
+    column of each one-entry row into `killed` (see `eliminate_graded`).
 
-    The rows of one |a| = e form a slab: each holds one entry per term of
-    g of degree <= top - e, in the column that term's product with x^a
-    lands in.  A slab of one-entry rows is kept as their columns, never as
-    dicts; it turns into rows once the top lets a second term in.
-    """
-
-    __slots__ = ("low", "top", "products", "slabs")
-
-    def __init__(self, low: int):
-        self.low, self.top = low, -1
-        # (degree, coefficient, monomial index, column map) of each term,
-        # ascending by degree
-        self.products: list[tuple] = []
-        # |a| -> (number of terms in its rows, the rows or the columns)
-        self.slabs: dict[int, tuple[int, list]] = {}
-
-    def grow(self, tables: MonomialTables, terms) -> None:
-        """Bring the rows up to the top degree of `tables`, which is not
-        below the last one.
-
-        `terms` holds the (monomial index, coefficient, column map) triples
-        of every term of g of degree <= top, the column map taking a
-        monomial index to the column id of that term's component.  Distinct
-        terms must land in distinct columns, as they do for the terms of one
-        polynomial or of distinct components, so every row is filled
-        directly."""
-        top, start, deg = tables.top, tables.start, tables.deg
-        products = self.products
-        products.extend(sorted(((deg[k], c, k, colmap)
-                                for k, c, colmap in terms if deg[k] > self.top),
-                               key=lambda t: t[0]))
-        self.top = top
-        if not products:
-            return
-        degrees = [t[0] for t in products]
-        shift = tables.shift
-        slabs = self.slabs
-        for e in range(self.low, top - degrees[0] + 1):
-            active = bisect_right(degrees, top - e)
-            had, rows = slabs.get(e, (0, None))
-            if active == had:
-                continue
-            lo, hi = start[e], start[e + 1]
-            # the columns of the slab's x^a times each term new to it
-            new = products[had if had > 1 else 0:active]
-            columns = [[colmap[i] for i in shift(k)[lo:hi]]
-                       for _, _, k, colmap in new]
-            if active == 1:
-                rows = columns[0]
-            elif had < 2:
-                coefs = [t[1] for t in new]
-                rows = [dict(zip(ids, coefs)) for ids in zip(*columns)]
-            else:
-                for t, cols in zip(new, columns):
-                    c = t[1]
-                    for row, col in zip(rows, cols):
-                        row[col] = c
-            slabs[e] = (active, rows)
-
-    def drop(self, low: int) -> None:
-        """Raise `low`, dropping the rows of |a| < low."""
-        self.low = low
-        for e in [e for e in self.slabs if e < low]:
-            del self.slabs[e]
-
-    def collect(self, rows: list[dict], killed: set[int]) -> None:
-        """Hand the rows to an elimination: the rows of two or more entries
-        into `rows`, in the order of |a| and then of a, and the columns of
-        the one-entry rows into `killed` (see `eliminate_graded`)."""
-        for active, got in self.slabs.values():
-            if active == 1:
-                killed.update(got)
-            else:
-                rows.extend(got)
+    `terms` holds the (monomial index, coefficient, column map) triples of
+    every term of g of degree <= top, the column map taking a monomial
+    index to the column id of that term's component.  Distinct terms must
+    land in distinct columns, as they do for the terms of one polynomial
+    or of distinct components, so every row is filled directly.  The row
+    of x^a holds one entry per term of degree <= top - |a|, in the column
+    that term's product with x^a lands in; the terms go in ascending by
+    degree."""
+    products = sorted(((tables.deg[k], c, k, colmap) for k, c, colmap in terms),
+                      key=lambda t: t[0])
+    if not products:
+        return
+    degrees = [t[0] for t in products]
+    coefs = [t[1] for t in products]
+    top, start, shift = tables.top, tables.start, tables.shift
+    for e in range(low, top - degrees[0] + 1):
+        active = bisect_right(degrees, top - e)
+        lo, hi = start[e], start[e + 1]
+        columns = [[colmap[i] for i in shift(k)[lo:hi]]
+                   for _, _, k, colmap in products[:active]]
+        if active == 1:
+            killed.update(columns[0])
+        else:
+            rows.extend(dict(zip(ids, coefs)) for ids in zip(*columns))
 
 
 def eliminate_graded(widths: Sequence[int],
@@ -563,12 +516,12 @@ def eliminate_graded(widths: Sequence[int],
     of them have degree d, for d = 0..D.  Position i carries the column id
     -i, so the lowest position gets the largest id; RowSpan pivots on the
     largest id, so every pivot row leads with its lowest-degree term (a
-    local order).  The id of a column does not depend on D, so a builder
-    that raises its top degree keeps the ids it has handed out.  Each phase
-    is a pair (rows, killed): `rows` are generator rows at D, keyed by
+    local order).  The id of a column does not depend on D, so the ids at
+    a lower top are a prefix of those at a higher one.  Each phase is a
+    pair (rows, killed): `rows` are generator rows at D, keyed by
     column id and holding nonzero entries only; `killed` holds the columns
     of further generator rows with a single entry, which the builders hand
-    over as columns instead of building them (`Multiples`).  Each phase
+    over as columns instead of building them (`multiples`).  Each phase
     adds its generators to those of the phases before it.  The first
     phase's killed set is extended in place; no list or row is changed.
 
@@ -708,9 +661,8 @@ def _graded_ideal(generators: Sequence[Poly], nvars: int,
     rows: list[dict] = []
     killed: set[int] = set()
     for g in generators:
-        multiples = Multiples(0)
-        multiples.grow(tables, [(k, c, colmap) for k, c in tables.terms(g)])
-        multiples.collect(rows, killed)
+        multiples(tables, [(k, c, colmap) for k, c in tables.terms(g)], 0,
+                  rows, killed)
     start = tables.start
     (values, free), = eliminate_graded(
         [start[d + 1] - start[d] for d in range(top + 1)], (rows, killed))

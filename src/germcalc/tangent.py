@@ -85,12 +85,10 @@ coordinate component (a curve, say) is built in full.
 The engine eliminates once per candidate k, at the top degree D = k + c,
 in a local order, and reads the value at every d <= D from the pivots
 (see `ring.eliminate_graded`); that one elimination serves both variants
-(below).  One search keeps its derivative and certificate rows and grows
-them from one candidate's top degree to the next (`_SearchRows`): after
-a failed candidate, they gain only their entries of the new degrees and
-the new multiples add rows, and the certificate rows of the old
-candidate that lie inside the new one's range are dropped.  The target
-rows are built afresh for each elimination, read off the products
+(below).  Each elimination builds all of its rows in one pass at its top
+(`_SearchRows`), and none is kept for the next candidate: the derivative
+and certificate rows are multiples of one generator each
+(`ring.multiples`), and the target rows are read off the products
 (y^beta o f_b) * g, which are built in full at its top (`_compositions`)
 and freed before it runs.  The rows come from the monomial index tables
 of `ring`: a slot's column id depends on (degree, branch, kept
@@ -195,8 +193,8 @@ from math import isqrt, lcm, prod
 from .errors import NotStabilizedError, ProvedInfiniteError, remember_failures
 from .germ import (Branch, MultiGerm, corank, linear_prenormal_form,
                    multiplicity_and_power, weights)
-from .ring import (D_MAX, MonomialTables, Multiples, Poly, eliminate_graded,
-                   monomial_tables, stabilize_curve, substitute)
+from .ring import (D_MAX, MonomialTables, Poly, eliminate_graded,
+                   monomial_tables, multiples, stabilize_curve, substitute)
 
 Slot = tuple[int, int, tuple[int, ...]]  # (branch, component, source monomial)
 
@@ -311,9 +309,10 @@ def _hand_over(row: dict, rows: list[dict], killed: set[int]) -> None:
 
 
 class _SearchRows:
-    """The rows of one codimension search: the derivative and certificate
-    rows grown from one candidate's top degree to the next instead of
-    rebuilt, and the target rows built afresh for each elimination.
+    """What the rows of one codimension search are built from: the kept
+    blocks and their column maps, the generators of the derivative and
+    certificate rows, and the families and parts of the target rows.
+    Every elimination builds its rows from these in one pass (`_rows`).
 
     Every row lies in the reduced module of the extended variant, keyed by
     column id, where the slot of mono_k in the q-th kept component (in
@@ -324,19 +323,15 @@ class _SearchRows:
     of the extended one without the derivative rows of |a| = 0 and the
     target rows of beta = 0, and none of them has an entry of degree 0;
     so one elimination serves both, the non-extended rows in its first
-    phase and those two families in its second.  Raising the top from T
-    to T' adds to each derivative row its entries of degree T+1..T', adds
-    the rows of the new multiples, and turns a one-entry row whose other
-    terms lay above T into a full row again (`ring.Multiples`).  Moving
-    the candidate from k to k' drops the certificate rows of |a| <= k'.
-    The column maps grow too, each by
-    the new part of its block's column ids on the monomial tables
-    (`ring.MonomialTables.columns`).  The products (y^beta o f_b) * g
-    that the target rows are read off are built in full at each
-    elimination (`_compositions`) and die with the rows' other sources
-    before it runs; the shift tables they are built with, and the
-    recursion over beta of each branch (`ring.MonomialTables.recursion`,
-    on the tables of the betas), stay on the monomial tables."""
+    phase and those two families in its second.  The column maps only
+    grow, each by the new part of its block's column ids on the monomial
+    tables (`ring.MonomialTables.columns`), so a map longer than a top
+    needs reads the same ids.  The products (y^beta o f_b) * g that the
+    target rows are read off are built in full at each elimination
+    (`_compositions`) and freed before it runs; the shift tables they are
+    built with, and the recursion over beta of each branch
+    (`ring.MonomialTables.recursion`, on the tables of the betas), stay on
+    the monomial tables."""
 
     def __init__(self, f: MultiGerm):
         self.f = f
@@ -349,17 +344,15 @@ class _SearchRows:
             self.colmaps[b][l] = []
 
         # derivative rows x^a * df_b/dx_j for the variables j that are no
-        # coordinate of branch b, over its kept components; the multiples
-        # hold |a| >= 1, and the row of a = 0 is the partial itself
+        # coordinate of branch b, over its kept components
         self.derivatives = []
         for b, branch in enumerate(f.branches):
             taken = {j for j, _ in self.coordinates[b].values()}
             for j in range(f.n):
                 if j not in taken:
-                    self.derivatives.append((
+                    self.derivatives.append(
                         [(branch.components[l].diff(j), cm)
-                         for l, cm in self.colmaps[b].items()],
-                        Multiples(1)))
+                         for l, cm in self.colmaps[b].items()])
 
         # target rows: the row of (l, beta) has a part per branch b, the
         # composition y^beta o f_b in component l when l is kept on b, and
@@ -403,16 +396,18 @@ class _SearchRows:
                         self.families.append((g, factor, b))
         # certificate rows x^a * f_{b,i} in each kept component of branch b
         self.certificates = [
-            (comp, cm, Multiples(0)) for b, branch in enumerate(f.branches)
+            (comp, cm) for b, branch in enumerate(f.branches)
             for comp in branch.components for cm in self.colmaps[b].values()]
 
     def _rows(self, top: int,
               certify: int) -> tuple[MonomialTables, tuple, tuple]:
-        """Grow the multiples to `top` and hand over the rows of its
-        elimination, for each of its two phases: those of two or more
-        entries, and the columns of those of one (see `eliminate_graded`).
-        The first phase holds the rows of the non-extended variant, the
-        second the derivative rows of |a| = 0 and the target rows of
+        """Build the rows of one elimination at `top` with the
+        certificate of the candidate degree `certify`, for each of its two
+        phases: those of two or more entries, and the columns of those of
+        one (see `eliminate_graded`).  The first phase holds the rows of
+        the non-extended variant, in the order derivative rows of |a| >= 1,
+        target rows of beta != 0, certificate rows of |a| >= certify + 1;
+        the second the derivative rows of |a| = 0 and the target rows of
         beta = 0.  The target rows are read off products built here; the
         products and moved column maps die on return, before the
         elimination runs, and the shift tables, column ids and recursions
@@ -428,16 +423,12 @@ class _SearchRows:
         killed: set[int] = set()
         extra: list[dict] = []
         extra_killed: set[int] = set()
-        for spec, multiples in self.derivatives:
+        for spec in self.derivatives:
             terms = [(k, c, cm) for g, cm in spec for k, c in tables.terms(g)]
-            multiples.grow(tables, terms)
+            multiples(tables, terms, 1, rows, killed)
             # the partial itself, the row of a = 0; distinct terms land in
-            # distinct columns (see `Multiples.grow`)
+            # distinct columns (see `ring.multiples`)
             _hand_over({cm[k]: c for k, c, cm in terms}, extra, extra_killed)
-        for comp, cm, multiples in self.certificates:
-            multiples.drop(certify + 1)
-            multiples.grow(tables, [(k, c, cm)
-                                    for k, c in tables.terms(comp)])
 
         # with a candidate degree k the target rows stop at |beta| = k + 1
         # (see the module docstring)
@@ -450,8 +441,6 @@ class _SearchRows:
                                   tables)
                     for g, factor, b in self.families]
 
-        for _, multiples in self.derivatives:
-            multiples.collect(rows, killed)
         for parts in self.parts:
             # (products, column map, scale, the monomials the map covers)
             read = []
@@ -472,19 +461,19 @@ class _SearchRows:
                     rows.append(row)
                 else:
                     killed.update(row)
-        for _, _, multiples in self.certificates:
-            multiples.collect(rows, killed)
+        for comp, cm in self.certificates:
+            multiples(tables, [(k, c, cm) for k, c in tables.terms(comp)],
+                      certify + 1, rows, killed)
         return tables, (rows, killed), (extra, extra_killed)
 
     def eliminate(self, certify: int,
                   top: int) -> tuple[list[int], list[int]]:
-        """One elimination at top degree `top`, not below the top of the
-        call before: the free positions in ascending order, of the
-        non-extended variant and of the extended one.  The rows are those
-        of the certificate of the candidate degree `certify`, and the free
-        positions are the engine's own at degrees <= certify + 1 only;
-        `certify` = `top` adds no certificate row (each has degree
-        >= certify + 2)."""
+        """One elimination at top degree `top`: the free positions in
+        ascending order, of the non-extended variant and of the extended
+        one.  The rows are those of the certificate of the candidate degree
+        `certify`, and the free positions are the engine's own at degrees
+        <= certify + 1 only; `certify` = `top` adds no certificate row
+        (each has degree >= certify + 2)."""
         tables, rows, extra = self._rows(top, certify)
         start, kept = tables.start, len(self.blocks)
         (_, free), (_, extended) = eliminate_graded(
@@ -513,9 +502,9 @@ class _SearchRows:
 
 def _graded_tangent(f: MultiGerm, top: int, extended: bool,
                     certify: int | None = None) -> tuple[list[int], list[Slot]]:
-    """One elimination at top degree `top`, by new rows whose multiples are
-    built from nothing at that top (`_SearchRows.eliminate`); without a
-    candidate degree `certify`, the engine's own rows at `top`."""
+    """One elimination at top degree `top` of a new `_SearchRows`, whose
+    column maps start empty (`_SearchRows.eliminate`); without a candidate
+    degree `certify`, the engine's own rows at `top`."""
     rows = _SearchRows(f)
     return rows.read(top, rows.eliminate(
         top if certify is None else certify, top)[extended])

@@ -239,6 +239,20 @@ class TestLookup:
                     f"{entry.name} {params} not identified"
                 assert res.exact
 
+    @pytest.mark.parametrize("text", [
+        "(x^2,y^2,z^2)", "{(x,y,z^2);(x^2,y^2,z)}"])
+    def test_corank_two_matches_nothing_and_computes_nothing(
+            self, text, monkeypatch):
+        # every catalog row has corank <= 1
+        from germcalc import germ as germ_mod, tangent
+
+        def computed(*args):
+            raise AssertionError("an invariant was computed")
+
+        monkeypatch.setattr(tangent, "ae_codim", computed)
+        monkeypatch.setattr(germ_mod, "recognize_type", computed)
+        assert atlas.lookup(P(text)) == atlas.LookupResult((), False)
+
     def test_exact_lookup_reads_no_catalog_row_invariants(self, monkeypatch):
         # equal match keys imply equal type labels, so only f's own is
         # computed, and no multiplicity at all: the type label fixes it

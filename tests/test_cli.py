@@ -722,6 +722,12 @@ class TestRun:
         assert code == 0 and out["exact"] is True
         assert out["matches"][0]["name"] == "A1A1"
 
+    def test_atlas_lookup_of_a_corank_two_germ_is_no_match(self, capsys):
+        code = cli.run(["atlas", "lookup", "--germ", "(x^2,y^2,z^2)"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.out == "no match\n"
+        assert captured.err == ""
+
     def test_atlas_export(self, capsys, tmp_path):
         target = tmp_path / "atlas.json"
         code = cli.run(["atlas", "export", "--output", str(target)])

@@ -624,10 +624,10 @@ def test_target_row_cut_matches_every_target_row(name, params, extended):
 
 # -- the grown search ---------------------------------------------------------
 #
-# One codimension search keeps its rows from one candidate degree to the
-# next and grows them to the next top degree (`tangent._SearchRows`); the
-# oracle is `_graded_tangent`, which grows a new set of rows from nothing
-# to the same top.
+# At every candidate degree, a search whose two variants share their
+# results (`tangent._Shared.results`: one elimination serves both, and the
+# other variant's search reads it instead of eliminating) gives what a
+# fresh `_graded_tangent` gives at the same candidate and top.
 
 def checked_searches(monkeypatch) -> list:
     """From now on, every elimination of a search is compared with the
@@ -662,7 +662,7 @@ def run_search(germ: MultiGerm, d_max: int, extended: bool) -> bool:
 
 
 def grown(searches: list) -> int:
-    """The number of searches that grew their rows at least once."""
+    """The number of searches that tried more than one candidate."""
     return sum(len(tried) > 1 for tried in searches)
 
 

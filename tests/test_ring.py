@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from germcalc.errors import NotStabilizedError
 from germcalc.germ import Branch, MultiGerm
-from germcalc.ring import (MonomialTables, Multiples, Poly, _graded_ideal,
+from germcalc.ring import (MonomialTables, Poly, _graded_ideal,
                            is_quasi_homogeneous, milnor, monomial_mul,
-                           monomials_up_to, quotient_curve, quotient_dim,
-                           substitute, tjurina)
+                           monomials_up_to, multiples, quotient_curve,
+                           quotient_dim, substitute, tjurina)
 from germcalc.tangent import ae_codim
 
 
@@ -328,32 +328,30 @@ def test_recursion_is_the_grown_recursion(nvars, tops):
                     + mono[v + 1:]
 
 
-def test_grown_multiples_are_the_multiples_built_at_the_last_top():
+@pytest.mark.parametrize("low", [0, 2])
+@pytest.mark.parametrize("top", [3, 5, 8])
+def test_multiples_are_x_a_times_g_truncated_at_the_top(top, low):
+    # the slab |a| = 1 is one-entry at top 3 and full rows at 5, and the
+    # slab |a| = 3 is one-entry at top 5 and full rows at 8
     x, y, z = (V(3, i) for i in range(3))
     g = 2 * x * y - z ** 3 + 5 * x ** 2 * y ** 2 + y ** 5
-    colmap = list(range(0, -len(MonomialTables(3, 8).monos), -1))
+    tables = MonomialTables(3, top)
+    colmap = [-3 * i - 1 for i in range(len(tables.monos))]
+    rows, killed = [], set()
+    multiples(tables, [(k, c, colmap) for k, c in tables.terms(g)], low,
+              rows, killed)
 
-    def terms(tables):
-        return [(k, c, colmap) for k, c in tables.terms(g)]
-
-    grown = Multiples(0)
-    for top in (3, 5):
-        grown.grow(MonomialTables(3, top), terms(MonomialTables(3, top)))
-    grown.drop(2)
-    tables = MonomialTables(3, 8)
-    grown.grow(tables, terms(tables))
-    fresh = Multiples(2)
-    fresh.grow(tables, terms(tables))
-    assert grown.slabs == fresh.slabs
-
-    # each slab directly: x^a * g truncated at 8, for every |a| = e >= 2
-    expected = {}
-    for e in range(2, 8):
-        fits = [(m, c) for m, c in g.items() if sum(m) <= 8 - e]
-        if not fits:
-            continue
-        rows = [{colmap[tables.index[monomial_mul(a, m)]]: c for m, c in fits}
-                for a in tables.monos[tables.start[e]:tables.start[e + 1]]]
-        expected[e] = (len(fits), [next(iter(r)) for r in rows]
-                       if len(fits) == 1 else rows)
-    assert fresh.slabs == expected
+    # each row directly: x^a * g truncated at top, for every |a| >= low
+    expected, units = [], set()
+    for a in tables.monos[tables.start[low]:]:
+        row = {colmap[tables.index[monomial_mul(a, m)]]: c
+               for m, c in g.items() if sum(m) <= top - sum(a)}
+        if len(row) > 1:
+            expected.append(row)
+        else:
+            units.update(row)
+    assert rows == expected and killed == units
+    # the entries of a row go in ascending by the degree of g's term
+    for row in rows:
+        degrees = [tables.deg[(-c - 1) // 3] for c in row]
+        assert degrees == sorted(degrees)
