@@ -47,6 +47,16 @@ determinacy of smooth map-germs", Bull. LMS 13, 1981):
   * A target row (y^beta o f) e_l with |beta| >= k+2 already lies in
     f^*(m_p) M_k (write y^beta = y_i y^gamma with |gamma| >= k+1), so with
     the certificate rows only the target rows of |beta| <= k+1 are built.
+  * A one-term component u x^m of branch b gives certificate rows
+    x^a u x^m of one entry each, so every column of
+    J_b = {x^m x^a : |a| >= k+1, degree <= k + c}, over the one-term
+    components, is killed in every kept block of b before the presolve
+    runs (`ring.eliminate_graded`).  J_b is closed under multiplication
+    by monomials, so every row of branch b is built modulo J_b: an entry
+    outside J_b is exact, and one inside it would be stripped in the
+    presolve's first sweep anyway, so the killed set, the residual rows
+    and every pivot are those of the rows built in full.  Without a
+    candidate (k = top) J_b is empty.
 
 The first candidate is k = m + 3 - c, m the multiplicity of f, so the
 first elimination is at top m + 3; after a failure k moves to
@@ -89,14 +99,23 @@ in a local order, and reads the value at every d <= D from the pivots
 (`_SearchRows`), and none is kept for the next candidate: the derivative
 and certificate rows are multiples of one generator each
 (`ring.multiples`), and the target rows are read off the products
-(y^beta o f_b) * g, which are built in full at its top (`_compositions`)
-and freed before it runs.  The rows come from the monomial index tables
-of `ring`: a slot's column id depends on (degree, branch, kept
-component, monomial) and not on D, and is read off the column ids of its
-kept component's block (`ring.MonomialTables.columns`); a derivative row
-x^a * df_b/dx_j is one shift table per term of the partial
-(`ring.MonomialTables.shift`).  The products, for g = 1 and for each
-partial a substituted target row needs, follow one recursion over beta,
+(y^beta o f_b) * g, which are built at its top (`_compositions`) and freed
+before it runs.  Every row is built modulo J_b (see above): a step of
+the products by a one-term u x^m keeps only its products with the
+monomials of degree <= k; a multiple x^a * g whose every entry has
+degree >= k + 2 lies wholly in J_b when a coordinate variable x_j of b
+divides x^a (x_j is a one-term component), so from that degree of a on
+only the a free of those variables are built, one per degree for a
+corank-1 branch, except for the certificate rows of the coordinate
+components themselves, which kill that part of J_b; and a target row is
+visited only at the betas where one of its products is nonempty.  The
+rows come from the monomial index tables of `ring`: a slot's column id
+depends on (degree, branch, kept component, monomial) and not on D, and
+is read off the column ids of its kept component's block
+(`ring.MonomialTables.columns`); a derivative row x^a * df_b/dx_j is one
+shift table per term of the partial (`ring.MonomialTables.shift`).  The
+products, for g = 1 and for each partial a substituted target row
+needs, follow one recursion over beta,
 indexed by beta and by source monomial, which is a table of the betas
 (`ring.MonomialTables.recursion`).  Each of these tables is built once
 and kept on its monomial tables, so every search at the same n (or p)
@@ -260,18 +279,23 @@ class _Branch:
             range(len(branch.components)),
             key=lambda v: max(len(branch.components[v].items()), 1)))
 
-    def factors(self, tables: MonomialTables) -> list:
+    def factors(self, tables: MonomialTables, certify: int) -> list:
         """The terms of each f_{b,v} up to the top of `tables`, and for a
-        one-term c x^k, which the products apply inline to save a call per
-        beta, its shift table, c and the monomials the table covers."""
+        one-term c x^m, which the products apply inline to save a call per
+        beta, its shift table, c and how many monomials the step keeps:
+        those of degree <= `certify`, the candidate degree k, that the
+        table covers.  The product of x^m with a monomial x^a of degree
+        >= k + 1 lies in J_b, the columns of branch b that the certificate
+        rows x^a * c x^m kill (see the module docstring)."""
         factors = []
+        fits = tables.start[certify + 1]
         for comp in self.components:
             terms = tables.terms(comp)
             one = None
             if len(terms) == 1:
                 (k, c), = terms
                 shift = tables.shift(k)
-                one = (shift, c, len(shift))
+                one = (shift, c, min(len(shift), fits))
             factors.append((terms, one))
         return factors
 
@@ -281,7 +305,12 @@ def _compositions(g: Poly, factor: int, recursion: tuple, factors: list,
     """The products factor * (y^beta o f_b) * g up to the top of `tables`,
     as {source monomial index: coefficient}, for every beta of the
     `recursion` of branch b (`ring.MonomialTables.recursion`), built with
-    its `factors` (`_Branch`)."""
+    its `factors` (`_Branch.factors`) modulo J_b: a step by a one-term
+    u x^m drops its products x^m x^a with |a| >= k + 1, which lie in J_b,
+    and since J_b is closed under multiplication by monomials, every
+    later step is still exact outside J_b.  An entry inside J_b may be
+    missing or wrong; the elimination kills its column before it reads
+    it."""
     table = [{k: factor * c for k, c in tables.terms(g)}]
     var, prevs = recursion
     for v, prev in zip(var[1:], prevs[1:]):
@@ -327,11 +356,13 @@ class _SearchRows:
     grow, each by the new part of its block's column ids on the monomial
     tables (`ring.MonomialTables.columns`), so a map longer than a top
     needs reads the same ids.  The products (y^beta o f_b) * g that the
-    target rows are read off are built in full at each elimination
+    target rows are read off are built modulo J_b at each elimination
     (`_compositions`) and freed before it runs; the shift tables they are
     built with, and the recursion over beta of each branch
     (`ring.MonomialTables.recursion`, on the tables of the betas), stay on
-    the monomial tables."""
+    the monomial tables.  `variables` holds the coordinate variables of
+    each branch, whose multiples past the cut of J_b are not built (see
+    the module docstring)."""
 
     def __init__(self, f: MultiGerm):
         self.f = f
@@ -343,16 +374,18 @@ class _SearchRows:
         for b, l in self.blocks:
             self.colmaps[b][l] = []
 
+        # the coordinate variables of each branch, in ascending order
+        self.variables = [tuple(sorted(j for j, _ in coords.values()))
+                          for coords in self.coordinates]
         # derivative rows x^a * df_b/dx_j for the variables j that are no
         # coordinate of branch b, over its kept components
         self.derivatives = []
         for b, branch in enumerate(f.branches):
-            taken = {j for j, _ in self.coordinates[b].values()}
             for j in range(f.n):
-                if j not in taken:
+                if j not in self.variables[b]:
                     self.derivatives.append(
-                        [(branch.components[l].diff(j), cm)
-                         for l, cm in self.colmaps[b].items()])
+                        (b, [(branch.components[l].diff(j), cm)
+                             for l, cm in self.colmaps[b].items()]))
 
         # target rows: the row of (l, beta) has a part per branch b, the
         # composition y^beta o f_b in component l when l is kept on b, and
@@ -394,10 +427,13 @@ class _SearchRows:
                     elif not g.is_zero():
                         self.parts[l].append((len(self.families), cm, 1, None))
                         self.families.append((g, factor, b))
-        # certificate rows x^a * f_{b,i} in each kept component of branch b
+        # certificate rows x^a * f_{b,i} in each kept component of branch b;
+        # those of a coordinate component i generate J_b
         self.certificates = [
-            (comp, cm) for b, branch in enumerate(f.branches)
-            for comp in branch.components for cm in self.colmaps[b].values()]
+            (b, i in self.coordinates[b], comp, cm)
+            for b, branch in enumerate(f.branches)
+            for i, comp in enumerate(branch.components)
+            for cm in self.colmaps[b].values()]
 
     def _rows(self, top: int,
               certify: int) -> tuple[MonomialTables, tuple, tuple]:
@@ -408,10 +444,15 @@ class _SearchRows:
         the non-extended variant, in the order derivative rows of |a| >= 1,
         target rows of beta != 0, certificate rows of |a| >= certify + 1;
         the second the derivative rows of |a| = 0 and the target rows of
-        beta = 0.  The target rows are read off products built here; the
-        products and moved column maps die on return, before the
-        elimination runs, and the shift tables, column ids and recursions
-        stay on the monomial tables for the next call at this top."""
+        beta = 0.  The rows of each branch b are built modulo J_b, the
+        columns its one-term certificate rows kill (see the module
+        docstring), so the first phase leaves out rows and entries that
+        its presolve would strip; the rows of the second phase, partials
+        and their scaled copies, are built in full.  The target rows are
+        read off products built here; the products and moved column maps
+        die on return, before the elimination runs, and the shift tables,
+        column ids, recursions and index lists stay on the monomial tables
+        for the next call at this top."""
         f = self.f
         tables = monomial_tables(f.n, top)
         kept = len(self.blocks)
@@ -423,9 +464,14 @@ class _SearchRows:
         killed: set[int] = set()
         extra: list[dict] = []
         extra_killed: set[int] = set()
-        for spec in self.derivatives:
+        # J_b holds every monomial of degree >= k + 2 that a coordinate
+        # variable of branch b divides, so a multiple x^a * g on branch b
+        # whose every entry has degree >= k + 2 lies wholly in J_b unless
+        # a avoids those variables (see `ring.multiples`)
+        avoiding = [tables.avoiding(v) if v else None for v in self.variables]
+        for b, spec in self.derivatives:
             terms = [(k, c, cm) for g, cm in spec for k, c in tables.terms(g)]
-            multiples(tables, terms, 1, rows, killed)
+            multiples(tables, terms, 1, rows, killed, certify + 2, avoiding[b])
             # the partial itself, the row of a = 0; distinct terms land in
             # distinct columns (see `ring.multiples`)
             _hand_over({cm[k]: c for k, c, cm in terms}, extra, extra_killed)
@@ -433,17 +479,20 @@ class _SearchRows:
         # with a candidate degree k the target rows stop at |beta| = k + 1
         # (see the module docstring)
         betas = monomial_tables(f.p, min(top, certify + 1))
-        count = len(betas.monos)
         recursions = [betas.recursion(branch.order)
                       for branch in self.branches]
-        factors = [branch.factors(tables) for branch in self.branches]
+        factors = [branch.factors(tables, certify)
+                   for branch in self.branches]
         products = [_compositions(g, factor, recursions[b], factors[b],
                                   tables)
                     for g, factor, b in self.families]
+        # the betas > 0 of the nonempty products of each family
+        nonempty = [[beta for beta in range(1, len(table)) if table[beta]]
+                    for table in products]
 
         for parts in self.parts:
             # (products, column map, scale, the monomials the map covers)
-            read = []
+            read, families = [], set()
             for family, cm, s, mono in parts:
                 if mono is not None:
                     k = tables.index.get(mono)
@@ -451,19 +500,25 @@ class _SearchRows:
                         continue
                     cm = [cm[i] for i in tables.shift(k)]
                 read.append((products[family], cm, s, len(cm)))
+                families.add(family)
             _hand_over({cm[i]: s * c for table, cm, s, fits in read
                         for i, c in table[0].items() if i < fits},
                        extra, extra_killed)
-            for beta in range(1, count):
+            # a beta whose every product is empty has no row
+            for beta in sorted({beta for family in families
+                                for beta in nonempty[family]}):
                 row = {cm[i]: s * c for table, cm, s, fits in read
                        for i, c in table[beta].items() if i < fits}
                 if len(row) > 1:
                     rows.append(row)
                 else:
                     killed.update(row)
-        for comp, cm in self.certificates:
+        for b, coordinate, comp, cm in self.certificates:
+            # the rows of a coordinate component kill that part of J_b, so
+            # they are all handed over
             multiples(tables, [(k, c, cm) for k, c in tables.terms(comp)],
-                      certify + 1, rows, killed)
+                      certify + 1, rows, killed, certify + 2,
+                      None if coordinate else avoiding[b])
         return tables, (rows, killed), (extra, extra_killed)
 
     def eliminate(self, certify: int,

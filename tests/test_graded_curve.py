@@ -19,6 +19,7 @@ with a unit row for each killed column, must give the same free slots.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -620,6 +621,119 @@ def test_target_row_cut_matches_every_target_row(name, params, extended):
             span.insert(row)
         assert curve == graded_curve(
             [s for s in slots if col[s] not in span.pivots], top)
+
+
+@st.composite
+def germs_with_one_term_components(draw):
+    """One or two branches in three variables, each with a one-term
+    component of degree 1 (c x_j, a coordinate unless another component
+    takes x_j first), one of degree 2 or 3 (z^2, x*y, ...) and one of one
+    to three terms, in any order."""
+    coef = st.sampled_from([1, 2, -1, 3, Fraction(1, 2)])
+    mono = st.tuples(*[st.integers(0, 2)] * 3).filter(
+        lambda m: 1 <= sum(m) <= 3)
+    branches = []
+    for _ in range(draw(st.integers(1, 2))):
+        linear = [0, 0, 0]
+        linear[draw(st.integers(0, 2))] = 1
+        square = draw(mono.filter(lambda m: sum(m) >= 2))
+        terms = draw(st.dictionaries(mono, coef, min_size=1, max_size=3))
+        comps = [Poly.monomial(3, tuple(linear), draw(coef)),
+                 Poly.monomial(3, square, draw(coef)), Poly(3, terms)]
+        branches.append(Branch(tuple(draw(st.permutations(comps)))))
+    return MultiGerm(tuple(branches))
+
+
+@settings(max_examples=200, deadline=None)
+@given(germs_with_one_term_components(), st.integers(1, 3), st.integers(2, 3),
+       st.booleans())
+def test_rows_built_modulo_the_one_term_certificates(germ, k, c, extended):
+    # the rows of each branch b are built modulo J_b, the columns its
+    # one-term certificate rows kill: every target row is built, and every
+    # row in full, by the reference
+    top = k + c
+    assert _graded_tangent(germ, top, extended, k) == \
+        reduced_graded_tangent(germ, top, extended, k)
+
+
+def generator_multiples(f: MultiGerm, k: int, top: int) -> tuple[list, list]:
+    """The derivative rows x^a * df_b/dx_j of |a| >= 1 (over the kept
+    components of b, j no coordinate variable of b) and the certificate
+    rows x^a * f_{b,i} of |a| >= k + 1 (in one kept component), of two or
+    more entries, keyed by the engine's column ids, -position among the
+    kept slots: those with an a free of b's coordinate variables or an
+    entry of degree <= k + 1, which the engine builds, and the others,
+    which lie wholly in J_b (those of a coordinate component i are
+    one-entry)."""
+    coords = reference_coordinates(f)
+    slots = [s for s in reference_slots(f, top, True)
+             if s[1] not in coords[s[0]]]
+    col = {s: -i for i, s in enumerate(slots)}
+    built, past = [], []
+    for b, branch in enumerate(f.branches):
+        variables = {j for j, _ in coords[b].values()}
+        blocks = [l for l in range(f.p) if l not in coords[b]]
+        gens = [([(l, branch.components[l].diff(j)) for l in blocks], 1)
+                for j in range(f.n) if j not in variables]
+        gens += [([(l, comp)], k + 1) for comp in branch.components
+                 for l in blocks]
+        for gen, low in gens:
+            terms = [(l, m, v) for l, g in gen for m, v in g.items()]
+            for a in monomials_up_to(f.n, top):
+                row = {col[b, l, monomial_mul(a, m)]: v for l, m, v in terms
+                       if sum(a) + sum(m) <= top}
+                if sum(a) < low or len(row) < 2:
+                    continue
+                if (any(a[j] for j in variables)
+                        and all(sum(a) + sum(m) >= k + 2 for _, m, _ in terms)):
+                    past.append(row)
+                else:
+                    built.append(row)
+    return built, past
+
+
+def test_one_term_certificates_cut_the_rows(monkeypatch):
+    # over the cap-3 rows at two candidates each: a one-term step c x^m of
+    # the products keeps no entry x^m x^a with |a| >= k + 1, which its own
+    # certificate rows kill, and of the derivative and certificate
+    # multiples exactly those that a coordinate variable in a puts wholly
+    # in J_b are left out
+    products, handed = [], []
+    compositions, multiples = tangent._compositions, tangent.multiples
+
+    def recording_products(g, factor, recursion, factors, tables):
+        table = compositions(g, factor, recursion, factors, tables)
+        products.append((recursion[0], factors, tables, table))
+        return table
+
+    def recording_multiples(tables, terms, low, rows, *args):
+        known = len(rows)
+        multiples(tables, terms, low, rows, *args)
+        handed.extend(rows[known:])
+
+    monkeypatch.setattr(tangent, "_compositions", recording_products)
+    monkeypatch.setattr(tangent, "multiples", recording_multiples)
+    steps = left_out = 0
+    for name, germ in cap3_rows():
+        _, c = multiplicity_and_power(germ)
+        for k in (1, 2):
+            _graded_tangent(germ, k + c, True, k)
+            for var, factors, tables, table in products:
+                for beta in range(1, len(table)):
+                    terms, one = factors[var[beta]]
+                    if one is not None:
+                        (m, _), = terms
+                        steps += 1
+                        assert all(tables.deg[i] <= k + tables.deg[m]
+                                   for i in table[beta]), (name, k)
+            built, past = generator_multiples(germ, k, k + c)
+            assert (Counter(frozenset(row.items()) for row in handed)
+                    == Counter(frozenset(row.items()) for row in built)), \
+                (name, k)
+            products.clear()
+            handed.clear()
+            left_out += len(past)
+    assert steps > 0 and left_out > 0
 
 
 # -- the grown search ---------------------------------------------------------
