@@ -314,11 +314,11 @@ def _normalize_params(entry: AtlasEntry, params: Mapping | None):
 
 
 @lru_cache(maxsize=1024)
-def _instance(name: str, args: tuple, canonical: bool) -> MultiGerm:
-    """The parsed row, in canonical variable order or, without the
-    search that finds it, in order of first appearance."""
+def _instance(name: str, args: tuple) -> MultiGerm:
+    """The parsed row, its variables in order of first appearance, without
+    the search for the canonical order."""
     return syntax.parse_multigerm(_BY_NAME[name]._text(*args),
-                                  canonical=canonical)
+                                  canonical=False)
 
 
 def _resolve(name: str, params: Mapping | None):
@@ -330,9 +330,11 @@ def _resolve(name: str, params: Mapping | None):
 
 
 def instantiate(name: str, params: Mapping | None = None) -> MultiGerm:
-    """Build the normal form of a catalog row at the given parameters."""
+    """Build the normal form of a catalog row at the given parameters, in
+    canonical variable order: the germ `syntax.parse_multigerm` gives for
+    the row's text."""
     _, _, args = _resolve(name, params)
-    return _instance(name, args, True)
+    return syntax.canonical_variable_order(_instance(name, args))
 
 
 def expected_codim(name: str, params: Mapping | None = None) -> int:
@@ -408,7 +410,7 @@ def verify(name: str, params: Mapping | None = None,
     expected = expected_codim(name, params)
     start = time.perf_counter()
     try:
-        result = tangent.ae_codim(_instance(name, args, False), d_max)
+        result = tangent.ae_codim(_instance(name, args), d_max)
     except NotStabilizedError as exc:
         return VerifyRow(name=name, seconds=time.perf_counter() - start,
                          params_text=_params_text(display), computed=None,
@@ -516,7 +518,7 @@ def lookup(f: MultiGerm,
             continue
         for params in _candidate_params(entry, ae_f):
             display, args = _normalize_params(entry, params)
-            inst = _instance(entry.name, args, False)
+            inst = _instance(entry.name, args)
             if (inst.n, inst.p, inst.r) == shape:
                 pool.append((entry.name, display, inst))
     integral = all(c.denominator == 1 for branch in f.branches

@@ -26,9 +26,7 @@ table, and a product with a fixed monomial is a shift table composed from
 the steps, so no row is built by multiplying exponent tuples.  Each
 elimination builds the multiples of each generator in one pass at its
 top (`multiples`): the rows of one |a| read their columns off one shift
-table per term, and no row is kept for the next elimination; past a
-degree a caller names, only the a of a list it gives are built, where it
-kills every column the other rows touch by rows of its own.  Many
+table per term, and no row is kept for the next elimination.  Many
 generator rows are unit vectors or become unit vectors once other unit
 columns are stripped.  A row that is a unit vector as built (every
 multiple x^a * g of a one-term generator g, such as a monomial in an
@@ -163,10 +161,10 @@ class Poly:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(mono), Fraction(0))
 
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Monomial, Fraction]]:
-        """Terms in graded-lex order, descending by default."""
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+        """Terms in descending graded-lex order."""
         return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]),
-                      reverse=reverse)
+                      reverse=True)
 
     def linear_part(self) -> list[Fraction]:
         """Coefficients of the degree-1 terms, one per variable."""
@@ -360,21 +358,20 @@ class MonomialTables:
     then a shift table composed from the step tables (`shift`), so the row
     builders never touch an exponent tuple in their inner loops.
 
-    Four kinds of table are built on the first call and kept, so each
+    Three kinds of table are built on the first call and kept, so each
     is built once for every caller at this (n, top): the shift table of a
     monomial (`shift`, in `shifts`), the column ids of one block of a
-    blocked column numbering (`columns`, in `blocks`), a recursion over
-    the monomials for one variable order (`recursion`, in `recursions`),
-    and the monomials free of a set of variables (`avoiding`, in
-    `avoids`).  Each is no longer than the monomial list, and there is at
-    most one per monomial, per block (K, q), per order of the n variables
-    and per set of them; all but the shift tables are kept as arrays of
+    blocked column numbering (`columns`, in `blocks`), and a recursion
+    over the monomials for one variable order (`recursion`, in
+    `recursions`).  Each is no longer than the monomial list, and there
+    is at most one per monomial, per block (K, q) and per order of the n
+    variables; the column ids and recursions are kept as arrays of
     machine ints.  They live only as long as the tables object itself:
     `monomial_tables` keeps 64 of them.
     """
 
     __slots__ = ("top", "monos", "index", "start", "deg", "step", "parent",
-                 "shifts", "blocks", "recursions", "avoids")
+                 "shifts", "blocks", "recursions")
 
     def __init__(self, nvars: int, top: int):
         monos = monomials_up_to(nvars, top)
@@ -397,7 +394,6 @@ class MonomialTables:
         self.shifts: dict[int, list[int]] = {}
         self.blocks: dict[tuple[int, int], array] = {}
         self.recursions: dict[tuple[int, ...], tuple[array, array]] = {}
-        self.avoids: dict[tuple[int, ...], array] = {}
 
     def terms(self, poly: Poly) -> list[tuple[int, Coefficient]]:
         """(index, coefficient) of every term of degree <= top; integral
@@ -457,17 +453,6 @@ class MonomialTables:
             got = self.recursions[order] = (var, prev)
         return got
 
-    def avoiding(self, variables: tuple[int, ...]) -> array:
-        """The indices, ascending, of the monomials in which none of
-        `variables` occurs.  Built on the first call and kept in
-        `avoids`."""
-        got = self.avoids.get(variables)
-        if got is None:
-            got = self.avoids[variables] = array("l", [
-                i for i, mono in enumerate(self.monos)
-                if not any(mono[v] for v in variables)])
-        return got
-
     def multiply(self, a: dict[int, Coefficient],
                  terms) -> dict[int, Coefficient]:
         """The product, truncated at top, of a polynomial {index:
@@ -489,17 +474,11 @@ def monomial_tables(nvars: int, top: int) -> MonomialTables:
 
 
 def multiples(tables: MonomialTables, terms, low: int, rows: list[dict],
-              killed: set[int], cut: int = 0,
-              avoiding: array | None = None) -> None:
+              killed: set[int]) -> None:
     """Hand the rows x^a * g for every |a| >= low of one generator g,
     truncated at the top of `tables`, to an elimination: those of two or
     more entries into `rows`, in the order of |a| and then of a, and the
     column of each one-entry row into `killed` (see `eliminate_graded`).
-    With `avoiding`, the monomial indices in ascending order
-    (`MonomialTables.avoiding`), only the a among them are handed over
-    wherever every entry of the row has degree >= `cut`, that is, from
-    |a| = cut - ord g on: the caller leaves out the other rows there
-    because it kills every column they touch with rows of its own.
 
     `terms` holds the (monomial index, coefficient, column map) triples of
     every term of g of degree <= top, the column map taking a monomial
@@ -516,18 +495,11 @@ def multiples(tables: MonomialTables, terms, low: int, rows: list[dict],
     degrees = [t[0] for t in products]
     coefs = [t[1] for t in products]
     top, start, shift = tables.top, tables.start, tables.shift
-    high = top + 1 if avoiding is None else cut - degrees[0]
     for e in range(low, top - degrees[0] + 1):
         active = bisect_right(degrees, top - e)
         lo, hi = start[e], start[e + 1]
-        if e < high:
-            columns = [[colmap[i] for i in shift(k)[lo:hi]]
-                       for _, _, k, colmap in products[:active]]
-        else:
-            slab = avoiding[bisect_left(avoiding, lo):
-                            bisect_left(avoiding, hi)]
-            columns = [[colmap[j] for j in map(shift(k).__getitem__, slab)]
-                       for _, _, k, colmap in products[:active]]
+        columns = [[colmap[i] for i in shift(k)[lo:hi]]
+                   for _, _, k, colmap in products[:active]]
         if active == 1:
             killed.update(columns[0])
         else:

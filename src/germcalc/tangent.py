@@ -52,10 +52,10 @@ determinacy of smooth map-germs", Bull. LMS 13, 1981):
     J_b = {x^m x^a : |a| >= k+1, degree <= k + c}, over the one-term
     components, is killed in every kept block of b before the presolve
     runs (`ring.eliminate_graded`).  J_b is closed under multiplication
-    by monomials, so every row of branch b is built modulo J_b: an entry
-    outside J_b is exact, and one inside it would be stripped in the
-    presolve's first sweep anyway, so the killed set, the residual rows
-    and every pivot are those of the rows built in full.  Without a
+    by monomials, so the rows of branch b can be built modulo J_b: an
+    entry outside J_b is exact, and one inside it would be stripped in
+    the presolve's first sweep anyway, so the killed set, the residual
+    rows and every pivot are those of the rows built in full.  Without a
     candidate (k = top) J_b is empty.
 
 The first candidate is k = m + 3 - c, m the multiplicity of f, so the
@@ -100,16 +100,13 @@ in a local order, and reads the value at every d <= D from the pivots
 and certificate rows are multiples of one generator each
 (`ring.multiples`), and the target rows are read off the products
 (y^beta o f_b) * g, which are built at its top (`_compositions`) and freed
-before it runs.  Every row is built modulo J_b (see above): a step of
-the products by a one-term u x^m keeps only its products with the
-monomials of degree <= k; a multiple x^a * g whose every entry has
-degree >= k + 2 lies wholly in J_b when a coordinate variable x_j of b
-divides x^a (x_j is a one-term component), so from that degree of a on
-only the a free of those variables are built, one per degree for a
-corank-1 branch, except for the certificate rows of the coordinate
-components themselves, which kill that part of J_b; and a target row is
+before it runs.  The products are built modulo J_b (see above): a step
+by a one-term u x^m keeps only its products with the monomials of
+degree <= k, and only the nonempty products are kept, so a target row is
 visited only at the betas where one of its products is nonempty.  The
-rows come from the monomial index tables of `ring`: a slot's column id
+derivative and certificate multiples are built in full; those that lie
+wholly in J_b are dropped by the presolve's first sweep.  The rows come
+from the monomial index tables of `ring`: a slot's column id
 depends on (degree, branch, kept component, monomial) and not on D, and
 is read off the column ids of its kept component's block
 (`ring.MonomialTables.columns`); a derivative row x^a * df_b/dx_j is one
@@ -301,30 +298,31 @@ class _Branch:
 
 
 def _compositions(g: Poly, factor: int, recursion: tuple, factors: list,
-                  tables: MonomialTables) -> list[dict]:
+                  tables: MonomialTables) -> dict[int, dict]:
     """The products factor * (y^beta o f_b) * g up to the top of `tables`,
-    as {source monomial index: coefficient}, for every beta of the
+    as {beta: {source monomial index: coefficient}}, for the betas of the
     `recursion` of branch b (`ring.MonomialTables.recursion`), built with
     its `factors` (`_Branch.factors`) modulo J_b: a step by a one-term
     u x^m drops its products x^m x^a with |a| >= k + 1, which lie in J_b,
     and since J_b is closed under multiplication by monomials, every
     later step is still exact outside J_b.  An entry inside J_b may be
     missing or wrong; the elimination kills its column before it reads
-    it."""
-    table = [{k: factor * c for k, c in tables.terms(g)}]
+    it.  Only beta = 0 and the nonempty products are keys: a missing beta
+    has no entry outside J_b, and nor has any beta built from it."""
+    table = {0: {k: factor * c for k, c in tables.terms(g)}}
     var, prevs = recursion
-    for v, prev in zip(var[1:], prevs[1:]):
+    for beta, (v, p) in enumerate(zip(var[1:], prevs[1:]), 1):
+        prev = table.get(p)
+        if prev is None:
+            continue
         terms, one = factors[v]
         if one is None:
-            table.append(tables.multiply(table[prev], terms))
+            product = tables.multiply(prev, terms)
         else:
             shift, c, fits = one
-            if c == 1:  # most coordinates: a copy costs less than a product
-                table.append({shift[i]: x for i, x in table[prev].items()
-                              if i < fits})
-            else:
-                table.append({shift[i]: x * c for i, x in table[prev].items()
-                              if i < fits})
+            product = {shift[i]: x * c for i, x in prev.items() if i < fits}
+        if product:
+            table[beta] = product
     return table
 
 
@@ -360,9 +358,7 @@ class _SearchRows:
     (`_compositions`) and freed before it runs; the shift tables they are
     built with, and the recursion over beta of each branch
     (`ring.MonomialTables.recursion`, on the tables of the betas), stay on
-    the monomial tables.  `variables` holds the coordinate variables of
-    each branch, whose multiples past the cut of J_b are not built (see
-    the module docstring)."""
+    the monomial tables."""
 
     def __init__(self, f: MultiGerm):
         self.f = f
@@ -374,18 +370,16 @@ class _SearchRows:
         for b, l in self.blocks:
             self.colmaps[b][l] = []
 
-        # the coordinate variables of each branch, in ascending order
-        self.variables = [tuple(sorted(j for j, _ in coords.values()))
-                          for coords in self.coordinates]
         # derivative rows x^a * df_b/dx_j for the variables j that are no
         # coordinate of branch b, over its kept components
         self.derivatives = []
         for b, branch in enumerate(f.branches):
+            variables = {j for j, _ in self.coordinates[b].values()}
             for j in range(f.n):
-                if j not in self.variables[b]:
+                if j not in variables:
                     self.derivatives.append(
-                        (b, [(branch.components[l].diff(j), cm)
-                             for l, cm in self.colmaps[b].items()]))
+                        [(branch.components[l].diff(j), cm)
+                         for l, cm in self.colmaps[b].items()])
 
         # target rows: the row of (l, beta) has a part per branch b, the
         # composition y^beta o f_b in component l when l is kept on b, and
@@ -427,13 +421,10 @@ class _SearchRows:
                     elif not g.is_zero():
                         self.parts[l].append((len(self.families), cm, 1, None))
                         self.families.append((g, factor, b))
-        # certificate rows x^a * f_{b,i} in each kept component of branch b;
-        # those of a coordinate component i generate J_b
+        # certificate rows x^a * f_{b,i} in each kept component of branch b
         self.certificates = [
-            (b, i in self.coordinates[b], comp, cm)
-            for b, branch in enumerate(f.branches)
-            for i, comp in enumerate(branch.components)
-            for cm in self.colmaps[b].values()]
+            (comp, cm) for branch, colmaps in zip(f.branches, self.colmaps)
+            for comp in branch.components for cm in colmaps.values()]
 
     def _rows(self, top: int,
               certify: int) -> tuple[MonomialTables, tuple, tuple]:
@@ -444,15 +435,14 @@ class _SearchRows:
         the non-extended variant, in the order derivative rows of |a| >= 1,
         target rows of beta != 0, certificate rows of |a| >= certify + 1;
         the second the derivative rows of |a| = 0 and the target rows of
-        beta = 0.  The rows of each branch b are built modulo J_b, the
-        columns its one-term certificate rows kill (see the module
-        docstring), so the first phase leaves out rows and entries that
-        its presolve would strip; the rows of the second phase, partials
-        and their scaled copies, are built in full.  The target rows are
-        read off products built here; the products and moved column maps
-        die on return, before the elimination runs, and the shift tables,
-        column ids, recursions and index lists stay on the monomial tables
-        for the next call at this top."""
+        beta = 0.  The target rows of each branch b are built modulo J_b,
+        the columns its one-term certificate rows kill (see the module
+        docstring), so the first phase leaves out target rows and entries
+        that its presolve would strip; the other rows are built in full.
+        The target rows are read off products built here; the products and
+        moved column maps die on return, before the elimination runs, and
+        the shift tables, column ids and recursions stay on the monomial
+        tables for the next call at this top."""
         f = self.f
         tables = monomial_tables(f.n, top)
         kept = len(self.blocks)
@@ -464,14 +454,9 @@ class _SearchRows:
         killed: set[int] = set()
         extra: list[dict] = []
         extra_killed: set[int] = set()
-        # J_b holds every monomial of degree >= k + 2 that a coordinate
-        # variable of branch b divides, so a multiple x^a * g on branch b
-        # whose every entry has degree >= k + 2 lies wholly in J_b unless
-        # a avoids those variables (see `ring.multiples`)
-        avoiding = [tables.avoiding(v) if v else None for v in self.variables]
-        for b, spec in self.derivatives:
+        for spec in self.derivatives:
             terms = [(k, c, cm) for g, cm in spec for k, c in tables.terms(g)]
-            multiples(tables, terms, 1, rows, killed, certify + 2, avoiding[b])
+            multiples(tables, terms, 1, rows, killed)
             # the partial itself, the row of a = 0; distinct terms land in
             # distinct columns (see `ring.multiples`)
             _hand_over({cm[k]: c for k, c, cm in terms}, extra, extra_killed)
@@ -486,9 +471,6 @@ class _SearchRows:
         products = [_compositions(g, factor, recursions[b], factors[b],
                                   tables)
                     for g, factor, b in self.families]
-        # the betas > 0 of the nonempty products of each family
-        nonempty = [[beta for beta in range(1, len(table)) if table[beta]]
-                    for table in products]
 
         for parts in self.parts:
             # (products, column map, scale, the monomials the map covers)
@@ -505,20 +487,18 @@ class _SearchRows:
                         for i, c in table[0].items() if i < fits},
                        extra, extra_killed)
             # a beta whose every product is empty has no row
-            for beta in sorted({beta for family in families
-                                for beta in nonempty[family]}):
+            for beta in sorted(set().union(*(products[family]
+                                             for family in families)) - {0}):
                 row = {cm[i]: s * c for table, cm, s, fits in read
+                       if beta in table
                        for i, c in table[beta].items() if i < fits}
                 if len(row) > 1:
                     rows.append(row)
                 else:
                     killed.update(row)
-        for b, coordinate, comp, cm in self.certificates:
-            # the rows of a coordinate component kill that part of J_b, so
-            # they are all handed over
+        for comp, cm in self.certificates:
             multiples(tables, [(k, c, cm) for k, c in tables.terms(comp)],
-                      certify + 1, rows, killed, certify + 2,
-                      None if coordinate else avoiding[b])
+                      certify + 1, rows, killed)
         return tables, (rows, killed), (extra, extra_killed)
 
     def eliminate(self, certify: int,

@@ -60,6 +60,19 @@ class TestCatalog:
 
 
 class TestInstantiate:
+    def test_instance_is_the_canonical_parse_of_the_row_text(self):
+        # instantiate puts the plain parse in canonical variable order,
+        # which is what parse_multigerm does with the row's text
+        rows = 0
+        for entry in atlas.entries():
+            for params in atlas._parameter_sweep(entry, 8):
+                _, args = atlas._normalize_params(entry, params)
+                text = entry._text(*args)
+                assert atlas.instantiate(entry.name, params) == \
+                    syntax.parse_multigerm(text), (entry.name, params)
+                rows += 1
+        assert rows == 165
+
     def test_fold_and_cusp(self):
         g = atlas.instantiate("A1A2-a", {"k": 2})
         assert g == P("{(x^3+y*x,y,z);(x,y^2+z^2,z)}")

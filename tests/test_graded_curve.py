@@ -30,8 +30,8 @@ from germcalc.errors import NotStabilizedError, ProvedInfiniteError
 from germcalc.germ import (Branch, MultiGerm, linear_prenormal_form,
                            multiplicity, multiplicity_and_power)
 from germcalc.ring import (Poly, _graded_ideal, eliminate_graded,
-                           monomial_mul, monomials_up_to, quotient_dim,
-                           substitute)
+                           monomial_mul, monomial_tables, monomials_up_to,
+                           quotient_dim, substitute)
 from germcalc.syntax import parse_multigerm
 from germcalc.tangent import _graded_tangent, ae_codim
 from germcalc._echelon import RowSpan
@@ -656,15 +656,51 @@ def test_rows_built_modulo_the_one_term_certificates(germ, k, c, extended):
         reduced_graded_tangent(germ, top, extended, k)
 
 
+@settings(max_examples=200, deadline=None)
+@given(germs_with_one_term_components().map(lambda f: f.branches[0]),
+       st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       st.sampled_from([1, -2, 3]), st.integers(1, 3), st.integers(2, 3))
+def test_compositions_are_exact_outside_the_one_term_certificates(
+        branch, partial, factor, k, c):
+    # every product factor * (y^beta o f_b) * g that `_compositions` keeps,
+    # g = 1 or a partial of a component, agrees with the product by
+    # substitution, truncated at the top, on every monomial outside J_b:
+    # x^m x^a with |a| >= k + 1 for a one-term component u x^m.  A beta
+    # whose product has such a monomial is a key.
+    top = k + c
+    tables, betas = monomial_tables(3, top), monomial_tables(3, k + 1)
+    own = tangent._Branch(branch)
+    g = (Poly.const(3, 1) if partial is None
+         else branch.components[partial[0]].diff(partial[1]))
+    table = tangent._compositions(g, factor, betas.recursion(own.order),
+                                  own.factors(tables, k), tables)
+    ones = [m for comp in branch.components if len(comp.items()) == 1
+            for m, _ in comp.items()]
+
+    def outside(mono):
+        return not any(sum(mono) - sum(m) > k
+                       and all(e >= d for e, d in zip(mono, m)) for m in ones)
+
+    for beta, y in enumerate(betas.monos):
+        product = factor * substitute(Poly.monomial(3, y),
+                                      list(branch.components)) * g
+        expected = {tables.index[m]: v
+                    for m, v in product.truncate(top).items() if outside(m)}
+        got = table.get(beta, {})
+        assert {i: v for i, v in got.items()
+                if outside(tables.monos[i])} == expected, (beta, y)
+        assert beta in table or not expected, (beta, y)
+
+
 def generator_multiples(f: MultiGerm, k: int, top: int) -> tuple[list, list]:
     """The derivative rows x^a * df_b/dx_j of |a| >= 1 (over the kept
     components of b, j no coordinate variable of b) and the certificate
     rows x^a * f_{b,i} of |a| >= k + 1 (in one kept component), of two or
     more entries, keyed by the engine's column ids, -position among the
-    kept slots: those with an a free of b's coordinate variables or an
-    entry of degree <= k + 1, which the engine builds, and the others,
-    which lie wholly in J_b (those of a coordinate component i are
-    one-entry)."""
+    kept slots, in two lists: those with an a free of b's coordinate
+    variables or an entry of degree <= k + 1, and the others, which lie
+    wholly in J_b (those of a coordinate component i are one-entry).  The
+    engine builds both."""
     coords = reference_coordinates(f)
     slots = [s for s in reference_slots(f, top, True)
              if s[1] not in coords[s[0]]]
@@ -695,9 +731,8 @@ def generator_multiples(f: MultiGerm, k: int, top: int) -> tuple[list, list]:
 def test_one_term_certificates_cut_the_rows(monkeypatch):
     # over the cap-3 rows at two candidates each: a one-term step c x^m of
     # the products keeps no entry x^m x^a with |a| >= k + 1, which its own
-    # certificate rows kill, and of the derivative and certificate
-    # multiples exactly those that a coordinate variable in a puts wholly
-    # in J_b are left out
+    # certificate rows kill, no product kept is empty, and the derivative
+    # and certificate multiples are all built, those wholly in J_b too
     products, handed = [], []
     compositions, multiples = tangent._compositions, tangent.multiples
 
@@ -713,13 +748,14 @@ def test_one_term_certificates_cut_the_rows(monkeypatch):
 
     monkeypatch.setattr(tangent, "_compositions", recording_products)
     monkeypatch.setattr(tangent, "multiples", recording_multiples)
-    steps = left_out = 0
+    steps = inside = 0
     for name, germ in cap3_rows():
         _, c = multiplicity_and_power(germ)
         for k in (1, 2):
             _graded_tangent(germ, k + c, True, k)
             for var, factors, tables, table in products:
-                for beta in range(1, len(table)):
+                assert all(table.values()), (name, k)
+                for beta in table.keys() - {0}:
                     terms, one = factors[var[beta]]
                     if one is not None:
                         (m, _), = terms
@@ -728,12 +764,12 @@ def test_one_term_certificates_cut_the_rows(monkeypatch):
                                    for i in table[beta]), (name, k)
             built, past = generator_multiples(germ, k, k + c)
             assert (Counter(frozenset(row.items()) for row in handed)
-                    == Counter(frozenset(row.items()) for row in built)), \
-                (name, k)
+                    == Counter(frozenset(row.items())
+                               for row in built + past)), (name, k)
             products.clear()
             handed.clear()
-            left_out += len(past)
-    assert steps > 0 and left_out > 0
+            inside += len(past)
+    assert steps > 0 and inside > 0
 
 
 # -- the grown search ---------------------------------------------------------

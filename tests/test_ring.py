@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,24 +328,19 @@ def test_recursion_is_the_grown_recursion(nvars, tops):
                     + mono[v + 1:]
 
 
-def assert_multiples_are_direct(top: int, low: int, variables: tuple = (),
-                                cut: int = 0) -> None:
-    """`multiples` hands over x^a * g truncated at top for every |a| >= low
-    but the a in which one of `variables` occurs where every entry of
-    x^a * g has degree >= cut (g has order 2), each row directly."""
+def assert_multiples_are_direct(top: int, low: int) -> None:
+    """`multiples` hands over x^a * g truncated at top for every |a| >= low,
+    each row directly."""
     x, y, z = (V(3, i) for i in range(3))
     g = 2 * x * y - z ** 3 + 5 * x ** 2 * y ** 2 + y ** 5
     tables = MonomialTables(3, top)
     colmap = [-3 * i - 1 for i in range(len(tables.monos))]
     rows, killed = [], set()
     multiples(tables, [(k, c, colmap) for k, c in tables.terms(g)], low,
-              rows, killed, cut,
-              tables.avoiding(variables) if variables else None)
+              rows, killed)
 
     expected, units = [], set()
     for a in tables.monos[tables.start[low]:]:
-        if sum(a) + 2 >= cut and any(a[v] for v in variables):
-            continue
         row = {colmap[tables.index[monomial_mul(a, m)]]: c
                for m, c in g.items() if sum(m) <= top - sum(a)}
         if len(row) > 1:
@@ -365,25 +360,3 @@ def test_multiples_are_x_a_times_g_truncated_at_the_top(top, low):
     # the slab |a| = 1 is one-entry at top 3 and full rows at 5, and the
     # slab |a| = 3 is one-entry at top 5 and full rows at 8
     assert_multiples_are_direct(top, low)
-
-
-@pytest.mark.parametrize("variables,cut", [((0,), 5), ((0, 2), 4), ((1,), 2),
-                                           ((0, 1, 2), 8)])
-@pytest.mark.parametrize("low", [0, 2])
-@pytest.mark.parametrize("top", [3, 5, 8])
-def test_multiples_leave_out_the_a_past_the_cut(top, low, variables, cut):
-    # past the cut only the a free of `variables` are handed over: at 4
-    # from the one-entry slab |a| = 2 on at top 5, at 2 from |a| = 0 on,
-    # and at 8 from the slab |a| = 6 on, where at top 8 no a is left
-    assert_multiples_are_direct(top, low, variables, cut)
-
-
-@pytest.mark.parametrize("nvars,top", [(2, 6), (3, 5)])
-def test_avoiding_lists_the_monomials_free_of_the_variables(nvars, top):
-    tables = MonomialTables(nvars, top)
-    for size in range(nvars + 1):
-        for variables in combinations(range(nvars), size):
-            got = tables.avoiding(variables)
-            assert list(got) == [i for i, mono in enumerate(tables.monos)
-                                 if all(mono[v] == 0 for v in variables)]
-            assert tables.avoiding(variables) is got
