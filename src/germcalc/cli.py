@@ -1,26 +1,28 @@
 """The command-line front end.
 
-Subcommands: `eval` (invariants), `build` (constructions), `gate`
-(aggregated simplicity report), `atlas verify|lookup|export`.  Germs are
-read and printed in the surface syntax of `germcalc.syntax`, whose parser,
-printer and canonical keys this module re-exports.  Exit codes: 0 success,
-1 parse/validation error or an unwritable `--output`, 2 failure to
-stabilize (no certificate either way by the cap), 3 internal error.  A
-dimension proved infinite is an answer: `eval` prints it as `infinite`
-with its proof and exits 0.
-The engine flag `--max-degree` is the only engine setting, passed to the
-library as `d_max` (default `ring.D_MAX`): it bounds the degree at which a
-dimension may be certified (a codimension's certificate elimination runs c
-degrees above it).  A value below 1 exits 1 before any subcommand runs.
-`run` builds its argument parser once per process, on first use, so a
-caller that runs many command lines in one process parses each without
-rebuilding it.
+Subcommands: `eval` (invariants), `build <operation>` (constructions),
+`gate` (aggregated simplicity report), `atlas verify|lookup|export`.  Each
+command takes only the options it reads.  Germs are read and printed in the
+surface syntax of `germcalc.syntax`, whose parser, printer and canonical
+keys this module re-exports.  Exit codes: 0 success, 1 parse/validation
+error (an unknown option included) or an unwritable output (`--output`, or
+a closed standard output), 2 failure to stabilize (no certificate either
+way by the cap), 3 internal error.  A dimension proved infinite is an
+answer: `eval` prints it as `infinite` with its proof and exits 0.
+The engine flag `--max-degree`, taken by every command but `atlas export`,
+is the only engine setting, passed to the library as `d_max` (default
+`ring.D_MAX`): it bounds the degree at which a dimension may be certified
+(a codimension's certificate elimination runs c degrees above it).  Its
+argument type refuses a value below 1.  `run` builds its argument parser
+once per process, on first use, so a caller that runs many command lines
+in one process parses each without rebuilding it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -66,8 +68,19 @@ def _verdict_json(verdict) -> dict:
 
 # -- subcommands ---------------------------------------------------------------
 
+def _degree_cap(text: str) -> int:
+    """The type of `--max-degree`: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("d_max must be at least 1")
+    return value
+
+
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-degree", type=int, default=D_MAX,
+    sub.add_argument("--max-degree", type=_degree_cap, default=D_MAX,
                      help="largest degree a dimension may be certified at "
                           f"(default {D_MAX})")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
@@ -146,42 +159,30 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _unfolding_from_expr(expr: str, s: int):
-    total = parse_multigerm(expr, canonical=False)
-    return ops.normalized_unfolding(total, s)
+def _unfolding(expr: str, s: int = 1):
+    return ops.normalized_unfolding(parse_multigerm(expr, canonical=False), s)
+
+
+# operation: its ops function, and the inputs it takes before d_max, read
+# from the options its parser declares
+_BUILDS = {
+    "augment": (ops.augment,
+                lambda args: (_unfolding(args.germ), parse_poly(args.phi))),
+    "monic": (ops.monic_concat, lambda args: (_unfolding(args.germ),)),
+    "binary": (ops.binary_concat,
+               lambda args: (_unfolding(args.germ), _unfolding(args.germ2))),
+    "genconc": (ops.generalised_concat,
+                lambda args: (_unfolding(args.germ, args.s),
+                              parse_multigerm(args.gbar))),
+    "augconc": (ops.sim_aug_concat,
+                lambda args: (_unfolding(args.germ), parse_poly(args.phi))),
+}
 
 
 def _cmd_build(args) -> int:
-    d_max = args.max_degree
-    check = not args.unchecked
-    op = args.operation
-    if op in ("augment", "augconc") and not args.phi:
-        raise ValueError(f"{op} needs --phi")
-    if op == "genconc" and not args.gbar:
-        raise ValueError("genconc needs --gbar")
-    if op == "augment":
-        u = _unfolding_from_expr(args.germ, 1)
-        phi = parse_poly(args.phi)
-        result = ops.augment(u, phi, d_max, check_stability=check)
-    elif op == "monic":
-        u = _unfolding_from_expr(args.germ, 1)
-        result = ops.monic_concat(u, d_max, check_stability=check)
-    elif op == "binary":
-        if not args.germ2:
-            raise ValueError("binary concatenation needs --germ2")
-        u = _unfolding_from_expr(args.germ, 1)
-        v = _unfolding_from_expr(args.germ2, 1)
-        result = ops.binary_concat(u, v, d_max, check_stability=check)
-    elif op == "genconc":
-        u = _unfolding_from_expr(args.germ, args.s)
-        gbar = parse_multigerm(args.gbar)
-        result = ops.generalised_concat(u, gbar, d_max, check_stability=check)
-    elif op == "augconc":
-        u = _unfolding_from_expr(args.germ, 1)
-        phi = parse_poly(args.phi)
-        result = ops.sim_aug_concat(u, phi, d_max, check_stability=check)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown build operation {op!r}")
+    build, inputs = _BUILDS[args.operation]
+    result = build(*inputs(args), args.max_degree,
+                   check_stability=not args.unchecked)
     text = format_multigerm(result)
     if args.json:
         print(json.dumps({"germ": text}, sort_keys=True))
@@ -218,65 +219,63 @@ def _cmd_gate(args) -> int:
     return 0
 
 
-def _cmd_atlas(args) -> int:
-    action = args.action
-    if action == "verify":
-        report = atlas.verify_all(args.param_cap, args.max_degree)
-        if args.json:
-            print(json.dumps(_jsonable(report.as_dict()), sort_keys=True))
-        else:
-            for row in report.rows:
-                status = "ok" if row.match else "MISMATCH"
-                print(f"{row.name:12s} {row.params_text:18s} computed={row.computed} "
-                      f"expected={row.expected} [{status}] "
-                      f"degree={row.degree_used} c={row.c} {row.seconds:.2f}s"
-                      f"{' ' + row.note if row.note else ''}")
-            total = len(report.rows)
-            good = sum(1 for row in report.rows if row.match)
-            print(f"{good}/{total} rows match")
-        if report.all_match:
-            return 0
-        # stabilization failures are reported as 2, numeric mismatches as 3
-        if any(not row.match and row.computed is None for row in report.rows):
-            return 2
-        return 3
-    if action == "lookup":
-        if not args.germ:
-            raise ValueError("lookup needs --germ")
-        f, text = canonical_form(parse_multigerm(args.germ, canonical=False))
+def _cmd_atlas_verify(args) -> int:
+    report = atlas.verify_all(args.param_cap, args.max_degree)
+    if args.json:
+        print(json.dumps(_jsonable(report.as_dict()), sort_keys=True))
+    else:
+        for row in report.rows:
+            status = "ok" if row.match else "MISMATCH"
+            print(f"{row.name:12s} {row.params_text:18s} computed={row.computed} "
+                  f"expected={row.expected} [{status}] "
+                  f"degree={row.degree_used} c={row.c} {row.seconds:.2f}s"
+                  f"{' ' + row.note if row.note else ''}")
+        total = len(report.rows)
+        good = sum(1 for row in report.rows if row.match)
+        print(f"{good}/{total} rows match")
+    if report.all_match:
+        return 0
+    # stabilization failures are reported as 2, numeric mismatches as 3
+    if any(not row.match and row.computed is None for row in report.rows):
+        return 2
+    return 3
+
+
+def _cmd_atlas_lookup(args) -> int:
+    f, text = canonical_form(parse_multigerm(args.germ, canonical=False))
+    try:
+        result = atlas.lookup(f, args.max_degree)
+    except ProvedInfiniteError:
+        # every catalog row has a finite codimension
+        result = atlas.LookupResult(matches=(), exact=False)
+    payload = {
+        "germ": text,
+        "exact": result.exact,
+        "matches": [{"name": name, "params": _jsonable(dict(params))}
+                    for name, params in result.matches],
+    }
+    if args.json:
+        print(json.dumps(_jsonable(payload), sort_keys=True))
+    elif result.matches:
+        for name, params in result.matches:
+            extra = f" {dict(params)}" if params else ""
+            print(f"{name}{extra}" + (" (exact)" if result.exact else ""))
+    else:
+        print("no match")
+    return 0
+
+
+def _cmd_atlas_export(args) -> int:
+    text = json.dumps(atlas.export_document(), indent=2, sort_keys=True)
+    if args.output:
         try:
-            result = atlas.lookup(f, args.max_degree)
-        except ProvedInfiniteError:
-            # every catalog row has a finite codimension
-            result = atlas.LookupResult(matches=(), exact=False)
-        payload = {
-            "germ": text,
-            "exact": result.exact,
-            "matches": [{"name": name, "params": _jsonable(dict(params))}
-                        for name, params in result.matches],
-        }
-        if args.json:
-            print(json.dumps(_jsonable(payload), sort_keys=True))
-        elif result.matches:
-            for name, params in result.matches:
-                extra = f" {dict(params)}" if params else ""
-                print(f"{name}{extra}" + (" (exact)" if result.exact else ""))
-        else:
-            print("no match")
-        return 0
-    if action == "export":
-        doc = atlas.export_document()
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        if args.output:
-            try:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            except OSError as exc:
-                raise ValueError(f"cannot write {args.output}: {exc.strerror}")
-        else:
-            print(text)
-        return 0
-    raise ValueError(f"unknown atlas action {action!r}")  # pragma: no cover
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}")
+    else:
+        print(text)
+    return 0
 
 
 @lru_cache(maxsize=1)
@@ -297,38 +296,50 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_build = sub.add_parser("build", help="run a construction")
-    p_build.add_argument("operation",
-                         choices=["augment", "monic", "binary", "genconc", "augconc"])
-    p_build.add_argument("--germ", required=True,
-                         help="unfolding total (parameters last)")
-    p_build.add_argument("--phi", default=None, help="augmenting function")
-    p_build.add_argument("--germ2", default=None,
-                         help="second unfolding total (binary)")
-    p_build.add_argument("--gbar", default=None,
-                         help="stable germ to adjoin (genconc)")
-    p_build.add_argument("--s", type=int, default=1,
-                         help="parameter count (genconc)")
-    p_build.add_argument("--unchecked", action="store_true",
-                         help="assert stability instead of verifying it")
-    _add_engine_flags(p_build)
-    p_build.set_defaults(func=_cmd_build)
+    operations = p_build.add_subparsers(dest="operation", required=True)
+    for op in _BUILDS:
+        p_op = operations.add_parser(op)
+        p_op.add_argument("--germ", required=True,
+                          help="unfolding total (parameters last)")
+        if op in ("augment", "augconc"):
+            p_op.add_argument("--phi", required=True,
+                              help="augmenting function")
+        elif op == "binary":
+            p_op.add_argument("--germ2", required=True,
+                              help="second unfolding total")
+        elif op == "genconc":
+            p_op.add_argument("--gbar", required=True,
+                              help="stable germ to adjoin")
+            p_op.add_argument("--s", type=int, default=1,
+                              help="parameter count of the unfolding")
+        p_op.add_argument("--unchecked", action="store_true",
+                          help="assert stability instead of verifying it")
+        _add_engine_flags(p_op)
+        p_op.set_defaults(func=_cmd_build)
 
     p_gate = sub.add_parser("gate", help="run the simplicity report")
     p_gate.add_argument("--germ", required=True)
     p_gate.add_argument("--assert", dest="asserted", default="",
                         help="comma-separated hypothesis flags: "
-                        + ", ".join(gates.FLAGS))
+                        + ", ".join(gates.REPORT_FLAGS))
     _add_engine_flags(p_gate)
     p_gate.set_defaults(func=_cmd_gate)
 
     p_atlas = sub.add_parser("atlas", help="atlas verification and lookup")
-    p_atlas.add_argument("action", choices=["verify", "lookup", "export"])
-    p_atlas.add_argument("--param-cap", type=int, default=3,
-                         help="verify parameters up to this value")
-    p_atlas.add_argument("--germ", default=None, help="germ expression (lookup)")
-    p_atlas.add_argument("--output", default=None, help="export file path")
-    _add_engine_flags(p_atlas)
-    p_atlas.set_defaults(func=_cmd_atlas)
+    actions = p_atlas.add_subparsers(dest="action", required=True)
+    p_verify = actions.add_parser("verify", help="re-verify the catalog")
+    p_verify.add_argument("--param-cap", type=int, default=3,
+                          help="verify parameters up to this value")
+    _add_engine_flags(p_verify)
+    p_verify.set_defaults(func=_cmd_atlas_verify)
+    p_lookup = actions.add_parser("lookup", help="classify a germ")
+    p_lookup.add_argument("--germ", required=True, help="germ expression")
+    _add_engine_flags(p_lookup)
+    p_lookup.set_defaults(func=_cmd_atlas_lookup)
+    p_export = actions.add_parser("export", help="dump the catalog as JSON")
+    p_export.add_argument("--output", default=None,
+                          help="file path (default: standard output)")
+    p_export.set_defaults(func=_cmd_atlas_export)
     return parser
 
 
@@ -339,9 +350,6 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if args.max_degree < 1:
-        print("error: d_max must be at least 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except NotStabilizedError as exc:
@@ -350,13 +358,23 @@ def run(argv: list[str]) -> int:
     except (GermcalcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # standard output's reader has gone
+        return 1
     except Exception as exc:  # internal invariant violation
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so that the flush at exit
+        # does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ formula); those are surfaced as named assertion flags that the caller may
 supply, never assumed silently.  A wrong Simple or NotSimple is worse than
 an Unknown.
 
-Flags understood by the gates:
+Flags understood by the gates (a report reads "primitivity" always, the
+first three only when it runs augconc, and "is_augmentation" never):
 
   * "dz_condition"         lifting condition of the codimension formula
   * "augmentation_simple"  the augmented germ itself is simple
@@ -40,8 +41,9 @@ FLAG_AUG_SIMPLE = "augmentation_simple"
 FLAG_TRANSVERSALITY = "transversality"
 FLAG_PRIMITIVITY = "primitivity"
 FLAG_IS_AUGMENTATION = "is_augmentation"
-FLAGS = (FLAG_DZ, FLAG_AUG_SIMPLE, FLAG_TRANSVERSALITY, FLAG_PRIMITIVITY,
-         FLAG_IS_AUGMENTATION)
+# the flags that every report reads, and those that augconc reads
+REPORT_FLAGS = (FLAG_PRIMITIVITY,)
+AUGCONC_FLAGS = (FLAG_DZ, FLAG_AUG_SIMPLE, FLAG_TRANSVERSALITY)
 
 SIMPLE = "simple"
 NOT_SIMPLE = "not_simple"
@@ -334,20 +336,23 @@ def gate_aug_cusp(f_aug: MultiGerm, partner_kind: str,
 class ReportAssertions:
     """Caller-supplied hypotheses for the aggregated report.
 
-    flags, each one of FLAGS, feed the augmentation gates (an unknown name
-    raises ValueError); augconc supplies the data that the
-    simultaneous augmentation-and-concatenation gate cannot recover from
-    the germ alone (base codimension and augmenting function).
+    flags feed the gates, and each must be one that a gate of the report
+    reads: one of REPORT_FLAGS, or of AUGCONC_FLAGS when augconc is given
+    (any other raises ValueError naming it); augconc supplies the data that
+    the simultaneous augmentation-and-concatenation gate cannot recover
+    from the germ alone (base codimension and augmenting function).
     """
 
     flags: frozenset[str] = frozenset()
     augconc: tuple[int, Poly] | None = None
 
     def __post_init__(self):
-        unknown = sorted(self.flags - set(FLAGS))
-        if unknown:
-            raise ValueError(f"unknown assertion flag(s) {', '.join(unknown)}; "
-                             f"the known flags are {', '.join(FLAGS)}")
+        read = REPORT_FLAGS + (() if self.augconc is None else AUGCONC_FLAGS)
+        unread = sorted(self.flags - set(read))
+        if unread:
+            raise ValueError(f"no gate of this report reads the assertion "
+                             f"flag(s) {', '.join(unread)}; it reads "
+                             f"{', '.join(read)}")
 
 
 @dataclass(frozen=True)

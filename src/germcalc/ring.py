@@ -605,7 +605,8 @@ def stabilize_curve(eliminate, k0: int, c: int, step, d_max: int,
 
     `eliminate(k, top)` is one elimination at top degree `top` = k + c,
     with the caller's certificate rows for the candidate degree k added,
-    returning the values at degrees 0..top and the free slots, as
+    returning the values at degrees 0..top and the free slots (positions
+    for `quotient_curve`, which reads only the values), as
     `eliminate_graded` does.  The candidate k passes when
     `values[k + c] == values[k]`, that is, when every slot of degree
     k+1..k+c is a pivot.  The caller's certificate makes a pass a proof
@@ -653,7 +654,7 @@ def stabilize_curve(eliminate, k0: int, c: int, step, d_max: int,
 
 
 def _graded_ideal(generators: Sequence[Poly], nvars: int,
-                  top: int) -> tuple[list[int], list[Monomial]]:
+                  top: int) -> tuple[list[int], list[int]]:
     """One elimination of the generator multiples of degree <= top; the
     position of a monomial's column is its index in the tables."""
     tables = monomial_tables(nvars, top)
@@ -666,7 +667,7 @@ def _graded_ideal(generators: Sequence[Poly], nvars: int,
     start = tables.start
     (values, free), = eliminate_graded(
         [start[d + 1] - start[d] for d in range(top + 1)], (rows, killed))
-    return values, [tables.monos[i] for i in free]
+    return values, free
 
 
 def quotient_curve(generators: Iterable[Poly], nvars: int,

@@ -417,16 +417,52 @@ class TestRun:
         assert cli.run(["eval", "--germ", "(x,y,z^2)", *flags]) == 1
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("argv", [["eval", "--germ", "(x,y,z^2)"],
-                                      ["gate", "--germ", "(x,y,z^2)"],
-                                      ["atlas", "export"]],
-                             ids=["eval", "gate", "atlas-export"])
-    def test_max_degree_below_one_exits_1(self, capsys, argv, value):
-        # checked before dispatch: export never reaches the engine
+    @pytest.mark.parametrize("argv, refusal", [
+        (["eval", "--germ", "(x,y,z^2)"], "d_max must be at least 1"),
+        (["gate", "--germ", "(x,y,z^2)"], "d_max must be at least 1"),
+        # export runs no engine, so it takes no cap at all
+        (["atlas", "export"], "unrecognized arguments: --max-degree"),
+    ], ids=["eval", "gate", "atlas-export"])
+    def test_max_degree_below_one_exits_1(self, capsys, argv, refusal, value):
+        # refused while parsing, before any subcommand runs
         assert cli.run([*argv, "--max-degree", value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "d_max must be at least 1" in captured.err
+        assert refusal in captured.err
+
+    @pytest.mark.parametrize("argv, option", [
+        pytest.param(argv, option, id=argv[1] + option)
+        for argv, ignored in [
+            (["build", "augment", "--germ", "(x^3+y^4*x+z*x, y, z)",
+              "--phi", "z^4"], ["--germ2", "--gbar", "--s"]),
+            (["build", "augconc", "--germ", "(t^2, t^3+u*t, u)",
+              "--phi", "w^2"], ["--germ2", "--gbar", "--s"]),
+            (["build", "monic", "--germ", "(t^2, t^3+l*t, l)"],
+             ["--phi", "--germ2", "--gbar", "--s"]),
+            (["build", "binary", "--germ", "(x^3+u*x, u)",
+              "--germ2", "(x^3+u*x, u)"], ["--phi", "--gbar", "--s"]),
+            (["build", "genconc", "--germ", "(t^2, t^3+l*t, l)",
+              "--gbar", "(0)"], ["--phi", "--germ2"]),
+            (["atlas", "verify", "--param-cap", "1"], ["--germ", "--output"]),
+            (["atlas", "lookup", "--germ", "(x,y,z^2)"],
+             ["--param-cap", "--output"]),
+            (["atlas", "export"],
+             ["--param-cap", "--germ", "--max-degree", "--json"]),
+        ]
+        for option in ignored
+    ])
+    def test_an_option_the_command_does_not_read_exits_1(
+            self, capsys, argv, option):
+        # each command line is valid without the option, and nothing it
+        # runs would read the option's value
+        value = {"--germ2": ["(x^3+u*x, u)"], "--gbar": ["(0)"],
+                 "--s": ["2"], "--phi": ["w^2"], "--germ": ["(x,y,z^2)"],
+                 "--output": ["atlas.json"], "--param-cap": ["9"],
+                 "--max-degree": ["5"], "--json": []}[option]
+        assert cli.run([*argv, option, *value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option}" in captured.err
 
     def test_start_above_the_cap_names_both_degrees(self, capsys):
         # A1A3 k = 8 has multiplicity 6 and c = 4, so its codimension starts
@@ -460,10 +496,24 @@ class TestRun:
     def test_gate_rejects_an_unknown_assertion_flag(self, capsys):
         code = cli.run(["gate", "--germ", "(x,y,z^3+x*z)",
                         "--assert", "primitivty,bogus"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "bogus, primitivty" in err
-        assert all(flag in err for flag in gates.FLAGS)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "error: no gate of this report reads the assertion flag(s) "
+            "bogus, primitivty; it reads primitivity\n")
+
+    @pytest.mark.parametrize("flag", [
+        gates.FLAG_DZ, gates.FLAG_AUG_SIMPLE, gates.FLAG_TRANSVERSALITY,
+        gates.FLAG_IS_AUGMENTATION])
+    def test_gate_rejects_a_flag_no_gate_of_its_report_reads(self, capsys,
+                                                             flag):
+        # only augconc reads the first three, and the command line cannot
+        # give it its data; no report runs the gate that reads the fourth
+        code = cli.run(["gate", "--germ", "(x,y,z^2)",
+                        "--assert", f"primitivity,{flag}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"assertion flag(s) {flag};" in captured.err
 
     def test_eval_then_gate_computes_a_failing_codimension_once(
             self, capsys, monkeypatch):
@@ -735,6 +785,16 @@ class TestRun:
         doc = json.loads(target.read_text())
         assert doc["format"] == "germcalc-atlas" and len(doc["entries"]) == 26
 
+    def test_a_closed_standard_output_exits_1(self, capsys, monkeypatch):
+        # a reader that has gone is an unwritable output, not a bug
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert cli.run(["atlas", "export"]) == 1
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("where, reason", [
         ("missing/atlas.json", "No such file or directory"),
         (".", "Is a directory"),
@@ -774,6 +834,25 @@ class TestLayering:
                        "--germ", "(x,y,z^2)", "--json")
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["invariants"]["aecod"] == 0
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""],
+                             ids=["unbuffered", "buffered"])
+    def test_a_closed_pipe_exits_1_quietly(self, unbuffered):
+        # the pipe's reader is closed before the command starts, so no
+        # write can race it.  Unbuffered, print fails inside run; buffered,
+        # an output smaller than the buffer fails only at main's flush
+        read, write = os.pipe()
+        os.close(read)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(atlas.__file__)))
+        env = {**os.environ, "PYTHONPATH": src,
+               "PYTHONUNBUFFERED": unbuffered}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "germcalc", "atlas", "export"],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, "")
 
     def test_ring_caches_are_bounded_and_empty_after_import(self):
         # every functools cache of every module in the package

@@ -293,6 +293,13 @@ class TestSimplicityReport:
             "augmentation-and-concatenation of codimension >= 2")
         assert rep.trace[-1] == ("augconc", rep.verdict)
 
+    def test_augconc_flags_need_the_augconc_data(self):
+        # without its data the augconc gate does not run, so nothing would
+        # read its flags
+        with pytest.raises(ValueError, match="flag\\(s\\) dz_condition;"):
+            ReportAssertions(flags=frozenset({FLAG_DZ}))
+        ReportAssertions(flags=frozenset({FLAG_DZ}), augconc=(1, W ** 2))
+
     def test_final_kind_order_independent(self):
         # both the multiplicity and the pairing gate fire on this germ, so
         # the kind is NotSimple whichever runs first; the report stops at
