@@ -171,28 +171,23 @@ def augment(u: Unfolding, g: Poly,
     return MultiGerm(tuple(branches))
 
 
-def _prism_branch(n: int, p: int) -> Branch:
-    """The stable branch passing the first p-1 variables and summing squares
-    of the rest; the empty sum (n = p - 1) gives an immersion."""
-    comps = [Poly.variable(n, i) for i in range(p - 1)]
-    square_sum = Poly.zero(n)
-    for j in range(p - 1, n):
-        square_sum = square_sum + Poly.variable(n, j) ** 2
-    comps.append(square_sum)
-    return Branch(tuple(comps))
+def _morse(n: int) -> MultiGerm:
+    """The Morse function x_1^2 + ... + x_n^2, the zero map when n = 0."""
+    square_sum = sum((Poly.variable(n, j) ** 2 for j in range(n)),
+                     Poly.zero(n))
+    return MultiGerm((Branch((square_sum,)),))
 
 
 def monic_concat(u: Unfolding,
                  d_max: int = D_MAX,
                  check_stability: bool = True) -> MultiGerm:
     """Adjoin a prism on a Morse function (or an immersion when the total
-    has n = p - 1) to a 1-parameter stable unfolding."""
+    has n = p - 1) to a 1-parameter stable unfolding: the generalised
+    concatenation with a Morse gbar."""
     if u.s != 1:
         raise ValueError("monic concatenation needs a 1-parameter unfolding")
-    if check_stability:
-        _require_stable(u.total, d_max, "the unfolding total")
-    n_tot, p_tot = u.total.n, u.total.p
-    return MultiGerm(u.total.branches + (_prism_branch(n_tot, p_tot),))
+    return generalised_concat(u, _morse(u.total.n - u.total.p + 1), d_max,
+                              check_stability)
 
 
 def binary_concat(u: Unfolding, v: Unfolding,
@@ -273,14 +268,14 @@ def sim_aug_concat(u: Unfolding, phi: Poly,
     """Simultaneous augmentation and concatenation.
 
     Augments a 1-parameter stable unfolding by a one-variable function phi
-    and adjoins the fold branch (X, v) -> (X, sum of squares of v); the
-    adjoined branch is an immersion when the base has p = n + 1.
+    and takes the monic concatenation of the result: it adjoins the fold
+    branch (X, v) -> (X, sum of squares of v), an immersion when the base
+    has p = n + 1.
     """
     if phi.nvars != 1:
         raise ValueError("the augmenting function must be a one-variable germ")
     augmented = augment(u, phi, d_max, check_stability=check_stability)
-    return MultiGerm(augmented.branches +
-                     (_prism_branch(augmented.n, augmented.p),))
+    return monic_concat(Unfolding(augmented, 1), check_stability=False)
 
 
 def predicted_codim_augconc(cod_f: int, tau_phi: int) -> int:

@@ -190,11 +190,14 @@ its last candidate k = d_max (`ring.stabilize_curve`), so it costs nothing
 where a search certifies earlier; when it finds a proof, that elimination
 never runs and ProvedInfiniteError is raised.  A-finiteness depends on
 neither the variant nor the search, so both variants of one germ and cap
-share the certificate, and once one search has proved f not A-finite the
-other raises the proof before its first candidate.  A germ with n <= p
-that is not finite raises the proof of `germ`'s multiplicity search
-instead: such a germ is unstable at every point of its zero set, since
-there its differential has rank below p, so neither codimension is finite.
+share the certificate (`_Shared.proof`, stored only once computed): once
+one search has proved f not A-finite the other raises the proof before
+its first candidate, and a search that reaches its last candidate while
+the other is still computing the certificate computes it too.  A germ
+with n <= p that is not finite raises the proof of `germ`'s multiplicity
+search instead: such a germ is unstable at every point of its zero set,
+since there its differential has rank below p, so neither codimension is
+finite.
 """
 
 from __future__ import annotations
@@ -545,40 +548,29 @@ def _graded_tangent(f: MultiGerm, top: int, extended: bool,
         top if certify is None else certify, top)[extended])
 
 
-class _Search:
-    """The eliminations of one codimension search.  Each elimination
-    serves both variants (`_SearchRows.eliminate`): the search leaves the
-    other variant's free positions in the results that the searches of one
-    germ and cap share (`_Shared`), and where the other variant's search
-    has run the same candidate it takes its own from there, dropping them,
-    and builds no rows."""
-
-    __slots__ = ("rows", "extended", "results")
-
-    def __init__(self, f: MultiGerm, extended: bool, results: dict):
-        self.rows, self.extended, self.results = (_SearchRows(f), extended,
-                                                  results)
-
-    def eliminate(self, certify: int,
-                  top: int) -> tuple[list[int], list[Slot]]:
-        free = self.results.pop((self.extended, certify, top), None)
-        if free is None:
-            both = self.rows.eliminate(certify, top)
-            self.results[not self.extended, certify, top] = \
-                both[not self.extended]
-            free = both[self.extended]
-        return self.rows.read(top, free)
-
-
 def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
+    """One codimension search.  Each elimination serves both variants
+    (`_SearchRows.eliminate`): the search takes its own free positions
+    where the other variant's search left them in `_shared(f, d_max)`,
+    dropping them, and else eliminates and leaves the other variant's.
+    The rows are the search's own, since their column maps grow from
+    candidate to candidate."""
     shared = _shared(f, d_max)
     m, c = multiplicity_and_power(f, d_max)
     start = m + 3 - c
-    search = _Search(shared.prenormal, extended, shared.results)
+    rows, results = _SearchRows(shared.prenormal), shared.results
+
+    def eliminate(certify: int, top: int) -> tuple[list[int], list[Slot]]:
+        free = results.pop((extended, certify, top), None)
+        if free is None:
+            both = rows.eliminate(certify, top)
+            results[not extended, certify, top] = both[not extended]
+            free = both[extended]
+        return rows.read(top, free)
+
     values, degree, free = stabilize_curve(
-        search.eliminate, start, c,
-        lambda k, values: max(k + 2, values[k + 1] + 1), d_max,
-        "codimension", shared.prove)
+        eliminate, start, c, lambda k, values: max(k + 2, values[k + 1] + 1),
+        d_max, "codimension", shared.prove)
     # the first candidate was min(start, d_max), which is at most degree
     return CodimResult(value=values[-1], degree_used=degree, c=c,
                        curve=values[min(start, degree):],
@@ -728,34 +720,36 @@ class _Shared:
     `prenormal` is the germ the searches eliminate on: the linear
     prenormal form of f, computed once for both variants.  The value at
     every degree is invariant under linear changes of coordinates, and
-    the sparser form costs far less fill-in.  The certificate
-    `unstable_point`, run at most once, when a search first reaches its
-    last candidate, serves both variants, since A-finiteness depends on
-    neither.  `results` holds, keyed by (extended, candidate degree, top
-    degree), the free positions that a search's elimination gave for the
-    other variant (`_Search`); the other variant's search drops each one
-    as it reads it."""
+    the sparser form costs far less fill-in.  `proof` is the certificate
+    `unstable_point`, which serves both variants, since A-finiteness
+    depends on neither: None while not sought, False when none was found,
+    or the UnstablePoint.  It is written once, after `unstable_point`
+    returns, so a search that reaches its last candidate while the other
+    is still proving computes the same answer itself.  `results` holds,
+    keyed by (extended, candidate degree, top degree), the free positions
+    that a search's elimination gave for the other variant
+    (`_stabilized_codim`); the other variant's search drops each one as
+    it reads it."""
 
-    __slots__ = ("f", "d_max", "prenormal", "searched", "proof", "results")
+    __slots__ = ("f", "d_max", "prenormal", "proof", "results")
 
     def __init__(self, f: MultiGerm, d_max: int):
         self.f, self.d_max = f, d_max
         self.prenormal = linear_prenormal_form(f)[0]
-        self.searched, self.proof = False, None
+        self.proof: UnstablePoint | bool | None = None
         self.results: dict = {}
 
     def prove(self) -> None:
         """Raise ProvedInfiniteError when the certificate proves f is not
-        A-finite, computing it on the first call only."""
-        if not self.searched:
-            self.searched = True
-            self.proof = unstable_point(self.f, self.d_max)
+        A-finite, computing it unless a search has already stored it."""
+        if self.proof is None:
+            self.proof = unstable_point(self.f, self.d_max) or False
         self.proved()
 
     def proved(self) -> None:
         """Raise ProvedInfiniteError when a search has already proved f
         not A-finite; never compute the certificate."""
-        if self.proof is not None:
+        if self.proof:
             raise self.proof.error()
 
 

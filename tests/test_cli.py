@@ -363,6 +363,29 @@ class TestRun:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_eval_source_dim_declares_an_unused_variable(self, capsys):
+        # in three variables (x, y, 0) vanishes on the z-axis
+        code = cli.run(["eval", "--germ", "(x, y, 0)", "--source-dim", "3"])
+        assert code == 0
+        assert "m0:       infinite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, refusal", [
+        (["--target-dim", "3"],
+         "target-dim 3 disagrees with the 2 components"),
+        (["--source-dim", "1"],
+         "source-dim 1 is less than the 2 variables appearing"),
+    ], ids=["target-dim", "source-dim"])
+    def test_eval_dimensions_that_disagree_with_the_germ_exit_1(
+            self, capsys, flags, refusal):
+        assert cli.run(["eval", "--germ", "(x, y^2)", *flags]) == 1
+        assert refusal in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "gate"])
+    def test_a_germ_with_n_above_p_exits_2(self, capsys, command):
+        # for n > p no map is finite, so no cap certifies a multiplicity
+        assert cli.run([command, "--germ", "(x^2+y^2)"]) == 2
+        assert "did not stabilize by degree 16" in capsys.readouterr().err
+
     def test_seven_variables_exit_code(self, capsys):
         code = cli.run(["eval", "--germ", "(x1^2+x7, x2, x3, x4, x5, x6, x1*x7)"])
         assert code == 1

@@ -782,12 +782,20 @@ def test_one_term_certificates_cut_the_rows(monkeypatch):
 def checked_searches(monkeypatch) -> list:
     """From now on, every elimination of a search is compared with the
     oracle at the same candidate and top; returns the (candidate, top)
-    pairs of each search, one list per search."""
-    search, searches = tangent.stabilize_curve, []
+    pairs of each search, one list per search.  The germ and variant of
+    each search are read off the arguments of `_stabilized_codim`."""
+    stabilized, search = tangent._stabilized_codim, tangent.stabilize_curve
+    searches, running = [], []
+
+    def searching(f, d_max, extended):
+        running.append((tangent._shared(f, d_max).prenormal, extended))
+        try:
+            return stabilized(f, d_max, extended)
+        finally:
+            running.pop()
 
     def checking(eliminate, *args):
-        own, tried = eliminate.__self__, []
-        f, extended = own.rows.f, own.extended
+        (f, extended), tried = running[-1], []
         searches.append(tried)
 
         def checked(k, top):
@@ -798,6 +806,7 @@ def checked_searches(monkeypatch) -> list:
 
         return search(checked, *args)
 
+    monkeypatch.setattr(tangent, "_stabilized_codim", searching)
     monkeypatch.setattr(tangent, "stabilize_curve", checking)
     return searches
 
@@ -879,7 +888,7 @@ def test_grown_search_matches_fresh_rows_on_random_germs(germ, extended):
 #
 # Each elimination of a search serves both codimensions; the search of the
 # other variant of the same germ and cap reads the result at every
-# candidate the first search ran (`tangent._Search`).
+# candidate the first search ran (`tangent._stabilized_codim`).
 
 def clear_tangent_caches() -> None:
     for fn in vars(tangent).values():

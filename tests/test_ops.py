@@ -9,6 +9,7 @@ from germcalc.ops import (Unfolding, augment, binary_concat, generalised_concat,
                           monic_concat, normalized_unfolding,
                           predicted_codim_augconc, sim_aug_concat)
 from germcalc.ring import Poly
+from germcalc.syntax import parse_multigerm
 from germcalc.tangent import ae_codim, is_stable
 
 
@@ -150,20 +151,44 @@ class TestBinaryConcat:
             binary_concat(u, v)
 
 
-class TestGeneralisedConcat:
-    def test_morse_special_case_is_monic(self):
-        x, y, z = V(3, 0), V(3, 1), V(3, 2)
-        u = Unfolding(G(B(x ** 4 + y * x + z * x * x, y, z)), s=1)
-        w = V(1, 0)
-        gbar = MultiGerm((Branch((w * w,)),))
-        assert generalised_concat(u, gbar) == monic_concat(u)
+def swallowtail_unfolding():
+    x, y, z = V(3, 0), V(3, 1), V(3, 2)
+    return Unfolding(G(B(x ** 4 + y * x + z * x * x, y, z)), s=1)
 
-    def test_zero_dimensional_gbar_is_monic_immersion(self):
-        # n = p - s: gbar is the point K^0 -> K^1, stable, and the adjoined
-        # branch is the immersion of the monic concatenation
-        gbar = MultiGerm((Branch((Poly.zero(0),)),))
-        u = curve_unfolding()
-        assert generalised_concat(u, gbar) == monic_concat(u)
+
+def plane_cusp_unfolding():
+    # total (x^3 + l*x, l): n = p = 2, so the Morse gbar is t^2
+    x, l = V(2, 0), V(2, 1)
+    return Unfolding(G(B(x ** 3 + l * x, l)), s=1)
+
+
+def fold_pair_unfolding():
+    x, y, l = V(3, 0), V(3, 1), V(3, 2)
+    return Unfolding(G(B(x * x, y, l), B(x * x + y ** 3 + l, y, l)), s=1)
+
+
+def surface_unfolding():
+    # total (x^2 + y^2 + l*x, l): n = p + 1, which no engine certifies,
+    # so it is built unchecked
+    x, y, l = V(3, 0), V(3, 1), V(3, 2)
+    return Unfolding(G(B(x * x + y * y + l * x, l)), s=1)
+
+
+class TestGeneralisedConcat:
+    # the Morse gbar in n - p + 1 variables; with n = p - 1 it is the point
+    # K^0 -> K^1, stable, and the adjoined branch is the immersion
+    @pytest.mark.parametrize("unfolding, gbar, checked", [
+        (swallowtail_unfolding, "(w^2)", True), (curve_unfolding, "(0)", True),
+        (plane_cusp_unfolding, "(t^2)", True),
+        (fold_pair_unfolding, "(w^2)", True),
+        (surface_unfolding, "(a^2+b^2)", False),
+    ], ids=["swallowtail", "curve", "plane-cusp", "fold-pair", "surface"])
+    def test_monic_is_generalised_with_a_morse_gbar(self, unfolding, gbar,
+                                                    checked):
+        u = unfolding()
+        assert monic_concat(u, check_stability=checked) == \
+            generalised_concat(u, parse_multigerm(gbar),
+                               check_stability=checked)
 
     def test_cusp_block_assembly(self):
         # two-parameter unfolding total (x^3+y^2x+z^3x, y, z) is not stable:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -334,6 +335,57 @@ class TestInfinityCertificate:
                 codim(f)
             assert info.value.certificate["point"] == point
         assert wilson_check(f).status == WilsonReport.NOT_APPLICABLE
+
+    def test_two_threaded_searches_both_raise_the_proof(self, monkeypatch):
+        # the first call of the certificate is held until the other
+        # search has ended, so that search reaches its last candidate
+        # while the proof is still being computed.  It must compute the
+        # proof itself, not fail at that candidate and keep the failure
+        f = syntax.parse_multigerm(PENTAGERM)
+        for fn in vars(tangent).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        certificate = tangent.unstable_point
+        ended = {codim.__name__: threading.Event()
+                 for codim in (ae_codim, a_codim)}
+        callers, waited, lock = [], [], threading.Lock()
+
+        def holding(g, d_max=D_MAX):
+            name = threading.current_thread().name
+            with lock:
+                callers.append(name)
+                held = len(callers) == 1
+            if held:
+                (other,) = (done for search, done in ended.items()
+                            if search != name)
+                waited.append(other.wait(timeout=30))
+            return certificate(g, d_max)
+
+        monkeypatch.setattr(tangent, "unstable_point", holding)
+        outcomes = {}
+
+        def search(codim):
+            try:
+                outcomes[codim.__name__] = codim(f)
+            except Exception as error:
+                outcomes[codim.__name__] = error
+            finally:
+                ended[codim.__name__].set()
+
+        threads = [threading.Thread(target=search, args=(codim,),
+                                    name=codim.__name__)
+                   for codim in (ae_codim, a_codim)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert waited == [True]
+        assert all(isinstance(outcome, ProvedInfiniteError)
+                   for outcome in outcomes.values()), outcomes
+        assert len(outcomes) == 2
+        for codim in (ae_codim, a_codim):
+            with pytest.raises(ProvedInfiniteError):
+                codim(f)
 
     @pytest.mark.parametrize("name, params, d_max", [
         ("A1A2-b", {"k": 8}, 7), ("3_muA1-b", {"mu": 8}, 8)],
