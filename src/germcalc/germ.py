@@ -16,7 +16,11 @@ certificate.
 It also provides the linear prenormal form, the sparse representative of
 a germ's orbit under linear changes of coordinates that the codimension
 engine eliminates on, and the weight fit that makes a whole multigerm
-weighted homogeneous (`weights`).
+weighted homogeneous (`weights`).  Besides making the linear components
+coordinates, the form shifts a branch's one free source coordinate by the
+others (a Tschirnhaus shift), which clears the terms next to its lowest
+pure power; the shift is a linear change of coordinates too, so every
+truncated value of the form is that of the germ.
 The branch multiplicities are cached by the values (branch, d_max), a
 failed search remembered like a value (`errors.remember_failures`), and
 the corank by the branch: the gates and the CLI ask for it many times
@@ -32,12 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import prod
 
 from . import ring
 from .errors import (NotCorankOneError, NotStableTypeError,
                      ProvedInfiniteError, remember_failures)
 from ._echelon import RowSpan, matrix_rank
-from .ring import D_MAX, Poly, substitute
+from .ring import D_MAX, Poly, _integral, substitute
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -259,8 +264,10 @@ def _term_count(f: MultiGerm) -> int:
     return sum(len(c.items()) for b in f.branches for c in b.components)
 
 
-def _source_change(forms: list[dict[int, int]], n: int) -> Matrix:
-    """S with x = S u, where u makes each independent linear form a coordinate.
+def _source_change(forms: list[dict[int, int]],
+                   n: int) -> tuple[Matrix, list[int]]:
+    """S with x = S u, where u makes each independent linear form a
+    coordinate, and the free coordinates, those of u that no form becomes.
 
     The forms (variable index -> coefficient) are taken in order; each one
     that is independent of the earlier ones becomes the coordinate at the
@@ -279,10 +286,10 @@ def _source_change(forms: list[dict[int, int]], n: int) -> Matrix:
         if max(residual) >= k + n:
             span.insert(residual)
             coord[t] = max(residual) - k - n
-    for j in range(n):
-        if k + n + j not in span.pivots:
-            span.insert({k + n + j: 1, k + j: -1})
-            coord[k + j] = j
+    free = [j for j in range(n) if k + n + j not in span.pivots]
+    for j in free:
+        span.insert({k + n + j: 1, k + j: -1})
+        coord[k + j] = j
     rows = [[Fraction(0)] * n for _ in range(n)]
     for lead, row in span.reduced_pivots().items():
         # d x_j + sum_t c_t u_coord[t] = 0
@@ -290,7 +297,65 @@ def _source_change(forms: list[dict[int, int]], n: int) -> Matrix:
         for t, c in row.items():
             if t != lead:
                 rows[j][coord[t]] = Fraction(-c, row[lead])
-    return tuple(map(tuple, rows))
+    return tuple(map(tuple, rows)), free
+
+
+def _shifted(source: Matrix, free: list[int], comps: list[Poly]) -> Matrix:
+    """S with the Tschirnhaus shift of its branch folded in, or `source`
+    itself when that shift is trivial.
+
+    `comps` are the branch's components in x, and under x = S u the
+    coordinates `free` of u are those no linear component becomes.  When
+    exactly one u_z is free, let c u_z^m be the lowest pure power of u_z
+    in the components substituted (the first component in order that
+    reaches it).  Then u_z -> u_z - sum_k L_k u_k with L_k = (coefficient
+    of u_z^{m-1} u_k) / (m c) removes those terms from that component, and
+    leaves every coordinate component as it is, since none depends on
+    u_z.  The shift is column_k -= L_k column_z of S; c and the
+    coefficients are read off the degree-m part h of the component along
+    column z: c = h(column z), and the coefficient of u_z^{m-1} u_k is
+    grad h(column z) . column k.
+    """
+    if len(free) != 1:
+        return source
+    (z,) = free
+    # integral entries as int: the shift is exact either way, and plain
+    # ints keep the common case, a branch it leaves alone, cheap
+    column = [_integral(row[z]) for row in source]
+    # a monomial in a variable that column z does not move is 0 along it
+    still = [j for j, v in enumerate(column) if not v]
+
+    def at(mono):
+        return prod(v ** e for v, e in zip(column, mono) if e)
+
+    least = None
+    for comp in comps:
+        values: dict[int, int | Fraction] = {}
+        for mono, c in comp.items():
+            if not any(map(mono.__getitem__, still)):
+                d = sum(mono)
+                values[d] = values.get(d, 0) + _integral(c) * at(mono)
+        m = min((d for d, v in values.items() if v), default=None)
+        if m is not None and (least is None or m < least[0]):
+            least = (m, values[m], comp)
+    if least is None:
+        return source
+    m, value, comp = least
+    gradient = [0] * len(column)
+    for mono, c in comp.items():
+        if sum(mono) == m:
+            for j, e in enumerate(mono):
+                lower = mono[:j] + (e - 1,) + mono[j + 1:]
+                if e and not any(map(lower.__getitem__, still)):
+                    gradient[j] += _integral(c) * e * at(lower)
+    # m c L_k for every k
+    shift = [sum(g * row[k] for g, row in zip(gradient, source)
+                 if g and row[k])
+             if k != z else 0 for k in range(len(column))]
+    if not any(shift):
+        return source
+    return tuple(tuple(v - Fraction(l, m * value) * row[z]
+                       for v, l in zip(row, shift)) for row in source)
 
 
 def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
@@ -303,11 +368,20 @@ def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
     T row-reduces the p x (branch, monomial) coefficient matrix with the
     nonlinear columns first, highest degree first, so as many components
     as possible become linear; S_b turns the components that are linear
-    on branch b into coordinates.  Each component of g is then scaled by
-    one factor, shared by all branches, to primitive integer
-    coefficients.  g is f itself, with identity transforms, when every
-    transform is a monomial matrix or when the candidate does not have
-    strictly fewer terms than f.
+    on branch b into coordinates.  When one source coordinate u_z of a
+    branch is left free, S_b also carries a Tschirnhaus shift of u_z
+    (`_shifted`), which clears the terms u_z^{m-1} u_k next to the lowest
+    pure power u_z^m: moved coordinates leave the nonlinear components
+    dense in u_z, and this undoes the part of the move that lies along
+    u_z.  Every step is a linear change of coordinates, so every truncated
+    value of g is that of f, and the dense components of f are substituted
+    once, under the final S_b.  Each component of g is then scaled by one
+    factor, shared by all branches, to primitive integer coefficients.
+    When T is a monomial matrix and every linear component a single
+    variable, f's own components are kept (T = 1 up to that scaling) and
+    only the shift can change a branch.  g is f itself, with identity
+    transforms, when no branch changes that way or when the candidate does
+    not have strictly fewer terms than f.
     """
     n, p, r = f.n, f.p, f.r
     columns = sorted({(sum(mono), b, mono)
@@ -337,17 +411,33 @@ def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
               for i in range(p)
               if terms[i][b] and all(sum(mono) == 1 for mono in terms[i][b])]
              for b in range(r)]
-    identity = (f, _identity(p), (_identity(n),) * r)
+    unit = _identity(n)
+    identity = (f, _identity(p), (unit,) * r)
     if (all(len(t) == 1 for t in target)
             and all(len(form) <= 1 for branch in forms for form in branch)):
+        # f is prenormal but for the shift: keep its own components, whose
+        # linear ones are the forms up to order and scale
+        target = [{i: 1} for i in range(p)]
+        polys = [list(branch.components) for branch in f.branches]
+        changes = [(unit, [j for j in range(n)
+                           if all(j not in form for form in forms[b])])
+                   for b in range(r)]
+    else:
+        polys = [[Poly(n, terms[i][b]) for i in range(p)] for b in range(r)]
+        changes = [_source_change(forms[b], n) for b in range(r)]
+    sources = tuple(_shifted(source, free, polys[b])
+                    for b, (source, free) in enumerate(changes))
+    if all(source is unit for source in sources):
         return identity
 
-    sources = tuple(_source_change(forms[b], n) for b in range(r))
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     moved = []
     for b, source in enumerate(sources):
+        if source is unit:
+            moved.append(polys[b])
+            continue
         x = [Poly(n, dict(zip(units, row))) for row in source]
-        moved.append([substitute(Poly(n, terms[i][b]), x) for i in range(p)])
+        moved.append([substitute(comp, x) for comp in polys[b]])
     # one factor per component, shared by the branches: scaling a
     # component on one branch alone is not a change of coordinates
     scale = []

@@ -47,6 +47,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import NotStabilizedError
@@ -307,11 +308,30 @@ class Poly:
         return f"Poly({self.nvars}, {' + '.join(bits)})"
 
 
+def _integral(coef: Fraction) -> Coefficient:
+    return coef.numerator if coef.denominator == 1 else coef
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of two polynomials given as {monomial: coefficient}."""
+    out: dict = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            out[mono] = get(mono, 0) + ca * cb
+    return out
+
+
 def substitute(f: Poly, assignment: Sequence[Poly]) -> Poly:
     """Compose f with the given assignment, one polynomial per variable.
 
     All polynomials in the assignment must live in one common ambient ring;
     the result lives there too.  Raises ValueError on an arity mismatch.
+    The composition runs in one pass over plain {monomial: coefficient}
+    dicts, integral coefficients kept as int: each power of an assigned
+    polynomial is the one below it times the polynomial, grown only as far
+    as f needs it, and the result becomes a `Poly` once, at the end.
     """
     if len(assignment) != f.nvars:
         raise ValueError(
@@ -323,24 +343,27 @@ def substitute(f: Poly, assignment: Sequence[Poly]) -> Poly:
     for g in assignment:
         if g.nvars != ambient:
             raise ValueError("assignment polynomials must share one ambient ring")
-    # cache powers of each substituted polynomial
-    powers: list[dict[int, Poly]] = [dict() for _ in range(f.nvars)]
-
-    def power(i: int, e: int) -> Poly:
-        got = powers[i].get(e)
-        if got is None:
-            got = assignment[i] ** e
-            powers[i][e] = got
-        return got
-
-    result = Poly.zero(ambient)
+    # powers[i][e - 1] is assignment[i] ** e
+    powers = [[{m: _integral(c) for m, c in g.items()}] for g in assignment]
+    one = (0,) * ambient
+    result: dict = {}
+    get = result.get
     for mono, coef in f.items():
-        term = Poly.const(ambient, coef)
+        term = None
         for i, e in enumerate(mono):
             if e:
-                term = term * power(i, e)
-        result = result + term
-    return result
+                grown = powers[i]
+                while len(grown) < e:
+                    grown.append(_times(grown[-1], grown[0]))
+                term = (grown[e - 1] if term is None
+                        else _times(term, grown[e - 1]))
+        coef = _integral(coef)
+        if term is None:
+            result[one] = get(one, 0) + coef
+            continue
+        for m, c in term.items():
+            result[m] = get(m, 0) + coef * c
+    return Poly(ambient, result)
 
 
 # the default degree cap `d_max` of every dimension engine

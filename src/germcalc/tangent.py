@@ -552,9 +552,10 @@ def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
     """One codimension search.  Each elimination serves both variants
     (`_SearchRows.eliminate`): the search takes its own free positions
     where the other variant's search left them in `_shared(f, d_max)`,
-    dropping them, and else eliminates and leaves the other variant's.
-    The rows are the search's own, since their column maps grow from
-    candidate to candidate."""
+    dropping them, and else eliminates and leaves the other variant's
+    (`_Shared.leave`).  However its candidates end, the search is marked
+    ended (`_Shared.end`).  The rows are the search's own, since their column
+    maps grow from candidate to candidate."""
     shared = _shared(f, d_max)
     m, c = multiplicity_and_power(f, d_max)
     start = m + 3 - c
@@ -564,13 +565,17 @@ def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
         free = results.pop((extended, certify, top), None)
         if free is None:
             both = rows.eliminate(certify, top)
-            results[not extended, certify, top] = both[not extended]
+            shared.leave((not extended, certify, top), both[not extended])
             free = both[extended]
         return rows.read(top, free)
 
-    values, degree, free = stabilize_curve(
-        eliminate, start, c, lambda k, values: max(k + 2, values[k + 1] + 1),
-        d_max, "codimension", shared.prove)
+    try:
+        values, degree, free = stabilize_curve(
+            eliminate, start, c,
+            lambda k, values: max(k + 2, values[k + 1] + 1),
+            d_max, "codimension", shared.prove)
+    finally:
+        shared.end(extended)
     # the first candidate was min(start, d_max), which is at most degree
     return CodimResult(value=values[-1], degree_used=degree, c=c,
                        curve=values[min(start, degree):],
@@ -729,15 +734,35 @@ class _Shared:
     keyed by (extended, candidate degree, top degree), the free positions
     that a search's elimination gave for the other variant
     (`_stabilized_codim`); the other variant's search drops each one as
-    it reads it."""
+    it reads it.  `ended` holds the variants whose searches have ended.
+    Nothing reads `results` again once both have ended, or once a search
+    has proved f not A-finite, since the other variant then raises the
+    proof before its first candidate; so it is emptied then, and nothing
+    is left there for a variant that has ended."""
 
-    __slots__ = ("f", "d_max", "prenormal", "proof", "results")
+    __slots__ = ("f", "d_max", "prenormal", "proof", "results", "ended")
 
     def __init__(self, f: MultiGerm, d_max: int):
         self.f, self.d_max = f, d_max
         self.prenormal = linear_prenormal_form(f)[0]
         self.proof: UnstablePoint | bool | None = None
         self.results: dict = {}
+        self.ended: set[bool] = set()
+
+    def leave(self, key: tuple[bool, int, int], free: list[int]) -> None:
+        """Store the free positions `free` for the variant key[0], unless
+        its search has ended.  The test follows the store, so a search
+        that ends in between still finds the store to drop (`end`)."""
+        self.results[key] = free
+        if key[0] in self.ended:
+            self.results.pop(key, None)
+
+    def end(self, extended: bool) -> None:
+        """Mark the search of one variant ended; empty `results` once both
+        have ended or f is proved not A-finite."""
+        self.ended.add(extended)
+        if len(self.ended) == 2 or self.proof:
+            self.results.clear()
 
     def prove(self) -> None:
         """Raise ProvedInfiniteError when the certificate proves f is not

@@ -29,7 +29,7 @@ from germcalc import atlas, tangent
 from germcalc.errors import NotStabilizedError, ProvedInfiniteError
 from germcalc.germ import (Branch, MultiGerm, linear_prenormal_form,
                            multiplicity, multiplicity_and_power)
-from germcalc.ring import (Poly, _graded_ideal, eliminate_graded,
+from germcalc.ring import (D_MAX, Poly, _graded_ideal, eliminate_graded,
                            monomial_mul, monomial_tables, monomials_up_to,
                            quotient_dim, substitute)
 from germcalc.syntax import parse_multigerm
@@ -966,7 +966,43 @@ def test_a_search_past_the_shared_candidates_eliminates_on_its_own(
     assert set(tangent._shared(germ, 16).results) == {(False, 3, 8)}
     assert fields(tangent.a_codim(germ)) == alone
     assert searches[1] == [(3, 8), (5, 10)] and built == [(3, 8), (5, 10)]
-    assert set(tangent._shared(germ, 16).results) == {(True, 5, 10)}
+    # both searches have ended, so nothing is left for either
+    assert tangent._shared(germ, 16).results == {}
+
+
+@pytest.mark.parametrize("first,second", [
+    (tangent.ae_codim, tangent.a_codim), (tangent.a_codim, tangent.ae_codim),
+], ids=["ae-then-a", "a-then-ae"])
+def test_both_ended_searches_leave_no_free_positions(first, second):
+    rows = [atlas.instantiate(entry.name, params)
+            for entry in atlas.entries()
+            for params in atlas._parameter_sweep(entry, 8)]
+    assert len(rows) == 165
+    clear_tangent_caches()
+    alone = []
+    for germ in rows:
+        alone.append((fields(first(germ)), fields(second(germ))))
+        assert tangent._shared(germ, D_MAX).results == {}
+    # the other variant first, every row before any of the first
+    clear_tangent_caches()
+    for germ, (_, expected) in zip(rows, alone):
+        assert fields(second(germ)) == expected
+    for germ, (expected, _) in zip(rows, alone):
+        assert fields(first(germ)) == expected
+        assert tangent._shared(germ, D_MAX).results == {}
+
+
+def test_a_proof_leaves_no_free_positions():
+    # the fold pentagerm is proved not A-finite at the last candidate of
+    # its first search; the other variant raises the proof before its
+    # first candidate, so nothing reads what the first search left
+    germ = parse_multigerm("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);"
+                           "(x,y,z^2+x+y);(x,y,z^2+x-y)}")
+    clear_tangent_caches()
+    with pytest.raises(ProvedInfiniteError):
+        tangent.ae_codim(germ)
+    assert tangent._shared(germ, D_MAX).ended == {True}
+    assert tangent._shared(germ, D_MAX).results == {}
 
 
 def test_stability_and_single_eliminations_share_nothing():

@@ -80,6 +80,13 @@ DENSE = [
      [[1, 0, 2], [0, 1, 5], [2, -1, 0]]),
 ]
 
+# 5_1 with z -> z + x + 2y: the dense component w^5 + x*w + y*w^2, w =
+# z + x + 2y, has 32 terms next to two coordinates, so only the shift of
+# the free coordinate z can make it sparse
+SHIFTED = (P("(x,y,z^5+x*z+y*z^2)"),
+           [[1, 0, 0], [0, 1, 0], [1, 2, 1]],
+           [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
 
 def test_curves_match_the_raw_engine():
     changed = 0
@@ -107,7 +114,7 @@ def test_identity_on_the_catalog():
 
 
 def test_transforms_rebuild_the_form():
-    for base, source, target in DENSE:
+    for base, source, target in DENSE + [SHIFTED]:
         f = move(base, [source] * base.r, target)
         g, T, S = linear_prenormal_form(f)
         assert term_count(g) < term_count(f)
@@ -138,3 +145,50 @@ def test_denominators_differ_between_branches():
                for comp in b.components for _, c in comp.items())
     assert ae_codim(f).value == ae_codim(base).value == 1
     assert a_codim(f).value == a_codim(base).value
+
+
+def test_dense_germs_come_back_sparse():
+    for (base, source, target), most in zip(DENSE + [SHIFTED], (7, 9, 7)):
+        f = move(base, [source] * base.r, target)
+        g, _, _ = linear_prenormal_form(f)
+        assert term_count(g) <= most < term_count(f)
+        for codim in (ae_codim, a_codim):
+            got, normal = codim(f), codim(base)
+            assert (got.value, got.degree_used, got.curve) == \
+                (normal.value, normal.degree_used, normal.curve)
+
+
+def shift_leftovers(g: MultiGerm) -> list:
+    """The terms u_z^{m-1} u_k, k != z, of the first component of each
+    branch of g that reaches the lowest pure power u_z^m of the branch's
+    one free coordinate u_z (one that no linear component contains)."""
+    left = []
+    for b, branch in enumerate(g.branches):
+        bound = {mono.index(1) for comp in branch.components
+                 if all(sum(mono) == 1 for mono, _ in comp.items())
+                 for mono, _ in comp.items()}
+        free = [j for j in range(g.n) if j not in bound]
+        if len(free) != 1:
+            continue
+        (z,) = free
+        powers = [(mono[z], l) for l, comp in enumerate(branch.components)
+                  for mono, _ in comp.items() if sum(mono) == mono[z] > 0]
+        if not powers:
+            continue
+        m, l = min(powers)
+        left += [(b, l, mono) for mono, _ in branch.components[l].items()
+                 if sum(mono) == m and mono[z] == m - 1]
+    return left
+
+
+def test_no_shifted_branch_keeps_a_term_next_to_its_lowest_power():
+    dense = [(name, move(base, [source] * base.r, target))
+             for name, (base, source, target) in
+             zip(("5_1", "A1A2-a", "shifted 5_1"), DENSE + [SHIFTED])]
+    shifted = 0
+    for name, f in list(moved_germs()) + dense:
+        g, _, _ = linear_prenormal_form(f)
+        if g is not f:
+            assert not shift_leftovers(g), name
+            shifted += 1
+    assert shifted >= 40

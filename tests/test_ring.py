@@ -71,6 +71,44 @@ class TestSubstitute:
             substitute(V(2, 0), [V(1, 0)])
 
 
+def reference_substitute(f: Poly, assignment: list[Poly], ambient: int) -> Poly:
+    """The composition Poly by Poly: each term of f a product of powers of
+    the assigned polynomials, summed."""
+    result = Poly.zero(ambient)
+    for mono, coef in f.items():
+        term = Poly.const(ambient, coef)
+        for g, e in zip(assignment, mono):
+            term = term * g ** e
+        result = result + term
+    return result
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+def polys(nvars: int, top: int):
+    """Polynomials in nvars variables with exponents up to top, the zero
+    polynomial and constant terms included."""
+    monos = st.tuples(*[st.integers(0, top)] * nvars)
+    return st.dictionaries(monos, coefficients, max_size=4).map(
+        lambda terms: Poly(nvars, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_substitute_matches_the_poly_by_poly_composition(data):
+    nvars = data.draw(st.integers(0, 4))
+    ambient = data.draw(st.integers(0, 4)) if nvars else 0
+    f = data.draw(polys(nvars, 3))
+    assignment = [data.draw(polys(ambient, 2)) for _ in range(nvars)]
+    got = substitute(f, assignment)
+    assert got.nvars == ambient
+    assert got == reference_substitute(f, assignment, ambient)
+    assert all(type(c) is Fraction for _, c in got.items())
+
+
 class TestQuotientDim:
     def test_maximal_ideal(self):
         gens = [V(3, 0), V(3, 1), V(3, 2)]
