@@ -136,12 +136,15 @@ slots, which the non-extended module lacks), then the two extra families
 in the same span, whose new leads leave the extended free slots.  For a
 fixed column order the lead columns of a row space are unique, so each
 phase gives exactly what an elimination of its rows alone would.  The
-searches of both variants of one germ and cap share what this gives: a
-search leaves the other variant's free slots at each candidate it runs
-with `_shared(f, d_max)`, and the other search reads them, and drops
-them, at every candidate both try, building no rows there.  The two
-searches start at the same candidate and part only after a failure,
-where the next candidate depends on the value.
+searches of both variants of one germ and cap share what this gives
+through `_shared(f, d_max)`: one row builder, which no elimination
+changes, and one table of the eliminations run so far, keyed by
+(candidate, top), each holding the free slots of both variants.  A search
+reads the table at every candidate and eliminates only where no search
+has; an entry is written once and never removed, so no answer depends on
+the order in which the two searches run, or how their threads interleave.
+The two searches start at the same candidate and part only after a
+failure, where the next candidate depends on the value.
 
 `ae_codim`, `a_codim` and `is_stable` are each one cache keyed by the
 values (f, d_max), so every spelling of d_max computes once; a failure is
@@ -339,10 +342,12 @@ def _hand_over(row: dict, rows: list[dict], killed: set[int]) -> None:
 
 
 class _SearchRows:
-    """What the rows of one codimension search are built from: the kept
-    blocks and their column maps, the generators of the derivative and
-    certificate rows, and the families and parts of the target rows.
-    Every elimination builds its rows from these in one pass (`_rows`).
+    """What the rows of one germ's codimension searches are built from: the
+    kept blocks, the generators of the derivative and certificate rows, and
+    the families and parts of the target rows, each row family keyed by
+    the block index q of its kept component.  Every elimination builds its
+    rows from these in one pass (`_rows`), and none changes them, so the
+    searches of both variants share one builder (`_Shared.rows`).
 
     Every row lies in the reduced module of the extended variant, keyed by
     column id, where the slot of mono_k in the q-th kept component (in
@@ -353,10 +358,9 @@ class _SearchRows:
     of the extended one without the derivative rows of |a| = 0 and the
     target rows of beta = 0, and none of them has an entry of degree 0;
     so one elimination serves both, the non-extended rows in its first
-    phase and those two families in its second.  The column maps only
-    grow, each by the new part of its block's column ids on the monomial
-    tables (`ring.MonomialTables.columns`), so a map longer than a top
-    needs reads the same ids.  The products (y^beta o f_b) * g that the
+    phase and those two families in its second.  The column ids of block q
+    are read from the monomial tables of each top
+    (`ring.MonomialTables.columns`).  The products (y^beta o f_b) * g that the
     target rows are read off are built modulo J_b at each elimination
     (`_compositions`) and freed before it runs; the shift tables they are
     built with, and the recursion over beta of each branch
@@ -365,69 +369,69 @@ class _SearchRows:
 
     def __init__(self, f: MultiGerm):
         self.f = f
-        self.coordinates = [_coordinates(branch) for branch in f.branches]
-        self.blocks = [(b, l) for b, coords in enumerate(self.coordinates)
+        coordinates = [_coordinates(branch) for branch in f.branches]
+        self.blocks = [(b, l) for b, coords in enumerate(coordinates)
                        for l in range(f.p) if l not in coords]
-        # colmaps[b][l]: monomial index -> column id, kept component l of b
-        self.colmaps: list[dict[int, list[int]]] = [{} for _ in f.branches]
-        for b, l in self.blocks:
-            self.colmaps[b][l] = []
+        # kept[b][l]: the block index q of kept component l of branch b
+        kept: list[dict[int, int]] = [{} for _ in f.branches]
+        for q, (b, l) in enumerate(self.blocks):
+            kept[b][l] = q
 
         # derivative rows x^a * df_b/dx_j for the variables j that are no
         # coordinate of branch b, over its kept components
         self.derivatives = []
         for b, branch in enumerate(f.branches):
-            variables = {j for j, _ in self.coordinates[b].values()}
+            variables = {j for j, _ in coordinates[b].values()}
             for j in range(f.n):
                 if j not in variables:
                     self.derivatives.append(
-                        [(branch.components[l].diff(j), cm)
-                         for l, cm in self.colmaps[b].items()])
+                        [(branch.components[l].diff(j), q)
+                         for l, q in kept[b].items()])
 
         # target rows: the row of (l, beta) has a part per branch b, the
         # composition y^beta o f_b in component l when l is kept on b, and
         # else, for each kept l', the product (y^beta o f_b) * g in l' with
         # g = -(scale / c) * df_{b,l'}/dx_j.  A one-term g is one more
-        # shift, applied to the column map; a longer g starts the
+        # shift, applied to the column ids; a longer g starts the
         # recursion of the compositions from g.  The rows of component l
         # are scaled by the least common multiple of the numerators of its
         # coordinate coefficients c, so every -scale / c is an integer.
         scale = [lcm(*(abs(coords[l][1].numerator)
-                       for coords in self.coordinates if l in coords))
+                       for coords in coordinates if l in coords))
                  for l in range(f.p)]
         self.branches = [_Branch(branch) for branch in f.branches]
         # families: the (g, factor, branch) of each set of products
         self.families: list[tuple[Poly, int, int]] = []
-        # parts[l]: (family, column map, scale, and for a one-term g of
-        # positive degree its source monomial, by which the column map is
-        # moved at each top)
+        # parts[l]: (family, block index, scale, and for a one-term g of
+        # positive degree its source monomial, by which the block's column
+        # ids are moved at each top)
         self.parts: list[list] = [[] for _ in range(f.p)]
         for b, branch in enumerate(f.branches):
             compositions = len(self.families)
             self.families.append((Poly.const(f.n, 1), 1, b))
             for l in range(f.p):
-                if l in self.colmaps[b]:
-                    self.parts[l].append((compositions, self.colmaps[b][l],
+                if l in kept[b]:
+                    self.parts[l].append((compositions, kept[b][l],
                                           scale[l], None))
                     continue
-                j, c = self.coordinates[b][l]
+                j, c = coordinates[b][l]
                 factor = int(-scale[l] / c)
-                for kept, cm in self.colmaps[b].items():
-                    g = branch.components[kept].diff(j)
+                for l2, q in kept[b].items():
+                    g = branch.components[l2].diff(j)
                     if len(g.items()) == 1:
                         (mono, coef), = g.items()
                         if coef.denominator == 1:
                             coef = coef.numerator
                         # a constant g moves no column
-                        self.parts[l].append((compositions, cm, factor * coef,
+                        self.parts[l].append((compositions, q, factor * coef,
                                               mono if any(mono) else None))
                     elif not g.is_zero():
-                        self.parts[l].append((len(self.families), cm, 1, None))
+                        self.parts[l].append((len(self.families), q, 1, None))
                         self.families.append((g, factor, b))
         # certificate rows x^a * f_{b,i} in each kept component of branch b
         self.certificates = [
-            (comp, cm) for branch, colmaps in zip(f.branches, self.colmaps)
-            for comp in branch.components for cm in colmaps.values()]
+            (comp, q) for branch, blocks in zip(f.branches, kept)
+            for comp in branch.components for q in blocks.values()]
 
     def _rows(self, top: int,
               certify: int) -> tuple[MonomialTables, tuple, tuple]:
@@ -443,22 +447,24 @@ class _SearchRows:
         docstring), so the first phase leaves out target rows and entries
         that its presolve would strip; the other rows are built in full.
         The target rows are read off products built here; the products and
-        moved column maps die on return, before the elimination runs, and
-        the shift tables, column ids and recursions stay on the monomial
-        tables for the next call at this top."""
+        the lists of column ids die on return, before the elimination
+        runs, so no call changes the builder, and the shift tables, column
+        ids and recursions stay on the monomial tables for the next call at
+        this top."""
         f = self.f
         tables = monomial_tables(f.n, top)
         kept = len(self.blocks)
-        for q, (b, l) in enumerate(self.blocks):
-            cm = self.colmaps[b][l]
-            cm.extend(tables.columns(kept, q)[len(cm):])
+        # as lists, whose reads return the stored ids instead of boxing
+        # a new int at each read of an array
+        columns = [tables.columns(kept, q).tolist() for q in range(kept)]
 
         rows: list[dict] = []
         killed: set[int] = set()
         extra: list[dict] = []
         extra_killed: set[int] = set()
         for spec in self.derivatives:
-            terms = [(k, c, cm) for g, cm in spec for k, c in tables.terms(g)]
+            terms = [(k, c, columns[q]) for g, q in spec
+                     for k, c in tables.terms(g)]
             multiples(tables, terms, 1, rows, killed)
             # the partial itself, the row of a = 0; distinct terms land in
             # distinct columns (see `ring.multiples`)
@@ -476,9 +482,10 @@ class _SearchRows:
                     for g, factor, b in self.families]
 
         for parts in self.parts:
-            # (products, column map, scale, the monomials the map covers)
+            # (products, column ids, scale, the monomials the ids cover)
             read, families = [], set()
-            for family, cm, s, mono in parts:
+            for family, q, s, mono in parts:
+                cm = columns[q]
                 if mono is not None:
                     k = tables.index.get(mono)
                     if k is None:  # the term of g lies above top
@@ -499,8 +506,9 @@ class _SearchRows:
                     rows.append(row)
                 else:
                     killed.update(row)
-        for comp, cm in self.certificates:
-            multiples(tables, [(k, c, cm) for k, c in tables.terms(comp)],
+        for comp, q in self.certificates:
+            multiples(tables,
+                      [(k, c, columns[q]) for k, c in tables.terms(comp)],
                       certify + 1, rows, killed)
         return tables, (rows, killed), (extra, extra_killed)
 
@@ -540,8 +548,8 @@ class _SearchRows:
 
 def _graded_tangent(f: MultiGerm, top: int, extended: bool,
                     certify: int | None = None) -> tuple[list[int], list[Slot]]:
-    """One elimination at top degree `top` of a new `_SearchRows`, whose
-    column maps start empty (`_SearchRows.eliminate`); without a candidate
+    """One elimination at top degree `top` of a new `_SearchRows`
+    (`_SearchRows.eliminate`), shared with no search; without a candidate
     degree `certify`, the engine's own rows at `top`."""
     rows = _SearchRows(f)
     return rows.read(top, rows.eliminate(
@@ -550,32 +558,26 @@ def _graded_tangent(f: MultiGerm, top: int, extended: bool,
 
 def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
     """One codimension search.  Each elimination serves both variants
-    (`_SearchRows.eliminate`): the search takes its own free positions
-    where the other variant's search left them in `_shared(f, d_max)`,
-    dropping them, and else eliminates and leaves the other variant's
-    (`_Shared.leave`).  However its candidates end, the search is marked
-    ended (`_Shared.end`).  The rows are the search's own, since their column
-    maps grow from candidate to candidate."""
+    (`_SearchRows.eliminate`): the search reads the free positions of its
+    variant from `_Shared.eliminations` of `_shared(f, d_max)`, and
+    eliminates with the shared rows only at a (candidate, top) that no
+    search of f has run."""
     shared = _shared(f, d_max)
     m, c = multiplicity_and_power(f, d_max)
     start = m + 3 - c
-    rows, results = _SearchRows(shared.prenormal), shared.results
+    rows, eliminations = shared.rows, shared.eliminations
 
     def eliminate(certify: int, top: int) -> tuple[list[int], list[Slot]]:
-        free = results.pop((extended, certify, top), None)
-        if free is None:
-            both = rows.eliminate(certify, top)
-            shared.leave((not extended, certify, top), both[not extended])
-            free = both[extended]
-        return rows.read(top, free)
+        both = eliminations.get((certify, top))
+        if both is None:
+            both = eliminations.setdefault((certify, top),
+                                           rows.eliminate(certify, top))
+        return rows.read(top, both[extended])
 
-    try:
-        values, degree, free = stabilize_curve(
-            eliminate, start, c,
-            lambda k, values: max(k + 2, values[k + 1] + 1),
-            d_max, "codimension", shared.prove)
-    finally:
-        shared.end(extended)
+    values, degree, free = stabilize_curve(
+        eliminate, start, c,
+        lambda k, values: max(k + 2, values[k + 1] + 1),
+        d_max, "codimension", shared.prove)
     # the first candidate was min(start, d_max), which is at most degree
     return CodimResult(value=values[-1], degree_used=degree, c=c,
                        curve=values[min(start, degree):],
@@ -730,39 +732,24 @@ class _Shared:
     depends on neither: None while not sought, False when none was found,
     or the UnstablePoint.  It is written once, after `unstable_point`
     returns, so a search that reaches its last candidate while the other
-    is still proving computes the same answer itself.  `results` holds,
-    keyed by (extended, candidate degree, top degree), the free positions
-    that a search's elimination gave for the other variant
-    (`_stabilized_codim`); the other variant's search drops each one as
-    it reads it.  `ended` holds the variants whose searches have ended.
-    Nothing reads `results` again once both have ended, or once a search
-    has proved f not A-finite, since the other variant then raises the
-    proof before its first candidate; so it is emptied then, and nothing
-    is left there for a variant that has ended."""
+    is still proving computes the same answer itself.  `rows` is the row
+    builder of the prenormal form, which no elimination changes, and
+    `eliminations` maps each (candidate degree, top degree) that a search
+    has eliminated at to the pair of free-position lists that
+    `_SearchRows.eliminate` gave, for both variants.  An entry is written
+    once (`dict.setdefault`) and never removed, so two searches that run
+    the same candidate at once read the same answer: both may eliminate,
+    and both read the entry stored first."""
 
-    __slots__ = ("f", "d_max", "prenormal", "proof", "results", "ended")
+    __slots__ = ("f", "d_max", "prenormal", "rows", "eliminations", "proof")
 
     def __init__(self, f: MultiGerm, d_max: int):
         self.f, self.d_max = f, d_max
         self.prenormal = linear_prenormal_form(f)[0]
+        self.rows = _SearchRows(self.prenormal)
+        self.eliminations: dict[tuple[int, int],
+                                tuple[list[int], list[int]]] = {}
         self.proof: UnstablePoint | bool | None = None
-        self.results: dict = {}
-        self.ended: set[bool] = set()
-
-    def leave(self, key: tuple[bool, int, int], free: list[int]) -> None:
-        """Store the free positions `free` for the variant key[0], unless
-        its search has ended.  The test follows the store, so a search
-        that ends in between still finds the store to drop (`end`)."""
-        self.results[key] = free
-        if key[0] in self.ended:
-            self.results.pop(key, None)
-
-    def end(self, extended: bool) -> None:
-        """Mark the search of one variant ended; empty `results` once both
-        have ended or f is proved not A-finite."""
-        self.ended.add(extended)
-        if len(self.ended) == 2 or self.proof:
-            self.results.clear()
 
     def prove(self) -> None:
         """Raise ProvedInfiniteError when the certificate proves f is not

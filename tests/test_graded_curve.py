@@ -19,6 +19,9 @@ with a unit row for each killed column, must give the same free slots.
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -29,7 +32,7 @@ from germcalc import atlas, tangent
 from germcalc.errors import NotStabilizedError, ProvedInfiniteError
 from germcalc.germ import (Branch, MultiGerm, linear_prenormal_form,
                            multiplicity, multiplicity_and_power)
-from germcalc.ring import (D_MAX, Poly, _graded_ideal, eliminate_graded,
+from germcalc.ring import (Poly, _graded_ideal, eliminate_graded,
                            monomial_mul, monomial_tables, monomials_up_to,
                            quotient_dim, substitute)
 from germcalc.syntax import parse_multigerm
@@ -772,12 +775,13 @@ def test_one_term_certificates_cut_the_rows(monkeypatch):
     assert steps > 0 and inside > 0
 
 
-# -- the grown search ---------------------------------------------------------
+# -- the shared search --------------------------------------------------------
 #
-# At every candidate degree, a search whose two variants share their
-# results (`tangent._Shared.results`: one elimination serves both, and the
-# other variant's search reads it instead of eliminating) gives what a
-# fresh `_graded_tangent` gives at the same candidate and top.
+# At every candidate degree, a search whose two variants share one row
+# builder and one table of eliminations (`tangent._Shared`: one
+# elimination serves both, and the other variant's search reads it instead
+# of eliminating) gives what a fresh `_graded_tangent` gives at the same
+# candidate and top.
 
 def checked_searches(monkeypatch) -> list:
     """From now on, every elimination of a search is compared with the
@@ -858,8 +862,8 @@ def test_grown_search_matches_fresh_rows_when_it_fails(name, params, d_max,
 def test_grown_search_matches_fresh_rows_on_five_branches(extended):
     # the widest search: five branches whose coordinate components are
     # substituted by constant one-term partials.  The fold pentagerm's
-    # search is proved infinite before its last candidate, so its rows
-    # are grown here by hand over the candidates 11 and 13, both failing
+    # search is proved infinite before its last candidate, so one builder
+    # is eliminated here by hand at the candidates 11 and 13, both failing
     germ = parse_multigerm("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);"
                            "(x,y,z^2+x+y);(x,y,z^2+x-y)}")
     g, _, _ = linear_prenormal_form(germ)
@@ -953,9 +957,8 @@ def test_second_variant_builds_rows_only_where_the_first_did_not(
 def test_a_search_past_the_shared_candidates_eliminates_on_its_own(
         monkeypatch):
     # 5_1: the extended search passes at k = 3 (c = 5), where the
-    # non-extended one fails; that one reads k = 3 and builds rows at k = 5,
-    # leaving the extended result there for a later search.  The result it
-    # read is dropped
+    # non-extended one fails; that one reads the elimination at k = 3 and
+    # builds rows only at k = 5
     germ = parse_multigerm("(x,y,z^5+x*z+y*z^2)")
     clear_tangent_caches()
     alone = fields(tangent.a_codim(germ))
@@ -963,17 +966,17 @@ def test_a_search_past_the_shared_candidates_eliminates_on_its_own(
     searches, built = shared_searches(monkeypatch)
     assert tangent.ae_codim(germ).degree_used == 3
     assert searches == [[(3, 8)]] and built == [(3, 8)]
-    assert set(tangent._shared(germ, 16).results) == {(False, 3, 8)}
     assert fields(tangent.a_codim(germ)) == alone
     assert searches[1] == [(3, 8), (5, 10)] and built == [(3, 8), (5, 10)]
-    # both searches have ended, so nothing is left for either
-    assert tangent._shared(germ, 16).results == {}
+    assert set(tangent._shared(germ, 16).eliminations) == {(3, 8), (5, 10)}
 
 
 @pytest.mark.parametrize("first,second", [
     (tangent.ae_codim, tangent.a_codim), (tangent.a_codim, tangent.ae_codim),
 ], ids=["ae-then-a", "a-then-ae"])
 def test_both_ended_searches_leave_no_free_positions(first, second):
+    # whichever search of a germ runs first, and however far apart the
+    # two run, each variant gives the same fields
     rows = [atlas.instantiate(entry.name, params)
             for entry in atlas.entries()
             for params in atlas._parameter_sweep(entry, 8)]
@@ -982,27 +985,70 @@ def test_both_ended_searches_leave_no_free_positions(first, second):
     alone = []
     for germ in rows:
         alone.append((fields(first(germ)), fields(second(germ))))
-        assert tangent._shared(germ, D_MAX).results == {}
     # the other variant first, every row before any of the first
     clear_tangent_caches()
     for germ, (_, expected) in zip(rows, alone):
         assert fields(second(germ)) == expected
     for germ, (expected, _) in zip(rows, alone):
         assert fields(first(germ)) == expected
-        assert tangent._shared(germ, D_MAX).results == {}
 
 
-def test_a_proof_leaves_no_free_positions():
+def test_a_proof_leaves_no_free_positions(monkeypatch):
     # the fold pentagerm is proved not A-finite at the last candidate of
     # its first search; the other variant raises the proof before its
-    # first candidate, so nothing reads what the first search left
+    # first candidate, without an elimination
     germ = parse_multigerm("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);"
                            "(x,y,z^2+x+y);(x,y,z^2+x-y)}")
     clear_tangent_caches()
     with pytest.raises(ProvedInfiniteError):
         tangent.ae_codim(germ)
-    assert tangent._shared(germ, D_MAX).ended == {True}
-    assert tangent._shared(germ, D_MAX).results == {}
+    searches, built = shared_searches(monkeypatch)
+    with pytest.raises(ProvedInfiniteError):
+        tangent.a_codim(germ)
+    assert searches == [] and built == []
+
+
+def test_an_elimination_leaves_the_row_builder_unchanged():
+    # the builder is shared by both searches of a germ, so no elimination
+    # may change it; the parts of 5_1 read block ids moved by z and z^2
+    germ = parse_multigerm("(x,y,z^5+x*z+y*z^2)")
+    rows = tangent._SearchRows(linear_prenormal_form(germ)[0])
+    before = pickle.dumps(vars(rows))
+    first = rows.eliminate(5, 10)
+    assert pickle.dumps(vars(rows)) == before
+    assert rows.eliminate(5, 10) == first
+
+
+def test_threaded_searches_of_both_variants_match_the_sequential_ones():
+    # the two searches of 5_1 share the elimination at k = 3 and part
+    # after it: the extended one passes there, the other goes on to k = 5.
+    # Started together, with threads switching often, each must give what
+    # it gives alone
+    germ = parse_multigerm("(x,y,z^5+x*z+y*z^2)")
+    clear_tangent_caches()
+    expected = {codim: fields(codim(germ))
+                for codim in (tangent.ae_codim, tangent.a_codim)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            clear_tangent_caches()
+            start, got = threading.Barrier(2), {}
+
+            def search(codim):
+                start.wait(timeout=30)
+                got[codim] = fields(codim(germ))
+
+            threads = [threading.Thread(target=search, args=(codim,))
+                       for codim in expected]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert got == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_stability_and_single_eliminations_share_nothing():
