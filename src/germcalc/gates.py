@@ -32,8 +32,8 @@ from . import atlas as atlas_mod
 from . import tangent
 from .errors import (NotCorankOneError, NotStabilizedError,
                      NotStableTypeError, ProvedInfiniteError)
-from .germ import (AType, MultiGerm, corank, multiplicity, recognize_type,
-                   stratum_dim)
+from .germ import (AType, BranchMultiplicities, MultiGerm, branch_labels,
+                   corank, multiplicity, recognize_type, stratum_dim)
 from .ring import D_MAX, Poly, is_quasi_homogeneous
 
 FLAG_DZ = "dz_condition"
@@ -151,8 +151,7 @@ def gate_tau_pairing(f: MultiGerm, d_max: int = D_MAX) -> Verdict:
     if r > 8:
         return Verdict.unknown("bipartition search is capped at 8 branches")
     try:
-        branch_types = [recognize_type(MultiGerm((b,)), d_max).ks[0]
-                        for b in f.branches]
+        branch_types = branch_labels(f, d_max)
     except NotCorankOneError:
         return Verdict.unknown("corank at most 1")
     if n == p and any(k == 0 for k in branch_types):
@@ -231,10 +230,10 @@ def gate_primitive_plus_morse(f: MultiGerm,
         return Verdict.unknown("needs at least two branches")
     if n == p:
         threshold_met, variant = n > 2, "fold partner, equidimensional"
-        partner_label = (1,)
+        partner_label = 1
     elif p == n + 1:
         threshold_met, variant = n > 3, "immersion partner, (n, n+1)"
-        partner_label = (0,)
+        partner_label = 0
     else:
         return Verdict.unknown(f"dimension range ({n}, {p}) not covered")
     if not threshold_met:
@@ -243,13 +242,10 @@ def gate_primitive_plus_morse(f: MultiGerm,
             f"dimensions below the threshold for the {variant} rule",
             n=n, p=p)
 
+    values = BranchMultiplicities(f, d_max)
     for idx in range(f.r):
-        partner = MultiGerm((f.branches[idx],))
-        try:
-            t = recognize_type(partner, d_max)
-        except NotCorankOneError:
-            continue
-        if t.ks != partner_label:
+        if (corank(f.branches[idx]) > 1
+                or values[idx][0] - 1 != partner_label):
             continue
         rest = MultiGerm(tuple(b for i, b in enumerate(f.branches) if i != idx))
         base_cod = tangent.ae_codim(rest, d_max).value

@@ -21,18 +21,25 @@ coordinates, the form shifts a branch's one free source coordinate by the
 others (a Tschirnhaus shift), which clears the terms next to its lowest
 pure power; the shift is a linear change of coordinates too, so every
 truncated value of the form is that of the germ.
-The branch multiplicities are cached by the values (branch, d_max), a
+The linear prenormal form is computed once per germ and cached by the
+value of the germ.  The multiplicity, the least power and the type label
+all read the branch values of `BranchMultiplicities`, which searches the
+branches of that form, not the germ as given: the values are invariant
+under its linear change, and a moved germ's dense branches cost far more
+to search.  The searches are cached by the values (branch, d_max), a
 failed search remembered like a value (`errors.remember_failures`), and
 the corank by the branch: the gates and the CLI ask for it many times
 per germ.
 When n <= p, a branch whose search reaches its last candidate is first
 tested for a line through 0 on which it vanishes; such a branch is not
 finite, so its multiplicity is proved infinite (`ProvedInfiniteError`)
-instead of failing at the cap.
+instead of failing at the cap, with the line mapped back to the
+coordinates of the germ as given.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -160,15 +167,21 @@ def _vanishing_line(branch: Branch) -> tuple[Fraction, ...] | None:
     return None
 
 
+def _not_finite(line: tuple[Fraction, ...]) -> ProvedInfiniteError:
+    """The proof that a branch vanishing on the line through 0 and `line`
+    is not finite: its zero set is not the point 0, so O_n / I is
+    infinite."""
+    reason = ("not finite: a branch vanishes on the line through 0 "
+              f"and ({', '.join(map(str, line))})")
+    return ProvedInfiniteError(f"multiplicity is infinite ({reason})",
+                               reason, {"line": line})
+
+
 def _prove_not_finite(branch: Branch) -> None:
-    """Raise ProvedInfiniteError when the branch vanishes on a line: its
-    zero set is then not the point 0, so O_n / I is infinite."""
+    """Raise ProvedInfiniteError when the branch vanishes on a line."""
     line = _vanishing_line(branch)
     if line is not None:
-        reason = ("not finite: a branch vanishes on the line through 0 "
-                  f"and ({', '.join(map(str, line))})")
-        raise ProvedInfiniteError(f"multiplicity is infinite ({reason})",
-                                  reason, {"line": line})
+        raise _not_finite(line)
 
 
 @remember_failures(maxsize=1024)
@@ -178,12 +191,12 @@ def _branch_multiplicity(branch: Branch, d_max: int) -> tuple[int, int]:
     d >= 1 where the truncated values of I repeat, read off the same
     curve (see `ring.quotient_curve`).  When n <= p, a line on which the
     branch vanishes, found before the search's last candidate, proves the
-    dimension infinite (ProvedInfiniteError).  Only then does that proof
-    make both codimensions infinite too: a stable germ with n <= p is
-    finite, while for n > p no map is finite and a submersion is stable,
-    so there the search fails at the cap as before.  The answer, or that
-    failure, is cached by the values (branch, d_max)
-    (`errors.remember_failures`)."""
+    dimension infinite (ProvedInfiniteError), the line stated in the
+    coordinates of the branch given.  Only then does that proof make both
+    codimensions infinite too: a stable germ with n <= p is finite, while
+    for n > p no map is finite and a submersion is stable, so there the
+    search fails at the cap as before.  The answer, or that failure, is
+    cached by the values (branch, d_max) (`errors.remember_failures`)."""
     curve = ring.quotient_curve(
         list(branch.components), branch.n, d_max,
         partial(_prove_not_finite, branch) if branch.n <= branch.p else None)
@@ -192,14 +205,55 @@ def _branch_multiplicity(branch: Branch, d_max: int) -> tuple[int, int]:
     return curve[-1], power
 
 
+class BranchMultiplicities(Sequence):
+    """(multiplicity, least c with m^c inside I_b) of each branch b of f,
+    in branch order, with I_b = f_b^*(m_p) O_n; a branch is searched when
+    its value is first read, so a caller that stops early, or skips a
+    branch, searches no more than it reads.
+
+    Both values are read off branch b of the linear prenormal form g of f
+    (`linear_prenormal_form`), since g_b(u) = T . f_b(S_b u) makes the
+    ideal of g_b the pull-back S_b^* of I_b: the dense branches of a moved
+    germ are never searched.  Reading a branch raises NotStabilizedError
+    when its search fails by d_max, or ProvedInfiniteError when it is
+    proved not finite, the line mapped back to f's coordinates
+    (line_f = S_b . line_g)."""
+
+    __slots__ = ("f", "d_max", "_form")
+
+    def __init__(self, f: MultiGerm, d_max: int = D_MAX):
+        self.f, self.d_max = f, d_max
+        # False until the first read looks the form up
+        self._form: tuple[MultiGerm, Matrix,
+                          tuple[Matrix, ...]] | None | bool = False
+
+    def __len__(self) -> int:
+        return self.f.r
+
+    def __getitem__(self, b: int) -> tuple[int, int]:
+        if self._form is False:
+            self._form = _prenormal_form(self.f)
+        if self._form is None:
+            return _branch_multiplicity(self.f.branches[b], self.d_max)
+        g, _, sources = self._form
+        try:
+            return _branch_multiplicity(g.branches[b], self.d_max)
+        except ProvedInfiniteError as proof:
+            line = proof.certificate["line"]
+            raise _not_finite(tuple(sum(s * v for s, v in zip(row, line))
+                                    for row in sources[b])) from None
+
+
 def multiplicity_and_power(f: MultiGerm,
                            d_max: int = D_MAX) -> tuple[int, int]:
     """The multiplicity of f and the least c with m^c inside the ideal
     I_b = f_b^*(m_p) O_n of every branch b (the largest of the branch
-    values).  Both are invariant under changes of coordinates.  Raises
+    values), both read off the linear prenormal form of f
+    (`BranchMultiplicities`).  Both are invariant under changes of
+    coordinates.  Raises the first failure in branch order:
     ProvedInfiniteError when a branch is proved not finite, and
     NotStabilizedError when a branch's search fails by d_max."""
-    pairs = [_branch_multiplicity(b, d_max) for b in f.branches]
+    pairs = list(BranchMultiplicities(f, d_max))
     return sum(m for m, _ in pairs), max(c for _, c in pairs)
 
 
@@ -208,20 +262,29 @@ def multiplicity(f: MultiGerm, d_max: int = D_MAX) -> int:
     return multiplicity_and_power(f, d_max)[0]
 
 
-def recognize_type(f: MultiGerm, d_max: int = D_MAX) -> AType:
-    """The label A_{k_1,...,k_r} with k_i = branch multiplicity - 1.
+def branch_labels(f: MultiGerm, d_max: int = D_MAX) -> tuple[int, ...]:
+    """k_b = multiplicity - 1 of each branch b of f, in branch order
+    (`BranchMultiplicities`).
 
-    Raises NotCorankOneError when some branch has corank 2 or more, and
-    propagates NotStabilizedError from the local-algebra engine.
+    Raises NotCorankOneError at the first branch of corank 2 or more, and
+    propagates NotStabilizedError and ProvedInfiniteError from the search
+    of an earlier branch.
     """
+    values = BranchMultiplicities(f, d_max)
     ks = []
-    for b in f.branches:
-        c = corank(b)
+    for b, branch in enumerate(f.branches):
+        c = corank(branch)
         if c > 1:
             raise NotCorankOneError(
                 f"branch has corank {c}; only corank <= 1 is supported")
-        ks.append(_branch_multiplicity(b, d_max)[0] - 1)
-    return AType(tuple(ks))
+        ks.append(values[b][0] - 1)
+    return tuple(ks)
+
+
+def recognize_type(f: MultiGerm, d_max: int = D_MAX) -> AType:
+    """The label A_{k_1,...,k_r} of the branch labels of f
+    (`branch_labels`), with the errors that they raise."""
+    return AType(branch_labels(f, d_max))
 
 
 def _branch_stratum_codim(k: int, n: int, p: int) -> int:
@@ -382,7 +445,32 @@ def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
     only the shift can change a branch.  g is f itself, with identity
     transforms, when no branch changes that way or when the candidate does
     not have strictly fewer terms than f.
+
+    The form is computed once per germ: it is cached by the value f, at
+    most 1024 germs (`_prenormal_form`), and every reader (the branch
+    multiplicities and their proof, both codimension searches and the
+    stability test) reads that cache.
     """
+    form = _prenormal_form(f)
+    if form is None:
+        return f, _identity(f.p), (_identity(f.n),) * f.r
+    return form
+
+
+def prenormal_germ(f: MultiGerm) -> MultiGerm:
+    """The germ g of `linear_prenormal_form(f)`, read from the same cache
+    without building the identity transforms of a germ already
+    prenormal."""
+    form = _prenormal_form(f)
+    return f if form is None else form[0]
+
+
+@lru_cache(maxsize=1024)
+def _prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
+                                           tuple[Matrix, ...]] | None:
+    """`linear_prenormal_form(f)`, or None when g is f itself: so a cache
+    hit never hands a caller another germ equal to its own, and the entry
+    of a germ already prenormal holds nothing."""
     n, p, r = f.n, f.p, f.r
     columns = sorted({(sum(mono), b, mono)
                       for b, branch in enumerate(f.branches)
@@ -412,7 +500,6 @@ def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
               if terms[i][b] and all(sum(mono) == 1 for mono in terms[i][b])]
              for b in range(r)]
     unit = _identity(n)
-    identity = (f, _identity(p), (unit,) * r)
     if (all(len(t) == 1 for t in target)
             and all(len(form) <= 1 for branch in forms for form in branch)):
         # f is prenormal but for the shift: keep its own components, whose
@@ -428,7 +515,7 @@ def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
     sources = tuple(_shifted(source, free, polys[b])
                     for b, (source, free) in enumerate(changes))
     if all(source is unit for source in sources):
-        return identity
+        return None
 
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     moved = []
@@ -448,7 +535,7 @@ def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
         Branch(tuple(moved[b][i] * scale[i] for i in range(p)))
         for b in range(r)))
     if _term_count(g) >= _term_count(f):
-        return identity
+        return None
     target_change = tuple(tuple(scale[i] * target[i].get(l, 0)
                                 for l in range(p)) for i in range(p))
     return g, target_change, sources

@@ -65,8 +65,10 @@ the failed elimination gave, and k never passes `d_max` (see
 `ring.stabilize_curve`).  Every value is invariant under linear changes
 of coordinates, so the engine works on the linear prenormal form of the
 germ (`germ.linear_prenormal_form`), which is the germ itself unless a
-linear change makes it strictly sparser; both variants read it from the
-one `_shared(f, d_max)` entry, so it is computed once per germ and cap.
+linear change makes it strictly sparser.  The form is cached in `germ`
+by the value of the germ, and the branch multiplicities, both variants'
+searches and `is_stable` all read it there, so it is computed once per
+germ, whatever the cap.
 
 The rows are built in a reduced module, without the coordinate components
 of each branch (the unfolding reduction of Marar and Mond).  A component
@@ -213,8 +215,8 @@ from functools import lru_cache
 from math import isqrt, lcm, prod
 
 from .errors import NotStabilizedError, ProvedInfiniteError, remember_failures
-from .germ import (Branch, MultiGerm, corank, linear_prenormal_form,
-                   multiplicity_and_power, weights)
+from .germ import (Branch, MultiGerm, corank, multiplicity_and_power,
+                   prenormal_germ, weights)
 from .ring import (D_MAX, MonomialTables, Poly, eliminate_graded,
                    monomial_tables, multiples, stabilize_curve, substitute)
 
@@ -724,10 +726,10 @@ def unstable_point(f: MultiGerm, d_max: int = D_MAX) -> UnstablePoint | None:
 class _Shared:
     """What the codimension searches of one germ under one cap share.
 
-    `prenormal` is the germ the searches eliminate on: the linear
-    prenormal form of f, computed once for both variants.  The value at
-    every degree is invariant under linear changes of coordinates, and
-    the sparser form costs far less fill-in.  `proof` is the certificate
+    The searches eliminate on the linear prenormal form of f, which they
+    read from that form's cache (`germ.prenormal_germ`): the value at every
+    degree is invariant under linear changes of coordinates, and the
+    sparser form costs far less fill-in.  `proof` is the certificate
     `unstable_point`, which serves both variants, since A-finiteness
     depends on neither: None while not sought, False when none was found,
     or the UnstablePoint.  It is written once, after `unstable_point`
@@ -741,12 +743,11 @@ class _Shared:
     the same candidate at once read the same answer: both may eliminate,
     and both read the entry stored first."""
 
-    __slots__ = ("f", "d_max", "prenormal", "rows", "eliminations", "proof")
+    __slots__ = ("f", "d_max", "rows", "eliminations", "proof")
 
     def __init__(self, f: MultiGerm, d_max: int):
         self.f, self.d_max = f, d_max
-        self.prenormal = linear_prenormal_form(f)[0]
-        self.rows = _SearchRows(self.prenormal)
+        self.rows = _SearchRows(prenormal_germ(f))
         self.eliminations: dict[tuple[int, int],
                                 tuple[list[int], list[int]]] = {}
         self.proof: UnstablePoint | bool | None = None
@@ -848,7 +849,6 @@ def is_stable(f: MultiGerm, d_max: int = D_MAX) -> bool:
         m, c = multiplicity_and_power(f, d_max)
     except ProvedInfiniteError:
         return False
-    g, _, _ = linear_prenormal_form(f)
     k = m + 3 - c
-    values, _ = _graded_tangent(g, k + c, True, k)
+    values, _ = _graded_tangent(prenormal_germ(f), k + c, True, k)
     return values[k + c] == 0

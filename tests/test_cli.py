@@ -894,6 +894,7 @@ class TestLayering:
             "germcalc.atlas._instance 1024 0",
             "germcalc.cli.build_arg_parser 1 0",
             "germcalc.germ._branch_multiplicity 1024 0",
+            "germcalc.germ._prenormal_form 1024 0",
             "germcalc.germ.corank 1024 0",
             "germcalc.ring.monomial_tables 64 0",
             "germcalc.syntax.canonical_match_key 1024 0",

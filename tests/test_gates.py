@@ -137,6 +137,15 @@ class TestGatePrimitivePlusMorse:
         g = P("{(y,z,x^3+y*x,x^4+z*x);(y,y,z,x)}")
         assert gate_primitive_plus_morse(g, primitive_flag=True).kind == UNKNOWN
 
+    def test_a_corank_two_branch_is_skipped_unsearched(self):
+        # (x^2, y^2, 0) is not finite, but as a corank-2 branch it is no
+        # partner, and (x, y, z^3) is no fold: the rule has nothing to read
+        g = P("{(x^2,y^2,0);(x,y,z^3)}")
+        v = gate_primitive_plus_morse(g, primitive_flag=True)
+        assert v.kind == UNKNOWN
+        assert v.unverified == (
+            "no fold/immersion partner with a codimension-1 rest",)
+
     def test_below_threshold_computes_no_codimension(self, monkeypatch):
         # the rule cannot fire at n = 3, p = 4, so the sextuple point's
         # 5-branch codimension, which does not stabilize, is never asked for

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from germcalc.errors import NotCorankOneError, NotStableTypeError
+from germcalc.errors import (NotCorankOneError, NotStableTypeError,
+                             ProvedInfiniteError)
 from germcalc.germ import (AType, Branch, MultiGerm, corank, multiplicity,
                            recognize_type, stratum_dim)
 from germcalc.ring import Poly, substitute
@@ -89,6 +90,15 @@ class TestRecognizeType:
         x, y = V(2, 0), V(2, 1)
         with pytest.raises(NotCorankOneError):
             recognize_type(G(Branch((x * x, y * y))))
+
+    def test_errors_follow_branch_order(self):
+        # (x, y, x z^2) vanishes on the z axis; (x^2, y^2, z) has corank 2:
+        # the first branch in order decides which error is raised
+        line, corank_two = B(X, Y, X * Z * Z), B(X * X, Y * Y, Z)
+        with pytest.raises(ProvedInfiniteError):
+            recognize_type(G(line, corank_two))
+        with pytest.raises(NotCorankOneError):
+            recognize_type(G(corank_two, line))
 
 
 class TestStratumDim:

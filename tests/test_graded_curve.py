@@ -792,7 +792,7 @@ def checked_searches(monkeypatch) -> list:
     searches, running = [], []
 
     def searching(f, d_max, extended):
-        running.append((tangent._shared(f, d_max).prenormal, extended))
+        running.append((linear_prenormal_form(f)[0], extended))
         try:
             return stabilized(f, d_max, extended)
         finally:

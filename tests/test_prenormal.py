@@ -10,12 +10,20 @@ catalog normal form alone.
 
 from __future__ import annotations
 
+import functools
+import json
 from fractions import Fraction
 
-from germcalc import atlas, syntax
-from germcalc.germ import Branch, MultiGerm, linear_prenormal_form
+import pytest
+
+from germcalc import atlas, cli, germ, ring, syntax, tangent
+from germcalc.errors import ProvedInfiniteError
+from germcalc.germ import (Branch, MultiGerm, linear_prenormal_form,
+                           multiplicity, multiplicity_and_power,
+                           recognize_type)
 from germcalc.ring import Poly, substitute
-from germcalc.tangent import _graded_tangent, a_codim, ae_codim
+from germcalc.tangent import (_graded_tangent, a_codim, ae_codim,
+                              is_stable)
 
 P = syntax.parse_multigerm
 
@@ -192,3 +200,96 @@ def test_no_shifted_branch_keeps_a_term_next_to_its_lowest_power():
             assert not shift_leftovers(g), name
             shifted += 1
     assert shifted >= 40
+
+
+def clear_caches():
+    for module in (germ, tangent):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_a_moved_germ_never_searches_its_dense_branches(monkeypatch):
+    searched = []
+    curve = ring.quotient_curve
+
+    def recording(generators, nvars, d_max=ring.D_MAX, last_resort=None):
+        generators = list(generators)
+        searched.append(generators)
+        return curve(generators, nvars, d_max, last_resort)
+
+    monkeypatch.setattr(ring, "quotient_curve", recording)
+    computed = []
+    form = germ._prenormal_form.__wrapped__
+
+    def computing(f):
+        computed.append(f)
+        return form(f)
+
+    monkeypatch.setattr(germ, "_prenormal_form",
+                        functools.lru_cache(maxsize=1024)(computing))
+    for base, source, target in DENSE:
+        f = move(base, [source] * base.r, target)
+        clear_caches()
+        searched.clear()
+        computed.clear()
+        multiplicity(f)
+        ae_codim(f)
+        a_codim(f)
+        assert is_stable(f) is False
+        assert computed == [f]
+        assert (multiplicity_and_power(f), recognize_type(f)) == \
+            (multiplicity_and_power(base), recognize_type(base))
+        dense = [list(branch.components) for branch in f.branches]
+        assert searched
+        assert not any(generators in dense for generators in searched)
+
+
+def on_line(branch: Branch, line) -> bool:
+    """Whether every component of the branch vanishes at t * line."""
+    t = Poly.variable(1, 0)
+    point = [t * Fraction(v) if not isinstance(v, dict)
+             else t * Fraction(v["num"], v["den"]) for v in line]
+    return any(line) and all(substitute(comp, point).is_zero()
+                             for comp in branch.components)
+
+
+def infinite_branches(f: MultiGerm) -> list[Branch]:
+    """The branches of f that are proved not finite on their own."""
+    found = []
+    for branch in f.branches:
+        try:
+            multiplicity(MultiGerm((branch,)))
+        except ProvedInfiniteError:
+            found.append(branch)
+    return found
+
+
+# (x+z, y, (x+z) y^2) vanishes on the line x + z = y = 0; its prenormal
+# form (u, y, u y^2) vanishes on an axis of its own coordinates
+@pytest.mark.parametrize("text", [
+    "(x+z,y,x*y^2+z*y^2)",
+    "{(x,y,z^2);(x+z,y,x*y^2+z*y^2)}",
+])
+def test_a_proof_states_its_line_in_the_coordinates_given(text, capsys):
+    f = syntax.parse_multigerm(text, canonical=False)
+    (offending,) = infinite_branches(f)
+    assert linear_prenormal_form(f)[0] != f
+    for fn in (multiplicity, ae_codim, a_codim):
+        clear_caches()
+        with pytest.raises(ProvedInfiniteError) as info:
+            fn(f)
+        assert on_line(offending, info.value.certificate["line"]), fn
+    for command in ("eval", "gate"):
+        clear_caches()
+        assert cli.run([command, "--germ", text, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        # the printed germ is the one whose coordinates the line is in
+        (printed,) = infinite_branches(syntax.parse_multigerm(out["germ"]))
+        proofs = (list(out["proofs"].values()) if command == "eval"
+                  else [entry["evidence"]
+                        for entry in [out["verdict"], *out["trace"]]
+                        if "line" in entry["evidence"]])
+        assert proofs
+        for proof in proofs:
+            assert on_line(printed, proof["line"]), (command, proof)
