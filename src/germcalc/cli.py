@@ -15,7 +15,10 @@ is the only engine setting, passed to the library as `d_max` (default
 (a codimension's certificate elimination runs c degrees above it).  Its
 argument type refuses a value below 1.  `run` builds its argument parser
 once per process, on first use, so a caller that runs many command lines
-in one process parses each without rebuilding it.
+in one process parses each without rebuilding it.  Likewise a process
+reads each `--germ` text once (`_read`, a bounded table): `eval`, `gate`
+and `atlas lookup` of one text share its parse, its canonical text and
+its interned germ, so every cache keyed by the germ finds it by identity.
 """
 
 from __future__ import annotations
@@ -94,11 +97,23 @@ def _value_or_proof(fn, *args):
         return proof
 
 
+@lru_cache(maxsize=1024)
+def _read(text: str, source_dim: int | None,
+          target_dim: int | None) -> tuple[MultiGerm, str]:
+    """The germ of a `--germ` text in canonical variable order, interned
+    (`germ.intern`), and its canonical text: one parse and one search for
+    the canonical order per (text, source_dim, target_dim) and process.
+    Every caller passes all three positionally, so that one key is used.
+    A text that does not parse is not kept, and raises again when read
+    again."""
+    f, canon = canonical_form(parse_multigerm(
+        text, source_dim=source_dim, target_dim=target_dim, canonical=False))
+    return germ_mod.intern(f), canon
+
+
 def _cmd_eval(args) -> int:
     d_max = args.max_degree
-    f, text = canonical_form(parse_multigerm(
-        args.germ, source_dim=args.source_dim, target_dim=args.target_dim,
-        canonical=False))
+    f, text = _read(args.germ, args.source_dim, args.target_dim)
     m0 = _value_or_proof(germ_mod.multiplicity, f, d_max)
     cork = germ_mod.germ_corank(f)
     try:
@@ -192,7 +207,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    f, text = canonical_form(parse_multigerm(args.germ, canonical=False))
+    f, text = _read(args.germ, None, None)
     flags = frozenset(s.strip() for s in (args.asserted or "").split(",") if s.strip())
     report = gates.simplicity_report(
         f, args.max_degree, gates.ReportAssertions(flags=flags))
@@ -242,7 +257,7 @@ def _cmd_atlas_verify(args) -> int:
 
 
 def _cmd_atlas_lookup(args) -> int:
-    f, text = canonical_form(parse_multigerm(args.germ, canonical=False))
+    f, text = _read(args.germ, None, None)
     try:
         result = atlas.lookup(f, args.max_degree)
     except ProvedInfiniteError:

@@ -30,6 +30,10 @@ to search.  The searches are cached by the values (branch, d_max), a
 failed search remembered like a value (`errors.remember_failures`), and
 the corank by the branch: the gates and the CLI ask for it many times
 per germ.
+Branches and multigerms keep their hash once computed, and `intern`
+makes equal germs, and equal branches, one object in a process (a
+bounded table keyed by value): every germ the parser returns is
+interned, so a cache keyed by a germ or a branch finds it by identity.
 When n <= p, a branch whose search reaches its last candidate is first
 tested for a line through 0 on which it vanishes; such a branch is not
 finite, so its multiplicity is proved infinite (`ProvedInfiniteError`)
@@ -56,7 +60,10 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 @dataclass(frozen=True)
 class Branch:
-    """One branch of a multigerm: p components in n source variables."""
+    """One branch of a multigerm: p components in n source variables.
+
+    Equal by value, and hashed once: the hash is computed on first use and
+    kept, since every cache keyed by a branch hashes it at each lookup."""
 
     components: tuple[Poly, ...]
 
@@ -84,10 +91,24 @@ class Branch:
         """The p x n matrix of linear parts."""
         return [comp.linear_part() for comp in self.components]
 
+    # the dataclass hash, computed on first use; with no annotation it is
+    # not a field, so ==, repr, fields and asdict do not see it
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.components,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
 
 @dataclass(frozen=True)
 class MultiGerm:
-    """A multigerm f = {f_1, ..., f_r}: (K^n, S) -> (K^p, 0)."""
+    """A multigerm f = {f_1, ..., f_r}: (K^n, S) -> (K^p, 0).
+
+    Equal by value and hashed once, like `Branch`; `intern` gives the one
+    object of its value, which `syntax.parse_multigerm` returns."""
 
     branches: tuple[Branch, ...]
 
@@ -114,6 +135,15 @@ class MultiGerm:
     def r(self) -> int:
         return len(self.branches)
 
+    _hash = None  # as Branch._hash
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.branches,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
 
 @dataclass(frozen=True)
 class AType:
@@ -136,6 +166,26 @@ class AType:
         if len(self.ks) == 1:
             return f"A_{self.ks[0]}"
         return "A_{" + ",".join(str(k) for k in self.ks) + "}"
+
+
+@lru_cache(maxsize=1024)
+def _interned(value: Branch | MultiGerm) -> Branch | MultiGerm:
+    """The first object stored with value's value (an identity memo)."""
+    return value
+
+
+def intern(f: MultiGerm) -> MultiGerm:
+    """The one object of f's value in this process, its branches the one
+    object of theirs, while the table (`_interned`, bounded) keeps them.
+
+    Every cache keyed by a germ or a branch then finds an equal key by
+    identity instead of comparing it term by term.  Two threads that
+    intern equal values at once may each get their own object back; each
+    is equal to its input."""
+    branches = tuple(_interned(b) for b in f.branches)
+    if any(b is not c for b, c in zip(branches, f.branches)):
+        f = MultiGerm(branches)
+    return _interned(f)
 
 
 @lru_cache(maxsize=1024)

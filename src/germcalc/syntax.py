@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import GermSyntaxError
-from .germ import Branch, MultiGerm
+from .germ import Branch, MultiGerm, intern
 from .ring import Poly
 
 _DEFAULT_NAMES = ("x", "y", "z", "w", "u", "v")
@@ -227,6 +227,10 @@ def parse_multigerm(text: str, source_dim: int | None = None,
     canonical=False keeps variables in first-appearance order, which
     callers that attach meaning to variable positions (unfolding
     parameters) rely on.
+    The germ returned is interned (`germ.intern`), branches included, so
+    equal results in one process are one object; only the returned germ
+    is, not the one in first-appearance order that the canonical order
+    is searched from.
     """
     parser = _Parser(text)
     raw = parser.parse_multigerm()
@@ -255,7 +259,7 @@ def parse_multigerm(text: str, source_dim: int | None = None,
         raise GermSyntaxError(
             f"target-dim {target_dim} disagrees with the {p} components")
     result = MultiGerm(tuple(branches))
-    return canonical_variable_order(result) if canonical else result
+    return intern(canonical_variable_order(result) if canonical else result)
 
 
 # -- printer ----------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -287,6 +289,120 @@ class TestParsePoly:
             syntax.parse_poly("t^2", names=("x", "y"))
 
 
+class TestInterning:
+    def test_one_text_gives_one_object(self):
+        text = "{(x,y,z^2);(x,y,z^2+x)}"
+        assert syntax.parse_multigerm(text) is syntax.parse_multigerm(text)
+        assert cli._read(text, None, None) is cli._read(text, None, None)
+
+    def test_spellings_of_one_germ_give_one_object(self):
+        # whitespace, term order and variable names
+        spellings = [" ( x , y , z^3 + x*z ) ", "(x,y,x*z+z^3)",
+                     "(a,b,c^3+a*c)"]
+        parsed = {id(syntax.parse_multigerm(t)) for t in spellings}
+        read = {id(cli._read(t, None, None)[0]) for t in spellings}
+        assert len(parsed) == 1 and read == parsed
+        # so is a branch that two germs share
+        two = syntax.parse_multigerm("{(x,y,z^2);(x,y,z^2+x)}")
+        one = syntax.parse_multigerm("(a, b, c^2)")
+        assert two.branches[0] is one.branches[0]
+
+    def test_the_canonical_flag_and_the_source_dim_share_no_entry(self):
+        # the first-appearance order of this text is not the canonical one
+        text = "(y+x^2, x, z)"
+        canonical = syntax.parse_multigerm(text)
+        plain = syntax.parse_multigerm(text, canonical=False)
+        assert canonical != plain
+        assert syntax.parse_multigerm(text) is canonical
+        assert syntax.parse_multigerm(text, canonical=False) is plain
+        text = "(x, y^2)"
+        two, three = (cli._read(text, n, None)[0] for n in (2, 3))
+        assert (two.n, three.n) == (2, 3)
+        assert cli._read(text, 2, None)[0] is two
+        assert syntax.parse_multigerm(text, source_dim=3) is three
+
+    def test_a_syntax_error_is_raised_afresh(self):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(GermSyntaxError) as error:
+                cli._read("(x, y^, z)", None, None)
+            raised.append(error.value)
+        first, second = raised
+        assert first is not second
+        assert (str(first), first.position) == (str(second), second.position)
+        assert first.position == 6
+
+    def test_the_tables_stay_within_their_bound(self):
+        texts = [f"(x, y, z^2+{k}*x)" for k in range(1, 1101)]
+        first = cli._read(texts[0], None, None)[0]
+        for text in texts:
+            cli._read(text, None, None)
+        for table in (cli._read, germ_mod._interned):
+            info = table.cache_info()
+            assert info.currsize <= info.maxsize == 1024
+        # the first germ has left both tables: it is read again, equal
+        again = cli._read(texts[0], None, None)[0]
+        assert again == first and again is not first
+
+    def test_threads_print_what_one_thread_prints(self, monkeypatch):
+        # four threads run eval and gate on the same three germs from cold
+        # tables: each prints byte for byte what a sequential run prints
+        texts = ["{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);"
+                 "(x,y,z^2+x-y)}",
+                 "(x,y,z^5+x*z+y*z^2)",
+                 "(x, y, z^5+5*x*z^4+10*x^2*z^3+10*x^3*z^2+5*x^4*z+x^5+x*z"
+                 "+x^2+y*z^2+2*x*y*z+x^2*y)"]
+        local = threading.local()
+
+        class PerThread:
+            def write(self, text):
+                return local.out.write(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", PerThread())
+
+        def clear_tables():
+            for name, module in list(sys.modules.items()):
+                if name == "germcalc" or name.startswith("germcalc."):
+                    for fn in vars(module).values():
+                        if hasattr(fn, "cache_clear"):
+                            fn.cache_clear()
+
+        def run_all(got, shift=0):
+            for text in texts[shift:] + texts[:shift]:
+                for command in ("eval", "gate"):
+                    local.out = io.StringIO()
+                    code = cli.run([command, "--germ", text, "--json"])
+                    got[text, command] = (code, local.out.getvalue())
+
+        clear_tables()
+        expected = {}
+        run_all(expected)
+        assert all(code == 0 and out for code, out in expected.values())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                clear_tables()
+                start, got = threading.Barrier(4), [{} for _ in range(4)]
+
+                def worker(i):
+                    start.wait(timeout=30)
+                    run_all(got[i], i % len(texts))
+
+                threads = [threading.Thread(target=worker, args=(i,))
+                           for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                assert got == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
 FOUR_2_6 = "(x, y, x^6*z+z^4+x*z^2+y^2*z)"  # 4_2^k at k = 6
 
 
@@ -331,10 +447,18 @@ class TestRun:
             "lookup-json"])
     def test_each_command_searches_its_germ_once(self, argv, monkeypatch,
                                                  capsys):
-        # the printed germ is the text of the search that put the input in
-        # canonical order; the first run fills the caches of the catalog
-        # rows that gate and lookup parse, so the second one searches only
-        # the input
+        # a process reads one text once: from cleared tables, eval, gate and
+        # atlas lookup of it search for its canonical order once between
+        # them, the command given first, and that command run again
+        # searches for nothing
+        cli._read.cache_clear()
+        germ_mod._interned.cache_clear()
+        syntax.canonical_match_key.cache_clear()
+        at = argv.index("--germ")
+        text, flags = argv[at + 1], argv[at + 2:]
+        commands = [argv[:at]] + [c for c in (["eval"], ["gate"],
+                                              ["atlas", "lookup"])
+                                  if c != argv[:at]]
         searches = []
         search = syntax._least_rendering
 
@@ -343,12 +467,15 @@ class TestRun:
             return search(f, arrange)
 
         monkeypatch.setattr(syntax, "_least_rendering", counting)
-        assert cli.run(argv) == 0
-        first = capsys.readouterr().out
+        outs = []
+        for command in commands:
+            assert cli.run([*command, "--germ", text, *flags]) == 0
+            outs.append(capsys.readouterr().out)
+        assert searches.count(False) == 1
         searches.clear()
         assert cli.run(argv) == 0
-        assert capsys.readouterr().out == first
-        assert searches == [False]
+        assert capsys.readouterr().out == outs[0]
+        assert searches == []
 
     def test_eval_plain(self, capsys):
         code = cli.run(["eval", "--germ", "(x,y,z^2)"])
@@ -892,8 +1019,10 @@ class TestLayering:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split("\n") == [
             "germcalc.atlas._instance 1024 0",
+            "germcalc.cli._read 1024 0",
             "germcalc.cli.build_arg_parser 1 0",
             "germcalc.germ._branch_multiplicity 1024 0",
+            "germcalc.germ._interned 1024 0",
             "germcalc.germ._prenormal_form 1024 0",
             "germcalc.germ.corank 1024 0",
             "germcalc.ring.monomial_tables 64 0",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from germcalc.errors import (NotCorankOneError, NotStableTypeError,
 from germcalc.germ import (AType, Branch, MultiGerm, corank, multiplicity,
                            recognize_type, stratum_dim)
 from germcalc.ring import Poly, substitute
+from germcalc.syntax import parse_multigerm
 
 
 def V(n, i):
@@ -45,6 +49,52 @@ class TestModel:
         assert AType((1, 3, 2)).ks == (3, 2, 1)
         assert str(AType((2,))) == "A_2"
         assert str(AType((1, 2))) == "A_{2,1}"
+
+
+class TestStoredHash:
+    # the hash is kept once computed, outside the dataclass fields
+    @staticmethod
+    def germs():
+        parsed = parse_multigerm("{(x,y,z^2);(x,y,z^3+x*z)}")
+        built = G(B(X, Y, Z ** 2), B(X, Y, Z ** 3 + X * Z))
+        return [parsed, parsed.branches[1], built, built.branches[0]]
+
+    @staticmethod
+    def rebuilt(value):
+        # an equal value built afresh from copies of its polynomials
+        if isinstance(value, Branch):
+            return Branch(tuple(Poly(c.nvars, dict(c.items()))
+                                for c in value.components))
+        return MultiGerm(tuple(TestStoredHash.rebuilt(b)
+                               for b in value.branches))
+
+    @pytest.mark.parametrize("i", range(4), ids=["parsed", "parsed-branch",
+                                                 "built", "built-branch"])
+    def test_the_stored_hash_is_invisible(self, i):
+        value = self.germs()[i]
+        fresh = self.rebuilt(value)
+        before = (repr(value), dataclasses.fields(value),
+                  dataclasses.asdict(value))
+        h = hash(value)
+        assert (repr(value), dataclasses.fields(value),
+                dataclasses.asdict(value)) == before
+        assert [f.name for f in dataclasses.fields(value)] in (
+            ["components"], ["branches"])
+        assert "_hash" not in repr(value)
+        assert value == fresh and hash(fresh) == h
+        assert (repr(fresh), dataclasses.asdict(fresh)) == before[::2]
+        for copied in (copy.deepcopy(value),
+                       pickle.loads(pickle.dumps(value))):
+            assert copied == value and hash(copied) == h
+            assert repr(copied) == repr(value)
+
+    def test_a_parsed_germ_hashes_as_one_built_from_its_polynomials(self):
+        parsed = parse_multigerm("{(x,y,z^2);(x,y,z^3+x*z)}")
+        built = self.rebuilt(parsed)
+        assert built is not parsed and built == parsed
+        assert hash(built) == hash(parsed)
+        assert [hash(b) for b in built.branches] == [
+            hash(b) for b in parsed.branches]
 
 
 class TestCorank:
