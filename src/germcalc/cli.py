@@ -18,7 +18,7 @@ once per process, on first use, so a caller that runs many command lines
 in one process parses each without rebuilding it.  Likewise a process
 reads each `--germ` text once (`_read`, a bounded table): `eval`, `gate`
 and `atlas lookup` of one text share its parse, its canonical text and
-its interned germ, so every cache keyed by the germ finds it by identity.
+its interned germ, so every record of the germ is found by identity.
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
-"""Exceptions shared across the package, and how a failure is cached."""
+"""Exceptions shared across the package; `germ.remembered` remembers a
+NotStabilizedError or a ProvedInfiniteError like a value."""
 
 from __future__ import annotations
-
-import inspect
-from functools import lru_cache, wraps
 
 
 class GermcalcError(Exception):
@@ -39,46 +37,6 @@ class ProvedInfiniteError(GermcalcError):
         super().__init__(message)
         self.reason = reason
         self.certificate = dict(certificate or {})
-
-
-def remember_failures(maxsize: int):
-    """`lru_cache(maxsize)` keyed by value: a call is written out
-    positionally, defaults filled in, before the lookup, so every spelling
-    of the same arguments shares one entry.  A NotStabilizedError or a
-    ProvedInfiniteError is remembered like a value: a repeated call raises
-    a fresh one of the same class with the same message and attributes,
-    without computing again.  `cache_info` counts one hit or miss per
-    call."""
-    def decorate(fn):
-        signature = inspect.signature(fn)
-        size = len(signature.parameters)
-
-        @lru_cache(maxsize=maxsize)
-        def outcome(*args):
-            try:
-                return fn(*args), None
-            except (NotStabilizedError, ProvedInfiniteError) as error:
-                # the class, message and attributes, not the traceback
-                return None, (type(error), str(error), dict(vars(error)))
-
-        @wraps(fn)
-        def cached(*args, **kwargs):
-            if kwargs or len(args) != size:
-                bound = signature.bind(*args, **kwargs)
-                bound.apply_defaults()
-                args = bound.args
-            value, failure = outcome(*args)
-            if failure:
-                kind, message, attributes = failure
-                error = kind(message)
-                vars(error).update(attributes)
-                raise error
-            return value
-
-        cached.cache_info, cached.cache_clear = (outcome.cache_info,
-                                                 outcome.cache_clear)
-        return cached
-    return decorate
 
 
 class NotCorankOneError(GermcalcError):

@@ -32,7 +32,7 @@ from . import atlas as atlas_mod
 from . import tangent
 from .errors import (NotCorankOneError, NotStabilizedError,
                      NotStableTypeError, ProvedInfiniteError)
-from .germ import (AType, BranchMultiplicities, MultiGerm, branch_labels,
+from .germ import (AType, MultiGerm, branch_labels, branch_multiplicity,
                    corank, multiplicity, recognize_type, stratum_dim)
 from .ring import D_MAX, Poly, is_quasi_homogeneous
 
@@ -160,7 +160,7 @@ def gate_tau_pairing(f: MultiGerm, d_max: int = D_MAX) -> Verdict:
     indices = range(r)
 
     def part_stable(sub: tuple[int, ...]) -> bool:
-        # is_stable's cache holds the answer for a part already asked about
+        # is_stable remembers the answer for a part already asked about
         return tangent.is_stable(MultiGerm(tuple(f.branches[i] for i in sub)),
                                  d_max)
 
@@ -242,10 +242,9 @@ def gate_primitive_plus_morse(f: MultiGerm,
             f"dimensions below the threshold for the {variant} rule",
             n=n, p=p)
 
-    values = BranchMultiplicities(f, d_max)
     for idx in range(f.r):
         if (corank(f.branches[idx]) > 1
-                or values[idx][0] - 1 != partner_label):
+                or branch_multiplicity(f, idx, d_max)[0] - 1 != partner_label):
             continue
         rest = MultiGerm(tuple(b for i, b in enumerate(f.branches) if i != idx))
         base_cod = tangent.ae_codim(rest, d_max).value

@@ -20,20 +20,15 @@ weighted homogeneous (`weights`).  Besides making the linear components
 coordinates, the form shifts a branch's one free source coordinate by the
 others (a Tschirnhaus shift), which clears the terms next to its lowest
 pure power; the shift is a linear change of coordinates too, so every
-truncated value of the form is that of the germ.
-The linear prenormal form is computed once per germ and cached by the
-value of the germ.  The multiplicity, the least power and the type label
-all read the branch values of `BranchMultiplicities`, which searches the
-branches of that form, not the germ as given: the values are invariant
-under its linear change, and a moved germ's dense branches cost far more
-to search.  The searches are cached by the values (branch, d_max), a
-failed search remembered like a value (`errors.remember_failures`), and
-the corank by the branch: the gates and the CLI ask for it many times
-per germ.
-Branches and multigerms keep their hash once computed, and `intern`
-makes equal germs, and equal branches, one object in a process (a
-bounded table keyed by value): every germ the parser returns is
-interned, so a cache keyed by a germ or a branch finds it by identity.
+truncated value of the form is that of the germ.  The branch values of
+the multiplicity, the least power and the type label are searched on the
+form (`branch_multiplicity`): a moved germ's dense branches cost far more.
+What a process knows of a germ or branch value is held on one record of
+it (`record`, at most 1024 values): its first object, which `intern`
+hands out, and each call remembered on it (`remembered`), failures
+included: the prenormal form, the branch searches, the corank, and in
+`tangent` and `syntax` the codimensions, the search state, the stability
+test and the canonical match key.
 When n <= p, a branch whose search reaches its last candidate is first
 tested for a line through 0 on which it vanishes; such a branch is not
 finite, so its multiplicity is proved infinite (`ProvedInfiniteError`)
@@ -43,15 +38,18 @@ coordinates of the germ as given.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import inspect
+import threading
+from collections import namedtuple
+from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial, wraps
 from math import prod
 
 from . import ring
-from .errors import (NotCorankOneError, NotStableTypeError,
-                     ProvedInfiniteError, remember_failures)
+from .errors import (NotCorankOneError, NotStabilizedError,
+                     NotStableTypeError, ProvedInfiniteError)
 from ._echelon import RowSpan, matrix_rank
 from .ring import D_MAX, Poly, _integral, substitute
 
@@ -63,7 +61,7 @@ class Branch:
     """One branch of a multigerm: p components in n source variables.
 
     Equal by value, and hashed once: the hash is computed on first use and
-    kept, since every cache keyed by a branch hashes it at each lookup."""
+    kept, since every lookup of its record hashes it (`record`)."""
 
     components: tuple[Poly, ...]
 
@@ -168,27 +166,106 @@ class AType:
         return "A_{" + ",".join(str(k) for k in self.ks) + "}"
 
 
-@lru_cache(maxsize=1024)
-def _interned(value: Branch | MultiGerm) -> Branch | MultiGerm:
-    """The first object stored with value's value (an identity memo)."""
-    return value
+# -- one record per value -----------------------------------------------------
+
+_BOUND = 1024
+_records: dict = {}
+_lock = threading.Lock()
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def record(value) -> dict:
+    """What this process knows of value: the first object stored with its
+    value, under the key None, and each call remembered on it
+    (`remembered`).  The table holds at most 1024 values; past that the
+    value stored first is evicted, with everything known of it.  Inserts
+    and evictions take one lock, so equal values get one record."""
+    known = _records.get(value)
+    if known is None:
+        with _lock:
+            known = _records.get(value)
+            if known is None:
+                known = _records[value] = {None: value}
+                if len(_records) > _BOUND:
+                    del _records[next(iter(_records))]
+    return known
+
+
+def remembered(fn):
+    """fn, each call remembered on the record of its first argument under
+    (fn, *rest of the arguments), written out positionally with defaults
+    filled in, so every spelling of a call shares one entry.  An entry is
+    written once (`dict.setdefault`), so threads that compute it at once
+    all return the one stored first.  A NotStabilizedError or a
+    ProvedInfiniteError is remembered as its class, message and
+    attributes: every call raises a fresh one with its own copy of them.
+    `cache_info` counts one hit or miss per call and the entries on live
+    records; `cache_clear` empties the table.  `stored(*args)` reads a
+    stored value, or None, without computing it."""
+    signature = inspect.signature(fn)
+    size = len(signature.parameters)
+    counts = [0, 0]  # hits, misses
+
+    @wraps(fn)
+    def cached(*args, **kwargs):
+        if kwargs or len(args) != size:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        known = record(args[0])
+        key = (fn, *args[1:])
+        outcome = known.get(key)
+        counts[outcome is None] += 1
+        if outcome is None:
+            try:
+                outcome = fn(*args), None
+            except (NotStabilizedError, ProvedInfiniteError) as error:
+                # the class, message and attributes, not the traceback
+                outcome = None, (type(error), str(error), dict(vars(error)))
+            outcome = known.setdefault(key, outcome)
+        value, failure = outcome
+        if failure:
+            kind, message, attributes = failure
+            error = kind(message)
+            vars(error).update(deepcopy(attributes))
+            raise error
+        return value
+
+    def stored(*args):
+        outcome = _records.get(args[0], {}).get((fn, *args[1:]))
+        return outcome and outcome[0]
+
+    def cache_info() -> CacheInfo:
+        with _lock:
+            records = list(_records.values())
+        held = sum(key is not None and key[0] is fn
+                   for known in records for key in list(known))
+        return CacheInfo(*counts, _BOUND, held)
+
+    def cache_clear() -> None:
+        with _lock:
+            _records.clear()
+        counts[:] = [0, 0]
+
+    cached.stored, cached.cache_info, cached.cache_clear = (
+        stored, cache_info, cache_clear)
+    return cached
 
 
 def intern(f: MultiGerm) -> MultiGerm:
     """The one object of f's value in this process, its branches the one
-    object of theirs, while the table (`_interned`, bounded) keeps them.
+    object of theirs, while the record table keeps them (`record`).
 
-    Every cache keyed by a germ or a branch then finds an equal key by
-    identity instead of comparing it term by term.  Two threads that
-    intern equal values at once may each get their own object back; each
-    is equal to its input."""
-    branches = tuple(_interned(b) for b in f.branches)
+    Every remembered call on a germ or a branch then finds its record by
+    identity instead of comparing the value term by term."""
+    branches = tuple(record(b)[None] for b in f.branches)
     if any(b is not c for b, c in zip(branches, f.branches)):
         f = MultiGerm(branches)
-    return _interned(f)
+    return record(f)[None]
 
 
-@lru_cache(maxsize=1024)
+@remembered
 def corank(branch: Branch) -> int:
     """min(n, p) minus the rank of the linear part at the origin."""
     return min(branch.n, branch.p) - matrix_rank(branch.jacobian_at_origin())
@@ -234,7 +311,7 @@ def _prove_not_finite(branch: Branch) -> None:
         raise _not_finite(line)
 
 
-@remember_failures(maxsize=1024)
+@remembered
 def _branch_multiplicity(branch: Branch, d_max: int) -> tuple[int, int]:
     """The dimension of the branch's local algebra O_n / I, with I the
     ideal of its components, and the least d with m^d inside I: the first
@@ -246,7 +323,7 @@ def _branch_multiplicity(branch: Branch, d_max: int) -> tuple[int, int]:
     codimensions infinite too: a stable germ with n <= p is finite, while
     for n > p no map is finite and a submersion is stable, so there the
     search fails at the cap as before.  The answer, or that failure, is
-    cached by the values (branch, d_max) (`errors.remember_failures`)."""
+    remembered on the branch's record under d_max (`remembered`)."""
     curve = ring.quotient_curve(
         list(branch.components), branch.n, d_max,
         partial(_prove_not_finite, branch) if branch.n <= branch.p else None)
@@ -255,43 +332,26 @@ def _branch_multiplicity(branch: Branch, d_max: int) -> tuple[int, int]:
     return curve[-1], power
 
 
-class BranchMultiplicities(Sequence):
-    """(multiplicity, least c with m^c inside I_b) of each branch b of f,
-    in branch order, with I_b = f_b^*(m_p) O_n; a branch is searched when
-    its value is first read, so a caller that stops early, or skips a
-    branch, searches no more than it reads.
-
-    Both values are read off branch b of the linear prenormal form g of f
-    (`linear_prenormal_form`), since g_b(u) = T . f_b(S_b u) makes the
+def branch_multiplicity(f: MultiGerm, b: int,
+                        d_max: int = D_MAX) -> tuple[int, int]:
+    """(multiplicity, least c with m^c inside I_b) of branch b of f, with
+    I_b = f_b^*(m_p) O_n, read off branch b of the linear prenormal form
+    g of f (`linear_prenormal_form`), since g_b(u) = T . f_b(S_b u) makes the
     ideal of g_b the pull-back S_b^* of I_b: the dense branches of a moved
-    germ are never searched.  Reading a branch raises NotStabilizedError
-    when its search fails by d_max, or ProvedInfiniteError when it is
-    proved not finite, the line mapped back to f's coordinates
+    germ are never searched.  Raises NotStabilizedError when the search
+    fails by d_max, or ProvedInfiniteError when the branch is proved not
+    finite, the line mapped back to f's coordinates
     (line_f = S_b . line_g)."""
-
-    __slots__ = ("f", "d_max", "_form")
-
-    def __init__(self, f: MultiGerm, d_max: int = D_MAX):
-        self.f, self.d_max = f, d_max
-        # False until the first read looks the form up
-        self._form: tuple[MultiGerm, Matrix,
-                          tuple[Matrix, ...]] | None | bool = False
-
-    def __len__(self) -> int:
-        return self.f.r
-
-    def __getitem__(self, b: int) -> tuple[int, int]:
-        if self._form is False:
-            self._form = _prenormal_form(self.f)
-        if self._form is None:
-            return _branch_multiplicity(self.f.branches[b], self.d_max)
-        g, _, sources = self._form
-        try:
-            return _branch_multiplicity(g.branches[b], self.d_max)
-        except ProvedInfiniteError as proof:
-            line = proof.certificate["line"]
-            raise _not_finite(tuple(sum(s * v for s, v in zip(row, line))
-                                    for row in sources[b])) from None
+    form = _prenormal_form(f)
+    if form is None:
+        return _branch_multiplicity(f.branches[b], d_max)
+    g, _, sources = form
+    try:
+        return _branch_multiplicity(g.branches[b], d_max)
+    except ProvedInfiniteError as proof:
+        line = proof.certificate["line"]
+        raise _not_finite(tuple(sum(s * v for s, v in zip(row, line))
+                                for row in sources[b])) from None
 
 
 def multiplicity_and_power(f: MultiGerm,
@@ -299,11 +359,11 @@ def multiplicity_and_power(f: MultiGerm,
     """The multiplicity of f and the least c with m^c inside the ideal
     I_b = f_b^*(m_p) O_n of every branch b (the largest of the branch
     values), both read off the linear prenormal form of f
-    (`BranchMultiplicities`).  Both are invariant under changes of
+    (`branch_multiplicity`).  Both are invariant under changes of
     coordinates.  Raises the first failure in branch order:
     ProvedInfiniteError when a branch is proved not finite, and
     NotStabilizedError when a branch's search fails by d_max."""
-    pairs = list(BranchMultiplicities(f, d_max))
+    pairs = [branch_multiplicity(f, b, d_max) for b in range(f.r)]
     return sum(m for m, _ in pairs), max(c for _, c in pairs)
 
 
@@ -314,20 +374,19 @@ def multiplicity(f: MultiGerm, d_max: int = D_MAX) -> int:
 
 def branch_labels(f: MultiGerm, d_max: int = D_MAX) -> tuple[int, ...]:
     """k_b = multiplicity - 1 of each branch b of f, in branch order
-    (`BranchMultiplicities`).
+    (`branch_multiplicity`).
 
     Raises NotCorankOneError at the first branch of corank 2 or more, and
     propagates NotStabilizedError and ProvedInfiniteError from the search
     of an earlier branch.
     """
-    values = BranchMultiplicities(f, d_max)
     ks = []
     for b, branch in enumerate(f.branches):
         c = corank(branch)
         if c > 1:
             raise NotCorankOneError(
                 f"branch has corank {c}; only corank <= 1 is supported")
-        ks.append(values[b][0] - 1)
+        ks.append(branch_multiplicity(f, b, d_max)[0] - 1)
     return tuple(ks)
 
 
@@ -496,10 +555,10 @@ def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
     transforms, when no branch changes that way or when the candidate does
     not have strictly fewer terms than f.
 
-    The form is computed once per germ: it is cached by the value f, at
-    most 1024 germs (`_prenormal_form`), and every reader (the branch
-    multiplicities and their proof, both codimension searches and the
-    stability test) reads that cache.
+    The form is computed once per germ: it is remembered on the record of
+    f (`_prenormal_form`), and every reader (the branch multiplicities and
+    their proof, both codimension searches and the stability test) reads
+    it there.
     """
     form = _prenormal_form(f)
     if form is None:
@@ -508,19 +567,19 @@ def linear_prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
 
 
 def prenormal_germ(f: MultiGerm) -> MultiGerm:
-    """The germ g of `linear_prenormal_form(f)`, read from the same cache
+    """The germ g of `linear_prenormal_form(f)`, read from the same record
     without building the identity transforms of a germ already
     prenormal."""
     form = _prenormal_form(f)
     return f if form is None else form[0]
 
 
-@lru_cache(maxsize=1024)
+@remembered
 def _prenormal_form(f: MultiGerm) -> tuple[MultiGerm, Matrix,
                                            tuple[Matrix, ...]] | None:
-    """`linear_prenormal_form(f)`, or None when g is f itself: so a cache
-    hit never hands a caller another germ equal to its own, and the entry
-    of a germ already prenormal holds nothing."""
+    """`linear_prenormal_form(f)`, or None when g is f itself: so a
+    remembered form never hands a caller another germ equal to its own,
+    and the entry of a germ already prenormal holds nothing."""
     n, p, r = f.n, f.p, f.r
     columns = sorted({(sum(mono), b, mono)
                       for b, branch in enumerate(f.branches)

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import GermSyntaxError
-from .germ import Branch, MultiGerm, intern
+from .germ import Branch, MultiGerm, intern, remembered
 from .ring import Poly
 
 _DEFAULT_NAMES = ("x", "y", "z", "w", "u", "v")
@@ -445,7 +444,7 @@ def format_multigerm(f: MultiGerm) -> str:
     return _least_rendering(f, arrange=False)[0]
 
 
-@lru_cache(maxsize=1024)
+@remembered
 def canonical_match_key(f: MultiGerm) -> str:
     """The least rendering of f over all variable orders, branch orders and
     target-component orders.

@@ -65,10 +65,10 @@ the failed elimination gave, and k never passes `d_max` (see
 `ring.stabilize_curve`).  Every value is invariant under linear changes
 of coordinates, so the engine works on the linear prenormal form of the
 germ (`germ.linear_prenormal_form`), which is the germ itself unless a
-linear change makes it strictly sparser.  The form is cached in `germ`
-by the value of the germ, and the branch multiplicities, both variants'
-searches and `is_stable` all read it there, so it is computed once per
-germ, whatever the cap.
+linear change makes it strictly sparser.  The form is remembered on the
+record of the germ in `germ`, and the branch multiplicities, both
+variants' searches and `is_stable` all read it there, so it is computed
+once per germ, whatever the cap.
 
 The rows are built in a reduced module, without the coordinate components
 of each branch (the unfolding reduction of Marar and Mond).  A component
@@ -137,21 +137,22 @@ of degree >= 1 are the non-extended ones (no row touches the degree-0
 slots, which the non-extended module lacks), then the two extra families
 in the same span, whose new leads leave the extended free slots.  For a
 fixed column order the lead columns of a row space are unique, so each
-phase gives exactly what an elimination of its rows alone would.  The
-searches of both variants of one germ and cap share what this gives
-through `_shared(f, d_max)`: one row builder, which no elimination
-changes, and one table of the eliminations run so far, keyed by
-(candidate, top), each holding the free slots of both variants.  A search
-reads the table at every candidate and eliminates only where no search
-has; an entry is written once and never removed, so no answer depends on
-the order in which the two searches run, or how their threads interleave.
-The two searches start at the same candidate and part only after a
-failure, where the next candidate depends on the value.
+phase gives exactly what an elimination of its rows alone would.  Every
+search of one germ, of either variant and under any cap, shares what this
+gives on the germ's record (`germ.record`): one row builder (`_rows`),
+which no elimination changes, and the eliminations run so far
+(`_eliminated`), keyed by (candidate, top), each holding the free slots
+of both variants; neither depends on the cap.  A search reads the record
+at every candidate and eliminates only where no search has; an entry is
+written once and removed only with the record, so no answer depends on
+the order in which the searches run, or how their threads interleave.
+The two searches of one cap start at the same candidate and part only
+after a failure, where the next candidate depends on the value.
 
-`ae_codim`, `a_codim` and `is_stable` are each one cache keyed by the
-values (f, d_max), so every spelling of d_max computes once; a failure is
-remembered like a value, as for the branch multiplicities of `germ`
-(`errors.remember_failures`).
+`ae_codim`, `a_codim` and `is_stable` are each remembered on the record
+of f under d_max (`germ.remembered`), so every spelling of d_max computes
+once; a failure is remembered like a value, as for the branch
+multiplicities of `germ`.
 
 Stability takes one elimination (`is_stable`).  If f is stable, its
 tangent space is theta(f), so every candidate passes with value 0; so a
@@ -195,7 +196,7 @@ its last candidate k = d_max (`ring.stabilize_curve`), so it costs nothing
 where a search certifies earlier; when it finds a proof, that elimination
 never runs and ProvedInfiniteError is raised.  A-finiteness depends on
 neither the variant nor the search, so both variants of one germ and cap
-share the certificate (`_Shared.proof`, stored only once computed): once
+share the certificate (`_proof`, stored only once computed): once
 one search has proved f not A-finite the other raises the proof before
 its first candidate, and a search that reaches its last candidate while
 the other is still computing the certificate computes it too.  A germ
@@ -211,12 +212,11 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, lcm, prod
 
-from .errors import NotStabilizedError, ProvedInfiniteError, remember_failures
+from .errors import NotStabilizedError, ProvedInfiniteError
 from .germ import (Branch, MultiGerm, corank, multiplicity_and_power,
-                   prenormal_germ, weights)
+                   prenormal_germ, remembered, weights)
 from .ring import (D_MAX, MonomialTables, Poly, eliminate_graded,
                    monomial_tables, multiples, stabilize_curve, substitute)
 
@@ -348,8 +348,8 @@ class _SearchRows:
     kept blocks, the generators of the derivative and certificate rows, and
     the families and parts of the target rows, each row family keyed by
     the block index q of its kept component.  Every elimination builds its
-    rows from these in one pass (`_rows`), and none changes them, so the
-    searches of both variants share one builder (`_Shared.rows`).
+    rows from these in one pass (`_SearchRows._rows`), and none changes
+    them, so every search of the germ shares one builder (`_rows(f)`).
 
     Every row lies in the reduced module of the extended variant, keyed by
     column id, where the slot of mono_k in the q-th kept component (in
@@ -561,29 +561,42 @@ def _graded_tangent(f: MultiGerm, top: int, extended: bool,
 def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
     """One codimension search.  Each elimination serves both variants
     (`_SearchRows.eliminate`): the search reads the free positions of its
-    variant from `_Shared.eliminations` of `_shared(f, d_max)`, and
-    eliminates with the shared rows only at a (candidate, top) that no
-    search of f has run."""
-    shared = _shared(f, d_max)
+    variant from `_eliminated`, remembered on the record of f, so it
+    eliminates only at a (candidate, top) that no search of f has run,
+    under any cap."""
     m, c = multiplicity_and_power(f, d_max)
     start = m + 3 - c
-    rows, eliminations = shared.rows, shared.eliminations
+    rows = _rows(f)
 
     def eliminate(certify: int, top: int) -> tuple[list[int], list[Slot]]:
-        both = eliminations.get((certify, top))
-        if both is None:
-            both = eliminations.setdefault((certify, top),
-                                           rows.eliminate(certify, top))
-        return rows.read(top, both[extended])
+        return rows.read(top, _eliminated(f, certify, top)[extended])
 
     values, degree, free = stabilize_curve(
         eliminate, start, c,
         lambda k, values: max(k + 2, values[k + 1] + 1),
-        d_max, "codimension", shared.prove)
+        d_max, "codimension", lambda: _raise(_proof(f, d_max)))
     # the first candidate was min(start, d_max), which is at most degree
     return CodimResult(value=values[-1], degree_used=degree, c=c,
                        curve=values[min(start, degree):],
                        basis=tuple(free))
+
+
+@remembered
+def _rows(f: MultiGerm) -> _SearchRows:
+    """The row builder of f's searches, on its linear prenormal form
+    (`germ.prenormal_germ`), which costs far less fill-in; no elimination
+    changes it."""
+    return _SearchRows(prenormal_germ(f))
+
+
+@remembered
+def _eliminated(f: MultiGerm, certify: int,
+                top: int) -> tuple[list[int], list[int]]:
+    """The free positions of both variants of f's elimination at
+    (candidate, top) (`_SearchRows.eliminate`), which every search of f
+    reads whatever its cap; two searches that run it at once may both
+    eliminate, and both read the entry stored first."""
+    return _rows(f).eliminate(certify, top)
 
 
 @dataclass(frozen=True)
@@ -723,55 +736,22 @@ def unstable_point(f: MultiGerm, d_max: int = D_MAX) -> UnstablePoint | None:
     return None
 
 
-class _Shared:
-    """What the codimension searches of one germ under one cap share.
-
-    The searches eliminate on the linear prenormal form of f, which they
-    read from that form's cache (`germ.prenormal_germ`): the value at every
-    degree is invariant under linear changes of coordinates, and the
-    sparser form costs far less fill-in.  `proof` is the certificate
-    `unstable_point`, which serves both variants, since A-finiteness
-    depends on neither: None while not sought, False when none was found,
-    or the UnstablePoint.  It is written once, after `unstable_point`
-    returns, so a search that reaches its last candidate while the other
-    is still proving computes the same answer itself.  `rows` is the row
-    builder of the prenormal form, which no elimination changes, and
-    `eliminations` maps each (candidate degree, top degree) that a search
-    has eliminated at to the pair of free-position lists that
-    `_SearchRows.eliminate` gave, for both variants.  An entry is written
-    once (`dict.setdefault`) and never removed, so two searches that run
-    the same candidate at once read the same answer: both may eliminate,
-    and both read the entry stored first."""
-
-    __slots__ = ("f", "d_max", "rows", "eliminations", "proof")
-
-    def __init__(self, f: MultiGerm, d_max: int):
-        self.f, self.d_max = f, d_max
-        self.rows = _SearchRows(prenormal_germ(f))
-        self.eliminations: dict[tuple[int, int],
-                                tuple[list[int], list[int]]] = {}
-        self.proof: UnstablePoint | bool | None = None
-
-    def prove(self) -> None:
-        """Raise ProvedInfiniteError when the certificate proves f is not
-        A-finite, computing it unless a search has already stored it."""
-        if self.proof is None:
-            self.proof = unstable_point(self.f, self.d_max) or False
-        self.proved()
-
-    def proved(self) -> None:
-        """Raise ProvedInfiniteError when a search has already proved f
-        not A-finite; never compute the certificate."""
-        if self.proof:
-            raise self.proof.error()
+@remembered
+def _proof(f: MultiGerm, d_max: int) -> UnstablePoint | bool:
+    """`unstable_point(f, d_max)`, or False when it finds none: stored
+    only once computed, so a search that reaches its last candidate while
+    the other is still proving computes the same answer itself."""
+    return unstable_point(f, d_max) or False
 
 
-@lru_cache(maxsize=1024)
-def _shared(f: MultiGerm, d_max: int) -> _Shared:
-    return _Shared(f, d_max)
+def _raise(proof: UnstablePoint | bool | None) -> None:
+    """Raise the ProvedInfiniteError of an UnstablePoint; None and False,
+    no proof found or sought, raise nothing."""
+    if proof:
+        raise proof.error()
 
 
-@remember_failures(maxsize=1024)
+@remembered
 def ae_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     """Codimension of the extended tangent space; 0 exactly for stable germs.
 
@@ -779,17 +759,17 @@ def ae_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     and NotStabilizedError when no candidate degree up to d_max passes its
     certificate and no such proof is found; either afresh but without
     computing again when repeated."""
-    _shared(f, d_max).proved()
+    _raise(_proof.stored(f, d_max))
     return _stabilized_codim(f, d_max, True)
 
 
-@remember_failures(maxsize=1024)
+@remembered
 def a_codim(f: MultiGerm, d_max: int = D_MAX) -> CodimResult:
     """Codimension of the non-extended tangent space inside sections without
     constant term; fails as `ae_codim` does.  After either search of f has
     proved it not A-finite, the other raises the same proof without an
     elimination."""
-    _shared(f, d_max).proved()
+    _raise(_proof.stored(f, d_max))
     return _stabilized_codim(f, d_max, False)
 
 
@@ -830,7 +810,7 @@ def wilson_check(f: MultiGerm, d_max: int = D_MAX) -> WilsonReport:
                         expected_extended=expected)
 
 
-@remember_failures(maxsize=1024)
+@remembered
 def is_stable(f: MultiGerm, d_max: int = D_MAX) -> bool:
     """True exactly when f is stable, decided by one elimination.
 
@@ -842,9 +822,10 @@ def is_stable(f: MultiGerm, d_max: int = D_MAX) -> bool:
     on it; d_max bounds only the multiplicity search.  A germ proved not
     finite is not stable.  Raises NotStabilizedError only when a branch's
     multiplicity is neither certified nor proved infinite by d_max.  The
-    answer, or that failure, is cached by the values (f, d_max) however
-    they are spelled (`errors.remember_failures`): the parts that
-    `gates.gate_tau_pairing` asks about recur across germs."""
+    answer, or that failure, is remembered on the record of f under d_max
+    however the call is spelled (`germ.remembered`): the parts that
+    `gates.gate_tau_pairing` asks about recur across germs.  Its builder
+    is its own and is not stored."""
     try:
         m, c = multiplicity_and_power(f, d_max)
     except ProvedInfiniteError:

@@ -337,9 +337,9 @@ class TestInterning:
         first = cli._read(texts[0], None, None)[0]
         for text in texts:
             cli._read(text, None, None)
-        for table in (cli._read, germ_mod._interned):
-            info = table.cache_info()
-            assert info.currsize <= info.maxsize == 1024
+        info = cli._read.cache_info()
+        assert info.currsize <= info.maxsize == 1024
+        assert len(germ_mod._records) <= 1024
         # the first germ has left both tables: it is read again, equal
         again = cli._read(texts[0], None, None)[0]
         assert again == first and again is not first
@@ -452,7 +452,7 @@ class TestRun:
         # them, the command given first, and that command run again
         # searches for nothing
         cli._read.cache_clear()
-        germ_mod._interned.cache_clear()
+        # empties the one table of germ records, interned germs included
         syntax.canonical_match_key.cache_clear()
         at = argv.index("--germ")
         text, flags = argv[at + 1], argv[at + 2:]
@@ -672,8 +672,7 @@ class TestRun:
         # by the multiplicity bound, asks for no codimension
         germ = ("{(x,y,z^2);(x,y,z^2+x);(x,y,z^2+y);(x,y,z^2+x+y);"
                 "(x,y,z^2+x-y)}")
-        for cached in (tangent.ae_codim, tangent.a_codim,
-                       tangent._shared):
+        for cached in (tangent.ae_codim, tangent.a_codim):
             cached.cache_clear()
         runs = []
         stabilized = tangent._stabilized_codim
@@ -1005,7 +1004,8 @@ class TestLayering:
         assert (done.returncode, done.stderr) == (1, "")
 
     def test_ring_caches_are_bounded_and_empty_after_import(self):
-        # every functools cache of every module in the package
+        # every cache of every module in the package: the functools caches
+        # and the calls remembered on the records of germ values
         done = _python("-c", "import importlib, pkgutil, germcalc\n"
                        "found = set()\n"
                        "for mod in pkgutil.iter_modules(germcalc.__path__):\n"
@@ -1022,12 +1022,13 @@ class TestLayering:
             "germcalc.cli._read 1024 0",
             "germcalc.cli.build_arg_parser 1 0",
             "germcalc.germ._branch_multiplicity 1024 0",
-            "germcalc.germ._interned 1024 0",
             "germcalc.germ._prenormal_form 1024 0",
             "germcalc.germ.corank 1024 0",
             "germcalc.ring.monomial_tables 64 0",
             "germcalc.syntax.canonical_match_key 1024 0",
-            "germcalc.tangent._shared 1024 0",
+            "germcalc.tangent._eliminated 1024 0",
+            "germcalc.tangent._proof 1024 0",
+            "germcalc.tangent._rows 1024 0",
             "germcalc.tangent.a_codim 1024 0",
             "germcalc.tangent.ae_codim 1024 0",
             "germcalc.tangent.is_stable 1024 0", ""]

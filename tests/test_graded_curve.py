@@ -778,10 +778,10 @@ def test_one_term_certificates_cut_the_rows(monkeypatch):
 # -- the shared search --------------------------------------------------------
 #
 # At every candidate degree, a search whose two variants share one row
-# builder and one table of eliminations (`tangent._Shared`: one
-# elimination serves both, and the other variant's search reads it instead
-# of eliminating) gives what a fresh `_graded_tangent` gives at the same
-# candidate and top.
+# builder and one table of eliminations (`tangent._rows` and
+# `tangent._eliminated`: one elimination serves both, and the other
+# variant's search reads it instead of eliminating) gives what a fresh
+# `_graded_tangent` gives at the same candidate and top.
 
 def checked_searches(monkeypatch) -> list:
     """From now on, every elimination of a search is compared with the
@@ -968,7 +968,21 @@ def test_a_search_past_the_shared_candidates_eliminates_on_its_own(
     assert searches == [[(3, 8)]] and built == [(3, 8)]
     assert fields(tangent.a_codim(germ)) == alone
     assert searches[1] == [(3, 8), (5, 10)] and built == [(3, 8), (5, 10)]
-    assert set(tangent._shared(germ, 16).eliminations) == {(3, 8), (5, 10)}
+    assert tangent._eliminated.cache_info().currsize == 2
+    assert all(tangent._eliminated.stored(germ, *pair)
+               for pair in [(3, 8), (5, 10)])
+
+
+def test_a_search_under_another_cap_builds_no_rows(monkeypatch):
+    # 5_1 is certified at k = 3, below both caps: the eliminations depend
+    # on no cap, so the search under cap 16 reads the one under cap 10 ran
+    germ = parse_multigerm("(x,y,z^5+x*z+y*z^2)")
+    clear_tangent_caches()
+    searches, built = shared_searches(monkeypatch)
+    low = fields(tangent.ae_codim(germ, 10))
+    assert built == [(3, 8)]
+    assert fields(tangent.ae_codim(germ, 16)) == low
+    assert searches == [[(3, 8)], [(3, 8)]] and built == [(3, 8)]
 
 
 @pytest.mark.parametrize("first,second", [
@@ -1056,4 +1070,5 @@ def test_stability_and_single_eliminations_share_nothing():
     clear_tangent_caches()
     assert not tangent.is_stable(germ)
     _graded_tangent(germ, 8, False, 3)
-    assert tangent._shared.cache_info().currsize == 0
+    assert tangent._rows.cache_info().currsize == 0
+    assert tangent._eliminated.cache_info().currsize == 0

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from germcalc import atlas, cli, ops, syntax, tangent
+from germcalc import germ as germ_mod
 from germcalc.errors import NotStabilizedError, ProvedInfiniteError
 from germcalc.germ import (Branch, MultiGerm, linear_prenormal_form,
                            multiplicity, weights)
@@ -201,6 +202,22 @@ class TestFailureCache:
         assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
 
 
+    def test_the_record_table_stays_within_its_bound(self):
+        # 1,100 distinct germs, each with its own branch, pass through
+        # ae_codim and corank: the table keeps at most 1024 values, the
+        # first germ has left it, and asked again it is computed afresh
+        germs = [G(Branch((T ** 2 + k * T ** 3,))) for k in range(1, 1101)]
+        ae_codim.cache_clear()
+        first = ae_codim(germs[0])
+        for f in germs:
+            ae_codim(f)
+            germ_mod.corank(f.branches[0])
+        assert len(germ_mod._records) <= 1024
+        misses = ae_codim.cache_info().misses
+        assert ae_codim(germs[0]) == first
+        assert ae_codim.cache_info().misses == misses + 1
+
+
 class TestACodim:
     def test_plane_curve(self):
         # extended 2, one branch, (n, p) = (1, 2): non-extended = 2 - 1 + 2
@@ -335,6 +352,19 @@ class TestInfinityCertificate:
                 codim(f)
             assert info.value.certificate["point"] == point
         assert wilson_check(f).status == WilsonReport.NOT_APPLICABLE
+
+    def test_a_changed_certificate_leaves_the_next_raise_alone(self):
+        # each raise of the remembered proof carries its own certificate,
+        # so a caller that changes one cannot change what the next sees
+        f = syntax.parse_multigerm(PENTAGERM)
+        ae_codim.cache_clear()
+        with pytest.raises(ProvedInfiniteError) as first:
+            ae_codim(f)
+        first.value.certificate["point"] = "poisoned"
+        with pytest.raises(ProvedInfiniteError) as second:
+            ae_codim(f)
+        assert first.value.certificate is not second.value.certificate
+        assert second.value.certificate["point"] == (1, 0, 1)
 
     def test_two_threaded_searches_both_raise_the_proof(self, monkeypatch):
         # the first call of the certificate is held until the other
