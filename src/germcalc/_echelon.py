@@ -39,16 +39,7 @@ def _to_primitive(row: dict[int, int | Fraction]) -> dict[int, int]:
         ints = {c: int(v * lcm) for c, v in row.items() if v != 0}
     else:
         ints = {c: v for c, v in row.items() if v != 0}
-    if not ints:
-        return {}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+    return _strip_content(ints)
 
 
 def _strip_content(row: dict[int, int]) -> dict[int, int]:

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Mapping
 
 from . import germ as germ_mod
 from . import syntax, tangent
 from .errors import NotStabilizedError
-from .germ import MultiGerm
+from .germ import MultiGerm, remembered
 from .ring import D_MAX, Poly, milnor
 
 
@@ -313,10 +312,11 @@ def _normalize_params(entry: AtlasEntry, params: Mapping | None):
     return {entry.param: label}, (poly,)
 
 
-@lru_cache(maxsize=1024)
+@remembered
 def _instance(name: str, args: tuple) -> MultiGerm:
     """The parsed row, its variables in order of first appearance, without
-    the search for the canonical order."""
+    the search for the canonical order; remembered on the record of the
+    row's name under its arguments (`germ.remembered`)."""
     return syntax.parse_multigerm(_BY_NAME[name]._text(*args),
                                   canonical=False)
 

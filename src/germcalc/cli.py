@@ -16,9 +16,10 @@ is the only engine setting, passed to the library as `d_max` (default
 argument type refuses a value below 1.  `run` builds its argument parser
 once per process, on first use, so a caller that runs many command lines
 in one process parses each without rebuilding it.  Likewise a process
-reads each `--germ` text once (`_read`, a bounded table): `eval`, `gate`
-and `atlas lookup` of one text share its parse, its canonical text and
-its interned germ, so every record of the germ is found by identity.
+reads each `--germ` text once (`_read`, remembered on the record of the
+text in `germ`'s one bounded table): `eval`, `gate` and `atlas lookup` of
+one text share its parse, its canonical text and its interned germ, so
+every record of the germ is found by identity.
 """
 
 from __future__ import annotations
@@ -97,15 +98,14 @@ def _value_or_proof(fn, *args):
         return proof
 
 
-@lru_cache(maxsize=1024)
+@germ_mod.remembered
 def _read(text: str, source_dim: int | None,
           target_dim: int | None) -> tuple[MultiGerm, str]:
     """The germ of a `--germ` text in canonical variable order, interned
     (`germ.intern`), and its canonical text: one parse and one search for
-    the canonical order per (text, source_dim, target_dim) and process.
-    Every caller passes all three positionally, so that one key is used.
-    A text that does not parse is not kept, and raises again when read
-    again."""
+    the canonical order per (text, source_dim, target_dim) and process,
+    remembered on the record of the text (`germ.remembered`).  A text
+    that does not parse is not kept, and raises again when read again."""
     f, canon = canonical_form(parse_multigerm(
         text, source_dim=source_dim, target_dim=target_dim, canonical=False))
     return germ_mod.intern(f), canon

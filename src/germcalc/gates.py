@@ -125,14 +125,6 @@ def gate_nishimura(f: MultiGerm, d_max: int = D_MAX) -> Verdict:
                            multiplicity=m0, bound=bound)
 
 
-def _is_prism_or_immersion(part: MultiGerm, t: AType) -> bool:
-    if part.r != 1:
-        return False
-    if part.n == part.p:
-        return t.ks == (1,)
-    return t.ks == (0,)
-
-
 def gate_tau_pairing(f: MultiGerm, d_max: int = D_MAX) -> Verdict:
     """Stable-pair obstruction over all branch bipartitions.
 
@@ -176,21 +168,20 @@ def gate_tau_pairing(f: MultiGerm, d_max: int = D_MAX) -> Verdict:
                 continue
             if sd_f != 0 or sd_g >= p - 1:
                 # sd_g = p - 1 forces a single fold/immersion branch, which
-                # both rules exempt
+                # both rules exempt; every other partner is more degenerate
+                # than a prism on a Morse function or an immersion
                 continue
             if not (part_stable(fs) and part_stable(gs)):
                 continue
-            part_g = MultiGerm(tuple(f.branches[i] for i in gs))
             if sd_g == p - 2:
                 return Verdict.not_simple(
                     "stable pair with strata 0 and p-2",
                     split=(fs, gs), stratum_dims=(sd_f, sd_g), p=p)
-            if not _is_prism_or_immersion(part_g, t_gs):
-                return Verdict.not_simple(
-                    "zero stratum paired with a branch more degenerate than "
-                    "a prism on a Morse function or an immersion",
-                    split=(fs, gs), stratum_dims=(sd_f, sd_g),
-                    partner_type=str(t_gs))
+            return Verdict.not_simple(
+                "zero stratum paired with a branch more degenerate than "
+                "a prism on a Morse function or an immersion",
+                split=(fs, gs), stratum_dims=(sd_f, sd_g),
+                partner_type=str(t_gs))
     return Verdict.unknown("no bipartition matches the hypotheses")
 
 

@@ -28,7 +28,10 @@ it (`record`, at most 1024 values): its first object, which `intern`
 hands out, and each call remembered on it (`remembered`), failures
 included: the prenormal form, the branch searches, the corank, and in
 `tangent` and `syntax` the codimensions, the search state, the stability
-test and the canonical match key.
+test and the canonical match key.  The same table holds the records of
+the other values a call is remembered on: the CLI's `--germ` texts and
+the atlas's row names.  So what is kept, and for how long, is decided
+here alone.
 When n <= p, a branch whose search reaches its last candidate is first
 tested for a line through 0 on which it vanishes; such a branch is not
 finite, so its multiplicity is proved infinite (`ProvedInfiniteError`)
@@ -176,11 +179,12 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def record(value) -> dict:
-    """What this process knows of value: the first object stored with its
-    value, under the key None, and each call remembered on it
-    (`remembered`).  The table holds at most 1024 values; past that the
-    value stored first is evicted, with everything known of it.  Inserts
-    and evictions take one lock, so equal values get one record."""
+    """What this process knows of value, any hashable value (a germ, a
+    branch, a text, a row name): the first object stored with its value,
+    under the key None, and each call remembered on it (`remembered`).
+    The table holds at most 1024 values; past that the value stored first
+    is evicted, with everything known of it.  Inserts and evictions take
+    one lock, so equal values get one record."""
     known = _records.get(value)
     if known is None:
         with _lock:
@@ -193,9 +197,10 @@ def record(value) -> dict:
 
 
 def remembered(fn):
-    """fn, each call remembered on the record of its first argument under
-    (fn, *rest of the arguments), written out positionally with defaults
-    filled in, so every spelling of a call shares one entry.  An entry is
+    """fn, each call remembered on the record of its first argument, any
+    hashable value (`record`), under (fn, *rest of the arguments), all
+    hashable too and written out positionally with defaults filled in,
+    so every spelling of a call shares one entry.  An entry is
     written once (`dict.setdefault`), so threads that compute it at once
     all return the one stored first.  A NotStabilizedError or a
     ProvedInfiniteError is remembered as its class, message and

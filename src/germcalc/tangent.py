@@ -138,14 +138,15 @@ slots, which the non-extended module lacks), then the two extra families
 in the same span, whose new leads leave the extended free slots.  For a
 fixed column order the lead columns of a row space are unique, so each
 phase gives exactly what an elimination of its rows alone would.  Every
-search of one germ, of either variant and under any cap, shares what this
-gives on the germ's record (`germ.record`): one row builder (`_rows`),
-which no elimination changes, and the eliminations run so far
-(`_eliminated`), keyed by (candidate, top), each holding the free slots
-of both variants; neither depends on the cap.  A search reads the record
-at every candidate and eliminates only where no search has; an entry is
-written once and removed only with the record, so no answer depends on
-the order in which the searches run, or how their threads interleave.
+search of one germ, of either variant and under any cap, and its
+stability test share what this gives on the germ's record
+(`germ.record`): one row builder (`_rows`), which no elimination
+changes, and the eliminations run so far (`_eliminated`), keyed by
+(candidate, top), each holding the free slots of both variants; neither
+depends on the cap.  A search reads the record at every candidate and
+eliminates only where no search has; an entry is written once and
+removed only with the record, so no answer depends on the order in which
+the searches run, or how their threads interleave.
 The two searches of one cap start at the same candidate and part only
 after a failure, where the next candidate depends on the value.
 
@@ -154,10 +155,13 @@ of f under d_max (`germ.remembered`), so every spelling of d_max computes
 once; a failure is remembered like a value, as for the branch
 multiplicities of `germ`.
 
-Stability takes one elimination (`is_stable`).  If f is stable, its
-tangent space is theta(f), so every candidate passes with value 0; so a
-finite f is stable exactly when its first candidate passes with value 0,
-and that candidate need not be capped by d_max.
+Stability reads one elimination (`is_stable`): the first candidate of the
+searches, from the same table.  If f is stable, its tangent space is
+theta(f), so every candidate passes with value 0; so a finite f is stable
+exactly when its first candidate passes with value 0, and that candidate
+need not be capped by d_max.  A search of f whose cap reaches that
+candidate runs it first, so the test and the search eliminate there once
+between them, in either order.
 
 Infinite codimension is proved, not only failed to certify, where this
 certificate applies (`unstable_point`).  It rests on the Mather-Gaffney
@@ -548,16 +552,6 @@ class _SearchRows:
         return [bisect_left(free, end) for end in bounds[1:]], slots
 
 
-def _graded_tangent(f: MultiGerm, top: int, extended: bool,
-                    certify: int | None = None) -> tuple[list[int], list[Slot]]:
-    """One elimination at top degree `top` of a new `_SearchRows`
-    (`_SearchRows.eliminate`), shared with no search; without a candidate
-    degree `certify`, the engine's own rows at `top`."""
-    rows = _SearchRows(f)
-    return rows.read(top, rows.eliminate(
-        top if certify is None else certify, top)[extended])
-
-
 def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
     """One codimension search.  Each elimination serves both variants
     (`_SearchRows.eliminate`): the search reads the free positions of its
@@ -583,9 +577,9 @@ def _stabilized_codim(f: MultiGerm, d_max: int, extended: bool) -> CodimResult:
 
 @remembered
 def _rows(f: MultiGerm) -> _SearchRows:
-    """The row builder of f's searches, on its linear prenormal form
-    (`germ.prenormal_germ`), which costs far less fill-in; no elimination
-    changes it."""
+    """The row builder of f's searches and of its stability test, on its
+    linear prenormal form (`germ.prenormal_germ`), which costs far less
+    fill-in; no elimination changes it."""
     return _SearchRows(prenormal_germ(f))
 
 
@@ -594,8 +588,9 @@ def _eliminated(f: MultiGerm, certify: int,
                 top: int) -> tuple[list[int], list[int]]:
     """The free positions of both variants of f's elimination at
     (candidate, top) (`_SearchRows.eliminate`), which every search of f
-    reads whatever its cap; two searches that run it at once may both
-    eliminate, and both read the entry stored first."""
+    reads whatever its cap, and `is_stable` at the first candidate; two
+    callers that run it at once may both eliminate, and both read the
+    entry stored first."""
     return _rows(f).eliminate(certify, top)
 
 
@@ -824,12 +819,14 @@ def is_stable(f: MultiGerm, d_max: int = D_MAX) -> bool:
     multiplicity is neither certified nor proved infinite by d_max.  The
     answer, or that failure, is remembered on the record of f under d_max
     however the call is spelled (`germ.remembered`): the parts that
-    `gates.gate_tau_pairing` asks about recur across germs.  Its builder
-    is its own and is not stored."""
+    `gates.gate_tau_pairing` asks about recur across germs.  The
+    elimination is the first candidate of f's codimension searches
+    (`_eliminated`), which a search of f under a cap of at least k reads
+    instead of running it again, and the other way round."""
     try:
         m, c = multiplicity_and_power(f, d_max)
     except ProvedInfiniteError:
         return False
     k = m + 3 - c
-    values, _ = _graded_tangent(prenormal_germ(f), k + c, True, k)
-    return values[k + c] == 0
+    # the value at k + c counts every free slot of the elimination
+    return not _eliminated(f, k, k + c)[True]

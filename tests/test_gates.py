@@ -87,6 +87,17 @@ class TestGateTauPairing:
         assert v.kind == NOT_SIMPLE
         assert v.evidence["stratum_dims"] == (0, 1)
 
+    def test_zero_stratum_paired_with_a_swallowtail(self):
+        # two transverse swallowtails: each has a zero stratum, and its
+        # partner, a swallowtail, is neither a fold nor an immersion
+        v = gate_tau_pairing(P("{(x,y,z^4+x*z+y*z^2);(z^4+x*z+y*z^2,x,y)}"))
+        assert v.kind == NOT_SIMPLE
+        assert v.rule == ("zero stratum paired with a branch more degenerate"
+                          " than a prism on a Morse function or an immersion")
+        assert dict(v.evidence) == {"split": ((0,), (1,)),
+                                    "stratum_dims": (0, 0),
+                                    "partner_type": "A_3"}
+
     def test_stable_pair_abstains(self):
         v = gate_tau_pairing(P("{(x,y,z^2);(x,y,z^3+y*z)}"))
         assert v.kind == UNKNOWN

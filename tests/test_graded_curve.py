@@ -36,7 +36,7 @@ from germcalc.ring import (Poly, _graded_ideal, eliminate_graded,
                            monomial_mul, monomial_tables, monomials_up_to,
                            quotient_dim, substitute)
 from germcalc.syntax import parse_multigerm
-from germcalc.tangent import _graded_tangent, ae_codim
+from germcalc.tangent import _SearchRows, ae_codim
 from germcalc._echelon import RowSpan
 from test_cli import _random_germs
 
@@ -206,9 +206,20 @@ def reference_certificate_rows(f: MultiGerm, k: int, top: int) -> list[dict]:
     return [row for row in rows if row]
 
 
+def graded_tangent(f: MultiGerm, top: int, extended: bool,
+                   certify: int | None = None):
+    """One elimination at top degree `top` of a new `_SearchRows`, shared
+    with no search, and what it reads (`_SearchRows.read`): the values at
+    degrees 0..top and the free slots of the variant.  Without a
+    candidate degree `certify`, the engine's own rows at `top`."""
+    rows = _SearchRows(f)
+    return rows.read(top, rows.eliminate(
+        top if certify is None else certify, top)[extended])
+
+
 def reduced_graded_tangent(f: MultiGerm, top: int, extended: bool,
                            certify: int | None = None):
-    """`_graded_tangent` from the full module's reference rows with the
+    """`graded_tangent` from the full module's reference rows with the
     substitution e_{b,l} -> -(1/c) sum over kept l' of (df_{b,l'}/dx_j)
     e_{b,l'} applied to every term of a coordinate component l = c x_j,
     through a plain RowSpan over the slots of the kept components.  With
@@ -324,7 +335,7 @@ def test_catalog_curves_match_per_degree_reference(extended, monkeypatch):
     checked = 0
     for name, germ in cap3_rows():
         d0 = multiplicity(germ) + 4
-        curve, free = _graded_tangent(germ, d0 + 2, extended)
+        curve, free = graded_tangent(germ, d0 + 2, extended)
         reference = [tangent_reference(germ, d, extended)
                      for d in range(d0, d0 + 3)]
         assert curve[d0:] == reference, name
@@ -385,7 +396,7 @@ HALF = Fraction(1, 2)
         "half-in-a-one-term-partial", "repeated-coordinate", "linear-term-in-a-coordinate",
         "branch-without-coordinates", "sign-of-the-substitution"])
 def test_index_builder_matches_the_reference_builder(germ, top, extended):
-    curve, free = _graded_tangent(germ, top, extended)
+    curve, free = graded_tangent(germ, top, extended)
     assert (curve, free) == reduced_graded_tangent(germ, top, extended)
     assert curve == [tangent_reference(germ, d, extended)
                      for d in range(top + 1)]
@@ -405,7 +416,7 @@ def test_coordinate_components_get_no_columns(extended, monkeypatch):
                       Branch((X3, Y3, Z3 ** 3 + X3 * Z3))))
     top = 4
     calls = recorded_eliminations(monkeypatch)
-    curve, free = _graded_tangent(germ, top, extended)
+    curve, free = graded_tangent(germ, top, extended)
     assert (curve, free) == reduced_graded_tangent(germ, top, extended)
     widths, phases = calls.pop()
     (_, killed), (_, extra_killed) = phases
@@ -532,7 +543,7 @@ def test_moved_germ_curve_matches_per_degree_reference():
             for row in T)))
     germ = MultiGerm(tuple(branches))
     for extended in (True, False):
-        curve, _ = _graded_tangent(germ, 5, extended)
+        curve, _ = graded_tangent(germ, 5, extended)
         assert curve == [tangent_reference(germ, d, extended)
                          for d in range(6)]
 
@@ -554,7 +565,7 @@ def test_unstabilized_history_is_the_curve_from_d0_to_d_max():
 def passes(f: MultiGerm, k: int, extended: bool = True) -> bool:
     """Whether the certificate of the candidate degree k passes."""
     _, c = multiplicity_and_power(f)
-    values, _ = _graded_tangent(f, k + c, extended, k)
+    values, _ = graded_tangent(f, k + c, extended, k)
     return values[k + c] == values[k]
 
 
@@ -564,7 +575,7 @@ def test_certificate_rejects_the_false_plateau():
     g = atlas.instantiate("4_2^k", {"k": 6})
     assert not passes(g, 10)
     assert passes(g, 11)
-    assert _graded_tangent(g, 15, True, 11)[0][11] == 6
+    assert graded_tangent(g, 15, True, 11)[0][11] == 6
 
 
 @pytest.mark.parametrize("name,params,ks", [
@@ -611,7 +622,7 @@ def test_target_row_cut_matches_every_target_row(name, params, extended):
     _, c = multiplicity_and_power(g)
     for k in (1, 2):
         top = k + c
-        curve, free = _graded_tangent(g, top, extended, k)
+        curve, free = graded_tangent(g, top, extended, k)
         assert (curve, free) == reduced_graded_tangent(g, top, extended, k)
         slots = reference_slots(g, top, extended)
         last = len(slots) - 1
@@ -655,7 +666,7 @@ def test_rows_built_modulo_the_one_term_certificates(germ, k, c, extended):
     # one-term certificate rows kill: every target row is built, and every
     # row in full, by the reference
     top = k + c
-    assert _graded_tangent(germ, top, extended, k) == \
+    assert graded_tangent(germ, top, extended, k) == \
         reduced_graded_tangent(germ, top, extended, k)
 
 
@@ -755,7 +766,7 @@ def test_one_term_certificates_cut_the_rows(monkeypatch):
     for name, germ in cap3_rows():
         _, c = multiplicity_and_power(germ)
         for k in (1, 2):
-            _graded_tangent(germ, k + c, True, k)
+            graded_tangent(germ, k + c, True, k)
             for var, factors, tables, table in products:
                 assert all(table.values()), (name, k)
                 for beta in table.keys() - {0}:
@@ -781,7 +792,7 @@ def test_one_term_certificates_cut_the_rows(monkeypatch):
 # builder and one table of eliminations (`tangent._rows` and
 # `tangent._eliminated`: one elimination serves both, and the other
 # variant's search reads it instead of eliminating) gives what a fresh
-# `_graded_tangent` gives at the same candidate and top.
+# `graded_tangent` gives at the same candidate and top.
 
 def checked_searches(monkeypatch) -> list:
     """From now on, every elimination of a search is compared with the
@@ -804,7 +815,7 @@ def checked_searches(monkeypatch) -> list:
 
         def checked(k, top):
             got = eliminate(k, top)
-            assert got == _graded_tangent(f, top, extended, k), (f, k, top)
+            assert got == graded_tangent(f, top, extended, k), (f, k, top)
             tried.append((k, top))
             return got
 
@@ -871,7 +882,7 @@ def test_grown_search_matches_fresh_rows_on_five_branches(extended):
     rows = tangent._SearchRows(g)
     for k in (11, 13):
         values, free = rows.read(k + c, rows.eliminate(k, k + c)[extended])
-        assert (values, free) == _graded_tangent(g, k + c, extended, k)
+        assert (values, free) == graded_tangent(g, k + c, extended, k)
         assert values[k + c] != values[k]
 
 
@@ -1065,10 +1076,26 @@ def test_threaded_searches_of_both_variants_match_the_sequential_ones():
         sys.setswitchinterval(interval)
 
 
-def test_stability_and_single_eliminations_share_nothing():
-    germ = parse_multigerm("(x,y,z^5+x*z+y*z^2)")
+@pytest.mark.parametrize("stable_first", [True, False],
+                         ids=["stability-then-search",
+                              "search-then-stability"])
+def test_stability_and_a_search_eliminate_once_at_the_first_candidate(
+        stable_first, monkeypatch):
+    # 5_1 passes its first candidate, (3, 8): the stability test reads
+    # that elimination from the table the search writes, or writes it
+    # there for the search
+    germ, runs = parse_multigerm("(x,y,z^5+x*z+y*z^2)"), []
+    eliminate = tangent._SearchRows.eliminate
+
+    def counting(rows, certify, top):
+        runs.append((certify, top))
+        return eliminate(rows, certify, top)
+
+    monkeypatch.setattr(tangent._SearchRows, "eliminate", counting)
     clear_tangent_caches()
+    if stable_first:
+        assert not tangent.is_stable(germ)
+    assert ae_codim(germ).value == 1
     assert not tangent.is_stable(germ)
-    _graded_tangent(germ, 8, False, 3)
-    assert tangent._rows.cache_info().currsize == 0
-    assert tangent._eliminated.cache_info().currsize == 0
+    assert runs == [(3, 8)]
+    assert tangent._rows.cache_info().currsize == 1

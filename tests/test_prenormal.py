@@ -22,8 +22,8 @@ from germcalc.germ import (Branch, MultiGerm, linear_prenormal_form,
                            multiplicity, multiplicity_and_power,
                            recognize_type)
 from germcalc.ring import Poly, substitute
-from germcalc.tangent import (_graded_tangent, a_codim, ae_codim,
-                              is_stable)
+from germcalc.tangent import a_codim, ae_codim, is_stable
+from test_graded_curve import graded_tangent
 
 P = syntax.parse_multigerm
 
@@ -102,8 +102,8 @@ def test_curves_match_the_raw_engine():
         g, _, _ = linear_prenormal_form(f)
         changed += g != f
         for extended in (True, False):
-            raw, _ = _graded_tangent(f, 7, extended)
-            pre, _ = _graded_tangent(g, 7, extended)
+            raw, _ = graded_tangent(f, 7, extended)
+            pre, _ = graded_tangent(g, 7, extended)
             assert raw == pre, (name, extended)
     assert changed >= 30
 

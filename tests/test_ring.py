@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from germcalc.errors import NotStabilizedError
 from germcalc.germ import Branch, MultiGerm
 from germcalc.ring import (MonomialTables, Poly, _graded_ideal,
-                           is_quasi_homogeneous, milnor, monomial_mul,
-                           monomials_up_to, multiples, quotient_curve,
-                           quotient_dim, substitute, tjurina)
+                           _positive_point, is_quasi_homogeneous, milnor,
+                           monomial_mul, monomials_up_to, multiples,
+                           quotient_curve, quotient_dim, substitute, tjurina)
 from germcalc.tangent import ae_codim
 
 
@@ -219,6 +219,30 @@ class TestQuasiHomogeneous:
     def test_zero_and_constants(self):
         assert not is_quasi_homogeneous(Poly.zero(2))
         assert not is_quasi_homogeneous(Poly.const(2, 1) + V(2, 0))
+
+
+@pytest.mark.parametrize("constraints, point", [
+    ([[1, -2], [0, 1]], (3, 1)),
+    ([[-1, 0], [1, 1]], (Fraction(-1, 2), 1)),
+    ([[2, -1], [-1, 1], [0, 1]], (Fraction(3, 4), 1)),
+    ([[-1, 1], [0, 1]], (0, 1)),
+], ids=["past-a-low-bound", "between-bounds-below-0",
+        "between-bounds-below-1", "below-a-high-bound"])
+def test_positive_point_where_1_is_out_of_bounds(constraints, point):
+    # t_2 = 1 is fixed first; the bounds on t_1 then leave 1 out, so t_1
+    # is picked past the one bound or between the two
+    rows = [[Fraction(v) for v in c] for c in constraints]
+    t = _positive_point(rows)
+    assert tuple(t) == point
+    assert all(sum(c * v for c, v in zip(row, t)) > 0 for row in rows)
+
+
+@pytest.mark.parametrize("constraints", [
+    [[1, 0], [-1, 0]], [[1, 1], [-1, -1]], [[1, -1], [-1, 2], [0, -1]],
+])
+def test_positive_point_of_an_infeasible_system_is_none(constraints):
+    assert _positive_point([[Fraction(v) for v in c]
+                            for c in constraints]) is None
 
 
 def _staircase_count(exponent_sets, nvars, box):

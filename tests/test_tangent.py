@@ -13,10 +13,11 @@ from germcalc.errors import NotStabilizedError, ProvedInfiniteError
 from germcalc.germ import (Branch, MultiGerm, linear_prenormal_form,
                            multiplicity, weights)
 from germcalc.ring import D_MAX, Poly, substitute
-from germcalc.tangent import (WilsonReport, _graded_tangent, a_codim,
-                              ae_codim, is_stable, wilson_check)
+from germcalc.tangent import (WilsonReport, a_codim, ae_codim, is_stable,
+                              wilson_check)
 from germcalc._echelon import RowSpan
-from test_graded_curve import reference_slots, reference_tangent_rows
+from test_graded_curve import (graded_tangent, reference_slots,
+                               reference_tangent_rows)
 
 
 def V(n, i):
@@ -150,13 +151,13 @@ class TestFailureCache:
     def test_every_spelling_of_d_max_tests_stability_once(self,
                                                           monkeypatch):
         germ, runs = G(B(X, Y, Z ** 3 + X * Z)), []
-        graded = tangent._graded_tangent
+        eliminate = tangent._SearchRows.eliminate
 
-        def counting(f, *args):
-            runs.append(f)
-            return graded(f, *args)
+        def counting(rows, certify, top):
+            runs.append((certify, top))
+            return eliminate(rows, certify, top)
 
-        monkeypatch.setattr(tangent, "_graded_tangent", counting)
+        monkeypatch.setattr(tangent._SearchRows, "eliminate", counting)
         is_stable.cache_clear()
         answers = [is_stable(germ), is_stable(germ, D_MAX),
                    is_stable(germ, d_max=D_MAX),
@@ -338,7 +339,7 @@ class TestInfinityCertificate:
             moved = [substitute(comp, shifted) for comp in branch.components]
             assert tuple(m.constant_term() for m in moved) == y
             parts.append(Branch(tuple(m - c for m, c in zip(moved, y))))
-        values, _ = _graded_tangent(MultiGerm(tuple(parts)), 3, True)
+        values, _ = graded_tangent(MultiGerm(tuple(parts)), 3, True)
         assert values[3] > 0
 
     @pytest.mark.parametrize("text, point", [
